@@ -20,8 +20,8 @@ Foliation files (``.fol``) are line oriented::
       x*dy
 
 Randomized subcommands (``leaf``, ``chart-rank``) require ``--seed``.
-Output is byte-identical for identical invocations and seeds; ``--jobs``
-only parallelizes grid scans and never changes output ordering.
+Output is byte-identical for identical invocations and seeds.  ``--jobs N``
+is accepted and has no effect (N must be at least 1).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -241,7 +240,10 @@ def _opts_from(ns) -> NumericOptions:
     kwargs = {}
     if ns.h is not None:
         kwargs["step_size"] = ns.h
-    return NumericOptions(**kwargs)
+    try:
+        return NumericOptions(**kwargs)
+    except ValueError as e:
+        raise _UsageError(str(e))
 
 
 def _cmd_check(ns, spec):
@@ -273,12 +275,7 @@ def _cmd_dims(ns, spec):
         results.update(_dims_at(spec, pt))
     if ns.grid is not None:
         pts = _grid_points(_parse_grid(ns.grid), spec.nvars)
-        if ns.jobs > 1:
-            with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-                rows = list(pool.map(lambda p: _dims_at(spec, p), pts))
-        else:
-            rows = [_dims_at(spec, p) for p in pts]
-        results["grid"] = rows
+        results["grid"] = [_dims_at(spec, p) for p in pts]
     return 0, results, {}, None
 
 
@@ -348,27 +345,17 @@ def _cmd_chart_rank(ns, spec):
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)
     chart = chart_at(spec, [float(c) for c in pt], opts)
-    if ns.jobs > 1:
-        # entries are independent; evaluate in a pool but keep order
-        def entry(p):
-            return chart_rank_check(chart, p).entries[0]
-
-        with ThreadPoolExecutor(max_workers=ns.jobs) as pool:
-            entries = list(pool.map(entry, [pt] + samples))
-        ok = all(e.match for e in entries)
-    else:
-        report = chart_rank_check(chart, pt, samples)
-        entries, ok = report.entries, report.ok
+    report = chart_rank_check(chart, pt, samples)
     rows = [
         {"point": _fmt_point(e.point), "rank": e.rank, "tangent": e.tangent, "match": e.match}
-        for e in entries
+        for e in report.entries
     ]
     diags = {
         "fd_epsilon": opts.fd_epsilon,
         "rank_rel_threshold": opts.rank_rel_threshold,
         "step_size": opts.step_size,
     }
-    return (0 if ok else 1), {"ok": ok, "entries": rows}, diags, ns.seed
+    return (0 if report.ok else 1), {"ok": report.ok, "entries": rows}, diags, ns.seed
 
 
 def _cmd_flowbox(ns, spec):
@@ -445,7 +432,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="JSON output (the default and only format)")
     common.add_argument("--h", type=float, default=None, help="integrator step size (default 1e-3)")
     common.add_argument("--tol", type=float, default=None, help="comparison tolerance where applicable")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers for grid scans")
+    common.add_argument("--jobs", type=int, default=1, help="accepted and has no effect (must be at least 1)")
 
     parser = _Parser(prog="fol", description="singular-foliation workbench")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -498,7 +485,7 @@ def _emit(report: dict) -> None:
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _error_report(command: str | None, argv, exc: Exception, code: int) -> dict:
+def _error_report(command: str | None, argv, exc: Exception) -> dict:
     diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
     if isinstance(exc, ParseError):
         if exc.line is not None:
@@ -543,20 +530,19 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         ns = parser.parse_args(_normalize_argv(argv))
     except _UsageError as e:
-        _emit(_error_report(None, argv, e, 2))
+        _emit(_error_report(None, argv, e))
         return 2
     inputs = {"argv": argv, "file": ns.file}
     try:
+        if ns.jobs < 1:
+            raise _UsageError("--jobs must be at least 1")
         ff = load_foliation_file(ns.file)
         code, results, diagnostics, seed = _HANDLERS[ns.cmd](ns, ff.spec)
-    except OSError as e:
-        _emit(_error_report(ns.cmd, argv, e, 2))
-        return 2
-    except (_UsageError, ParseError, ArityError, PreconditionError) as e:
-        _emit(_error_report(ns.cmd, argv, e, 2))
+    except (OSError, _UsageError, ParseError, ArityError, PreconditionError) as e:
+        _emit(_error_report(ns.cmd, argv, e))
         return 2
     except (BudgetError, BlowUpError) as e:
-        _emit(_error_report(ns.cmd, argv, e, 3))
+        _emit(_error_report(ns.cmd, argv, e))
         return 3
     report = {
         "command": ns.cmd,

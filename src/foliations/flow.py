@@ -10,7 +10,8 @@ memoized.
 
 The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
-of partial derivatives of the combined field.
+of partial derivatives of the combined field.  ``_rk4_fn`` is the single
+RK4 code generator; the two kernels differ only in their right-hand side.
 
 Randomness (leaf sampling, sample-point generation) comes from a
 xorshift64* generator so that sequences are reproducible from a seed
@@ -73,7 +74,7 @@ class NumericOptions:
 
     def __post_init__(self):
         for name in ("step_size", "max_steps", "fd_epsilon", "rank_rel_threshold", "domain_bound"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be strictly positive")
 
 
@@ -244,32 +245,34 @@ def _compile(src: str, fn_name: str):
     return ns[fn_name]
 
 
+def _rk4_fn(size: int, rhs):
+    """Compile one classical RK4 step ``f(state, h) -> tuple`` over ``size`` floats.
+
+    ``rhs(s, names)`` returns the source lines that bind the stage-``s``
+    slopes ``k{s}_0 .. k{s}_{size-1}`` at the point named by ``names``.
+    """
+    lines = ["def _step(state, h):"] + [f"    x{i} = state[{i}]" for i in range(size)]
+    point = [f"x{i}" for i in range(size)]
+    for s, scale in ((1, "0.5*h"), (2, "0.5*h"), (3, "h"), (4, None)):
+        lines += ["    " + line for line in rhs(s, point)]
+        if scale is not None:
+            point = [f"p{s}_{i}" for i in range(size)]
+            lines += [f"    p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in range(size)]
+    outs = ", ".join(
+        f"x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
+    )
+    lines.append(f"    return ({outs}{',' if size == 1 else ''})")
+    return _compile("\n".join(lines), "_step")
+
+
 @lru_cache(maxsize=1024)
 def _flow_step_fn(spec: FoliationSpec, coeffs: tuple):
     """Compiled single RK4 step for the combined field: f(state, h) -> tuple."""
     comb = _combined_terms(spec, coeffs)
-    n = spec.nvars
-    lines = ["def _step(state, h):"]
-    names = [f"x{j}" for j in range(n)]
-    for j in range(n):
-        lines.append(f"    x{j} = state[{j}]")
-    stage_points = [names]
-    for s, scale in ((1, "0.5*h"), (2, "0.5*h"), (3, "h")):
-        pv = stage_points[-1]
-        for j in range(n):
-            lines.append(f"    k{s}_{j} = " + _terms_src(comb[j], pv))
-        nxt = [f"p{s}_{j}" for j in range(n)]
-        for j in range(n):
-            lines.append(f"    p{s}_{j} = x{j} + {scale}*k{s}_{j}")
-        stage_points.append(nxt)
-    pv = stage_points[-1]
-    for j in range(n):
-        lines.append(f"    k4_{j} = " + _terms_src(comb[j], pv))
-    outs = ", ".join(
-        f"x{j} + h*(k1_{j} + 2.0*k2_{j} + 2.0*k3_{j} + k4_{j})/6.0" for j in range(n)
+    return _rk4_fn(
+        spec.nvars,
+        lambda s, pt: [f"k{s}_{j} = " + _terms_src(terms, pt) for j, terms in enumerate(comb)],
     )
-    lines.append(f"    return ({outs}{',' if n == 1 else ''})")
-    return _compile("\n".join(lines), "_step")
 
 
 @lru_cache(maxsize=512)
@@ -279,46 +282,25 @@ def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
     State layout: n point coordinates followed by the n x n linearization
     in row-major order.
     """
-    comb = _combined_terms(spec, coeffs)
-    jac = [[_diff_terms(comb[j], m) for m in range(spec.nvars)] for j in range(spec.nvars)]
     n = spec.nvars
-    lines = ["def _step(state, h):"]
-    for j in range(n):
-        lines.append(f"    x{j} = state[{j}]")
-    for j in range(n):
-        for l in range(n):
-            lines.append(f"    v{j}_{l} = state[{n + j * n + l}]")
+    comb = _combined_terms(spec, coeffs)
+    jac = [[_diff_terms(comb[j], m) for m in range(n)] for j in range(n)]
 
-    def emit_stage(s: int, pv: list[str], vv):
-        for j in range(n):
-            lines.append(f"    k{s}x{j} = " + _terms_src(comb[j], pv))
-        for j in range(n):
-            for m in range(n):
-                lines.append(f"    j{s}_{j}_{m} = " + _terms_src(jac[j][m], pv))
-        for j in range(n):
-            for l in range(n):
-                prods = " + ".join(f"j{s}_{j}_{m}*{vv(m, l)}" for m in range(n))
-                lines.append(f"    k{s}v{j}_{l} = {prods}")
+    def rhs(s: int, pt: list[str]) -> list[str]:
+        x, v = pt[:n], pt[n:]
+        lines = [
+            f"j{s}_{j}_{m} = " + _terms_src(jac[j][m], x) for j in range(n) for m in range(n)
+        ]
+        lines += [f"k{s}_{j} = " + _terms_src(comb[j], x) for j in range(n)]
+        lines += [
+            f"k{s}_{n + j * n + l} = "
+            + " + ".join(f"j{s}_{j}_{m}*{v[m * n + l]}" for m in range(n))
+            for j in range(n)
+            for l in range(n)
+        ]
+        return lines
 
-    emit_stage(1, [f"x{j}" for j in range(n)], lambda m, l: f"v{m}_{l}")
-    for s, scale in ((2, "0.5*h"), (3, "0.5*h"), (4, "h")):
-        prev = s - 1
-        for j in range(n):
-            lines.append(f"    p{s}x{j} = x{j} + {scale}*k{prev}x{j}")
-        for j in range(n):
-            for l in range(n):
-                lines.append(f"    p{s}v{j}_{l} = v{j}_{l} + {scale}*k{prev}v{j}_{l}")
-        emit_stage(s, [f"p{s}x{j}" for j in range(n)], lambda m, l, s=s: f"p{s}v{m}_{l}")
-    outs = [
-        f"x{j} + h*(k1x{j} + 2.0*k2x{j} + 2.0*k3x{j} + k4x{j})/6.0" for j in range(n)
-    ]
-    outs += [
-        f"v{j}_{l} + h*(k1v{j}_{l} + 2.0*k2v{j}_{l} + 2.0*k3v{j}_{l} + k4v{j}_{l})/6.0"
-        for j in range(n)
-        for l in range(n)
-    ]
-    lines.append(f"    return ({', '.join(outs)})")
-    return _compile("\n".join(lines), "_step")
+    return _rk4_fn(n + n * n, rhs)
 
 
 def _check_box(state, bound: float, t: float):
@@ -356,35 +338,33 @@ def _segment(
     return state
 
 
-def _flow_segment(spec, coeffs, duration, x, opts, t0=0.0) -> tuple:
-    return _segment(duration, tuple(x), opts, t0, _flow_step_fn(spec, tuple(coeffs)))
+def _flow_segment(spec, coeffs, duration, x, opts) -> tuple:
+    return _segment(duration, tuple(x), opts, 0.0, _flow_step_fn(spec, tuple(coeffs)))
 
 
-def _flow_segment_jet(spec, coeffs, duration, x, v_flat, opts, t0=0.0) -> tuple:
-    state = tuple(x) + tuple(v_flat)
-    out = _segment(duration, state, opts, t0, _var_step_fn(spec, tuple(coeffs)))
-    n = spec.nvars
-    return out[:n], out[n:]
-
-
-def _check_word(spec: FoliationSpec, word: FlowWord):
+def _run_word(spec: FoliationSpec, word: FlowWord, state: tuple, opts: NumericOptions, step_fn) -> tuple:
+    """Run ``state`` through the word's steps with the kernels ``step_fn(spec, coeffs)``."""
     if word.spec != spec:
         raise ArityError("word was built over a different spec")
+    t0 = 0.0
+    for step in word.steps:
+        state = _segment(step.duration, state, opts, t0, step_fn(spec, step.coeffs))
+        t0 += step.duration
+    return state
+
+
+def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
+    pt = tuple(float(v) for v in x)
+    if len(pt) != n:
+        raise ArityError(f"point has {len(pt)} coordinates, expected {n}")
+    return pt
 
 
 def flow(
     spec: FoliationSpec, word: FlowWord, x0: Sequence, opts: NumericOptions = DEFAULT_OPTIONS
 ) -> tuple[float, ...]:
     """Endpoint of the word applied to x0; the empty word returns x0 exactly."""
-    _check_word(spec, word)
-    x = tuple(float(v) for v in x0)
-    if len(x) != spec.nvars:
-        raise ArityError(f"point has {len(x)} coordinates, expected {spec.nvars}")
-    t_acc = 0.0
-    for step in word.steps:
-        x = _flow_segment(spec, step.coeffs, step.duration, x, opts, t0=t_acc)
-        t_acc += step.duration
-    return x
+    return _run_word(spec, word, _float_point(x0, spec.nvars), opts, _flow_step_fn)
 
 
 def flow_jet(
@@ -395,18 +375,11 @@ def flow_jet(
     The linearization is integrated alongside the point (first-variation
     system), which composes correctly across steps; returned row-major.
     """
-    _check_word(spec, word)
     n = spec.nvars
-    x = tuple(float(v) for v in x0)
-    if len(x) != n:
-        raise ArityError(f"point has {len(x)} coordinates, expected {n}")
-    v = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-    t_acc = 0.0
-    for step in word.steps:
-        x, v = _flow_segment_jet(spec, step.coeffs, step.duration, x, v, opts, t0=t_acc)
-        t_acc += step.duration
-    rows = tuple(tuple(v[i * n : (i + 1) * n]) for i in range(n))
-    return x, rows
+    ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
+    state = _run_word(spec, word, _float_point(x0, n) + ident, opts, _var_step_fn)
+    rows = tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
+    return state[:n], rows
 
 
 def leaf_sample(
@@ -423,9 +396,7 @@ def leaf_sample(
     xorshift64* generator, so output is reproducible.
     """
     rng = XorShift64Star(rng_seed)
-    x = tuple(float(v) for v in x0)
-    if len(x) != spec.nvars:
-        raise ArityError(f"point has {len(x)} coordinates, expected {spec.nvars}")
+    x = _float_point(x0, spec.nvars)
     points = [x]
     for _ in range(n_steps):
         coeffs = tuple(rng.symmetric() for _ in range(spec.k))
@@ -470,10 +441,7 @@ def chart_at(
     spec: FoliationSpec, x0: Sequence, opts: NumericOptions = DEFAULT_OPTIONS
 ) -> FlowChart:
     """Chart centered at x0 with one parameter per generator."""
-    pt = tuple(float(v) for v in x0)
-    if len(pt) != spec.nvars:
-        raise ArityError(f"point has {len(pt)} coordinates, expected {spec.nvars}")
-    return FlowChart(spec=spec, base_point=pt, k=spec.k, opts=opts)
+    return FlowChart(spec=spec, base_point=_float_point(x0, spec.nvars), k=spec.k, opts=opts)
 
 
 def _param_jacobian(chart: FlowChart, x: Sequence) -> list[list[float]]:
@@ -556,7 +524,7 @@ def _default_transversal(spec: FoliationSpec, x0: tuple, value: tuple) -> Transv
         for j in range(spec.nvars)
         if j != drop
     )
-    return Transversal(point=tuple(float(v) for v in x0), directions=dirs)
+    return Transversal(point=x0, directions=dirs)
 
 
 def flow_box(
@@ -582,9 +550,7 @@ def flow_box(
         value = gen(as_point(x0, n))
         if all(v == 0 for v in value):
             raise PreconditionError("the chosen generator vanishes at the base point")
-    pt = tuple(float(v) for v in x0)
-    if len(pt) != n:
-        raise ArityError(f"point has {len(pt)} coordinates, expected {n}")
+    pt = _float_point(x0, n)
     fvalue = gen(pt)
     if not exact and max(abs(v) for v in fvalue) < 1e-12:
         raise PreconditionError("the chosen generator vanishes at the base point")
@@ -605,10 +571,8 @@ def flow_box(
     for d in transversal.directions:
         if len(d) != n:
             raise ArityError("transversal direction has wrong length")
-        pp = tuple(a + eps * b for a, b in zip(pt, d))
-        pm = tuple(a - eps * b for a, b in zip(pt, d))
-        # time-0 flow is the identity, so this reproduces the direction exactly
-        cols.append([(a - b) / (2.0 * eps) for a, b in zip(pp, pm)])
+        # at t = 0 the flow is the identity, so d(h)/dv is the direction itself
+        cols.append([float(b) for b in d])
     jac = tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
     invertible = numerical_rank(jac, opts.rank_rel_threshold) == n
     return FlowBoxReport(jacobian=jac, invertible=invertible)

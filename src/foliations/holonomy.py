@@ -31,9 +31,11 @@ from .flow import (
     FlowWord,
     NumericOptions,
     _flow_segment,
-    _flow_segment_jet,
+    _segment,
+    _var_step_fn,
     flow_jet,
 )
+from .modalg import as_point
 from .vfparse import FoliationSpec
 
 __all__ = [
@@ -126,10 +128,9 @@ class CarriedDiffeo:
         """Derivative at x, from the first-variation integration."""
         n = self.chart.spec.nvars
         ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-        _, v = _flow_segment_jet(
-            self.chart.spec, self.y0, 1.0, tuple(float(c) for c in x), ident, self.chart.opts
-        )
-        return np.array(v, dtype=float).reshape(n, n)
+        state = tuple(float(c) for c in x) + ident
+        out = _segment(1.0, state, self.chart.opts, 0.0, _var_step_fn(self.chart.spec, self.y0))
+        return np.array(out[n:], dtype=float).reshape(n, n)
 
 
 def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
@@ -141,33 +142,17 @@ def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
 
 
 def _require_fixed_point(spec: FoliationSpec, word: FlowWord, x_fix: Sequence):
+    # exact input is checked exactly; float input up to a 1e-12 residual
     exact = all(isinstance(c, (int, Fraction)) for c in x_fix)
-    if exact:
-        from .modalg import as_point
-
-        pt = as_point(x_fix, spec.nvars)
-        values = [g(pt) for g in spec.generators]
-        for step in word.steps:
-            combined = [Fraction(0)] * spec.nvars
-            for c, val in zip(step.coeffs, values):
-                for j in range(spec.nvars):
-                    combined[j] += c * val[j]
-            if any(combined):
-                raise NotFixedPointError(
-                    "point is not a fixed point of every step's combined field"
-                )
-    else:
-        pt = tuple(float(v) for v in x_fix)
-        values = [g(pt) for g in spec.generators]
-        for step in word.steps:
-            combined = [0.0] * spec.nvars
-            for c, val in zip(step.coeffs, values):
-                for j in range(spec.nvars):
-                    combined[j] += float(c) * val[j]
-            if max((abs(v) for v in combined), default=0.0) >= 1e-12:
-                raise NotFixedPointError(
-                    "point is not a fixed point of every step's combined field"
-                )
+    pt = as_point(x_fix, spec.nvars) if exact else tuple(float(v) for v in x_fix)
+    values = [g(pt) for g in spec.generators]
+    for step in word.steps:
+        combined = [0] * spec.nvars
+        for c, val in zip(step.coeffs, values):
+            for j in range(spec.nvars):
+                combined[j] += c * val[j]
+        if any(combined) if exact else max(map(abs, combined), default=0.0) >= 1e-12:
+            raise NotFixedPointError("point is not a fixed point of every step's combined field")
 
 
 def holonomy_jet(
@@ -185,7 +170,7 @@ def holonomy_jet(
     along the stationary trajectory.
     """
     _require_fixed_point(spec, word, x_fix)
-    _, rows = flow_jet(spec, word, tuple(float(v) for v in x_fix), opts)
+    _, rows = flow_jet(spec, word, x_fix, opts)
     return np.array(rows, dtype=float)
 
 

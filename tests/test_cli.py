@@ -132,6 +132,11 @@ def test_dims_grid(files, capsys):
     assert len(grid) == 9
     at_origin = [row for row in grid if row["point"] == "0,0"]
     assert at_origin[0]["fiber"] == 3
+    # --jobs is accepted and changes nothing; a count below 1 is a usage error
+    code, rep2, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "-1:1:1", "--jobs", "2"])
+    assert code == 0 and rep2["results"] == rep["results"]
+    code, _, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "-1:1:1", "--jobs", "0"])
+    assert code == 2
 
 
 def test_check_involutive(files, capsys):
@@ -183,6 +188,15 @@ def test_flow(files, capsys):
     assert code == 0
     end = rep["results"]["endpoint"]
     assert abs(end[0] - 1.0) < 1e-6 and abs(end[1] - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize("h", ["0", "nan", "-1"])
+def test_flow_bad_step_size_exit_2(files, capsys, h):
+    code, rep, _ = invoke(
+        capsys, ["flow", files["sl2"], "--word", "0,1,0@1", "--point", "0,1", "--h", h]
+    )
+    assert code == 2
+    assert "step_size" in rep["diagnostics"]["error"]
 
 
 def test_flow_blowup_exit_3(files, capsys):

@@ -137,6 +137,16 @@ def test_flow_jet_matches_finite_differences():
             assert abs(rows[i][j] - fd) < 1e-4
 
 
+def test_flow_jet_endpoint_is_flow_endpoint():
+    # both kernels come from one RK4 generator: the endpoints agree bit for bit
+    so3 = make_spec(("x", "y", "z"), ("y*dz - z*dy", "z*dx - x*dz", "x*dy - y*dx"))
+    w = random_word(XorShift64Star(31), so3)
+    assert flow_jet(so3, w, (0.5, -0.25, 1.0))[0] == flow(so3, w, (0.5, -0.25, 1.0))
+    spec = sl2()
+    w = FlowWord(spec, [((1, Fraction(1, 2), 0), 0.4), ((0, 0, 1), -0.3)])
+    assert flow_jet(spec, w, (0.6, 0.2))[0] == flow(spec, w, (0.6, 0.2))
+
+
 def test_leaf_sample_deterministic_and_invariant():
     spec = sl2()
     a = leaf_sample(spec, (1.0, 0.0), 50, rng_seed=12345)
@@ -223,6 +233,11 @@ def test_flow_box_translation():
     rep = flow_box(spec, 1, (0, 0), Transversal(point=(0.0, 0.0), directions=((0.0, 1.0),)))
     assert rep.invertible
     assert np.abs(np.array(rep.jacobian) - np.eye(2)).max() < 1e-9
+    # the transversal columns are the direction vectors themselves, not rounded differences
+    x0 = (Fraction(1, 3), Fraction(2, 7))
+    across = Transversal(point=(1 / 3, 2 / 7), directions=((0.3, 0.7),))
+    rep = flow_box(spec, 1, x0, across)
+    assert [row[1] for row in rep.jacobian] == [0.3, 0.7]
 
 
 def test_flow_box_1d():
@@ -277,3 +292,5 @@ def test_numeric_options_validation():
         NumericOptions(step_size=0.0)
     with pytest.raises(ValueError):
         NumericOptions(fd_epsilon=-1.0)
+    with pytest.raises(ValueError):
+        NumericOptions(step_size=float("nan"))

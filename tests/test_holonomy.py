@@ -107,6 +107,8 @@ def test_holonomy_jet_rejects_non_fixed_point():
     # (1,0) is fixed for the E flow specifically
     jet = holonomy_jet(spec, FlowWord(spec, [E_STEP]), (Fraction(1), Fraction(0)))
     assert jet.shape == (2, 2)
+    jet = holonomy_jet(spec, FlowWord(spec, [H_STEP]), (0.0, 0.0))
+    assert jet.shape == (2, 2)
 
 
 def test_jet_exact_examples():
