@@ -7,7 +7,8 @@ Every invocation writes a single JSON report to stdout.  Exit codes:
       ``chart-rank`` mismatches, ``pushforward`` residual too large,
       ``flowbox`` with a singular Jacobian)
 * 2 - parse or usage error, including violated preconditions
-* 3 - numerical failure (trajectory blow-up, budget exceeded)
+* 3 - numerical failure (trajectory blow-up, budget exceeded, a result
+      that is not finite; reports never carry NaN or infinities)
 
 Foliation files (``.fol``) are line oriented::
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -246,6 +248,12 @@ def _opts_from(ns) -> NumericOptions:
         raise _UsageError(str(e))
 
 
+def _finite(flag: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise _UsageError(f"{flag} must be finite, got {value}")
+    return value
+
+
 def _cmd_check(ns, spec):
     report = is_involutive(spec)
     witnesses = [
@@ -341,6 +349,8 @@ def _cmd_flow(ns, spec):
 
 def _cmd_chart_rank(ns, spec):
     opts = _opts_from(ns)
+    if ns.samples < 0:
+        raise _UsageError(f"--samples must be non-negative, got {ns.samples}")
     pt = _parse_point(ns.point)
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)
@@ -393,14 +403,14 @@ def _cmd_germ_eq(ns, spec):
     w1 = _parse_word(spec, ns.word1)
     w2 = _parse_word(spec, ns.word2)
     pt = _parse_point(ns.point)
-    tol = ns.tol if ns.tol is not None else 1e-6
+    tol = _finite("--tol", ns.tol) if ns.tol is not None else 1e-6
     equal = germ_equal_at_fixed_point(spec, w1, w2, pt, tol)
     return 0, {"equal": equal}, {"tolerance": tol}, None
 
 
 def _cmd_pushforward(ns, spec):
     coeffs = _parse_point(ns.coeffs)
-    rep = check_pushforward_linear(spec, coeffs, ns.time)
+    rep = check_pushforward_linear(spec, coeffs, _finite("--time", ns.time))
     return (
         0 if rep.ok else 1,
         {"ok": rep.ok, "residuals": [float(r) for r in rep.residuals]},
@@ -482,7 +492,7 @@ def _build_parser() -> _Parser:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _error_report(command: str | None, argv, exc: Exception) -> dict:
@@ -553,7 +563,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     }
     if seed is not None:
         report["seed"] = seed
-    _emit(report)
+    try:
+        _emit(report)
+    except ValueError:  # a NaN or infinity in the results, which JSON cannot carry
+        _emit(_error_report(ns.cmd, argv, ArithmeticError("result is not finite")))
+        return 3
     return code
 
 

@@ -3,10 +3,11 @@
 The only integrator is classical fixed-step 4th-order Runge-Kutta
 (reproducibility beats speed at this scale).  A duration t is split into
 ceil(|t|/h) steps: full steps of the configured size plus one remainder
-step, signed.  Per combined field the whole RK4 step is compiled to a
-Python function with the rational coefficients folded in as float
-constants, so repeated flows of the same field are cheap; compilation is
-memoized.
+step, signed.  The RK4 step is compiled once per monomial support of the
+combined field (the exponents with a nonzero coefficient) and takes the
+float coefficients when bound, so a walk through many coefficient tuples
+compiles one kernel; each step does the float operations of a kernel
+with the coefficients written in as constants.
 
 The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
@@ -64,7 +65,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NumericOptions:
-    """Knobs for the numerical kernels; all strictly positive."""
+    """Knobs for the numerical kernels; all finite and strictly positive."""
 
     step_size: float = 1e-3
     max_steps: int = 1_000_000
@@ -74,8 +75,9 @@ class NumericOptions:
 
     def __post_init__(self):
         for name in ("step_size", "max_steps", "fd_epsilon", "rank_rel_threshold", "domain_bound"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 DEFAULT_OPTIONS = NumericOptions()
@@ -218,80 +220,82 @@ def _combined_terms(spec: FoliationSpec, coeffs: tuple) -> list[list[tuple[tuple
     return out
 
 
-def _diff_terms(terms, var: int):
+def _diff_terms(terms, var: int, setup: list[str]):
+    """d/dx_var of named terms; each new coefficient c*e gets a line in ``setup``."""
     out = []
     for expt, c in terms:
         e = expt[var]
         if e:
             new = list(expt)
             new[var] = e - 1
-            out.append((tuple(new), c * e))
+            setup.append(f"d{len(setup)} = {c}*{e}")
+            out.append((tuple(new), f"d{len(setup) - 1}"))
     return out
 
 
 def _terms_src(terms, names: list[str]) -> str:
     parts = []
     for expt, c in terms:
-        factors = [repr(c)]
+        factors = [c]
         for name, e in zip(names, expt):
             factors.extend([name] * e)
         parts.append("*".join(factors))
     return " + ".join(parts) if parts else "0.0"
 
 
-def _compile(src: str, fn_name: str):
-    ns: dict = {}
-    exec(compile(src, f"<generated {fn_name}>", "exec"), ns)
-    return ns[fn_name]
-
-
-def _rk4_fn(size: int, rhs):
-    """Compile one classical RK4 step ``f(state, h) -> tuple`` over ``size`` floats.
+def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
+    """Compile ``make(*params) -> step`` for one classical RK4 step
+    ``step(state, h) -> tuple`` over ``size`` floats.
 
     ``rhs(s, names)`` returns the source lines that bind the stage-``s``
     slopes ``k{s}_0 .. k{s}_{size-1}`` at the point named by ``names``.
+    ``setup`` lines run once per ``make`` call, not per step.
     """
-    lines = ["def _step(state, h):"] + [f"    x{i} = state[{i}]" for i in range(size)]
+    lines = [f"x{i} = state[{i}]" for i in range(size)]
     point = [f"x{i}" for i in range(size)]
     for s, scale in ((1, "0.5*h"), (2, "0.5*h"), (3, "h"), (4, None)):
-        lines += ["    " + line for line in rhs(s, point)]
+        lines += rhs(s, point)
         if scale is not None:
             point = [f"p{s}_{i}" for i in range(size)]
-            lines += [f"    p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in range(size)]
+            lines += [f"p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in range(size)]
     outs = ", ".join(
         f"x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
     )
-    lines.append(f"    return ({outs}{',' if size == 1 else ''})")
-    return _compile("\n".join(lines), "_step")
+    lines.append(f"return ({outs}{',' if size == 1 else ''})")
+    src = [f"def make({', '.join(params)}):"] + ["    " + line for line in setup]
+    src += ["    def _step(state, h):"] + ["        " + line for line in lines]
+    ns: dict = {}
+    exec(compile("\n".join(src + ["    return _step"]), "<generated rk4>", "exec"), ns)
+    return ns["make"]
 
 
-@lru_cache(maxsize=1024)
-def _flow_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """Compiled single RK4 step for the combined field: f(state, h) -> tuple."""
-    comb = _combined_terms(spec, coeffs)
-    return _rk4_fn(
-        spec.nvars,
-        lambda s, pt: [f"k{s}_{j} = " + _terms_src(terms, pt) for j, terms in enumerate(comb)],
-    )
+@lru_cache(maxsize=256)
+def _kernel(support: tuple, variation: bool):
+    """RK4 step factory ``make(*coefficients)`` for one monomial support.
 
-
-@lru_cache(maxsize=512)
-def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """Compiled RK4 step for the first-variation system.
-
-    State layout: n point coordinates followed by the n x n linearization
-    in row-major order.
+    ``support[j]`` lists the exponents of component j, in the order of the
+    coefficients.  With ``variation`` the state is the first-variation
+    system's: n point coordinates, then the n x n linearization row-major.
     """
-    n = spec.nvars
-    comb = _combined_terms(spec, coeffs)
-    jac = [[_diff_terms(comb[j], m) for m in range(n)] for j in range(n)]
+    n = len(support)
+    params = [f"a{i}" for i in range(sum(map(len, support)))]
+    names = iter(params)
+    comb = [[(expt, next(names)) for expt in comp] for comp in support]
+
+    def field(s: int, pt: list[str]) -> list[str]:
+        return [f"k{s}_{j} = " + _terms_src(terms, pt) for j, terms in enumerate(comb)]
+
+    if not variation:
+        return _rk4_fn(n, field, params, [])
+    setup: list[str] = []
+    jac = [[_diff_terms(comb[j], m, setup) for m in range(n)] for j in range(n)]
 
     def rhs(s: int, pt: list[str]) -> list[str]:
         x, v = pt[:n], pt[n:]
         lines = [
             f"j{s}_{j}_{m} = " + _terms_src(jac[j][m], x) for j in range(n) for m in range(n)
         ]
-        lines += [f"k{s}_{j} = " + _terms_src(comb[j], x) for j in range(n)]
+        lines += field(s, x)
         lines += [
             f"k{s}_{n + j * n + l} = "
             + " + ".join(f"j{s}_{j}_{m}*{v[m * n + l]}" for m in range(n))
@@ -300,7 +304,25 @@ def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
         ]
         return lines
 
-    return _rk4_fn(n + n * n, rhs)
+    return _rk4_fn(n + n * n, rhs, params, setup)
+
+
+def _bind(spec: FoliationSpec, coeffs: tuple, variation: bool):
+    comb = _combined_terms(spec, coeffs)
+    make = _kernel(tuple(tuple(e for e, _ in terms) for terms in comb), variation)
+    return make(*(c for terms in comb for _, c in terms))
+
+
+@lru_cache(maxsize=1024)
+def _flow_step_fn(spec: FoliationSpec, coeffs: tuple):
+    """Single RK4 step for the combined field: f(state, h) -> tuple."""
+    return _bind(spec, coeffs, False)
+
+
+@lru_cache(maxsize=512)
+def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
+    """RK4 step for the first-variation system (layout as in ``_kernel``)."""
+    return _bind(spec, coeffs, True)
 
 
 def _check_box(state, bound: float, t: float):
@@ -395,6 +417,8 @@ def leaf_sample(
     duration uniform on [0, 0.1]; all randomness comes from the seeded
     xorshift64* generator, so output is reproducible.
     """
+    if n_steps < 0:
+        raise PreconditionError(f"step count must be non-negative, got {n_steps}")
     rng = XorShift64Star(rng_seed)
     x = _float_point(x0, spec.nvars)
     points = [x]
@@ -424,11 +448,11 @@ class FlowChart:
 
     def source(self, y: Sequence, x: Sequence) -> tuple[float, ...]:
         self._check_y(y)
-        return tuple(float(v) for v in x)
+        return _float_point(x, self.spec.nvars)
 
     def target(self, y: Sequence, x: Sequence | None = None) -> tuple[float, ...]:
         self._check_y(y)
-        pt = self.base_point if x is None else tuple(float(v) for v in x)
+        pt = self.base_point if x is None else _float_point(x, self.spec.nvars)
         coeffs = tuple(float(c) for c in y)
         return _flow_segment(self.spec, coeffs, 1.0, pt, self.opts)
 

@@ -30,6 +30,7 @@ from .flow import (
     FlowChart,
     FlowWord,
     NumericOptions,
+    _float_point,
     _flow_segment,
     _segment,
     _var_step_fn,
@@ -120,15 +121,14 @@ class CarriedDiffeo:
 
     def evaluate(self, x: Sequence) -> tuple[float, ...]:
         """Time-1 flow of sum_i y0_i X_i from x."""
-        return _flow_segment(
-            self.chart.spec, self.y0, 1.0, tuple(float(v) for v in x), self.chart.opts
-        )
+        pt = _float_point(x, self.chart.spec.nvars)
+        return _flow_segment(self.chart.spec, self.y0, 1.0, pt, self.chart.opts)
 
     def jacobian(self, x: Sequence) -> JetMatrix:
         """Derivative at x, from the first-variation integration."""
         n = self.chart.spec.nvars
         ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-        state = tuple(float(c) for c in x) + ident
+        state = _float_point(x, n) + ident
         out = _segment(1.0, state, self.chart.opts, 0.0, _var_step_fn(self.chart.spec, self.y0))
         return np.array(out[n:], dtype=float).reshape(n, n)
 

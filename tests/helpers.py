@@ -40,6 +40,15 @@ def nonintegrable() -> FoliationSpec:
     return make_spec(("x", "y"), ("dx", "x*dy"))
 
 
+def so3() -> FoliationSpec:
+    return make_spec(("x", "y", "z"), ("-y*dx + x*dy", "-z*dy + y*dz", "z*dx - x*dz"))
+
+
+def gl3() -> FoliationSpec:
+    xyz = ("x", "y", "z")
+    return make_spec(xyz, tuple(f"{a}*d{b}" for a in xyz for b in xyz))
+
+
 LINEAR_EXAMPLES = {"sl2": sl2, "gl2": gl2, "cstar": cstar}
 
 
@@ -163,3 +172,56 @@ def brute_force_member(spec: FoliationSpec, x: VectorField, degree_bound: int):
         combo = combo + g.scale(f)
     assert combo == x, "oracle produced an invalid combination"
     return tuple(coeff_polys)
+
+
+# -- interpreted RK4 reference -----------------------------------------------
+
+
+def _terms_value(terms, x):
+    # c*x*x*y products and left-to-right sums, as the generated kernels do
+    total = None
+    for expt, c in terms:
+        v = c
+        for xi, e in zip(x, expt):
+            for _ in range(e):
+                v = v * xi
+        total = v if total is None else total + v
+    return 0.0 if total is None else total
+
+
+def _terms_derivative(terms, m):
+    return [
+        (expt[:m] + (expt[m] - 1,) + expt[m + 1 :], c * expt[m]) for expt, c in terms if expt[m]
+    ]
+
+
+def rk4_reference_step(comb, state, h, variation=False):
+    """One classical RK4 step of the field whose per-component float terms
+    are ``comb`` (as from ``flow._combined_terms``), interpreted term by term
+    in the generated kernels' order of operations.
+
+    With ``variation`` the state is the point followed by the row-major
+    n x n linearization, which evolves by v' = J(x) v.
+    """
+    n = len(comb)
+
+    def slope(pt):
+        x = pt[:n]
+        k = [_terms_value(terms, x) for terms in comb]
+        if variation:
+            jac = [[_terms_value(_terms_derivative(comb[j], m), x) for m in range(n)] for j in range(n)]
+            for j in range(n):
+                for l in range(n):
+                    acc = jac[j][0] * pt[n + l]
+                    for m in range(1, n):
+                        acc = acc + jac[j][m] * pt[n + m * n + l]
+                    k.append(acc)
+        return k
+
+    k1 = slope(state)
+    k2 = slope([x + 0.5 * h * k for x, k in zip(state, k1)])
+    k3 = slope([x + 0.5 * h * k for x, k in zip(state, k2)])
+    k4 = slope([x + h * k for x, k in zip(state, k3)])
+    return tuple(
+        x + h * (a + 2.0 * b + 2.0 * c + d) / 6.0 for x, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 pytest.importorskip("jsonschema")
@@ -56,10 +57,14 @@ def files(tmp_path):
     return paths
 
 
+def _reject_constant(name):
+    raise ValueError(f"bare {name} is not JSON")
+
+
 def invoke(capsys, args):
     code = run(args)
     out = capsys.readouterr().out
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(report, SCHEMA)
     return code, report, out
 
@@ -197,6 +202,34 @@ def test_flow_bad_step_size_exit_2(files, capsys, h):
     )
     assert code == 2
     assert "step_size" in rep["diagnostics"]["error"]
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["flow", "sl2", "--word", "1,0,0@1", "--point", "1,1", "--h", "inf"], "step_size"),
+        (["pushforward", "sl2", "--coeffs", "1,0,0", "--time", "nan"], "--time"),
+        (["germ-eq", "sl2", "--word1", "1,0,0@1", "--word2", "0,0,0@1", "--point", "0,0", "--tol", "nan"], "--tol"),
+        (["leaf", "sl2", "--point", "1,1", "--steps", "-3", "--seed", "1"], "step count"),
+        (["chart-rank", "sl2", "--point", "1,1", "--samples", "-2", "--seed", "1"], "--samples"),
+    ],
+    ids=["flow-h-inf", "pushforward-time-nan", "germ-eq-tol-nan", "leaf-steps-neg", "chart-rank-samples-neg"],
+)
+def test_bad_numeric_input_exit_2(files, capsys, args, flag):
+    args = [args[0], files[args[1]]] + args[2:]
+    code, rep, _ = invoke(capsys, args)
+    assert code == 2
+    assert rep["results"] == {}
+    assert flag in rep["diagnostics"]["error"]
+
+
+def test_non_finite_result_exit_3(files, capsys):
+    # exp(800 A) overflows to infinities, whose products are NaN
+    with np.errstate(all="ignore"):
+        code, rep, _ = invoke(capsys, ["pushforward", files["sl2"], "--coeffs", "1,0,0", "--time", "800"])
+    assert code == 3
+    assert rep["results"] == {}
+    assert "not finite" in rep["diagnostics"]["error"]
 
 
 def test_flow_blowup_exit_3(files, capsys):

@@ -22,11 +22,15 @@ from foliations.flow import (
     random_rational_points,
     word_compose,
     word_inverse,
+    _combined_terms,
+    _flow_step_fn,
+    _kernel,
+    _var_step_fn,
 )
 from foliations.holonomy import matrix_exp
 from foliations.modalg import tangent_dim
 
-from helpers import cstar, gl2, make_spec, random_word, sl2, xk
+from helpers import cstar, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
 
 
 def rational_round(pt):
@@ -171,6 +175,22 @@ def test_leaf_sample_half_line():
     assert all(p[0] < 0 for p in pts)
 
 
+def test_leaf_sample_rejects_negative_step_count():
+    with pytest.raises(PreconditionError):
+        leaf_sample(sl2(), (1.0, 1.0), -3, rng_seed=1)
+    assert leaf_sample(sl2(), (1.0, 1.0), 0, rng_seed=1) == [(1.0, 1.0)]
+
+
+def test_chart_point_arity():
+    chart = chart_at(sl2(), (0.0, 0.0))
+    y = (0.1, 0.2, 0.3)
+    for bad in [(1.0, 2.0, 3.0), (1.0,)]:
+        with pytest.raises(ArityError):
+            chart.target(y, bad)
+        with pytest.raises(ArityError):
+            chart.source(y, bad)
+
+
 def test_chart_identity_at_zero_parameter():
     spec = sl2()
     chart = chart_at(spec, (1.0, 0.0))
@@ -294,3 +314,74 @@ def test_numeric_options_validation():
         NumericOptions(fd_epsilon=-1.0)
     with pytest.raises(ValueError):
         NumericOptions(step_size=float("nan"))
+    with pytest.raises(ValueError):
+        NumericOptions(step_size=float("inf"))
+    with pytest.raises(ValueError):
+        NumericOptions(domain_bound=float("inf"))
+
+
+# -- compiled kernels ----------------------------------------------------------
+
+KERNEL_SPECS = {"so3": so3, "sl2": sl2, "cstar": cstar, "gl2": gl2, "gl3": gl3, "x3": lambda: xk(3)}
+
+
+def _coeff(rng, exact):
+    return Fraction(rng.randint(-8, 8), rng.randint(1, 7)) if exact else rng.symmetric()
+
+
+def _coeff_tuples(rng, k, count=12):
+    # seeded float and Fraction tuples; about a third of the entries are
+    # zero, so the tuples span several monomial supports
+    return [
+        tuple(_coeff(rng, t % 2) if rng.uniform() > 0.3 else 0 for _ in range(k))
+        for t in range(count)
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
+    spec = KERNEL_SPECS[name]()
+    n = spec.nvars
+    rng = XorShift64Star(seed)
+    for coeffs in _coeff_tuples(rng, spec.k):
+        comb = _combined_terms(spec, coeffs)
+        x = tuple(rng.symmetric() for _ in range(n))
+        xv = x + tuple(float(i == j) for i in range(n) for j in range(n))
+        step, var_step = _flow_step_fn(spec, coeffs), _var_step_fn(spec, coeffs)
+        for h in (1e-3, -2e-3, 0.05):
+            for _ in range(5):
+                want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
+                x, xv = step(x, h), var_step(xv, h)
+                assert x == want
+                assert xv == want_v
+
+
+def _clear_kernel_caches():
+    for cache in (_kernel, _flow_step_fn, _var_step_fn):
+        cache.cache_clear()
+
+
+def test_leaf_sample_compiles_one_kernel():
+    _clear_kernel_caches()
+    leaf_sample(sl2(), (1.0, 0.5), 600, rng_seed=5)
+    assert _kernel.cache_info().misses == 1
+
+
+def test_chart_rank_compiles_one_kernel_per_generator():
+    spec = sl2()
+    _clear_kernel_caches()
+    chart = chart_at(spec, (1, 0))
+    chart_rank_check(chart, (1, 0), random_rational_points(XorShift64Star(3), 2, 4))
+    assert _kernel.cache_info().misses == spec.k
+
+
+def test_flow_jet_compiles_one_variation_kernel_per_support():
+    spec = so3()
+    rng = XorShift64Star(9)
+    tuples = [tuple(Fraction(rng.randint(1, 16), 16) for _ in range(3)) for _ in range(3)]
+    word = FlowWord(spec, [(tuples[i % 3], 0.05) for i in range(9)])
+    _clear_kernel_caches()
+    flow_jet(spec, word, (0.2, -0.1, 0.4))
+    assert _var_step_fn.cache_info().misses == 3
+    assert _kernel.cache_info().misses == 1

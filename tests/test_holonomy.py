@@ -86,6 +86,15 @@ def test_carried_diffeo_arity():
         carried_diffeo(chart_at(sl2(), (0.0, 0.0)), (1.0,))
 
 
+@pytest.mark.parametrize("x", [(1.0, 2.0, 3.0), (1.0,)])
+def test_carried_diffeo_point_arity(x):
+    diffeo = carried_diffeo(chart_at(sl2(), (0, 0)), (0.1, 0.2, 0.3))
+    with pytest.raises(ArityError):
+        diffeo.jacobian(x)
+    with pytest.raises(ArityError):
+        diffeo.evaluate(x)
+
+
 def test_holonomy_jet_examples():
     spec = sl2()
     jet = holonomy_jet(spec, FlowWord(spec, [E_STEP]), (Fraction(0), Fraction(0)))
