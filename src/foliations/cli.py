@@ -208,13 +208,17 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return a, b, step
 
 
+# the most points a ``dims --grid`` scan may have; larger grids exit 3
+_GRID_MAX_POINTS = 100_000
+
+
 def _grid_points(bounds, nvars: int) -> list[tuple[Fraction, ...]]:
     a, b, step = bounds
-    axis = []
-    v = a
-    while v <= b:
-        axis.append(v)
-        v += step
+    per_axis = math.floor((b - a) / step) + 1
+    count = per_axis**nvars
+    if count > _GRID_MAX_POINTS:
+        raise BudgetError(f"--grid has {count} points, more than {_GRID_MAX_POINTS}")
+    axis = [a + i * step for i in range(per_axis)]
     points = [()]
     for _ in range(nvars):
         points = [p + (c,) for p in points for c in axis]

@@ -13,6 +13,10 @@ everywhere else the operation raises instead of guessing.
 
 The matrix exponential is scaling-and-squaring with the order-13 Pade
 approximant (accuracy target 1e-12 on the scales handled here).
+
+numpy is imported on first use, inside each function that computes with
+it, so importing this module (and the exact subcommands of ``fol``) does
+not load it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from .errors import ArityError, NotFixedPointError, NotLinearError, PreconditionError
+from .errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
 from .flow import (
     DEFAULT_OPTIONS,
     FlowChart,
@@ -39,8 +41,11 @@ from .flow import (
 from .modalg import as_point
 from .vfparse import FoliationSpec
 
+if TYPE_CHECKING:
+    # A first jet is an n x n float matrix; plain ndarray, row-major.
+    from numpy import ndarray as JetMatrix
+
 __all__ = [
-    "JetMatrix",
     "CarriedDiffeo",
     "PushforwardReport",
     "matrix_exp",
@@ -51,9 +56,6 @@ __all__ = [
     "germ_equal_at_fixed_point",
     "check_pushforward_linear",
 ]
-
-# A first jet is an n x n float matrix; plain ndarray, row-major.
-JetMatrix = np.ndarray
 
 _PADE13_B = (
     64764752532480000.0,
@@ -76,6 +78,8 @@ _PADE13_THETA = 5.371920351148152
 
 def matrix_exp(a: Sequence) -> JetMatrix:
     """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
@@ -98,6 +102,8 @@ def matrix_exp(a: Sequence) -> JetMatrix:
 
 def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
     """Matrices A_i with X_i(x) = A_i x; raises NotLinearError otherwise."""
+    import numpy as np
+
     mats = []
     for g in spec.generators:
         a = np.zeros((spec.nvars, spec.nvars))
@@ -126,6 +132,8 @@ class CarriedDiffeo:
 
     def jacobian(self, x: Sequence) -> JetMatrix:
         """Derivative at x, from the first-variation integration."""
+        import numpy as np
+
         n = self.chart.spec.nvars
         ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
         state = _float_point(x, n) + ident
@@ -169,6 +177,8 @@ def holonomy_jet(
     action order, obtained by integrating the first-variation system
     along the stationary trajectory.
     """
+    import numpy as np
+
     _require_fixed_point(spec, word, x_fix)
     _, rows = flow_jet(spec, word, x_fix, opts)
     return np.array(rows, dtype=float)
@@ -178,6 +188,8 @@ def jet_exact_linear(spec: FoliationSpec, word: FlowWord) -> JetMatrix:
     """Jet at the origin for linear generators: product over steps of
     exp(t * sum_i c_i A_i), exact in method (matrix exponentials).
     """
+    import numpy as np
+
     if word.spec != spec:
         raise ArityError("word was built over a different spec")
     mats = linear_generator_matrices(spec)
@@ -203,13 +215,20 @@ def germ_equal_at_fixed_point(
 
     True iff the exact jets agree entrywise within ``tol``.  Jet equality
     certifies germ equality only for linear families at 0, so any other
-    input is rejected rather than answered.
+    input is rejected rather than answered.  A jet that overflows raises
+    BlowUpError (at the word's total duration) instead of comparing unequal.
     """
+    import numpy as np
+
     if any(c != 0 for c in x_fix):
         raise PreconditionError("germ comparison is only offered at the origin")
-    j1 = jet_exact_linear(spec, w1)
-    j2 = jet_exact_linear(spec, w2)
-    return bool(np.abs(j1 - j2).max() < tol)
+    with np.errstate(all="ignore"):
+        j1 = jet_exact_linear(spec, w1)
+        j2 = jet_exact_linear(spec, w2)
+        for w, j in ((w1, j1), (w2, j2)):
+            if not np.isfinite(j).all():
+                raise BlowUpError("exact jet is not finite", sum(step.duration for step in w.steps))
+        return bool(np.abs(j1 - j2).max() < tol)
 
 
 @dataclass(frozen=True)
@@ -226,6 +245,8 @@ def check_pushforward_linear(
     of the generator matrices: least-squares residual of g A_j g^-1 against
     span{A_1..A_k}, one residual per generator.
     """
+    import numpy as np
+
     mats = linear_generator_matrices(spec)
     if len(coeffs) != spec.k:
         raise ArityError(f"{len(coeffs)} coefficients for {spec.k} generators")

@@ -389,7 +389,8 @@ def contains(gb: ModuleGB, x: VectorField) -> MembershipResult:
     check = VectorField.zero(spec.nvars)
     for f, gen in zip(cert, spec.generators):
         check = check + gen.scale(f)
-    assert check == x, "internal error: membership certificate failed verification"
+    if check != x:
+        raise AssertionError("internal error: membership certificate failed verification")
     return MembershipResult(member=True, certificate=tuple(cert))
 
 
@@ -428,7 +429,8 @@ def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Syzygy
         check = VectorField.zero(n)
         for f, gen in zip(rel, spec.generators):
             check = check + gen.scale(f)
-        assert check.is_zero, "internal error: relation does not annihilate the generators"
+        if not check.is_zero:
+            raise AssertionError("internal error: relation does not annihilate the generators")
     return SyzygyBasis(source=spec, relations=tuple(relations))
 
 
@@ -480,7 +482,8 @@ def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUD
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """fiber_dim - tangent_dim; nonnegative."""
     d = fiber_dim(spec, point, budget) - tangent_dim(spec, point)
-    assert d >= 0, "internal error: fiber dimension below tangent dimension"
+    if d < 0:
+        raise AssertionError("internal error: fiber dimension below tangent dimension")
     return d
 
 
@@ -550,5 +553,6 @@ def minimal_local_generators(
             rows = candidate
             rank = r
             picked.append(i + 1)
-    assert len(picked) == target, "internal error: independent subset smaller than fiber"
+    if len(picked) != target:
+        raise AssertionError("internal error: independent subset smaller than fiber")
     return tuple(picked)

@@ -7,11 +7,27 @@ combination coefficients by dense Gaussian elimination over Q.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 from foliations.flow import XorShift64Star
 from foliations.vfparse import FoliationSpec, Poly, VectorField, parse_vector_field
+
+_TESTS = Path(__file__).resolve().parent
+
+
+def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter (with ``flags``, e.g. ``-O``) that
+    imports the package from ``src`` and these helpers; stdout is text."""
+    path = [str(_TESTS.parent / "src"), str(_TESTS), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def make_spec(var_names, exprs) -> FoliationSpec:
@@ -170,7 +186,8 @@ def brute_force_member(spec: FoliationSpec, x: VectorField, degree_bound: int):
     combo = VectorField.zero(n)
     for f, g in zip(coeff_polys, spec.generators):
         combo = combo + g.scale(f)
-    assert combo == x, "oracle produced an invalid combination"
+    if combo != x:  # explicit, so the check also runs under python -O
+        raise AssertionError("oracle produced an invalid combination")
     return tuple(coeff_polys)
 
 

@@ -1,6 +1,8 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
 import json
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +12,15 @@ pytest.importorskip("jsonschema")
 import jsonschema
 
 from foliations.cli import (
+    _GRID_MAX_POINTS,
     FoliationFile,
+    _grid_points,
     load_foliation,
     load_foliation_file,
     run,
     save_foliation_file,
 )
-from foliations.errors import ParseError, UnknownVariableError
+from foliations.errors import BudgetError, ParseError, UnknownVariableError
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -142,6 +146,24 @@ def test_dims_grid(files, capsys):
     assert code == 0 and rep2["results"] == rep["results"]
     code, _, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "-1:1:1", "--jobs", "0"])
     assert code == 2
+
+
+def test_dims_grid_too_large_exit_3(files, capsys):
+    # 10^9 + 1 points per axis: refused from the count, before any point is built
+    code, rep, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "0:1000:1/1000000"])
+    assert code == 3
+    assert rep["results"] == {}
+    assert rep["diagnostics"]["error_type"] == "BudgetError"
+    assert str(1000000001**2) in rep["diagnostics"]["error"]
+
+
+def test_grid_point_cap_is_exact():
+    assert len(_grid_points((Fraction(0), Fraction(99999), Fraction(1)), 1)) == _GRID_MAX_POINTS
+    with pytest.raises(BudgetError, match="100001 points"):
+        _grid_points((Fraction(0), Fraction(100000), Fraction(1)), 1)
+    # the axis holds exactly the points a, a + step, ... up to b
+    axis = _grid_points((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
+    assert axis == [(Fraction(-1, 2),), (Fraction(-1, 4),), (Fraction(0),), (Fraction(1, 4),)]
 
 
 def test_check_involutive(files, capsys):
@@ -297,6 +319,22 @@ def test_germ_eq(files, capsys):
     )
     assert code == 0
     assert rep["results"]["equal"] is False
+
+
+def test_germ_eq_non_finite_jet_exit_3(files, capsys):
+    # exp(1e300 A) overflows; the answer is an error, not "equal": false
+    args = ["germ-eq", files["sl2"], "--word1", "1,0,0@1e300", "--word2", "0,0,0@1", "--point", "0,0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(args)
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert code == 3
+    assert rep["results"] == {}
+    assert rep["diagnostics"]["error_type"] == "BlowUpError"
+    assert "not finite" in rep["diagnostics"]["error"]
+    assert caught == [] and err == ""
 
 
 def test_pushforward(files, capsys):

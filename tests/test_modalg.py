@@ -29,6 +29,7 @@ from helpers import (
     nonintegrable,
     random_field,
     random_poly,
+    run_python,
     sl2,
     xk,
 )
@@ -319,3 +320,24 @@ def test_rank_exact():
     assert rank_exact([[one, 0], [0, one]]) == 2
     assert rank_exact([]) == 0
     assert rank_exact([[Fraction(0)]]) == 0
+
+
+def test_certificate_check_survives_python_O():
+    # a corrupted representation table must still be caught with asserts stripped
+    proc = run_python(
+        "import dataclasses, sys\n"
+        "from foliations.modalg import contains, module_groebner\n"
+        "from foliations.vfparse import Poly\n"
+        "from helpers import sl2\n"
+        "spec = sl2()\n"
+        "gb = module_groebner(spec)\n"
+        "zero = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))\n"
+        "bad = dataclasses.replace(gb, reprs=(zero,) * len(gb.reprs))\n"
+        "try:\n"
+        "    contains(bad, spec.generators[0])\n"
+        "except AssertionError as e:\n"
+        "    print(sys.flags.optimize, e)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 internal error: membership certificate failed verification\n"
