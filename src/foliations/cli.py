@@ -225,12 +225,8 @@ def _grid_points(bounds, nvars: int) -> list[tuple[Fraction, ...]]:
     return points
 
 
-def _fmt_q(q: Fraction) -> str:
-    return str(q)
-
-
 def _fmt_point(pt) -> str:
-    return ",".join(_fmt_q(c) for c in pt)
+    return ",".join(str(c) for c in pt)
 
 
 def _json_matrix(rows) -> list[list[float]]:

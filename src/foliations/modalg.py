@@ -194,13 +194,19 @@ def _reduce(
 
     ``quotients`` is aligned with ``basis`` and satisfies
     elem = sum quotients[b] * basis[b] + rem.
+
+    The leads of ``work`` strictly decrease, and the key compares terms of
+    one position by grevlex, so each remainder receives its terms in
+    descending order; so does each quotient, since a reducer always acts at
+    the position of its own lead.  Both are collected as term lists and
+    wrapped once at the end.
     """
     nvars = elem[0].nvars
     work = list(elem)
-    rem = [Poly.zero(nvars) for _ in elem]
-    quots = [Poly.zero(nvars) for _ in basis]
+    rem: list[list] = [[] for _ in elem]
+    quots: list[list] = [[] for _ in basis]
     while True:
-        ld = _lead(tuple(work), key)
+        ld = _lead(work, key)
         if ld is None:
             break
         _, pos, mon, coeff = ld
@@ -215,18 +221,21 @@ def _reduce(
                 f"reduction step budget of {budget.max_reduction_steps} exceeded"
             )
         if reducer < 0:
-            t = Poly.term(nvars, mon, coeff)
-            work[pos] = work[pos] - t
-            rem[pos] = rem[pos] + t
+            rem[pos].append((mon, coeff))
+            work[pos] = Poly._canonical(nvars, work[pos].terms[1:])
         else:
             lb = leads[reducer]
             fac_mon = tuple(a - b for a, b in zip(mon, lb[2]))
             fac_coeff = coeff / lb[3]
             g = basis[reducer]
             for i in range(len(work)):
-                work[i] = work[i] - g[i].mul_term(fac_mon, fac_coeff)
-            quots[reducer] = quots[reducer] + Poly.term(nvars, fac_mon, fac_coeff)
-    return tuple(rem), quots
+                if g[i].terms:
+                    work[i] = work[i] + g[i].mul_term(fac_mon, -fac_coeff)
+            quots[reducer].append((fac_mon, fac_coeff))
+    return (
+        tuple(Poly._canonical(nvars, tuple(t)) for t in rem),
+        [Poly._canonical(nvars, tuple(t)) for t in quots],
+    )
 
 
 def _unit_row(nvars: int, length: int, index: int) -> Element:
@@ -363,11 +372,12 @@ def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Mod
     )
 
 
-def contains(gb: ModuleGB, x: VectorField) -> MembershipResult:
+def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Decide membership of ``x`` in the module; certificates are re-checked.
 
     On membership the returned coefficients f satisfy sum f_i X_i = X
-    exactly (verified symbolically before returning).
+    exactly (verified symbolically before returning).  The reduction of
+    ``x`` counts against ``budget.max_reduction_steps``.
     """
     spec = gb.source
     if x.nvars != spec.nvars:
@@ -375,7 +385,7 @@ def contains(gb: ModuleGB, x: VectorField) -> MembershipResult:
     counter = [0]
     leads = [_lead(b, _top_key) for b in gb.basis]
     rem, quots = _reduce(
-        x.components, list(gb.basis), leads, _top_key, counter, DEFAULT_BUDGET
+        x.components, list(gb.basis), leads, _top_key, counter, budget
     )
     if not _is_zero(rem):
         return MembershipResult(member=False, certificate=None)
@@ -400,7 +410,7 @@ def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Invol
     witnesses = []
     for a, b in combinations(range(spec.k), 2):
         br = lie_bracket(spec.generators[a], spec.generators[b])
-        if not contains(gb, br).member:
+        if not contains(gb, br, budget).member:
             witnesses.append(BracketWitness(i=a + 1, j=b + 1, bracket=br))
     return InvolutivityReport(closed=not witnesses, witnesses=tuple(witnesses))
 

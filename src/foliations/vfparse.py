@@ -18,11 +18,17 @@ Example: ``(x^2 - 1/2*y)*dx + 3*dy``.
 All values in this module are immutable; no floating point enters the
 symbolic layer.  Terms are kept in graded-reverse-lexicographic order so
 equal polynomials have identical representations (and identical hashes).
+The public ``Poly(nvars, terms)`` validates and sorts its input; the
+arithmetic builds results that are canonical by construction (sums as one
+merge of two sorted term tuples, monomial multiples and derivatives in the
+order they already have) and wraps them through a trusted internal
+constructor.  A Poly computes its hash on first use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import ArityError, ParseError, UnknownVariableError
@@ -53,11 +59,63 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational coefficient, got {type(value).__name__}")
 
 
+def _check_expt(expt: tuple, nvars: int) -> None:
+    if len(expt) != nvars:
+        raise ArityError(f"exponent vector {expt} has length {len(expt)}, expected {nvars}")
+    if any(e < 0 or not isinstance(e, int) for e in expt):
+        raise ArityError(f"exponents must be nonnegative integers, got {expt}")
+
+
+def _add_terms(a: tuple, b: tuple) -> tuple:
+    """Canonical terms of the sum of two canonical term tuples: one merge.
+
+    Of two distinct monomials the one of higher degree is bigger; between
+    equal degrees, the one with the smaller exponent in the last variable
+    where they differ.
+    """
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    append = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, ca = a[i]
+        eb, cb = b[j]
+        if ea == eb:
+            c = ca + cb
+            if c:
+                append((ea, c))
+            i += 1
+            j += 1
+        else:
+            da, db = sum(ea), sum(eb)
+            if da > db or (da == db and ea[::-1] < eb[::-1]):
+                append(a[i])
+                i += 1
+            else:
+                append(b[j])
+                j += 1
+    return tuple(out) + a[i:] + b[j:]
+
+
+def _neg_terms(terms: tuple) -> tuple:
+    return tuple((e, -c) for e, c in terms)
+
+
 class Poly:
     """A multivariate polynomial over Q in ``nvars`` variables.
 
     ``terms`` is a tuple of ``(exponent_tuple, Fraction)`` pairs with no
     zero coefficients, sorted descending in grevlex order.
+
+    The public constructor validates: it checks arity and exponents, merges
+    duplicate monomials, drops zeros and sorts.  Arithmetic on Polys builds
+    its result through the trusted :meth:`_canonical`, which stores an
+    already canonical ``terms`` tuple as given.  The hash is computed on the
+    first ``hash()`` call.
     """
 
     __slots__ = ("nvars", "terms", "_hash")
@@ -68,10 +126,7 @@ class Poly:
         acc: dict[tuple[int, ...], Fraction] = {}
         for expt, coeff in terms:
             expt = tuple(expt)
-            if len(expt) != nvars:
-                raise ArityError(f"exponent vector {expt} has length {len(expt)}, expected {nvars}")
-            if any(e < 0 or not isinstance(e, int) for e in expt):
-                raise ArityError(f"exponents must be nonnegative integers, got {expt}")
+            _check_expt(expt, nvars)
             c = acc.get(expt, Fraction(0)) + _as_fraction(coeff)
             if c:
                 acc[expt] = c
@@ -81,7 +136,15 @@ class Poly:
         object.__setattr__(
             self, "terms", tuple(sorted(acc.items(), key=lambda t: grevlex_key(t[0]), reverse=True))
         )
-        object.__setattr__(self, "_hash", hash((nvars, self.terms)))
+
+    @classmethod
+    def _canonical(cls, nvars: int, terms: tuple) -> "Poly":
+        """Wrap ``terms`` unchecked: distinct exponent tuples of length
+        ``nvars``, nonzero Fractions, grevlex descending."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -148,39 +211,40 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return Poly(self.nvars, self.terms + p.terms)
+        return Poly._canonical(self.nvars, _add_terms(self.terms, p.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
+        return Poly._canonical(self.nvars, _neg_terms(self.terms))
 
     def __sub__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return self + (-p)
+        return Poly._canonical(self.nvars, _add_terms(self.terms, _neg_terms(p.terms)))
 
     def __rsub__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        return p + (-self)
+        return Poly._canonical(self.nvars, _add_terms(p.terms, _neg_terms(self.terms)))
 
     def __mul__(self, other):
         p = self._coerce(other)
         if p is None:
             return NotImplemented
         acc: dict[tuple[int, ...], Fraction] = {}
+        get = acc.get
         for ea, ca in self.terms:
             for eb, cb in p.terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                c = acc.get(key, Fraction(0)) + ca * cb
-                if c:
-                    acc[key] = c
-                elif key in acc:
-                    del acc[key]
-        return Poly(self.nvars, acc.items())
+                key = tuple(map(add, ea, eb))
+                c = get(key)
+                acc[key] = ca * cb if c is None else c + ca * cb
+        terms = sorted(
+            ((e, c) for e, c in acc.items() if c), key=lambda t: grevlex_key(t[0]), reverse=True
+        )
+        return Poly._canonical(self.nvars, tuple(terms))
 
     __rmul__ = __mul__
 
@@ -189,9 +253,11 @@ class Poly:
         c = _as_fraction(coeff)
         if not c:
             return Poly.zero(self.nvars)
-        return Poly(
+        _check_expt(expt, self.nvars)
+        # multiplying by a monomial keeps the term order
+        return Poly._canonical(
             self.nvars,
-            tuple((tuple(a + b for a, b in zip(e, expt)), q * c) for e, q in self.terms),
+            tuple((tuple(map(add, e, expt)), q * c) for e, q in self.terms),
         )
 
     def __pow__(self, exponent: int):
@@ -213,7 +279,8 @@ class Poly:
                 new = list(expt)
                 new[var_index] = e - 1
                 out.append((tuple(new), coeff * e))
-        return Poly(self.nvars, out)
+        # dividing the surviving monomials by x_i keeps their order
+        return Poly._canonical(self.nvars, tuple(out))
 
     def __call__(self, point: Sequence):
         """Evaluate at a point; exact over rationals, float if coords are floats."""
@@ -238,7 +305,12 @@ class Poly:
         return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self):
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nvars, self.terms))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         names = tuple(f"x{i}" for i in range(self.nvars))
@@ -435,6 +507,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _int_literal(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # longer than the interpreter converts (sys.get_int_max_str_digits)
+        raise ParseError(
+            f"integer literal of {len(tok[1])} digits is too long", column=tok[2] + 1
+        ) from None
+
+
 class _Val:
     """Intermediate parse value: a scalar polynomial plus differential parts.
 
@@ -514,9 +595,10 @@ class _Parser:
     # grammar -------------------------------------------------------------
 
     def parse_atom(self) -> _Val:
-        kind, text, pos = self.take()
+        tok = self.take()
+        kind, text, pos = tok
         if kind == "int":
-            return _Val(Poly.constant(int(text), self.nvars))
+            return _Val(Poly.constant(_int_literal(tok), self.nvars))
         if kind == "name":
             if text in self.var_index:
                 return _Val(Poly.variable(self.var_index[text], self.nvars))
@@ -535,7 +617,7 @@ class _Parser:
         if self.peek()[0] == "^":
             _, _, op_pos = self.take()
             tok = self.expect("int")
-            base = self._pow(base, int(tok[1]), op_pos + 1)
+            base = self._pow(base, _int_literal(tok), op_pos + 1)
         return base
 
     def parse_product(self) -> _Val:

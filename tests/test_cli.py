@@ -1,11 +1,11 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
 import json
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 pytest.importorskip("jsonschema")
@@ -246,12 +246,22 @@ def test_bad_numeric_input_exit_2(files, capsys, args, flag):
 
 
 def test_non_finite_result_exit_3(files, capsys):
-    # exp(800 A) overflows to infinities, whose products are NaN
-    with np.errstate(all="ignore"):
-        code, rep, _ = invoke(capsys, ["pushforward", files["sl2"], "--coeffs", "1,0,0", "--time", "800"])
-    assert code == 3
-    assert rep["results"] == {}
-    assert "not finite" in rep["diagnostics"]["error"]
+    # exp(800 A) and exp(1e300 A) overflow to infinities, whose products are
+    # NaN; the report says so and numpy warns nothing on stderr
+    for args in (
+        ["pushforward", files["sl2"], "--coeffs", "1,0,0", "--time", "800"],
+        ["jet-exact", files["sl2"], "--word", "1,0,0@1e300"],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(args)
+        out, err = capsys.readouterr()
+        rep = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 3
+        assert rep["results"] == {}
+        assert "not finite" in rep["diagnostics"]["error"]
+        assert caught == [] and err == ""
 
 
 def test_flow_blowup_exit_3(files, capsys):
@@ -352,6 +362,26 @@ def test_parse_error_exit_2_with_location(files, capsys, tmp_path):
     assert code == 2
     assert "z" in rep["diagnostics"]["error"]
     assert rep["diagnostics"]["line"] == 3
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="the interpreter converts integer strings of any length",
+)
+@pytest.mark.parametrize("template, column", [("{}*x*dx", 1), ("x^{}*dx", 3)])
+def test_overlong_integer_literal_exit_2(files, capsys, tmp_path, template, column):
+    field = template.format("7" * (sys.get_int_max_str_digits() + 1))
+    code, rep, _ = invoke(capsys, ["member", files["sl2"], "--field", field])
+    assert code == 2
+    assert rep["diagnostics"]["error_type"] == "ParseError"
+    assert rep["diagnostics"]["column"] == column
+    assert "too long" in rep["diagnostics"]["error"]
+    p = tmp_path / "long.fol"
+    p.write_text(f"vars: x y\ngenerators:\n  y*dx\n  {field}\n")
+    code, rep, _ = invoke(capsys, ["check", str(p)])
+    assert code == 2
+    assert rep["diagnostics"]["error_type"] == "ParseError"
+    assert (rep["diagnostics"]["line"], rep["diagnostics"]["column"]) == (4, column + 2)
 
 
 def test_missing_file_exit_2(capsys):

@@ -1,5 +1,6 @@
 """Groebner/syzygy machinery and pointwise invariants."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from foliations.modalg import (
     syzygy_basis,
     tangent_dim,
 )
-from foliations.vfparse import FoliationSpec, Poly, VectorField, parse_vector_field
+from foliations.vfparse import FoliationSpec, Poly, VectorField, format_poly, lie_bracket, parse_vector_field
 
 from helpers import (
     brute_force_member,
@@ -111,6 +112,50 @@ def test_budget_error_is_raised():
                         Budget(max_reduction_steps=1))
 
 
+# sha256 of the module basis, the syzygy relations and the involutivity
+# verdict (witness brackets included) of seeded dense specs, as written by
+# _exact_digests; recorded before Poly arithmetic gained its trusted paths
+DENSE_DIGESTS = {
+    (2, 3, 3, 11): (
+        "eae2ba3858b6acbf7cba5a21ebd947027099c24538aa659028fffb8119108d49",
+        "d83576b348be4be6bf5a096ace83f29388e8c3cd510609f78322ee3d90449e02",
+        "472f0ab5c83b1f300d95cb8c636672a76684b1f146f2b4060e3c3590bbe7213e",
+    ),
+    (2, 3, 3, 12): (
+        "b5a2875e8bdd8127badf3419b9aace396fefc36f3064f82a7d47b552cca692bf",
+        "b4995c1112027579d154fb890205ae78628d0e63f8f3d2638b871a2141168167",
+        "c07e3603ef576087dc8204abb8b1ea5af7f963961564147893c016b8aa9fe254",
+    ),
+    (2, 4, 2, 11): (
+        "2646a87a3f21706b1982295c661d98983297803a7b428f9b91f7b51409e6a488",
+        "f8e69e3733581cced090075912df84022463b1e71edc139c971e0fbcc8f8ea44",
+        "546b9c2d89ef0a13595a96f72c08211c8a753992ccf96cce23c484065f5abc4a",
+    ),
+}
+
+
+def _exact_digests(spec):
+    def elem(e):
+        return "(" + ", ".join(format_poly(p, spec.var_names) for p in e) + ")"
+
+    inv = is_involutive(spec)
+    texts = (
+        ";".join(elem(b) for b in module_groebner(spec).basis),
+        ";".join(elem(r) for r in syzygy_basis(spec).relations),
+        f"{inv.closed} "
+        + ";".join(f"{w.i},{w.j}:{elem(w.bracket.components)}" for w in inv.witnesses),
+    )
+    return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
+
+
+@pytest.mark.parametrize("shape", list(DENSE_DIGESTS), ids=lambda s: "n{}k{}d{}-seed{}".format(*s))
+def test_dense_spec_results_match_golden_digests(shape):
+    n, k, deg, seed = shape
+    rng = XorShift64Star(seed)
+    spec = FoliationSpec(("x", "y", "z")[:n], tuple(random_field(rng, n, deg) for _ in range(k)))
+    assert _exact_digests(spec) == DENSE_DIGESTS[shape]
+
+
 # -- contains ---------------------------------------------------------------
 
 
@@ -132,6 +177,37 @@ def test_contains_zero_field_and_zero_module():
     gb = module_groebner(FoliationSpec(("x",), ()))
     assert contains(gb, VectorField.zero(1)).member
     assert not contains(gb, parse_vector_field("x*dx", ("x",))).member
+
+
+def test_reduce_builds_canonical_remainders_and_quotients():
+    from foliations.modalg import DEFAULT_BUDGET, _lead, _reduce, _top_key
+
+    rng = XorShift64Star(4_242)
+    for _ in range(30):
+        nvars = rng.randint(1, 2)
+        gens = tuple(random_field(rng, nvars, 3) for _ in range(rng.randint(1, 3)))
+        gb = module_groebner(FoliationSpec(("x", "y")[:nvars], gens))
+        leads = [_lead(b, _top_key) for b in gb.basis]
+        query = random_field(rng, nvars, 4)
+        rem, quots = _reduce(query.components, list(gb.basis), leads, _top_key, [0], DEFAULT_BUDGET)
+        for p in rem + tuple(quots):
+            assert p.terms == Poly(nvars, p.terms).terms
+        total = VectorField(rem)
+        for q, b in zip(quots, gb.basis):
+            total = total + VectorField(b).scale(q)
+        assert total == query
+
+
+def test_is_involutive_passes_its_budget_to_the_brackets():
+    # the basis run takes 7 reduction steps, the reduction of the bracket 11
+    spec = make_spec(("x", "y"), ("y*dx", "(x+1)^5*dy"))
+    budget = Budget(max_reduction_steps=8)
+    module_groebner(spec, budget)
+    with pytest.raises(BudgetError):
+        is_involutive(spec, budget)
+    with pytest.raises(BudgetError):
+        contains(module_groebner(spec), lie_bracket(*spec.generators), budget)
+    assert not is_involutive(spec).closed
 
 
 def test_contains_agrees_with_bruteforce_oracle():

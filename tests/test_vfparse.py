@@ -167,6 +167,77 @@ def test_poly_zero_terms_dropped():
     assert (x - x).terms == ()
 
 
+def _product_terms(p, q):
+    return [
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb) for ea, ca in p.terms for eb, cb in q.terms
+    ]
+
+
+def _derivative_terms(p, i):
+    return [
+        (e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms if e[i]
+    ]
+
+
+def _assert_canonical(result, n, naive_terms):
+    expected = Poly(n, naive_terms)
+    assert result.terms == expected.terms
+    assert hash(result) == hash(expected)
+
+
+def test_arithmetic_matches_validating_constructor_fuzz():
+    # every result of the trusted paths equals the public constructor's
+    # merge-and-sort of the naive term list, terms and hash alike
+    rng = XorShift64Star(60_606)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        a = random_poly(rng, n, 4, rng.randint(0, 6))
+        b = random_poly(rng, n, 4, rng.randint(0, 6))
+        cut = rng.randint(0, len(a.terms))
+        partial = Poly(n, [(e, -c) for e, c in a.terms[:cut]] + list(b.terms))
+        for q in (b, a, -a, partial):
+            _assert_canonical(a + q, n, a.terms + q.terms)
+            _assert_canonical(a - q, n, a.terms + tuple((e, -c) for e, c in q.terms))
+            _assert_canonical(a * q, n, _product_terms(a, q))
+            _assert_canonical(q * a, n, _product_terms(q, a))
+        assert (a - a).terms == () and (a + (-a)).terms == ()
+        assert (a + partial).terms == Poly(n, a.terms[cut:] + b.terms).terms
+        k = rng.randint(-3, 3)
+        _assert_canonical(a + k, n, a.terms + (((0,) * n, k),))
+        _assert_canonical(k - a, n, (((0,) * n, k),) + tuple((e, -c) for e, c in a.terms))
+        _assert_canonical(-a, n, [(e, -c) for e, c in a.terms])
+        mon = tuple(rng.randint(0, 2) for _ in range(n))
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        _assert_canonical(a.mul_term(mon, coeff), n, [
+            (tuple(x + y for x, y in zip(e, mon)), c * coeff) for e, c in a.terms
+        ])
+        i = rng.randint(0, n - 1)
+        _assert_canonical(a.differentiate(i), n, _derivative_terms(a, i))
+
+
+@pytest.mark.parametrize(
+    "terms, error",
+    [
+        ([((1,), 1)], ArityError),
+        ([((1, -1), 1)], ArityError),
+        ([((1, 0), 0.5)], TypeError),
+    ],
+    ids=["wrong-length-exponent", "negative-exponent", "float-coefficient"],
+)
+def test_public_poly_constructor_validates(terms, error):
+    with pytest.raises(error):
+        Poly(2, terms)
+
+
+def test_mul_term_validates_the_monomial():
+    x = Poly.variable(0, 2)
+    for bad in ((1,), (1, 0, 0), (1, -1)):
+        with pytest.raises(ArityError):
+            x.mul_term(bad, 1)
+    with pytest.raises(TypeError):
+        x.mul_term((1, 0), 0.5)
+
+
 def test_zero_field_roundtrip():
     zero = VectorField.zero(2)
     assert parse_vector_field(format_vector_field(zero, XY), XY) == zero
