@@ -62,6 +62,7 @@ from .holonomy import (
     jet_exact_linear,
 )
 from .modalg import (
+    as_point,
     contains,
     fiber_dim,
     is_involutive,
@@ -269,6 +270,7 @@ def _cmd_check(ns, spec):
 
 
 def _dims_at(spec, pt):
+    pt = as_point(pt, spec.nvars)  # scaled to integers once, for both ranks
     f = fiber_dim(spec, pt)
     t = tangent_dim(spec, pt)
     return {"point": _fmt_point(pt), "fiber": f, "tangent": t, "isotropy": f - t}

@@ -13,6 +13,8 @@ The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
 of partial derivatives of the combined field.  ``_rk4_fn`` is the single
 RK4 code generator; the two kernels differ only in their right-hand side.
+Their term sums come from ``vfparse.terms_src``, the emitter that also
+writes the integer row evaluators of ``modalg``.
 
 Randomness (leaf sampling, sample-point generation) comes from a
 xorshift64* generator so that sequences are reproducible from a seed
@@ -37,7 +39,7 @@ from typing import Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from .modalg import as_point, tangent_dim
-from .vfparse import FoliationSpec
+from .vfparse import FoliationSpec, terms_src
 
 __all__ = [
     "NumericOptions",
@@ -233,16 +235,6 @@ def _diff_terms(terms, var: int, setup: list[str]):
     return out
 
 
-def _terms_src(terms, names: list[str]) -> str:
-    parts = []
-    for expt, c in terms:
-        factors = [c]
-        for name, e in zip(names, expt):
-            factors.extend([name] * e)
-        parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0.0"
-
-
 def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
     """Compile ``make(*params) -> step`` for one classical RK4 step
     ``step(state, h) -> tuple`` over ``size`` floats.
@@ -283,7 +275,7 @@ def _kernel(support: tuple, variation: bool):
     comb = [[(expt, next(names)) for expt in comp] for comp in support]
 
     def field(s: int, pt: list[str]) -> list[str]:
-        return [f"k{s}_{j} = " + _terms_src(terms, pt) for j, terms in enumerate(comb)]
+        return [f"k{s}_{j} = " + terms_src(terms, pt) for j, terms in enumerate(comb)]
 
     if not variation:
         return _rk4_fn(n, field, params, [])
@@ -293,7 +285,7 @@ def _kernel(support: tuple, variation: bool):
     def rhs(s: int, pt: list[str]) -> list[str]:
         x, v = pt[:n], pt[n:]
         lines = [
-            f"j{s}_{j}_{m} = " + _terms_src(jac[j][m], x) for j in range(n) for m in range(n)
+            f"j{s}_{j}_{m} = " + terms_src(jac[j][m], x) for j in range(n) for m in range(n)
         ]
         lines += field(s, x)
         lines += [

@@ -12,6 +12,16 @@ components.  Pointwise data at a rational point x:
   module equals the span of the evaluated generators),
 * isotropy dimension = fiber - tangent.
 
+Both ranks are exact and use integers only.  ``as_point`` scales the point
+once to integers X = D*x (D the lcm of its denominators), and the point it
+returns carries them to every pointwise function.  Each spec's generator
+rows and syzygy rows are compiled once into an evaluator of X and D that
+returns every row scaled to integers (by the lcm of its coefficient
+denominators times D^deg), with its source written by
+``vfparse.terms_src``, the emitter the RK4 kernels in ``flow`` use.  The
+rank is taken by fraction-free (Bareiss) elimination; scaling a row by a
+nonzero constant does not change the rank.
+
 Note: the coefficient ring is the polynomial ring, standing in for the
 ring of smooth functions.  On the homogeneous examples shipped with the
 test-suite the fiber dimensions agree with the smooth ones, but equality
@@ -25,10 +35,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import ArityError, BudgetError
-from .vfparse import FoliationSpec, Poly, VectorField, grevlex_key, lie_bracket
+from .vfparse import FoliationSpec, Poly, VectorField, grevlex_key, lie_bracket, terms_src
 
 __all__ = [
     "Budget",
@@ -74,13 +85,12 @@ DEFAULT_BUDGET = Budget()
 class ModuleGB:
     """Groebner basis of the submodule of R^n generated by the spec's fields.
 
-    ``basis`` elements are monic and autoreduced; ``order`` is a human
-    readable descriptor of the module term order.
+    ``basis`` elements are monic and autoreduced, under the
+    term-over-position order (grevlex; lower position wins ties).
     """
 
     source: FoliationSpec
     basis: tuple[Element, ...]
-    order: str
     reprs: tuple[Element, ...] = field(repr=False, default=())
     # reprs[j] expresses basis[j] as a combination of the original generators
 
@@ -124,11 +134,28 @@ class SingularLocusReport:
     minor_ideal: tuple[Poly, ...]
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(X, D) with D the lcm of the denominators of ``values`` and X = D*values."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
+class _Point(tuple):
+    """Exact rational coordinates; ``scaled`` is their ``_over_lcm``."""
+
+
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
-    """Coerce a coordinate sequence to exact rationals, checking arity."""
-    pt = tuple(Fraction(c) for c in coords)
+    """Coerce a coordinate sequence to exact rationals, checking arity.
+
+    The result also carries the point scaled to integers, so passing it on
+    to several pointwise functions scales it once.
+    """
+    if type(coords) is _Point and len(coords) == nvars:
+        return coords
+    pt = _Point(Fraction(c) for c in coords)
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
+    pt.scaled = _over_lcm(pt)
     return pt
 
 
@@ -364,12 +391,7 @@ def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Mod
     """
     gens = [g.components for g in spec.generators]
     basis, reprs = _groebner(gens, spec.nvars, _top_key, budget, track=True)
-    return ModuleGB(
-        source=spec,
-        basis=basis,
-        order="TOP(grevlex; lower position wins ties)",
-        reprs=reprs,
-    )
+    return ModuleGB(source=spec, basis=basis, reprs=reprs)
 
 
 def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
@@ -444,54 +466,124 @@ def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Syzygy
     return SyzygyBasis(source=spec, relations=tuple(relations))
 
 
-def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a matrix of exact rationals (Gaussian elimination, no thresholds)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if pivot is None:
+def _rank_int(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Each step takes a pivot in the leading column, eliminates that column
+    from the other rows and drops it, with the pivot row and every row that
+    became zero.  The remaining entries are then minors of the input, so the
+    division by the previous pivot is exact.
+    """
+    m = [r for r in rows if any(r)]
+    rank, prev = 0, 1
+    while m:
+        for i, top in enumerate(m):
+            if top[0]:
+                break
+        else:
+            m = [r[1:] for r in m]
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        del m[i]
+        pv, tail = top[0], top[1:]
+        rest = []
+        for r in m:
+            a = r[0]
+            r = [(pv * x - a * y) // prev for x, y in zip(r[1:], tail)]
+            if any(r):
+                rest.append(r)
+        m, prev = rest, pv
         rank += 1
-        row += 1
-        if row == len(m):
-            break
     return rank
+
+
+def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank of a matrix of exact rationals (no thresholds).
+
+    Each row is scaled to integers by the lcm of its denominators, then
+    ranked by fraction-free elimination.
+    """
+    return _rank_int([_over_lcm([Fraction(v) for v in row])[0] for row in rows])
+
+
+# terms per emitted sum: the compiler recurses once per operand of a chain
+# of additions or products and fails near 3,000, so longer polynomials are
+# summed in groups (exact, since these sums are of integers)
+_SUM_TERMS = 1_000
+
+
+def _compile_rows(rows: Sequence[Element], nvars: int):
+    """Evaluator ``f(X0, .., X{nvars-1}, D)`` of the polynomial ``rows`` at
+    the point x = X/D, returning each row scaled to integers by the lcm of
+    its coefficient denominators times D^deg(row).
+
+    A term c*x^e of a row of degree deg becomes c*L * X^e * D^(deg - |e|);
+    the integer coefficients c*L are bound when the evaluator is built.
+    Powers are products of the repeated squares ``X0_2 = X0*X0``,
+    ``X0_4 = X0_2*X0_2``, ..., computed once per call.
+    """
+
+    def power(a: str, j: int) -> str:  # the name of a^(2^j)
+        return f"{a}_{1 << j}" if j else a
+
+    bits = max([p.degree() for row in rows for p in row] + [1]).bit_length()
+    args = [f"X{i}" for i in range(nvars)] + ["D"]
+    names = [power(a, j) for a in args for j in range(bits)]
+    squares = [f"{power(a, j + 1)} = {power(a, j)}*{power(a, j)}" for a in args for j in range(bits - 1)]
+    coeffs: list[int] = []
+    row_srcs = []
+    for row in rows:
+        deg = max(p.degree() for p in row)
+        scale = lcm(*(c.denominator for p in row for _, c in p.terms))
+        entries = []
+        for p in row:
+            terms = []
+            for expt, c in p.terms:
+                full = expt + (deg - sum(expt),)
+                terms.append((tuple(e >> j & 1 for e in full for j in range(bits)), f"c{len(coeffs)}"))
+                coeffs.append(c.numerator * (scale // c.denominator))
+            groups = [terms[i : i + _SUM_TERMS] for i in range(0, len(terms), _SUM_TERMS)]
+            entries.append(" + ".join(f"({terms_src(g, names)})" for g in groups) or "0")
+        row_srcs.append("(" + "".join(f"{e}, " for e in entries) + ")")
+    src = [f"def make({', '.join(f'c{i}' for i in range(len(coeffs)))}):"]
+    src += [f"    def rows({', '.join(args)}):"] + ["        " + line for line in squares]
+    src += ["        return (" + "".join(f"{r}, " for r in row_srcs) + ")", "    return rows"]
+    ns: dict = {}
+    exec(compile("\n".join(src), "<generated rows>", "exec"), ns)
+    return ns["make"](*coeffs)
+
+
+@lru_cache(maxsize=128)
+def _generator_rows(spec: FoliationSpec):
+    """Integer evaluator of the k x n generator matrix (see ``_compile_rows``)."""
+    return _compile_rows([g.components for g in spec.generators], spec.nvars)
+
+
+@lru_cache(maxsize=128)
+def _syzygy_rows(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
+    """Integer evaluator of the syzygy generators, one row per relation."""
+    return _compile_rows(syzygy_basis(spec, budget).relations, spec.nvars)
 
 
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:
     """Dimension of the span of the generator values at a rational point."""
-    pt = as_point(point, spec.nvars)
+    xs, d = as_point(point, spec.nvars).scaled
     if spec.k == 0:
         return 0
-    return rank_exact([list(g(pt)) for g in spec.generators])
+    return _rank_int(_generator_rows(spec)(*xs, d))
 
 
 def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """k minus the rank of the syzygy generators evaluated at the point."""
-    pt = as_point(point, spec.nvars)
+    xs, d = as_point(point, spec.nvars).scaled
     if spec.k == 0:
         return 0
-    syz = syzygy_basis(spec, budget)
-    if not syz.relations:
-        return spec.k
-    rows = [[p(pt) for p in rel] for rel in syz.relations]
-    return spec.k - rank_exact(rows)
+    return spec.k - _rank_int(_syzygy_rows(spec, budget)(*xs, d))
 
 
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """fiber_dim - tangent_dim; nonnegative."""
-    d = fiber_dim(spec, point, budget) - tangent_dim(spec, point)
+    pt = as_point(point, spec.nvars)
+    d = fiber_dim(spec, pt, budget) - tangent_dim(spec, pt)
     if d < 0:
         raise AssertionError("internal error: fiber dimension below tangent dimension")
     return d
@@ -546,19 +638,17 @@ def minimal_local_generators(
     """
     if spec.k < 1:
         raise ArityError("minimal_local_generators needs at least one generator")
-    pt = as_point(point, spec.nvars)
-    syz = syzygy_basis(spec, budget)
-    base_rows = [[p(pt) for p in rel] for rel in syz.relations]
+    xs, d = as_point(point, spec.nvars).scaled
     k = spec.k
-    target = fiber_dim(spec, pt, budget)
+    rows = list(_syzygy_rows(spec, budget)(*xs, d))
+    rank = _rank_int(rows)
+    target = k - rank
     picked: list[int] = []
-    rows = list(base_rows)
-    rank = rank_exact(rows)
     for i in range(k):
         if len(picked) == target:
             break
-        candidate = rows + [[Fraction(1) if j == i else Fraction(0) for j in range(k)]]
-        r = rank_exact(candidate)
+        candidate = rows + [tuple(int(j == i) for j in range(k))]
+        r = _rank_int(candidate)
         if r > rank:
             rows = candidate
             rank = r

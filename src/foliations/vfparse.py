@@ -23,15 +23,20 @@ arithmetic builds results that are canonical by construction (sums as one
 merge of two sorted term tuples, monomial multiples and derivatives in the
 order they already have) and wraps them through a trusted internal
 constructor.  A Poly computes its hash on first use.
+
+``terms_src`` is the one emitter of polynomial source code: the RK4
+kernels in ``flow`` and the integer row evaluators in ``modalg`` both
+write their term sums through it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from operator import add
 from typing import Iterable, Sequence
 
-from .errors import ArityError, ParseError, UnknownVariableError
+from .errors import ArityError, BudgetError, ParseError, UnknownVariableError
 
 __all__ = [
     "Poly",
@@ -103,6 +108,20 @@ def _add_terms(a: tuple, b: tuple) -> tuple:
 
 def _neg_terms(terms: tuple) -> tuple:
     return tuple((e, -c) for e, c in terms)
+
+
+def terms_src(terms, names: Sequence[str]) -> str:
+    """Python source of the sum of ``terms``, pairs ``(exponents, coefficient
+    source)``, over the variables ``names``: each term is the coefficient
+    times its variables written out once per power; the empty sum is
+    ``0.0``."""
+    parts = []
+    for expt, c in terms:
+        factors = [c]
+        for name, e in zip(names, expt):
+            factors.extend([name] * e)
+        parts.append("*".join(factors))
+    return " + ".join(parts) if parts else "0.0"
 
 
 class Poly:
@@ -516,6 +535,28 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
         ) from None
 
 
+# caps on a parsed power p^e, checked before it is expanded: ``Poly.__pow__``
+# multiplies by p e times, so its work grows with e, with the terms of p and
+# with the terms of the powers in between; either cap exits 3 as a budget error
+_MAX_EXPONENT = 1_000
+_MAX_POWER_PRODUCTS = 250_000
+
+
+def _power_products(p: Poly, exponent: int) -> int:
+    """Upper bound on the term-by-term products ``p**exponent`` forms.
+
+    No power p^i with i <= exponent has more terms than the multisets of
+    ``exponent`` terms of p, nor more than the monomials of degree at most
+    ``exponent * deg p`` in the variables p uses.
+    """
+    t = len(p.terms)
+    if not t:
+        return 0
+    used = sum(any(e) for e in zip(*(expt for expt, _ in p.terms)))
+    most = min(comb(t + exponent - 1, exponent), comb(used + exponent * p.degree(), used))
+    return exponent * t * most
+
+
 class _Val:
     """Intermediate parse value: a scalar polynomial plus differential parts.
 
@@ -590,6 +631,14 @@ class _Parser:
             if exponent == 1:
                 return a
             raise ParseError("cannot raise a differential to a power", column=op_col)
+        if exponent > _MAX_EXPONENT:
+            raise BudgetError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}")
+        products = _power_products(a.p, exponent)
+        if products > _MAX_POWER_PRODUCTS:
+            raise BudgetError(
+                f"power ^{exponent} of a {len(a.p.terms)}-term polynomial needs up to "
+                f"{products} term products, more than {_MAX_POWER_PRODUCTS}"
+            )
         return _Val(a.p**exponent)
 
     # grammar -------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The membership oracle here is deliberately separate from the library's
 Groebner machinery: it solves the degree-bounded linear system for the
-combination coefficients by dense Gaussian elimination over Q.
+combination coefficients by dense Gaussian elimination over Q.  The rank
+oracle is Gaussian elimination in Fractions, apart from the library's
+fraction-free integer elimination.
 """
 
 from __future__ import annotations
@@ -133,6 +135,28 @@ def solve_exact(rows, rhs):
     for r, col in enumerate(pivots):
         x[col] = m[r][-1]
     return x
+
+
+def rank_oracle(rows) -> int:
+    """Rank over Q by Gaussian elimination in Fractions, no thresholds."""
+    m = [[Fraction(v) for v in r] for r in rows]
+    if not m:
+        return 0
+    rank = 0
+    for col in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = m[rank][col]
+        for r in range(rank + 1, len(m)):
+            if m[r][col]:
+                f = m[r][col] / pv
+                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 def monomials_up_to(nvars: int, max_deg: int):

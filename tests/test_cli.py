@@ -1,5 +1,6 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
+import hashlib
 import json
 import sys
 import warnings
@@ -21,6 +22,7 @@ from foliations.cli import (
     save_foliation_file,
 )
 from foliations.errors import BudgetError, ParseError, UnknownVariableError
+from foliations.modalg import _generator_rows, _syzygy_rows
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -51,10 +53,23 @@ generators:
 """
 
 
+XYZ = ("x", "y", "z")
+GL3 = "vars: x y z\ngenerators:\n" + "".join(f"  {a}*d{b}\n" for a in XYZ for b in XYZ)
+
+SO3 = """\
+vars: x y z
+generators:
+  -y*dx + x*dy
+  -z*dy + y*dz
+  z*dx - x*dz
+"""
+
+
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, body in (("sl2", SL2), ("nonint", NONINT), ("folk2", FOLK2)):
+    specs = (("sl2", SL2), ("nonint", NONINT), ("folk2", FOLK2), ("gl3", GL3), ("so3", SO3))
+    for name, body in specs:
         p = tmp_path / f"{name}.fol"
         p.write_text(body)
         paths[name] = str(p)
@@ -146,6 +161,40 @@ def test_dims_grid(files, capsys):
     assert code == 0 and rep2["results"] == rep["results"]
     code, _, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "-1:1:1", "--jobs", "0"])
     assert code == 2
+
+
+# sha256 of json.dumps(results, sort_keys=True), recorded when the ranks were
+# still taken by Gaussian elimination over Fractions
+GRID_DIGESTS = [
+    (
+        ["gl3", "--grid", "-4/3:4/3:1/3"],
+        729,
+        "1c7d88506289895533540dd383fee96855e2f87a7a3def25d43a5ad18fe79ab4",
+    ),
+    (
+        ["so3", "--point", "1,0,-5/4", "--grid", "-7/3:7/3:1/3"],
+        3375,
+        "b5c940217e69ba2dbaff614edb7359b246853420765ee80949582fd40c41f182",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, count, digest", GRID_DIGESTS, ids=["gl3", "so3"])
+def test_dims_grid_results_match_golden_digests(files, capsys, args, count, digest):
+    code, rep, _ = invoke(capsys, ["dims", files[args[0]]] + args[1:])
+    assert code == 0 and len(rep["results"]["grid"]) == count
+    assert hashlib.sha256(json.dumps(rep["results"], sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grid, count", [("-1:1:1", 27), ("-2:2:1/4", 4913)])
+def test_dims_grid_compiles_two_evaluators(files, capsys, grid, count):
+    # one generator-row and one syzygy-row evaluator, whatever the point count
+    for cache in (_generator_rows, _syzygy_rows):
+        cache.cache_clear()
+    code, rep, _ = invoke(capsys, ["dims", files["gl3"], "--point", "1,2,3", "--grid", grid])
+    assert code == 0 and len(rep["results"]["grid"]) == count
+    assert _generator_rows.cache_info().misses == 1
+    assert _syzygy_rows.cache_info().misses == 1
 
 
 def test_dims_grid_too_large_exit_3(files, capsys):
@@ -382,6 +431,18 @@ def test_overlong_integer_literal_exit_2(files, capsys, tmp_path, template, colu
     assert code == 2
     assert rep["diagnostics"]["error_type"] == "ParseError"
     assert (rep["diagnostics"]["line"], rep["diagnostics"]["column"]) == (4, column + 2)
+
+
+def test_huge_exponent_exit_3(files, capsys):
+    # refused by the parser's exponent cap before the power is expanded
+    code = run(["member", files["sl2"], "--field", "x^1000000000*dx"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert code == 3 and err == ""
+    assert rep["results"] == {}
+    assert rep["diagnostics"]["error_type"] == "BudgetError"
+    assert "exponent 1000000000" in rep["diagnostics"]["error"]
 
 
 def test_missing_file_exit_2(capsys):

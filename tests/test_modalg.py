@@ -1,6 +1,7 @@
 """Groebner/syzygy machinery and pointwise invariants."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from foliations.errors import ArityError, BudgetError
 from foliations.flow import XorShift64Star
 from foliations.modalg import (
     Budget,
+    as_point,
     contains,
     fiber_dim,
     is_involutive,
@@ -26,12 +28,16 @@ from helpers import (
     brute_force_member,
     cstar,
     gl2,
+    gl3,
     make_spec,
     nonintegrable,
     random_field,
+    random_fraction,
     random_poly,
+    rank_oracle,
     run_python,
     sl2,
+    so3,
     xk,
 )
 
@@ -396,6 +402,130 @@ def test_rank_exact():
     assert rank_exact([[one, 0], [0, one]]) == 2
     assert rank_exact([]) == 0
     assert rank_exact([[Fraction(0)]]) == 0
+
+
+def test_as_point_carries_the_point_scaled_to_integers():
+    pt = as_point(("1/2", 0.25, 3), 3)
+    assert pt == (Fraction(1, 2), Fraction(1, 4), Fraction(3))
+    assert pt.scaled == ([2, 1, 12], 4)
+    assert as_point(pt, 3) is pt  # passed on, it is not scaled again
+    with pytest.raises(ArityError):
+        as_point(pt, 2)
+
+
+def _random_matrix(rng, nrows, ncols):
+    """Int or Fraction entries; some columns zero, some rows combinations of others."""
+    entry = (lambda: rng.randint(-9, 9)) if rng.randint(0, 1) else (lambda: random_fraction(rng))
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    for c in range(ncols):
+        if rng.uniform() < 0.2:
+            for row in m:
+                row[c] = 0
+    for r in range(2, nrows):
+        if rng.uniform() < 0.4:
+            a, b = m[rng.randint(0, r - 1)], m[rng.randint(0, r - 1)]
+            s, t = entry(), entry()
+            m[r] = [s * x + t * y for x, y in zip(a, b)]
+    for r in range(nrows - 1, 0, -1):  # move the planted rows anywhere
+        j = rng.randint(0, r)
+        m[r], m[j] = m[j], m[r]
+    return m
+
+
+def test_rank_exact_matches_oracle_fuzz():
+    rng = XorShift64Star(2_024)
+    ranks = set()
+    for _ in range(400):
+        m = _random_matrix(rng, rng.randint(1, 9), rng.randint(1, 9))
+        want = rank_oracle(m)
+        assert rank_exact(m) == want
+        ranks.add((want < min(len(m), len(m[0])), want))
+    assert len(ranks) > 12  # full and deficient ranks of many sizes
+
+
+def test_rank_exact_entries_stay_minors():
+    # fraction-free elimination divides each step exactly by the previous
+    # pivot, so every entry stays a minor of the input, here under 400 bits
+    # by Hadamard's bound; without that division the entries double in
+    # length at every step, to about 80 kB each by the last one
+    rng = XorShift64Star(5)
+    for zeros in (0.0, 0.5):  # dense, and with zeros under many pivots
+        m = [
+            [rng.randint(-(2**20), 2**20) if rng.uniform() >= zeros else 0 for _ in range(16)]
+            for _ in range(16)
+        ]
+        want = rank_oracle(m)
+        tracemalloc.start()
+        try:
+            got = rank_exact(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want == 16
+        assert peak < 256 * 1024
+
+
+# shifted copies of sl2 and so3 vanish at SHIFT, a point with denominators,
+# and their syzygies are not homogeneous
+SHIFT = (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5))
+X, Y, Z = (f"({v} - ({c}))" for v, c in zip("xyz", SHIFT))
+
+POINTWISE_SPECS = {
+    "so3": so3,
+    "gl3": gl3,
+    "sl2": sl2,
+    "xk3": lambda: xk(3),
+    "sl2-shifted": lambda: make_spec(("x", "y"), (f"{X}*dx - {Y}*dy", f"{Y}*dx", f"{X}*dy")),
+    "so3-shifted": lambda: make_spec(
+        ("x", "y", "z"), (f"-{Y}*dx + {X}*dy", f"-{Z}*dy + {Y}*dz", f"{Z}*dx - {X}*dz")
+    ),
+    "random-n2k2d2": lambda: FoliationSpec(
+        ("x", "y"), tuple(random_field(XorShift64Star(31), 2, 2) for _ in range(2))
+    ),
+    "random-n2k3d2": lambda: FoliationSpec(
+        ("x", "y"), tuple(random_field(XorShift64Star(32), 2, 2) for _ in range(3))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE_SPECS))
+def test_pointwise_dims_match_oracle_fuzz(name):
+    spec = POINTWISE_SPECS[name]()
+    n = spec.nvars
+    rng = XorShift64Star(sum(map(ord, name)))
+    points = [(0,) * n, (1,) + (0,) * (n - 1), SHIFT[:n], (SHIFT[0],) + (Fraction(-2, 7),) * (n - 1)]
+    points += [tuple(random_fraction(rng) for _ in range(n)) for _ in range(20)]
+    points += [(0.1, -2.5, 0.3)[:n], (1e-3, 7.0, -0.25)[:n]]
+    points += [tuple(rng.symmetric() for _ in range(n)) for _ in range(3)]
+    rels = syzygy_basis(spec).relations
+    for pt in points:
+        # the oracle evaluates with Poly.__call__ at the exact rational point
+        q = tuple(map(Fraction, pt))
+        rel_rows = [[p(q) for p in rel] for rel in rels]
+        fiber = spec.k - rank_oracle(rel_rows)
+        tangent = rank_oracle([g(q) for g in spec.generators])
+        assert (fiber_dim(spec, pt), tangent_dim(spec, pt)) == (fiber, tangent), pt
+        assert isotropy_dim(spec, pt) == fiber - tangent
+        # the picked generators complete the evaluated relations to a basis
+        picked = minimal_local_generators(spec, pt)
+        assert len(picked) == fiber
+        units = [[int(j == i - 1) for j in range(spec.k)] for i in picked]
+        assert rank_oracle(rel_rows + units) == spec.k
+
+
+def test_pointwise_ranks_of_long_and_high_degree_polynomials():
+    # 3,600 terms in one component, and terms of degree 3,000: both beyond a
+    # single chain of additions or multiplications that Python compiles
+    wide = Poly(3, [((i, j, 0), Fraction(1, 1 + i + j)) for i in range(60) for j in range(60)])
+    deep = Poly(3, [((1000, 1000, 1000), 1), ((0, 0, 0), -1)])
+    zero = Poly.zero(3)
+    points = ((1, 1, 1), (-1, -1, 1), (Fraction(1, 2), 1, 1), (Fraction(1, 2), Fraction(-1, 3), 0))
+    for p in (wide, deep):
+        spec = FoliationSpec(("x", "y", "z"), (VectorField((p, zero, zero)),))
+        for pt in points:
+            assert tangent_dim(spec, pt) == rank_oracle([spec.generators[0](pt)])
+            assert fiber_dim(spec, pt) == 1
+    assert tangent_dim(spec, (1, 1, 1)) == 0
 
 
 def test_certificate_check_survives_python_O():

@@ -1,11 +1,14 @@
 """Parser, printer, derivative and Lie-bracket tests."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from foliations.errors import ArityError, ParseError, UnknownVariableError
+from foliations.errors import ArityError, BudgetError, ParseError, UnknownVariableError
 from foliations.vfparse import (
+    _MAX_EXPONENT,
+    _MAX_POWER_PRODUCTS,
     Poly,
     VectorField,
     differentiate,
@@ -248,3 +251,19 @@ def test_evaluation_exact_and_float():
     p = x**2 - Fraction(1, 2) * y
     assert p((Fraction(1, 2), Fraction(1))) == Fraction(-1, 4)
     assert abs(p((0.5, 1.0)) - (-0.25)) < 1e-15
+
+
+def test_power_caps():
+    # the corpus powers and larger ones parse: (x+y+1)^e has C(e+2, 2) terms
+    for e in (13, 40):
+        assert len(P(f"(x + y + 1)^{e}*dx").components[0].terms) == comb(e + 2, 2)
+    assert P(f"x^{_MAX_EXPONENT}*dx").components[0].degree() == _MAX_EXPONENT
+    with pytest.raises(BudgetError, match="exponent"):
+        P(f"x^{_MAX_EXPONENT + 1}*dx")
+    # (x+y+1)^60 would form up to 60 * 3 * C(62, 2) term products
+    assert 60 * 3 * 1891 > _MAX_POWER_PRODUCTS > 40 * 3 * 861
+    with pytest.raises(BudgetError, match="term products"):
+        P("(x + y + 1)^60*dx")
+    # a differential power stays a parse error, whatever the exponent
+    with pytest.raises(ParseError, match="differential"):
+        P("dx^1000000000")
