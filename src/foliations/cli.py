@@ -52,14 +52,15 @@ from .flow import (
     chart_rank_check,
     flow,
     flow_box,
+    flow_jet,
     leaf_sample,
     random_rational_points,
 )
 from .holonomy import (
+    _jet_exact_rows,
+    _require_fixed_point,
     check_pushforward_linear,
     germ_equal_at_fixed_point,
-    holonomy_jet,
-    jet_exact_linear,
 )
 from .modalg import (
     as_point,
@@ -111,7 +112,7 @@ def load_foliation_file(path) -> FoliationFile:
                 raise ParseError("'vars:' must come before 'generators:'", line=lineno)
             try:
                 generators.append(parse_vector_field(line, var_names))
-            except ParseError as e:
+            except (ParseError, BudgetError) as e:
                 raise type(e)(
                     *((e.name,) if hasattr(e, "name") else (e.message,)),
                     line=lineno,
@@ -386,7 +387,8 @@ def _cmd_jet(ns, spec):
     opts = _opts_from(ns)
     word = _parse_word(spec, ns.word)
     pt = _parse_point(ns.point)
-    jet = holonomy_jet(spec, word, pt, opts)
+    _require_fixed_point(spec, word, pt)
+    _, jet = flow_jet(spec, word, pt, opts)
     return (
         0,
         {"jet": _json_matrix(jet)},
@@ -397,7 +399,7 @@ def _cmd_jet(ns, spec):
 
 def _cmd_jet_exact(ns, spec):
     word = _parse_word(spec, ns.word)
-    jet = jet_exact_linear(spec, word)
+    jet = _jet_exact_rows(spec, word)
     return 0, {"jet": _json_matrix(jet)}, {"method_accuracy": 1e-12}, None
 
 
@@ -499,7 +501,7 @@ def _emit(report: dict) -> None:
 
 def _error_report(command: str | None, argv, exc: Exception) -> dict:
     diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
-    if isinstance(exc, ParseError):
+    if isinstance(exc, (ParseError, BudgetError)):
         if exc.line is not None:
             diagnostics["line"] = exc.line
         if exc.column is not None:

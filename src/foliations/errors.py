@@ -7,12 +7,10 @@ class FoliationError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ParseError(FoliationError):
-    """Syntax or format error in an expression or foliation file.
-
-    Carries the raw ``message`` plus optional 1-based ``line``/``column``
-    so callers (the file loader, the CLI) can re-anchor the location.
-    """
+class _Located(FoliationError):
+    """An error that carries the raw ``message`` plus optional 1-based
+    ``line``/``column`` in its input, so callers (the file loader, the CLI)
+    can re-anchor the location."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
         self.message = message
@@ -31,6 +29,10 @@ class ParseError(FoliationError):
         return self.message
 
 
+class ParseError(_Located):
+    """Syntax or format error in an expression or foliation file."""
+
+
 class UnknownVariableError(ParseError):
     """An identifier in an expression is not a declared variable."""
 
@@ -43,8 +45,10 @@ class ArityError(FoliationError):
     """Dimension/length mismatch between objects that must agree."""
 
 
-class BudgetError(FoliationError):
-    """A degree or step budget was exceeded; the answer is *not* truncated."""
+class BudgetError(_Located):
+    """A degree, step or size budget was exceeded; the answer is *not*
+    truncated.  A cap met while parsing carries its place, as a ParseError
+    does."""
 
 
 class BlowUpError(FoliationError):

@@ -13,8 +13,12 @@ The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
 of partial derivatives of the combined field.  ``_rk4_fn`` is the single
 RK4 code generator; the two kernels differ only in their right-hand side.
-Their term sums come from ``vfparse.terms_src``, the emitter that also
-writes the integer row evaluators of ``modalg``.
+Their terms come from ``vfparse.term_factors``, the emitter that also
+writes the integer row evaluators of ``modalg``.  CPython's compiler
+recurses once per operand of an operator chain and gives up near 3,000,
+so a product or sum of more than ``_MAX_CHAIN`` operands is written as
+prefix temporaries (``t = a*b*..``, then ``t*c*..``): the same
+operations in the same order, so the same rounding.
 
 Randomness (leaf sampling, sample-point generation) comes from a
 xorshift64* generator so that sequences are reproducible from a seed
@@ -39,7 +43,7 @@ from typing import Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from .modalg import as_point, tangent_dim
-from .vfparse import FoliationSpec, terms_src
+from .vfparse import FoliationSpec, term_factors
 
 __all__ = [
     "NumericOptions",
@@ -235,6 +239,36 @@ def _diff_terms(terms, var: int, setup: list[str]):
     return out
 
 
+# the most operands of one emitted operator chain (see the module docstring)
+_MAX_CHAIN = 400
+
+
+def _chain(name: str, operands: list[str], op: str) -> list[str]:
+    """Lines binding ``name`` to ``operands`` joined by ``op``, left to right,
+    through prefix temporaries ``name__0``, .. when there are more than
+    ``_MAX_CHAIN``."""
+    lines: list[str] = []
+    while len(operands) > _MAX_CHAIN:
+        lines.append(f"{name}__{len(lines)} = {op.join(operands[:_MAX_CHAIN])}")
+        operands = [f"{name}__{len(lines) - 1}"] + operands[_MAX_CHAIN:]
+    return lines + [f"{name} = {op.join(operands)}"]
+
+
+def _sum_lines(name: str, terms, names: list[str]) -> list[str]:
+    """Lines binding ``name`` to the float sum of ``terms``, pairs
+    ``(exponents, coefficient source)``, at the variables ``names``; a term
+    with too many factors is bound first, as ``name_t<i>``."""
+    lines: list[str] = []
+    parts = []
+    for i, (expt, c) in enumerate(terms):
+        factors = term_factors(expt, c, names)
+        if len(factors) > _MAX_CHAIN:
+            lines += _chain(f"{name}_t{i}", factors, "*")
+            factors = [f"{name}_t{i}"]
+        parts.append("*".join(factors))
+    return lines + _chain(name, parts or ["0.0"], " + ")
+
+
 def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
     """Compile ``make(*params) -> step`` for one classical RK4 step
     ``step(state, h) -> tuple`` over ``size`` floats.
@@ -275,7 +309,7 @@ def _kernel(support: tuple, variation: bool):
     comb = [[(expt, next(names)) for expt in comp] for comp in support]
 
     def field(s: int, pt: list[str]) -> list[str]:
-        return [f"k{s}_{j} = " + terms_src(terms, pt) for j, terms in enumerate(comb)]
+        return [line for j, terms in enumerate(comb) for line in _sum_lines(f"k{s}_{j}", terms, pt)]
 
     if not variation:
         return _rk4_fn(n, field, params, [])
@@ -285,7 +319,10 @@ def _kernel(support: tuple, variation: bool):
     def rhs(s: int, pt: list[str]) -> list[str]:
         x, v = pt[:n], pt[n:]
         lines = [
-            f"j{s}_{j}_{m} = " + terms_src(jac[j][m], x) for j in range(n) for m in range(n)
+            line
+            for j in range(n)
+            for m in range(n)
+            for line in _sum_lines(f"j{s}_{j}_{m}", jac[j][m], x)
         ]
         lines += field(s, x)
         lines += [
@@ -596,18 +633,35 @@ def flow_box(
 
 def _require_on_transversal(pt: tuple, transversal: Transversal, tol: float = 1e-9):
     r = [a - b for a, b in zip(pt, transversal.point)]
-    dirs = transversal.directions
-    if dirs:
-        import numpy as np
-
-        d = np.array(dirs, dtype=float).T
-        coeffs, *_ = np.linalg.lstsq(d, np.array(r, dtype=float), rcond=None)
-        residual = np.array(r) - d @ coeffs
-        err = float(max(abs(residual))) if residual.size else 0.0
-    else:
-        err = max(abs(v) for v in r) if r else 0.0
-    if err > tol:
+    if not max(map(abs, _residual(transversal.directions, r)), default=0.0) <= tol:
         raise PreconditionError("base point does not lie on the transversal")
+
+
+def _residual(vectors: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """``b`` minus its orthogonal projection onto the span of ``vectors``.
+
+    Gram-Schmidt on floats: every vector, and then ``b``, is orthogonalised
+    twice against the orthonormal basis built so far, and a vector that
+    keeps less than 1e-12 of its norm is dependent and dropped, so the span
+    of dependent or rank-deficient vectors is handled.
+    """
+    basis: list[list[float]] = []
+    for v in vectors:
+        w = [float(x) for x in v]
+        norm0 = math.hypot(*w)
+        w = _orthogonalise(w, basis)
+        norm = math.hypot(*w)
+        if norm > 1e-12 * norm0:  # false for a zero or non-finite vector
+            basis.append([x / norm for x in w])
+    return _orthogonalise([float(x) for x in b], basis)
+
+
+def _orthogonalise(w: list[float], basis: list[list[float]]) -> list[float]:
+    for _ in range(2):
+        for q in basis:
+            d = sum(x * y for x, y in zip(q, w))
+            w = [x - d * y for x, y in zip(w, q)]
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,15 @@ origin, where distinct linearizations are known to give distinct germs;
 everywhere else the operation raises instead of guessing.
 
 The matrix exponential is scaling-and-squaring with the order-13 Pade
-approximant (accuracy target 1e-12 on the scales handled here).
-
-numpy is imported on first use, inside each function that computes with
-it, so importing this module (and the exact subcommands of ``fol``) does
-not load it.
+approximant of Higham (2005), accuracy target 1e-12 on the scales handled
+here.  It and the linear oracles compute on rows, lists of floats: the
+matrices are a few rows wide, and ``fol`` never loads numpy.  The
+functions that return a matrix (``matrix_exp``,
+``linear_generator_matrices``, ``holonomy_jet``, ``jet_exact_linear`` and
+``CarriedDiffeo.jacobian``) import numpy to wrap their rows in an
+ndarray; the CLI calls the row cores instead.  The cores raise nothing on
+overflow: an infinite, NaN or singular intermediate gives non-finite
+entries, which the callers report.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
@@ -34,6 +39,7 @@ from .flow import (
     NumericOptions,
     _float_point,
     _flow_segment,
+    _residual,
     _segment,
     _var_step_fn,
     flow_jet,
@@ -76,49 +82,136 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def matrix_exp(a: Sequence) -> JetMatrix:
-    """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
-    import numpy as np
+Rows = list[list[float]]
 
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    # an overflow yields inf/NaN entries, which the callers' finiteness
-    # checks report; numpy's warnings would only reach stderr
-    with np.errstate(all="ignore"):
-        norm = float(np.abs(a).sum(axis=0).max()) if a.size else 0.0
-        s = 0
-        if norm > _PADE13_THETA:
-            s = int(math.ceil(math.log2(norm / _PADE13_THETA)))
-        m = a / (2.0**s)
-        b = _PADE13_B
-        ident = np.eye(n)
-        m2 = m @ m
-        m4 = m2 @ m2
-        m6 = m4 @ m2
-        u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-        v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident
-        r = np.linalg.solve(v - u, v + u)
-        for _ in range(s):
-            r = r @ r
+
+def _float(q) -> float:
+    """``float(q)``, with a rational beyond the float range as a signed infinity."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+def _eye(n: int) -> Rows:
+    return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+
+
+def _nan(n: int) -> Rows:
+    return [[math.nan] * n for _ in range(n)]
+
+
+def _matmul(a: Rows, b: Rows) -> Rows:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _comb(*terms) -> Rows:
+    """Entrywise sum of ``c * M`` over the ``(c, M)`` pairs, left to right."""
+    (c0, m0), *rest = terms
+    out = [[c0 * v for v in row] for row in m0]
+    for c, m in rest:
+        out = [[x + c * v for x, v in zip(r, row)] for r, row in zip(out, m)]
+    return out
+
+
+def _solve(a: Rows, b: Rows) -> Rows:
+    """X with a X = b, by elimination with partial pivoting; NaN if a is singular."""
+    n = len(a)
+    rows = [ra + rb for ra, rb in zip(a, b)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda i: abs(rows[i][c]))
+        if rows[p][c] == 0.0:
+            return _nan(n)
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / pivot[c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+    x: Rows = [[]] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        x[i] = [
+            (row[n + j] - sum(row[k] * x[k][j] for k in range(i + 1, n))) / row[i]
+            for j in range(len(b[i]))
+        ]
+    return x
+
+
+def _expm(a: Rows) -> Rows:
+    """exp(a) by scaling-and-squaring with the order-13 Pade approximant.
+
+    Input with an infinite or NaN entry, or whose 1-norm overflows, gives
+    NaN entries, as does a singular Pade denominator.
+    """
+    n = len(a)
+    norm = max((sum(abs(row[j]) for row in a) for j in range(n)), default=0.0)
+    if not norm < math.inf:
+        return _nan(n)
+    s = math.ceil(math.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0
+    scale = 2.0**s
+    m = [[v / scale for v in row] for row in a]
+    b = _PADE13_B
+    ident = _eye(n)
+    m2 = _matmul(m, m)
+    m4 = _matmul(m2, m2)
+    m6 = _matmul(m4, m2)
+    inner_u = _matmul(m6, _comb((b[13], m6), (b[11], m4), (b[9], m2)))
+    u = _matmul(m, _comb((1.0, inner_u), (b[7], m6), (b[5], m4), (b[3], m2), (b[1], ident)))
+    inner_v = _matmul(m6, _comb((b[12], m6), (b[10], m4), (b[8], m2)))
+    v = _comb((1.0, inner_v), (b[6], m6), (b[4], m4), (b[2], m2), (b[0], ident))
+    r = _solve(_comb((1.0, v), (-1.0, u)), _comb((1.0, v), (1.0, u)))
+    for _ in range(s):
+        r = _matmul(r, r)
     return r
 
 
-def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
-    """Matrices A_i with X_i(x) = A_i x; raises NotLinearError otherwise."""
-    import numpy as np
-
+def _linear_rows(spec: FoliationSpec) -> list[Rows]:
+    """Matrices A_i with X_i(x) = A_i x, as rows; raises NotLinearError otherwise."""
+    n = spec.nvars
     mats = []
     for g in spec.generators:
-        a = np.zeros((spec.nvars, spec.nvars))
+        a = [[0.0] * n for _ in range(n)]
         for j, comp in enumerate(g.components):
             for expt, coeff in comp.terms:
                 if sum(expt) != 1:
                     raise NotLinearError(
                         "generators must be linear (homogeneous of degree 1)"
                     )
-                a[j][expt.index(1)] = float(coeff)
+                a[j][expt.index(1)] = _float(coeff)
         mats.append(a)
     return mats
+
+
+def _jet_exact_rows(spec: FoliationSpec, word: FlowWord) -> Rows:
+    """Rows of the product over steps of exp(t * sum_i c_i A_i), in action order."""
+    if word.spec != spec:
+        raise ArityError("word was built over a different spec")
+    mats = _linear_rows(spec)
+    n = spec.nvars
+    acc = _eye(n)
+    for step in word.steps:
+        m = [[0.0] * n for _ in range(n)]
+        for c, a in zip(step.coeffs, mats):
+            if c:
+                m = _comb((1.0, m), (_float(c), a))
+        acc = _matmul(_expm(_comb((step.duration, m))), acc)
+    return acc
+
+
+def matrix_exp(a: Sequence) -> JetMatrix:
+    """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
+    import numpy as np
+
+    rows = [[float(v) for v in row] for row in a]
+    return np.array(_expm(rows), dtype=float).reshape(len(rows), len(rows))
+
+
+def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
+    """Matrices A_i with X_i(x) = A_i x; raises NotLinearError otherwise."""
+    import numpy as np
+
+    return [np.array(a, dtype=float) for a in _linear_rows(spec)]
 
 
 @dataclass(frozen=True)
@@ -193,18 +286,7 @@ def jet_exact_linear(spec: FoliationSpec, word: FlowWord) -> JetMatrix:
     """
     import numpy as np
 
-    if word.spec != spec:
-        raise ArityError("word was built over a different spec")
-    mats = linear_generator_matrices(spec)
-    n = spec.nvars
-    acc = np.eye(n)
-    for step in word.steps:
-        m = np.zeros((n, n))
-        for c, a in zip(step.coeffs, mats):
-            if c:
-                m += float(c) * a
-        acc = matrix_exp(step.duration * m) @ acc
-    return acc
+    return np.array(_jet_exact_rows(spec, word), dtype=float)
 
 
 def germ_equal_at_fixed_point(
@@ -221,17 +303,15 @@ def germ_equal_at_fixed_point(
     input is rejected rather than answered.  A jet that overflows raises
     BlowUpError (at the word's total duration) instead of comparing unequal.
     """
-    import numpy as np
-
     if any(c != 0 for c in x_fix):
         raise PreconditionError("germ comparison is only offered at the origin")
-    with np.errstate(all="ignore"):
-        j1 = jet_exact_linear(spec, w1)
-        j2 = jet_exact_linear(spec, w2)
-        for w, j in ((w1, j1), (w2, j2)):
-            if not np.isfinite(j).all():
-                raise BlowUpError("exact jet is not finite", sum(step.duration for step in w.steps))
-        return bool(np.abs(j1 - j2).max() < tol)
+    j1 = _jet_exact_rows(spec, w1)
+    j2 = _jet_exact_rows(spec, w2)
+    for w, j in ((w1, j1), (w2, j2)):
+        if not all(math.isfinite(v) for row in j for v in row):
+            raise BlowUpError("exact jet is not finite", sum(step.duration for step in w.steps))
+    gap = max((abs(a - b) for r1, r2 in zip(j1, j2) for a, b in zip(r1, r2)), default=0.0)
+    return gap < tol
 
 
 @dataclass(frozen=True)
@@ -245,27 +325,25 @@ def check_pushforward_linear(
     spec: FoliationSpec, coeffs: Sequence, time: float, threshold: float = 1e-8
 ) -> PushforwardReport:
     """Check that conjugation by g = exp(t * sum c_i A_i) preserves the span
-    of the generator matrices: least-squares residual of g A_j g^-1 against
-    span{A_1..A_k}, one residual per generator.
+    of the generator matrices: the distance of each g A_j g^-1 from
+    span{A_1..A_k} (the norm of its component orthogonal to the span), one
+    residual per generator.  Dependent generators span what they span.
     """
-    import numpy as np
-
-    mats = linear_generator_matrices(spec)
+    mats = _linear_rows(spec)
     if len(coeffs) != spec.k:
         raise ArityError(f"{len(coeffs)} coefficients for {spec.k} generators")
     n = spec.nvars
-    m = np.zeros((n, n))
+    m = [[0.0] * n for _ in range(n)]
     for c, a in zip(coeffs, mats):
-        m += float(c) * a
-    g = matrix_exp(time * m)
-    g_inv = matrix_exp(-time * m)
-    basis = np.stack([a.flatten() for a in mats], axis=1)
+        m = _comb((1.0, m), (_float(c), a))
+    t = _float(time)
+    g = _expm(_comb((t, m)))
+    g_inv = _expm(_comb((-t, m)))
+    basis = [[v for row in a for v in row] for a in mats]
     residuals = []
-    with np.errstate(all="ignore"):  # non-finite residuals are reported by the caller
-        for a in mats:
-            b = (g @ a @ g_inv).flatten()
-            sol, *_ = np.linalg.lstsq(basis, b, rcond=None)
-            residuals.append(float(np.linalg.norm(basis @ sol - b)))
+    for a in mats:
+        b = [v for row in _matmul(_matmul(g, a), g_inv) for v in row]
+        residuals.append(math.hypot(*_residual(basis, b)))
     return PushforwardReport(
         residuals=tuple(residuals),
         threshold=threshold,

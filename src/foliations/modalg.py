@@ -18,7 +18,7 @@ returns carries them to every pointwise function.  Each spec's generator
 rows and syzygy rows are compiled once into an evaluator of X and D that
 returns every row scaled to integers (by the lcm of its coefficient
 denominators times D^deg), with its source written by
-``vfparse.terms_src``, the emitter the RK4 kernels in ``flow`` use.  The
+``vfparse.terms_src`` from the terms the RK4 kernels in ``flow`` use.  The
 rank is taken by fraction-free (Bareiss) elimination; scaling a row by a
 nonzero constant does not change the rank.
 

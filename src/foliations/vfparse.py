@@ -24,9 +24,9 @@ merge of two sorted term tuples, monomial multiples and derivatives in the
 order they already have) and wraps them through a trusted internal
 constructor.  A Poly computes its hash on first use.
 
-``terms_src`` is the one emitter of polynomial source code: the RK4
-kernels in ``flow`` and the integer row evaluators in ``modalg`` both
-write their term sums through it.
+``term_factors`` is the one emitter of polynomial source code: the RK4
+kernels in ``flow`` and, through ``terms_src``, the integer row evaluators
+in ``modalg`` both write their terms with it.
 """
 
 from __future__ import annotations
@@ -110,17 +110,20 @@ def _neg_terms(terms: tuple) -> tuple:
     return tuple((e, -c) for e, c in terms)
 
 
+def term_factors(expt: tuple[int, ...], coeff: str, names: Sequence[str]) -> list[str]:
+    """Source operands of the term ``coeff * x^expt``: the coefficient source,
+    then each variable of ``names`` written out once per power."""
+    factors = [coeff]
+    for name, e in zip(names, expt):
+        factors.extend([name] * e)
+    return factors
+
+
 def terms_src(terms, names: Sequence[str]) -> str:
     """Python source of the sum of ``terms``, pairs ``(exponents, coefficient
-    source)``, over the variables ``names``: each term is the coefficient
-    times its variables written out once per power; the empty sum is
-    ``0.0``."""
-    parts = []
-    for expt, c in terms:
-        factors = [c]
-        for name, e in zip(names, expt):
-            factors.extend([name] * e)
-        parts.append("*".join(factors))
+    source)``, over the variables ``names``: each term is the product of its
+    ``term_factors``; the empty sum is ``0.0``."""
+    parts = ["*".join(term_factors(expt, c, names)) for expt, c in terms]
     return " + ".join(parts) if parts else "0.0"
 
 
@@ -537,7 +540,9 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
 
 # caps on a parsed power p^e, checked before it is expanded: ``Poly.__pow__``
 # multiplies by p e times, so its work grows with e, with the terms of p and
-# with the terms of the powers in between; either cap exits 3 as a budget error
+# with the terms of the powers in between.  _MAX_POWER_PRODUCTS also caps the
+# term-by-term products of all the ``*`` of one parse, counted as they come.
+# Each cap exits 3 as a budget error.
 _MAX_EXPONENT = 1_000
 _MAX_POWER_PRODUCTS = 250_000
 
@@ -569,6 +574,10 @@ class _Val:
         self.p = p
         self.d = d or {}
 
+    def size(self) -> int:
+        """Terms of the scalar and the differential parts together."""
+        return len(self.p.terms) + sum(len(q.terms) for q in self.d.values())
+
 
 class _Parser:
     def __init__(self, text: str, var_names: Sequence[str]):
@@ -576,6 +585,7 @@ class _Parser:
         self.pos = 0
         self.nvars = len(var_names)
         self.var_index = {name: i for i, name in enumerate(var_names)}
+        self.products = 0  # term-by-term products of every '*' so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -610,6 +620,12 @@ class _Parser:
     def _mul(self, a: _Val, b: _Val, op_col: int) -> _Val:
         if a.d and b.d:
             raise ParseError("product of two differentials is not a vector field", column=op_col)
+        self.products += a.size() * b.size()
+        if self.products > _MAX_POWER_PRODUCTS:
+            raise BudgetError(
+                f"products need {self.products} term products, more than {_MAX_POWER_PRODUCTS}",
+                column=op_col,
+            )
         if b.d:
             a, b = b, a
         # now b is purely scalar
@@ -632,12 +648,13 @@ class _Parser:
                 return a
             raise ParseError("cannot raise a differential to a power", column=op_col)
         if exponent > _MAX_EXPONENT:
-            raise BudgetError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}")
+            raise BudgetError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", column=op_col)
         products = _power_products(a.p, exponent)
         if products > _MAX_POWER_PRODUCTS:
             raise BudgetError(
                 f"power ^{exponent} of a {len(a.p.terms)}-term polynomial needs up to "
-                f"{products} term products, more than {_MAX_POWER_PRODUCTS}"
+                f"{products} term products, more than {_MAX_POWER_PRODUCTS}",
+                column=op_col,
             )
         return _Val(a.p**exponent)
 

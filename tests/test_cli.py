@@ -296,7 +296,7 @@ def test_bad_numeric_input_exit_2(files, capsys, args, flag):
 
 def test_non_finite_result_exit_3(files, capsys):
     # exp(800 A) and exp(1e300 A) overflow to infinities, whose products are
-    # NaN; the report says so and numpy warns nothing on stderr
+    # NaN; the report says so and nothing reaches stderr
     for args in (
         ["pushforward", files["sl2"], "--coeffs", "1,0,0", "--time", "800"],
         ["jet-exact", files["sl2"], "--word", "1,0,0@1e300"],
@@ -311,6 +311,27 @@ def test_non_finite_result_exit_3(files, capsys):
         assert rep["results"] == {}
         assert "not finite" in rep["diagnostics"]["error"]
         assert caught == [] and err == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["jet-exact", "--word", "2,0,0@1e308"],
+        ["jet-exact", "--word", "1e400,0,0@1"],
+        ["pushforward", "--coeffs", "2,0,0", "--time", "1e308"],
+        ["germ-eq", "--word1", "2,0,0@1e308", "--word2", "0,0,0@1", "--point", "0,0"],
+    ],
+    ids=["norm-overflow", "coefficient-overflow", "pushforward", "germ-eq"],
+)
+def test_overflowing_exponential_exit_3(files, capsys, args):
+    # a matrix whose 1-norm or coefficients overflow a float has no scaling
+    # exponent; the exponential is non-finite, and the report says so
+    code = run([args[0], files["sl2"], *args[1:]])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert code == 3 and err == ""
+    assert "not finite" in rep["diagnostics"]["error"]
 
 
 def test_flow_blowup_exit_3(files, capsys):
@@ -443,6 +464,63 @@ def test_huge_exponent_exit_3(files, capsys):
     assert rep["results"] == {}
     assert rep["diagnostics"]["error_type"] == "BudgetError"
     assert "exponent 1000000000" in rep["diagnostics"]["error"]
+
+
+def _budget_report(capsys, args):
+    code = run(args)
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert code == 3 and err == ""
+    assert rep["results"] == {}
+    assert rep["diagnostics"]["error_type"] == "BudgetError"
+    return rep["diagnostics"]
+
+
+def test_budget_error_in_file_has_location(capsys, tmp_path):
+    p = tmp_path / "pow.fol"
+    p.write_text("vars: x y\ngenerators:\n  y*dx\n  x^2000*dy\n")
+    diags = _budget_report(capsys, ["check", str(p)])
+    assert "exponent 2000" in diags["error"]
+    assert (diags["line"], diags["column"]) == (4, 4)
+
+
+def test_long_product_exit_3(files, capsys, tmp_path):
+    # 30 factors would expand to 46,376 terms; the parser's running count of
+    # term products passes its cap at the 21st factor and stops there
+    field = "*".join(["(x+y+z+w+1)"] * 30) + "*dx"
+    p = tmp_path / "product.fol"
+    p.write_text(f"vars: x y z w\ngenerators:\n  {field}\n")
+    diags = _budget_report(capsys, ["check", str(p)])
+    assert "more than 250000" in diags["error"]
+    assert (diags["line"], diags["column"]) == (3, 2 + 20 * 12)  # the 20th '*'
+
+
+def _geometric(var, count):
+    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
+
+
+@pytest.mark.parametrize(
+    "generator, point",
+    [
+        ("x^1000*y^1000*z^1000*dx", "1,1,1"),
+        # one component of 16 * 15 * 15 = 3,600 terms; at x = -1 its x-sum is 0
+        ("*".join([_geometric("x", 16), _geometric("y", 15), _geometric("z", 15)]) + "*dx", "1/2,1/2,1/2"),
+    ],
+    ids=["degree-3000", "3600-terms"],
+)
+def test_long_and_high_degree_fields(capsys, tmp_path, generator, point):
+    # operator chains past the compiler's depth limit are cut into temporaries
+    p = tmp_path / "long.fol"
+    p.write_text(f"vars: x y z\ngenerators:\n  {generator}\n")
+    fixed = "0,0,0" if generator.startswith("x^") else "-1,0,0"
+    for args in (["flow", "--word", "1@0.001", "--point", point], ["jet", "--word", "1@0.001", "--point", fixed]):
+        code = run([args[0], str(p), *args[1:]])
+        out, err = capsys.readouterr()
+        rep = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 0 and err == "", rep["diagnostics"]
+    assert abs(rep["results"]["jet"][1][1] - 1.0) == 0.0
 
 
 def test_missing_file_exit_2(capsys):

@@ -22,13 +22,17 @@ from foliations.flow import (
     random_rational_points,
     word_compose,
     word_inverse,
+    _MAX_CHAIN,
     _combined_terms,
     _flow_step_fn,
     _kernel,
+    _residual,
+    _sum_lines,
     _var_step_fn,
 )
 from foliations.holonomy import matrix_exp
 from foliations.modalg import tangent_dim
+from foliations.vfparse import terms_src
 
 from helpers import cstar, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
 
@@ -287,6 +291,37 @@ def test_flow_box_degenerate_transversal_not_invertible():
     assert not rep.invertible
 
 
+def test_flow_box_rank_deficient_transversal():
+    # two parallel directions span a line: points on it pass, points off it do not
+    spec = make_spec(("x", "y", "z"), ("dx",))
+    line = Transversal(point=(0.0, 0.0, 0.0), directions=((0.0, 1.0, 0.0), (0.0, 2.0, 0.0)))
+    rep = flow_box(spec, 1, (0, Fraction(1, 2), 0), line)
+    assert not rep.invertible
+    for off in ((0, Fraction(1, 2), Fraction(1, 10**6)), (Fraction(1, 3), 0, 0)):
+        with pytest.raises(PreconditionError):
+            flow_box(spec, 1, off, line)
+    # a zero direction spans nothing
+    flat = Transversal(point=(0.0, 1.0, 0.0), directions=((0.0, 0.0, 0.0), (0.0, 0.0, 3.0)))
+    flow_box(spec, 1, (0, 1, 5), flat)
+    with pytest.raises(PreconditionError):
+        flow_box(spec, 1, (0, 2, 5), flat)
+
+
+def test_residual_drops_dependent_vectors():
+    # (3, 0, -1) is orthogonal to (1, 2, 3); a multiple of (1, 2, 3) adds
+    # nothing to the span, though rounding leaves it a remainder near 1e-17
+    for c in (0.1, 0.3, 1 / 3, 0.7):
+        got = _residual([(1.0, 2.0, 3.0), (c, 2 * c, 3 * c)], (3.0, 0.0, -1.0))
+        assert max(abs(x - y) for x, y in zip(got, (3.0, 0.0, -1.0))) < 1e-12
+    assert _residual([], (1.0, 2.0)) == [1.0, 2.0]
+    # nearly parallel vectors: one pass leaves the basis far from orthogonal,
+    # and v1 - v2 would keep a remainder of about 1e-9 of its size
+    e = 1e-7
+    vectors = [(1.0, e, 0.0, 0.0), (1.0, 0.0, e, 0.0), (1.0, 0.0, 0.0, e)]
+    assert max(map(abs, _residual(vectors, (0.0, e, -e, 0.0)))) < 1e-12 * e
+    assert max(map(abs, _residual([(1.0, 1.0), (1.0, -1.0)], (0.3, 0.7)))) < 1e-15
+
+
 def test_numerical_rank():
     assert numerical_rank([[1.0, 0.0], [0.0, 1.0]]) == 2
     assert numerical_rank([[1.0, 2.0], [0.5, 1.0]]) == 1
@@ -385,3 +420,42 @@ def test_flow_jet_compiles_one_variation_kernel_per_support():
     flow_jet(spec, word, (0.2, -0.1, 0.4))
     assert _var_step_fn.cache_info().misses == 3
     assert _kernel.cache_info().misses == 1
+
+
+def test_short_chains_emit_the_same_source():
+    names = ["x0", "x1"]
+    for terms in ([], [((0, 0), "a0")], [((2, 1), "a0"), ((0, 3), "a1"), ((1, 0), "a2")]):
+        assert _sum_lines("k1_0", terms, names) == ["k1_0 = " + terms_src(terms, names)]
+    widest = [((_MAX_CHAIN - 1, 0), "a0")] * _MAX_CHAIN
+    assert _sum_lines("k1_0", widest, names) == ["k1_0 = " + terms_src(widest, names)]
+    # one factor more, and the product is bound first, through a prefix
+    assert _sum_lines("k1_0", [((_MAX_CHAIN, 0), "a0")], names) == [
+        "k1_0_t0__0 = " + "*".join(["a0"] + ["x0"] * (_MAX_CHAIN - 1)),
+        "k1_0_t0 = k1_0_t0__0*x0",
+        "k1_0 = k1_0_t0",
+    ]
+    # one term more, and the sum is cut the same way
+    assert _sum_lines("k1_0", [((1, 0), "a0")] * (_MAX_CHAIN + 1), names) == [
+        "k1_0__0 = " + " + ".join(["a0*x0"] * _MAX_CHAIN),
+        "k1_0 = k1_0__0 + a0*x0",
+    ]
+
+
+def _geometric(var, count):
+    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
+
+
+def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
+    # a 601-factor term and a 450-term component: both cut into temporaries
+    spec = make_spec(("x", "y"), (f"x^300*y^300*dx + {_geometric('x', 30)}*{_geometric('y', 15)}*dy",))
+    comb = _combined_terms(spec, (1,))
+    assert len(comb[1]) == 450
+    x = (1.001, -0.5)
+    xv = x + (1.0, 0.0, 0.0, 1.0)
+    step, var_step = _flow_step_fn(spec, (1,)), _var_step_fn(spec, (1,))
+    for h in (1e-3, -2e-3):
+        for _ in range(3):
+            want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
+            x, xv = step(x, h), var_step(xv, h)
+            assert x == want
+            assert xv == want_v

@@ -9,6 +9,8 @@ import pytest
 from foliations.errors import ArityError, NotFixedPointError, NotLinearError, PreconditionError
 from foliations.flow import FlowWord, XorShift64Star, chart_at, word_compose, word_inverse
 from foliations.holonomy import (
+    _expm,
+    _solve,
     carried_diffeo,
     check_pushforward_linear,
     germ_equal_at_fixed_point,
@@ -18,7 +20,7 @@ from foliations.holonomy import (
     matrix_exp,
 )
 
-from helpers import cstar, gl2, random_word, sl2, xk
+from helpers import cstar, gl2, make_spec, random_word, sl2, xk
 
 E_STEP = ((0, 1, 0), 1.0)
 H_STEP = ((1, 0, 0), 1.0)
@@ -35,6 +37,70 @@ def test_matrix_exp_against_series():
             ref = ref + term
             term = term @ a / k
         assert np.abs(matrix_exp(a) - ref).max() < 1e-12
+
+
+def _series_exp(a, terms):
+    """Taylor series of exp(a) to ``terms`` terms for a rational matrix ``a``,
+    summed exactly and rounded once."""
+    n = len(a)
+    term = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    total = term
+    for k in range(1, terms):
+        term = [[sum(term[i][l] * a[l][j] for l in range(n)) / k for j in range(n)] for i in range(n)]
+        total = [[x + y for x, y in zip(r, t)] for r, t in zip(total, term)]
+    return [[float(v) for v in row] for row in total]
+
+
+def _max_gap(a, b):
+    return max(abs(x - y) for r, s in zip(a, b) for x, y in zip(r, s))
+
+
+def test_matrix_exp_rows_against_series():
+    # the list core on its own, scaled (s > 0) and unscaled: skew matrices
+    # exponentiate to rotations, whose entries are at most 1 in size
+    rng = XorShift64Star(6)
+    scaled = 0
+    for scale in (1, 2, 3):
+        for _ in range(4):
+            b = [[Fraction(rng.randint(-8, 8), 4) for _ in range(3)] for _ in range(3)]
+            a = [[scale * (b[i][j] - b[j][i]) for j in range(3)] for i in range(3)]
+            rows = [[float(v) for v in row] for row in a]
+            scaled += max(sum(abs(row[j]) for row in rows) for j in range(3)) > 5.371920351148152
+            assert _max_gap(_expm(rows), _series_exp(a, 100)) < 1e-12
+    assert scaled >= 6
+    # general matrices of 1-norm up to 12: relative to the largest entry
+    for _ in range(6):
+        a = [[Fraction(rng.randint(-32, 32), 8) for _ in range(3)] for _ in range(3)]
+        want = _series_exp(a, 80)
+        size = max(abs(v) for row in want for v in row)
+        assert _max_gap(_expm([[float(v) for v in row] for row in a]), want) < 1e-12 * size
+
+
+def test_matrix_exp_rows_raise_nothing():
+    # overflow, non-finite input and a singular system give NaN entries, not exceptions
+    inf, big = math.inf, 1e308
+    for a in ([[inf]], [[math.nan, 0.0], [0.0, 1.0]], [[big, big], [big, big]], [[800.0]]):
+        out = _expm(a)
+        assert len(out) == len(a) and not all(math.isfinite(v) for row in out for v in row)
+    assert _expm([]) == []
+    singular = _solve([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]])
+    assert all(math.isnan(v) for row in singular for v in row)
+    assert _solve([[0.0, 2.0], [4.0, 0.0]], [[2.0], [8.0]]) == [[2.0], [1.0]]
+
+
+def test_matrix_returning_functions_return_ndarrays():
+    spec = sl2()
+    word = FlowWord(spec, [E_STEP])
+    diffeo = carried_diffeo(chart_at(spec, (0, 0)), (0.1, 0.2, 0.3))
+    for value in (
+        matrix_exp([[0.0, 1.0], [0.0, 0.0]]),
+        *linear_generator_matrices(spec),
+        holonomy_jet(spec, word, (0, 0)),
+        jet_exact_linear(spec, word),
+        diffeo.jacobian((0.5, 0.5)),
+    ):
+        assert isinstance(value, np.ndarray) and value.shape == (2, 2) and value.dtype == float
+    assert matrix_exp(np.zeros((0, 0))).shape == (0, 0)
 
 
 def test_matrix_exp_nilpotent_and_zero():
@@ -213,3 +279,18 @@ def test_pushforward_examples():
         check_pushforward_linear(xk(2), (1,), 0.5)
     with pytest.raises(ArityError):
         check_pushforward_linear(sl2(), (1, 0), 0.5)
+
+
+def test_pushforward_dependent_generators():
+    # a generator in the span of the others changes neither the span nor the verdict
+    spec = make_spec(("x", "y"), ("x*dx - y*dy", "y*dx", "x*dy", "2*x*dx - 2*y*dy"))
+    for coeffs in ((1, 1, 0, 0), (0, 1, -1, Fraction(1, 2)), (Fraction(-3, 4), 0, 1, 1)):
+        rep = check_pushforward_linear(spec, coeffs, 0.75)
+        assert rep.ok and len(rep.residuals) == 4 and max(rep.residuals) < 1e-8
+    # span{E, F, 2E} is not closed: conjugating E by exp(F) gives E - H - F,
+    # which leaves the span by H, of norm sqrt(2); F stays F
+    open_span = make_spec(("x", "y"), ("y*dx", "x*dy", "2*y*dx"))
+    rep = check_pushforward_linear(open_span, (0, 1, 0), 1.0)
+    assert not rep.ok
+    for got, want in zip(rep.residuals, (math.sqrt(2), 0.0, 2 * math.sqrt(2))):
+        assert abs(got - want) < 1e-12

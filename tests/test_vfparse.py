@@ -267,3 +267,25 @@ def test_power_caps():
     # a differential power stays a parse error, whatever the exponent
     with pytest.raises(ParseError, match="differential"):
         P("dx^1000000000")
+
+
+
+def test_product_cap_counts_every_product(monkeypatch):
+    # one running count per parse: each '*' adds len(a) * len(b), differential
+    # parts included, and is refused before it multiplies once the count passes the cap
+    cap = "foliations.vfparse._MAX_POWER_PRODUCTS"
+    cube = "(x+1)*(x+1)*(x+1)*dx"  # 4 + 6 + 4 = 14 term products
+    diff = "dx*(x+1)*(x+1)"  # 2 + 4 = 6
+    monkeypatch.setattr(cap, 14)
+    assert P(cube) == P("(x^3 + 3*x^2 + 3*x + 1)*dx")
+    assert P(cube) == P("(x^3 + 3*x^2 + 3*x + 1)*dx")  # the count starts again
+    monkeypatch.setattr(cap, 13)
+    with pytest.raises(BudgetError, match="14 term products") as exc:
+        P(cube)
+    assert exc.value.column == 18  # the last '*'
+    monkeypatch.setattr(cap, 6)
+    assert P(diff) == P("(x^2 + 2*x + 1)*dx")
+    monkeypatch.setattr(cap, 5)
+    with pytest.raises(BudgetError, match="6 term products") as exc:
+        P(diff)
+    assert exc.value.column == 9
