@@ -193,7 +193,7 @@ def _parse_word(spec: FoliationSpec, text: str) -> FlowWord:
                 raise _UsageError(f"word step {chunk!r} is missing '@duration'")
             cpart, tpart = chunk.rsplit("@", 1)
             coeffs = tuple(_parse_rational(c) for c in cpart.split(","))
-            steps.append((coeffs, float(_parse_rational(tpart))))
+            steps.append((coeffs, _parse_rational(tpart)))
     try:
         return FlowWord(spec, steps)
     except ArityError as e:
@@ -328,7 +328,7 @@ def _cmd_localgens(ns, spec):
 def _cmd_leaf(ns, spec):
     opts = _opts_from(ns)
     pt = _parse_point(ns.point)
-    pts = leaf_sample(spec, [float(c) for c in pt], ns.steps, ns.seed, opts)
+    pts = leaf_sample(spec, pt, ns.steps, ns.seed, opts)
     return (
         0,
         {"points": [[float(v) for v in p] for p in pts]},
@@ -341,7 +341,7 @@ def _cmd_flow(ns, spec):
     opts = _opts_from(ns)
     word = _parse_word(spec, ns.word)
     pt = _parse_point(ns.point)
-    end = flow(spec, word, [float(c) for c in pt], opts)
+    end = flow(spec, word, pt, opts)
     return (
         0,
         {"endpoint": [float(v) for v in end]},
@@ -357,7 +357,7 @@ def _cmd_chart_rank(ns, spec):
     pt = _parse_point(ns.point)
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)
-    chart = chart_at(spec, [float(c) for c in pt], opts)
+    chart = chart_at(spec, pt, opts)
     report = chart_rank_check(chart, pt, samples)
     rows = [
         {"point": _fmt_point(e.point), "rank": e.rank, "tangent": e.tangent, "match": e.match}

@@ -3,11 +3,19 @@
 The only integrator is classical fixed-step 4th-order Runge-Kutta
 (reproducibility beats speed at this scale).  A duration t is split into
 ceil(|t|/h) steps: full steps of the configured size plus one remainder
-step, signed.  The RK4 step is compiled once per monomial support of the
-combined field (the exponents with a nonzero coefficient) and takes the
-float coefficients when bound, so a walk through many coefficient tuples
-compiles one kernel; each step does the float operations of a kernel
-with the coefficients written in as constants.
+step, signed.  The RK4 kernel is compiled once per monomial support of
+the combined field (the exponents with a nonzero coefficient) and takes
+the float coefficients when bound, so a walk through many coefficient
+tuples compiles one kernel; each step does the float operations of a
+kernel with the coefficients written in as constants.
+
+A kernel runs a whole segment: one call takes every full step, with the
+state in local variables and the domain box tested after each step, and
+a second call takes the remainder step.  What does not change from step
+to step is computed once: ``0.5*h`` per call, and per coefficient tuple
+every entry of the first-variation Jacobian that has no variable in it
+(all of them for a linear field).  The operations and their order are
+those of one step at a time, so the results are the same floats.
 
 The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
@@ -165,7 +173,10 @@ class FlowWord:
                 raise ArityError(
                     f"step has {len(coeffs)} coefficients, expected {spec.k}"
                 )
-            norm.append(FlowStep(coeffs, float(duration)))
+            duration = _float(duration)
+            if not math.isfinite(duration):
+                raise PreconditionError("step duration must be a finite float")
+            norm.append(FlowStep(coeffs, duration))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "steps", tuple(norm))
 
@@ -211,18 +222,41 @@ def word_compose(w1: FlowWord, w2: FlowWord) -> FlowWord:
 # ---------------------------------------------------------------------------
 
 
+def _float(q) -> float:
+    """``float(q)``, with a rational beyond the float range as a signed infinity."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
+
+
+@lru_cache(maxsize=64)
+def _float_generators(spec: FoliationSpec) -> tuple:
+    """Per generator and component: the terms with float coefficients."""
+    return tuple(
+        tuple(tuple((e, _float(q)) for e, q in comp.terms) for comp in g.components)
+        for g in spec.generators
+    )
+
+
 def _combined_terms(spec: FoliationSpec, coeffs: tuple) -> list[list[tuple[tuple[int, ...], float]]]:
-    """Per component: float-folded terms of the field sum_i coeffs[i] * X_i."""
+    """Per component: float-folded terms of the field sum_i coeffs[i] * X_i.
+
+    A float coefficient multiplies the float copies of its generator's
+    coefficients: ``c * float(q)`` is the float ``c * q`` gives for a
+    Fraction q, without converting q on every call.  Exact coefficients
+    sum exactly.
+    """
     out = []
     for j in range(spec.nvars):
         acc: dict[tuple[int, ...], object] = {}
-        for c, g in zip(coeffs, spec.generators):
+        for c, g, fg in zip(coeffs, spec.generators, _float_generators(spec)):
             if not c:
                 continue
-            for expt, q in g.components[j].terms:
+            for expt, q in fg[j] if isinstance(c, float) else g.components[j].terms:
                 acc[expt] = acc.get(expt, 0) + c * q
-        terms = [(e, float(v)) for e, v in sorted(acc.items()) if float(v) != 0.0]
-        out.append(terms)
+        folded = [(e, _float(v)) for e, v in sorted(acc.items())]
+        out.append([(e, v) for e, v in folded if v != 0.0])
     return out
 
 
@@ -270,38 +304,51 @@ def _sum_lines(name: str, terms, names: list[str]) -> list[str]:
 
 
 def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
-    """Compile ``make(*params) -> step`` for one classical RK4 step
-    ``step(state, h) -> tuple`` over ``size`` floats.
+    """Compile ``make(*params) -> run`` for classical RK4 over ``size`` floats.
 
+    ``run(state, h, n, bound)`` takes up to ``n`` steps of size ``h`` from
+    the tuple ``state`` and returns ``(state, i)``: ``i == n``, or ``i`` is
+    the number of steps taken before the one whose result left the box
+    ``[-bound, bound]`` (or is NaN), and ``state`` is that result.
     ``rhs(s, names)`` returns the source lines that bind the stage-``s``
     slopes ``k{s}_0 .. k{s}_{size-1}`` at the point named by ``names``.
     ``setup`` lines run once per ``make`` call, not per step.
     """
-    lines = [f"x{i} = state[{i}]" for i in range(size)]
-    point = [f"x{i}" for i in range(size)]
-    for s, scale in ((1, "0.5*h"), (2, "0.5*h"), (3, "h"), (4, None)):
+    xs = [f"x{i}" for i in range(size)]
+    state = ", ".join(xs) + ("," if size == 1 else "")
+    lines = []
+    point = xs
+    # h2*k is 0.5*h*k, which parses as (0.5*h)*k
+    for s, scale in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
         lines += rhs(s, point)
         if scale is not None:
             point = [f"p{s}_{i}" for i in range(size)]
             lines += [f"p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in range(size)]
-    outs = ", ".join(
-        f"x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
-    )
-    lines.append(f"return ({outs}{',' if size == 1 else ''})")
+    lines += [
+        f"x{i} = x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
+    ]
+    inside = " and ".join(f"lo <= {x} <= bound" for x in xs)
+    lines += [f"if not ({inside}):", f"    return ({state}), i"]  # also catches NaN
+    head = [f"{state} = state", "h2 = 0.5*h", "lo = -bound", "for i in range(n):"]
     src = [f"def make({', '.join(params)}):"] + ["    " + line for line in setup]
-    src += ["    def _step(state, h):"] + ["        " + line for line in lines]
+    src += ["    def run(state, h, n, bound):"] + ["        " + line for line in head]
+    src += ["            " + line for line in lines]
+    src += [f"        return ({state}), n", "    return run"]
     ns: dict = {}
-    exec(compile("\n".join(src + ["    return _step"]), "<generated rk4>", "exec"), ns)
+    exec(compile("\n".join(src), "<generated rk4>", "exec"), ns)
     return ns["make"]
 
 
 @lru_cache(maxsize=256)
 def _kernel(support: tuple, variation: bool):
-    """RK4 step factory ``make(*coefficients)`` for one monomial support.
+    """RK4 segment runner factory ``make(*coefficients)`` for one monomial
+    support.
 
     ``support[j]`` lists the exponents of component j, in the order of the
     coefficients.  With ``variation`` the state is the first-variation
     system's: n point coordinates, then the n x n linearization row-major.
+    A Jacobian entry without a variable (every entry of a linear field) is
+    bound once per ``make`` call, as ``j_<j>_<m>``.
     """
     n = len(support)
     params = [f"a{i}" for i in range(sum(map(len, support)))]
@@ -315,19 +362,25 @@ def _kernel(support: tuple, variation: bool):
         return _rk4_fn(n, field, params, [])
     setup: list[str] = []
     jac = [[_diff_terms(comb[j], m, setup) for m in range(n)] for j in range(n)]
+    const = {(j, m) for j in range(n) for m in range(n) if not any(any(e) for e, _ in jac[j][m])}
+    for j, m in sorted(const):
+        setup += _sum_lines(f"j_{j}_{m}", jac[j][m], [])
 
     def rhs(s: int, pt: list[str]) -> list[str]:
         x, v = pt[:n], pt[n:]
+        entry = [[f"j_{j}_{m}" if (j, m) in const else f"j{s}_{j}_{m}" for m in range(n)]
+                 for j in range(n)]
         lines = [
             line
             for j in range(n)
             for m in range(n)
+            if (j, m) not in const
             for line in _sum_lines(f"j{s}_{j}_{m}", jac[j][m], x)
         ]
         lines += field(s, x)
         lines += [
             f"k{s}_{n + j * n + l} = "
-            + " + ".join(f"j{s}_{j}_{m}*{v[m * n + l]}" for m in range(n))
+            + " + ".join(f"{entry[j][m]}*{v[m * n + l]}" for m in range(n))
             for j in range(n)
             for l in range(n)
         ]
@@ -344,20 +397,14 @@ def _bind(spec: FoliationSpec, coeffs: tuple, variation: bool):
 
 @lru_cache(maxsize=1024)
 def _flow_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """Single RK4 step for the combined field: f(state, h) -> tuple."""
+    """RK4 segment runner for the combined field (``_rk4_fn``'s ``run``)."""
     return _bind(spec, coeffs, False)
 
 
 @lru_cache(maxsize=512)
 def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """RK4 step for the first-variation system (layout as in ``_kernel``)."""
+    """RK4 segment runner for the first-variation system (layout as in ``_kernel``)."""
     return _bind(spec, coeffs, True)
-
-
-def _check_box(state, bound: float, t: float):
-    for v in state:
-        if not (-bound <= v <= bound):  # also catches NaN
-            raise BlowUpError("trajectory left the domain box", time=t)
 
 
 def _segment(
@@ -365,7 +412,7 @@ def _segment(
     state: tuple,
     opts: NumericOptions,
     t0: float,
-    step_fn,
+    run,
 ) -> tuple:
     if duration == 0.0:
         return state
@@ -377,16 +424,20 @@ def _segment(
     if nfull + 1 > opts.max_steps:
         raise BudgetError(f"flow would need more than {opts.max_steps} steps")
     bound = opts.domain_bound
+    state, done = run(state, sign * h, nfull, bound)
+    if done == nfull:
+        if rem <= 1e-15:
+            return state
+        state, ok = run(state, sign * rem, 1, bound)
+        if ok:
+            return state
+    # the step after ``done`` good ones left the box; its time is summed step by step
     t = 0.0
-    for _ in range(nfull):
-        state = step_fn(state, sign * h)
+    for _ in range(min(done + 1, nfull)):
         t += h
-        _check_box(state, bound, t0 + sign * t)
-    if rem > 1e-15:
-        state = step_fn(state, sign * rem)
+    if done == nfull:
         t += rem
-        _check_box(state, bound, t0 + sign * t)
-    return state
+    raise BlowUpError("trajectory left the domain box", time=t0 + sign * t)
 
 
 def _flow_segment(spec, coeffs, duration, x, opts) -> tuple:
@@ -405,7 +456,10 @@ def _run_word(spec: FoliationSpec, word: FlowWord, state: tuple, opts: NumericOp
 
 
 def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in x)
+    try:
+        pt = tuple(float(v) for v in x)
+    except OverflowError:
+        raise PreconditionError("point coordinate is beyond the float range") from None
     if len(pt) != n:
         raise ArityError(f"point has {len(pt)} coordinates, expected {n}")
     return pt
@@ -544,7 +598,7 @@ def chart_rank_check(
     points = [as_point(x0, spec.nvars)] + [as_point(p, spec.nvars) for p in samples]
     entries = []
     for pt in points:
-        jac = _param_jacobian(chart, tuple(float(c) for c in pt))
+        jac = _param_jacobian(chart, _float_point(pt, spec.nvars))
         rank = numerical_rank(jac, chart.opts.rank_rel_threshold)
         entries.append(ChartRankEntry(point=pt, rank=rank, tangent=tangent_dim(spec, pt)))
     return ChartRankReport(entries=tuple(entries), ok=all(e.match for e in entries))

@@ -37,6 +37,7 @@ from .flow import (
     FlowChart,
     FlowWord,
     NumericOptions,
+    _float,
     _float_point,
     _flow_segment,
     _residual,
@@ -83,14 +84,6 @@ _PADE13_THETA = 5.371920351148152
 
 
 Rows = list[list[float]]
-
-
-def _float(q) -> float:
-    """``float(q)``, with a rational beyond the float range as a signed infinity."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf if q > 0 else -math.inf
 
 
 def _eye(n: int) -> Rows:

@@ -540,9 +540,10 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
 
 # caps on a parsed power p^e, checked before it is expanded: ``Poly.__pow__``
 # multiplies by p e times, so its work grows with e, with the terms of p and
-# with the terms of the powers in between.  _MAX_POWER_PRODUCTS also caps the
-# term-by-term products of all the ``*`` of one parse, counted as they come.
-# Each cap exits 3 as a budget error.
+# with the terms of the powers in between.  _MAX_POWER_PRODUCTS caps the
+# term-by-term products of all the powers and ``*`` of one parse together,
+# counted as they come, a power by its bound.  Each cap exits 3 as a budget
+# error.
 _MAX_EXPONENT = 1_000
 _MAX_POWER_PRODUCTS = 250_000
 
@@ -585,7 +586,7 @@ class _Parser:
         self.pos = 0
         self.nvars = len(var_names)
         self.var_index = {name: i for i, name in enumerate(var_names)}
-        self.products = 0  # term-by-term products of every '*' so far
+        self.products = 0  # term-by-term products of every power and '*' so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -650,10 +651,12 @@ class _Parser:
         if exponent > _MAX_EXPONENT:
             raise BudgetError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", column=op_col)
         products = _power_products(a.p, exponent)
-        if products > _MAX_POWER_PRODUCTS:
+        self.products += products
+        if self.products > _MAX_POWER_PRODUCTS:
+            before = f", {self.products} in all" if self.products > products else ""
             raise BudgetError(
                 f"power ^{exponent} of a {len(a.p.terms)}-term polynomial needs up to "
-                f"{products} term products, more than {_MAX_POWER_PRODUCTS}",
+                f"{products} term products{before}, more than {_MAX_POWER_PRODUCTS}",
                 column=op_col,
             )
         return _Val(a.p**exponent)

@@ -64,11 +64,20 @@ generators:
   z*dx - x*dz
 """
 
+CSTAR = """\
+vars: x y
+generators:
+  x*dx + y*dy
+  -y*dx + x*dy
+"""
+
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    specs = (("sl2", SL2), ("nonint", NONINT), ("folk2", FOLK2), ("gl3", GL3), ("so3", SO3))
+    specs = (
+        ("sl2", SL2), ("nonint", NONINT), ("folk2", FOLK2), ("gl3", GL3), ("so3", SO3), ("cstar", CSTAR),
+    )
     for name, body in specs:
         p = tmp_path / f"{name}.fol"
         p.write_text(body)
@@ -334,10 +343,106 @@ def test_overflowing_exponential_exit_3(files, capsys, args):
     assert "not finite" in rep["diagnostics"]["error"]
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["flow", "--word", "1,0,0@1e400", "--point", "1,1"], 2),
+        (["jet", "--word", "1,0,0@1e400", "--point", "0,0"], 2),
+        (["jet-exact", "--word", "1,0,0@1e400"], 2),
+        (["germ-eq", "--word1", "1,0,0@1e400", "--word2", "0,0,0@1", "--point", "0,0"], 2),
+        (["flow", "--word", "1,0,0@1", "--point", "1e400,1"], 2),
+        (["leaf", "--point", "1e400,1", "--steps", "3", "--seed", "1"], 2),
+        (["flowbox", "--gen", "1", "--point", "1e400,1"], 2),
+        (["chart-rank", "--point", "1e400,1", "--samples", "2", "--seed", "1"], 2),
+        (["flow", "--word", "1e400,0,0@1", "--point", "1,1"], 3),
+    ],
+    ids=[
+        "flow-duration", "jet-duration", "jet-exact-duration", "germ-eq-duration", "flow-point",
+        "leaf-point", "flowbox-point", "chart-rank-point", "flow-coefficient",
+    ],
+)
+def test_rational_beyond_float_range(files, capsys, args, code):
+    # a duration or point coordinate that no float holds is a violated
+    # precondition; a coefficient that large is an infinity, and the first
+    # step leaves the domain box
+    got = run([args[0], files["sl2"], *args[1:]])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert (got, rep["results"], err) == (code, {}, "")
+    assert rep["diagnostics"]["error_type"] == ("PreconditionError" if code == 2 else "BlowUpError")
+
+
 def test_flow_blowup_exit_3(files, capsys):
     code, rep, _ = invoke(capsys, ["flow", files["folk2"], "--word", "1@1", "--point", "2"])
     assert code == 3
     assert rep["diagnostics"]["error_type"] == "BlowUpError"
+
+
+_SO3_WORD = "; ".join(["1/2,1/4,-1/8@0.3", "-1/3,1/5,1/7@0.25", "1/6,-1/2,1/3@0.4"] * 3)
+_CSTAR_WORD = "; ".join(["1/2,1@0.7", "-1/4,1/3@0.45", "0,-1@0.2"] * 2)
+
+# sha256 of the whole stdout, run from the spec files' directory, recorded
+# while the RK4 kernel was still called once per step
+NUMERIC_DIGESTS = [
+    (
+        ["leaf", "gl3.fol", "--point", "1,1/2,-1/4", "--steps", "600", "--seed", "11"],
+        0,
+        "3b6186e795207c83c23fed45fdb3a82cd8c559c18c44efc9615bf926d1094def",
+    ),
+    (
+        ["flow", "so3.fol", "--word", _SO3_WORD, "--point", "1,2,-1/2"],
+        0,
+        "e82acac5af451aae557f0b12984027001133f39e17175483b8aa1fcb06555446",
+    ),
+    (
+        ["jet", "so3.fol", "--word", _SO3_WORD, "--point", "0,0,0"],
+        0,
+        "d02a53badb098f1a87cb7a1cf0a170047cda2465674928fef6ebb3d67df46814",
+    ),
+    (
+        ["jet", "cstar.fol", "--word", _CSTAR_WORD, "--point", "0,0"],
+        0,
+        "e309f62cdeb8f09fee37953f344af1c3377d92cd7696f64e21c7307f2498311e",
+    ),
+    (
+        ["chart-rank", "sl2.fol", "--point", "1,0", "--samples", "4", "--seed", "3"],
+        0,
+        "d2b1c4ea442dc19bf17d534d27e898ecd0f5dd5ddb2a29ff1117ba7ce98fa8c0",
+    ),
+    (
+        ["flowbox", "sl2.fol", "--gen", "2", "--point", "1,1"],
+        0,
+        "0e4f9035377fc5fc85e6524d5b4b24679fc6c8642155b4d58d42c731fdd1c78e",
+    ),
+    # x' = x^2 from 2 leaves the box near t = 1/2: in a full step (t = 0.501),
+    # and with h = 0.3 in the remainder step (t = 0.7)
+    (
+        ["flow", "folk2.fol", "--word", "1@1", "--point", "2"],
+        3,
+        "75619eceee6ff2d30550716fa818af8a280d80356199a6af20e25bf5a81aec4a",
+    ),
+    (
+        ["flow", "folk2.fol", "--h", "0.3", "--word", "1@0.7", "--point", "2"],
+        3,
+        "cff95785728419a1ecc09f055e5bf57aae8765917e85e4e975c0a5ea305225fa",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, code, digest",
+    NUMERIC_DIGESTS,
+    ids=[
+        "leaf-gl3", "flow-so3", "jet-so3", "jet-cstar", "chart-rank-sl2", "flowbox-sl2",
+        "blowup-mid-segment", "blowup-remainder-step",
+    ],
+)
+def test_numeric_output_matches_golden_digests(files, capsys, monkeypatch, args, code, digest):
+    monkeypatch.chdir(Path(files["sl2"]).parent)
+    got, _, out = invoke(capsys, args)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_leaf_requires_seed(files, capsys):
@@ -494,6 +599,15 @@ def test_long_product_exit_3(files, capsys, tmp_path):
     diags = _budget_report(capsys, ["check", str(p)])
     assert "more than 250000" in diags["error"]
     assert (diags["line"], diags["column"]) == (3, 2 + 20 * 12)  # the 20th '*'
+
+
+def test_powers_join_the_running_product_count(files, capsys):
+    # (x+y)^350 may form 350 * 2 * 351 = 245,700 term products: one power
+    # parses, and a second one passes the cap at its '^'
+    field = "(x+y)^350*dx + (x+y)^350*dy"
+    diags = _budget_report(capsys, ["member", files["sl2"], "--field", field])
+    assert "245700 term products, 491751 in all, more than 250000" in diags["error"]
+    assert diags["column"] == field.rindex("^") + 1
 
 
 def _geometric(var, count):

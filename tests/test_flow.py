@@ -53,6 +53,13 @@ def test_flow_riccati_closed_form():
     assert abs(end[0] - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("duration", [math.inf, -math.inf, math.nan, Fraction(10) ** 400])
+def test_word_duration_must_be_a_finite_float(duration):
+    spec = xk(1)
+    with pytest.raises(PreconditionError, match="finite float"):
+        FlowWord(spec, [((1,), duration)])
+
+
 def test_flow_empty_word_is_identity():
     spec = sl2()
     assert flow(spec, FlowWord(spec, []), (1.25, -0.5)) == (1.25, -0.5)
@@ -387,9 +394,79 @@ def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
         for h in (1e-3, -2e-3, 0.05):
             for _ in range(5):
                 want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
-                x, xv = step(x, h), var_step(xv, h)
+                x, xv = step(x, h, 1, math.inf)[0], var_step(xv, h, 1, math.inf)[0]
                 assert x == want
                 assert xv == want_v
+
+
+def _geometric(var, count):
+    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
+
+
+def _long_chain_spec():
+    # a 601-factor term and a 450-term component: both cut into temporaries
+    return make_spec(("x", "y"), (f"x^300*y^300*dx + {_geometric('x', 30)}*{_geometric('y', 15)}*dy",))
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS) + ["long-chain"])
+def test_segment_runs_equal_chained_single_steps(name):
+    spec = _long_chain_spec() if name == "long-chain" else KERNEL_SPECS[name]()
+    n = spec.nvars
+    rng = XorShift64Star(5)
+    for coeffs in _coeff_tuples(rng, spec.k, count=4):
+        x = tuple(0.5 * rng.symmetric() for _ in range(n))
+        xv = x + (1.0,) * n * n
+        for state, run in ((x, _flow_step_fn(spec, coeffs)), (xv, _var_step_fn(spec, coeffs))):
+            for h in (1e-3, -2e-3, 0.05):
+                for steps in (1, 7):
+                    chained = state
+                    for _ in range(steps):
+                        chained = run(chained, h, 1, math.inf)[0]
+                    assert run(state, h, steps, math.inf) == (chained, steps)
+
+
+def test_segment_run_stops_where_the_state_leaves_the_box():
+    spec = xk(2)  # x' = x^2 from 2 leaves any box near t = 1/2
+    run = _flow_step_fn(spec, (1,))
+    states = [(2.0,)]
+    for _ in range(600):
+        states.append(run(states[-1], 1e-3, 1, math.inf)[0])
+    bound = 100.0
+    first_out = next(i for i, s in enumerate(states) if abs(s[0]) > bound)
+    # ``i`` counts the good steps; the state returned is the first one outside
+    assert run((2.0,), 1e-3, 600, bound) == (states[first_out], first_out - 1)
+    assert run((2.0,), 1e-3, first_out - 1, bound) == (states[first_out - 1], first_out - 1)
+    assert run((bound + 1.0,), 1e-3, 5, bound)[1] == 0  # the state after a step is tested
+    # NaN compares false with everything, so it stops a run too
+    state, done = run((math.nan,), 1e-3, 5, bound)
+    assert done == 0 and math.isnan(state[0])
+    assert run((2.0,), 1e-3, 0, bound) == ((2.0,), 0)
+
+
+def _combined_terms_per_term(spec, coeffs):
+    # the fold as first written: every coefficient times the generators'
+    # Fraction terms, exactly or (for a float coefficient) as c * float(q)
+    out = []
+    for j in range(spec.nvars):
+        acc = {}
+        for c, g in zip(coeffs, spec.generators):
+            if not c:
+                continue
+            for expt, q in g.components[j].terms:
+                acc[expt] = acc.get(expt, 0) + c * q
+        out.append([(e, float(v)) for e, v in sorted(acc.items()) if float(v) != 0.0])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
+def test_float_and_exact_coefficients_bind_the_same_terms(name):
+    spec = KERNEL_SPECS[name]()
+    rng = XorShift64Star(8)
+    for coeffs in _coeff_tuples(rng, spec.k, count=20):
+        want = _combined_terms_per_term(spec, coeffs)
+        got = _combined_terms(spec, coeffs)
+        hexes = [[[(e, c.hex()) for e, c in terms] for terms in out] for out in (got, want)]
+        assert hexes[0] == hexes[1]  # the same floats, bit for bit
 
 
 def _clear_kernel_caches():
@@ -441,13 +518,8 @@ def test_short_chains_emit_the_same_source():
     ]
 
 
-def _geometric(var, count):
-    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
-
-
 def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
-    # a 601-factor term and a 450-term component: both cut into temporaries
-    spec = make_spec(("x", "y"), (f"x^300*y^300*dx + {_geometric('x', 30)}*{_geometric('y', 15)}*dy",))
+    spec = _long_chain_spec()
     comb = _combined_terms(spec, (1,))
     assert len(comb[1]) == 450
     x = (1.001, -0.5)
@@ -456,6 +528,6 @@ def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
     for h in (1e-3, -2e-3):
         for _ in range(3):
             want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
-            x, xv = step(x, h), var_step(xv, h)
+            x, xv = step(x, h, 1, math.inf)[0], var_step(xv, h, 1, math.inf)[0]
             assert x == want
             assert xv == want_v
