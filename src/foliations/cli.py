@@ -210,16 +210,20 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
     return a, b, step
 
 
-# the most points a ``dims --grid`` scan may have; larger grids exit 3
-_GRID_MAX_POINTS = 100_000
+# the most points a request may visit: ``dims --grid`` points, ``leaf
+# --steps`` and ``chart-rank --samples``; more exit 3, before any is built
+_MAX_POINTS = 100_000
+
+
+def _require_points(flag: str, count: int) -> None:
+    if count > _MAX_POINTS:
+        raise BudgetError(f"{flag} has {count} points, more than {_MAX_POINTS}")
 
 
 def _grid_points(bounds, nvars: int) -> list[tuple[Fraction, ...]]:
     a, b, step = bounds
     per_axis = math.floor((b - a) / step) + 1
-    count = per_axis**nvars
-    if count > _GRID_MAX_POINTS:
-        raise BudgetError(f"--grid has {count} points, more than {_GRID_MAX_POINTS}")
+    _require_points("--grid", per_axis**nvars)
     axis = [a + i * step for i in range(per_axis)]
     points = [()]
     for _ in range(nvars):
@@ -327,6 +331,7 @@ def _cmd_localgens(ns, spec):
 
 def _cmd_leaf(ns, spec):
     opts = _opts_from(ns)
+    _require_points("--steps", ns.steps)
     pt = _parse_point(ns.point)
     pts = leaf_sample(spec, pt, ns.steps, ns.seed, opts)
     return (
@@ -354,6 +359,7 @@ def _cmd_chart_rank(ns, spec):
     opts = _opts_from(ns)
     if ns.samples < 0:
         raise _UsageError(f"--samples must be non-negative, got {ns.samples}")
+    _require_points("--samples", ns.samples)
     pt = _parse_point(ns.point)
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)

@@ -21,12 +21,16 @@ The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
 of partial derivatives of the combined field.  ``_rk4_fn`` is the single
 RK4 code generator; the two kernels differ only in their right-hand side.
-Their terms come from ``vfparse.term_factors``, the emitter that also
-writes the integer row evaluators of ``modalg``.  CPython's compiler
-recurses once per operand of an operator chain and gives up near 3,000,
-so a product or sum of more than ``_MAX_CHAIN`` operands is written as
-prefix temporaries (``t = a*b*..``, then ``t*c*..``): the same
-operations in the same order, so the same rounding.
+Their sums are written by ``vfparse._sum_lines``, the emitter that also
+writes the integer row evaluators of ``modalg`` and cuts long operator
+chains into temporaries.  ``_runner`` is the one cache of bound kernels
+and ``_drive`` the one driver: every flow, jet, leaf walk and chart
+target runs a list of ``(coefficients, duration)`` pairs through it.
+
+Derivatives along a generator X_i (chart-rank's columns, the flow box's
+first column) are one central difference, ``_flow_derivative``: the
+time-eps and time-(-eps) flows of X_i, each a single RK4 step when eps
+is below the step size, as it is by default.
 
 Randomness (leaf sampling, sample-point generation) comes from a
 xorshift64* generator so that sequences are reproducible from a seed
@@ -51,7 +55,7 @@ from typing import Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from .modalg import as_point, tangent_dim
-from .vfparse import FoliationSpec, term_factors
+from .vfparse import FoliationSpec, _sum_lines
 
 __all__ = [
     "NumericOptions",
@@ -273,36 +277,6 @@ def _diff_terms(terms, var: int, setup: list[str]):
     return out
 
 
-# the most operands of one emitted operator chain (see the module docstring)
-_MAX_CHAIN = 400
-
-
-def _chain(name: str, operands: list[str], op: str) -> list[str]:
-    """Lines binding ``name`` to ``operands`` joined by ``op``, left to right,
-    through prefix temporaries ``name__0``, .. when there are more than
-    ``_MAX_CHAIN``."""
-    lines: list[str] = []
-    while len(operands) > _MAX_CHAIN:
-        lines.append(f"{name}__{len(lines)} = {op.join(operands[:_MAX_CHAIN])}")
-        operands = [f"{name}__{len(lines) - 1}"] + operands[_MAX_CHAIN:]
-    return lines + [f"{name} = {op.join(operands)}"]
-
-
-def _sum_lines(name: str, terms, names: list[str]) -> list[str]:
-    """Lines binding ``name`` to the float sum of ``terms``, pairs
-    ``(exponents, coefficient source)``, at the variables ``names``; a term
-    with too many factors is bound first, as ``name_t<i>``."""
-    lines: list[str] = []
-    parts = []
-    for i, (expt, c) in enumerate(terms):
-        factors = term_factors(expt, c, names)
-        if len(factors) > _MAX_CHAIN:
-            lines += _chain(f"{name}_t{i}", factors, "*")
-            factors = [f"{name}_t{i}"]
-        parts.append("*".join(factors))
-    return lines + _chain(name, parts or ["0.0"], " + ")
-
-
 def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
     """Compile ``make(*params) -> run`` for classical RK4 over ``size`` floats.
 
@@ -356,7 +330,9 @@ def _kernel(support: tuple, variation: bool):
     comb = [[(expt, next(names)) for expt in comp] for comp in support]
 
     def field(s: int, pt: list[str]) -> list[str]:
-        return [line for j, terms in enumerate(comb) for line in _sum_lines(f"k{s}_{j}", terms, pt)]
+        return [
+            line for j, terms in enumerate(comb) for line in _sum_lines(f"k{s}_{j}", terms, pt, "0.0")
+        ]
 
     if not variation:
         return _rk4_fn(n, field, params, [])
@@ -364,7 +340,7 @@ def _kernel(support: tuple, variation: bool):
     jac = [[_diff_terms(comb[j], m, setup) for m in range(n)] for j in range(n)]
     const = {(j, m) for j in range(n) for m in range(n) if not any(any(e) for e, _ in jac[j][m])}
     for j, m in sorted(const):
-        setup += _sum_lines(f"j_{j}_{m}", jac[j][m], [])
+        setup += _sum_lines(f"j_{j}_{m}", jac[j][m], [], "0.0")
 
     def rhs(s: int, pt: list[str]) -> list[str]:
         x, v = pt[:n], pt[n:]
@@ -375,7 +351,7 @@ def _kernel(support: tuple, variation: bool):
             for j in range(n)
             for m in range(n)
             if (j, m) not in const
-            for line in _sum_lines(f"j{s}_{j}_{m}", jac[j][m], x)
+            for line in _sum_lines(f"j{s}_{j}_{m}", jac[j][m], x, "0.0")
         ]
         lines += field(s, x)
         lines += [
@@ -389,22 +365,16 @@ def _kernel(support: tuple, variation: bool):
     return _rk4_fn(n + n * n, rhs, params, setup)
 
 
-def _bind(spec: FoliationSpec, coeffs: tuple, variation: bool):
+# typed: a float coefficient and the Fraction equal to it compare and hash
+# equal, but ``_combined_terms`` folds them differently
+@lru_cache(maxsize=1024, typed=True)
+def _runner(spec: FoliationSpec, variation: bool, *coeffs):
+    """RK4 segment runner (``_rk4_fn``'s ``run``) of the field
+    sum_i coeffs[i] * X_i, or with ``variation`` of its first-variation
+    system (state layout as in ``_kernel``)."""
     comb = _combined_terms(spec, coeffs)
     make = _kernel(tuple(tuple(e for e, _ in terms) for terms in comb), variation)
     return make(*(c for terms in comb for _, c in terms))
-
-
-@lru_cache(maxsize=1024)
-def _flow_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """RK4 segment runner for the combined field (``_rk4_fn``'s ``run``)."""
-    return _bind(spec, coeffs, False)
-
-
-@lru_cache(maxsize=512)
-def _var_step_fn(spec: FoliationSpec, coeffs: tuple):
-    """RK4 segment runner for the first-variation system (layout as in ``_kernel``)."""
-    return _bind(spec, coeffs, True)
 
 
 def _segment(
@@ -440,19 +410,36 @@ def _segment(
     raise BlowUpError("trajectory left the domain box", time=t0 + sign * t)
 
 
-def _flow_segment(spec, coeffs, duration, x, opts) -> tuple:
-    return _segment(duration, tuple(x), opts, 0.0, _flow_step_fn(spec, tuple(coeffs)))
+def _drive(
+    spec: FoliationSpec, steps, state: tuple, opts: NumericOptions, variation: bool = False
+) -> tuple:
+    """Run ``state`` through the flows of the ``(coeffs, duration)`` pairs
+    ``steps``, in order; a blow-up time counts from the start of the first."""
+    t0 = 0.0
+    for coeffs, duration in steps:
+        state = _segment(duration, state, opts, t0, _runner(spec, variation, *coeffs))
+        t0 += duration
+    return state
 
 
-def _run_word(spec: FoliationSpec, word: FlowWord, state: tuple, opts: NumericOptions, step_fn) -> tuple:
-    """Run ``state`` through the word's steps with the kernels ``step_fn(spec, coeffs)``."""
+def _word_steps(spec: FoliationSpec, word: FlowWord) -> list[tuple]:
     if word.spec != spec:
         raise ArityError("word was built over a different spec")
-    t0 = 0.0
-    for step in word.steps:
-        state = _segment(step.duration, state, opts, t0, step_fn(spec, step.coeffs))
-        t0 += step.duration
-    return state
+    return [(step.coeffs, step.duration) for step in word.steps]
+
+
+def _exact_or_float(x: Sequence, n: int) -> tuple:
+    """``x`` as an exact point when every coordinate is an int or a
+    Fraction, else as floats."""
+    if all(isinstance(c, (int, Fraction)) for c in x):
+        return as_point(x, n)
+    return _float_point(x, n)
+
+
+def _vanishes(vector: Sequence) -> bool:
+    """Whether a vector is zero: exactly for rational entries, below 1e-12
+    in absolute value for floats."""
+    return all(v == 0 if isinstance(v, (int, Fraction)) else abs(v) < 1e-12 for v in vector)
 
 
 def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
@@ -469,7 +456,7 @@ def flow(
     spec: FoliationSpec, word: FlowWord, x0: Sequence, opts: NumericOptions = DEFAULT_OPTIONS
 ) -> tuple[float, ...]:
     """Endpoint of the word applied to x0; the empty word returns x0 exactly."""
-    return _run_word(spec, word, _float_point(x0, spec.nvars), opts, _flow_step_fn)
+    return _drive(spec, _word_steps(spec, word), _float_point(x0, spec.nvars), opts)
 
 
 def flow_jet(
@@ -482,7 +469,7 @@ def flow_jet(
     """
     n = spec.nvars
     ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-    state = _run_word(spec, word, _float_point(x0, n) + ident, opts, _var_step_fn)
+    state = _drive(spec, _word_steps(spec, word), _float_point(x0, n) + ident, opts, True)
     rows = tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
     return state[:n], rows
 
@@ -508,7 +495,7 @@ def leaf_sample(
     for _ in range(n_steps):
         coeffs = tuple(rng.symmetric() for _ in range(spec.k))
         duration = 0.1 * rng.uniform()
-        x = _flow_segment(spec, coeffs, duration, x, opts)
+        x = _drive(spec, [(coeffs, duration)], x, opts)
         points.append(x)
     return points
 
@@ -537,7 +524,7 @@ class FlowChart:
         self._check_y(y)
         pt = self.base_point if x is None else _float_point(x, self.spec.nvars)
         coeffs = tuple(float(c) for c in y)
-        return _flow_segment(self.spec, coeffs, 1.0, pt, self.opts)
+        return _drive(self.spec, [(coeffs, 1.0)], pt, self.opts)
 
     def _check_y(self, y: Sequence):
         if len(y) != self.k:
@@ -551,18 +538,16 @@ def chart_at(
     return FlowChart(spec=spec, base_point=_float_point(x0, spec.nvars), k=spec.k, opts=opts)
 
 
-def _param_jacobian(chart: FlowChart, x: Sequence) -> list[list[float]]:
-    """d(target)/dy at (0, x) by central differences; n x k, column per parameter."""
-    eps = chart.opts.fd_epsilon
-    n = chart.spec.nvars
-    cols = []
-    for i in range(chart.k):
-        yp = tuple(eps if j == i else 0.0 for j in range(chart.k))
-        ym = tuple(-eps if j == i else 0.0 for j in range(chart.k))
-        fp = chart.target(yp, x)
-        fm = chart.target(ym, x)
-        cols.append([(a - b) / (2.0 * eps) for a, b in zip(fp, fm)])
-    return [[cols[i][j] for i in range(chart.k)] for j in range(n)]
+def _flow_derivative(spec: FoliationSpec, i: int, x: tuple, opts: NumericOptions) -> list[float]:
+    """X_i(x) as the derivative at t = 0 of the time-t flow of X_i from x:
+    the central difference of the time-eps and time-(-eps) flows, with unit
+    coefficients.  At y = 0 it is also the y_i-derivative of the chart
+    target, because the time-1 flow of eps*X_i is the time-eps flow of X_i."""
+    eps = opts.fd_epsilon
+    coeffs = tuple(Fraction(int(j == i)) for j in range(spec.k))
+    fp = _drive(spec, [(coeffs, eps)], x, opts)
+    fm = _drive(spec, [(coeffs, -eps)], x, opts)
+    return [(a - b) / (2.0 * eps) for a, b in zip(fp, fm)]
 
 
 @dataclass(frozen=True)
@@ -592,13 +577,17 @@ def chart_rank_check(
     """Check rank d(target)/dy|_(0,x) == tangent dimension at rational points.
 
     ``x0`` is checked first, then every point in ``samples``.  Points must
-    be rational so the tangent dimension is exact.
+    be rational so the tangent dimension is exact.  Column i of the
+    derivative is ``_flow_derivative`` of generator i: 2k RK4 steps per
+    point.
     """
     spec = chart.spec
     points = [as_point(x0, spec.nvars)] + [as_point(p, spec.nvars) for p in samples]
     entries = []
     for pt in points:
-        jac = _param_jacobian(chart, _float_point(pt, spec.nvars))
+        x = _float_point(pt, spec.nvars)
+        cols = [_flow_derivative(spec, i, x, chart.opts) for i in range(spec.k)]
+        jac = [[col[j] for col in cols] for j in range(spec.nvars)]
         rank = numerical_rank(jac, chart.opts.rank_rel_threshold)
         entries.append(ChartRankEntry(point=pt, rank=rank, tangent=tangent_dim(spec, pt)))
     return ChartRankReport(entries=tuple(entries), ok=all(e.match for e in entries))
@@ -650,31 +639,18 @@ def flow_box(
     """
     if not 1 <= gen_index <= spec.k:
         raise ArityError(f"generator index {gen_index} out of range 1..{spec.k}")
-    gen = spec.generators[gen_index - 1]
     n = spec.nvars
-    exact = all(isinstance(c, (int, Fraction)) for c in x0)
-    if exact:
-        value = gen(as_point(x0, n))
-        if all(v == 0 for v in value):
-            raise PreconditionError("the chosen generator vanishes at the base point")
-    pt = _float_point(x0, n)
-    fvalue = gen(pt)
-    if not exact and max(abs(v) for v in fvalue) < 1e-12:
+    value = spec.generators[gen_index - 1](_exact_or_float(x0, n))
+    if _vanishes(value):
         raise PreconditionError("the chosen generator vanishes at the base point")
+    pt = _float_point(x0, n)
     if transversal is None:
-        transversal = _default_transversal(spec, pt, fvalue)
+        transversal = _default_transversal(spec, pt, value)
     if len(transversal.directions) != n - 1:
         raise ArityError(f"transversal needs {n - 1} direction vectors")
     _require_on_transversal(pt, transversal)
 
-    eps = opts.fd_epsilon
-    coeffs = tuple(
-        Fraction(1) if i == gen_index - 1 else Fraction(0) for i in range(spec.k)
-    )
-    cols = []
-    fp = _flow_segment(spec, coeffs, eps, pt, opts)
-    fm = _flow_segment(spec, coeffs, -eps, pt, opts)
-    cols.append([(a - b) / (2.0 * eps) for a, b in zip(fp, fm)])
+    cols = [_flow_derivative(spec, gen_index - 1, pt, opts)]
     for d in transversal.directions:
         if len(d) != n:
             raise ArityError("transversal direction has wrong length")

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
@@ -37,15 +36,14 @@ from .flow import (
     FlowChart,
     FlowWord,
     NumericOptions,
+    _drive,
+    _exact_or_float,
     _float,
     _float_point,
-    _flow_segment,
     _residual,
-    _segment,
-    _var_step_fn,
+    _vanishes,
     flow_jet,
 )
-from .modalg import as_point
 from .vfparse import FoliationSpec
 
 if TYPE_CHECKING:
@@ -216,8 +214,7 @@ class CarriedDiffeo:
 
     def evaluate(self, x: Sequence) -> tuple[float, ...]:
         """Time-1 flow of sum_i y0_i X_i from x."""
-        pt = _float_point(x, self.chart.spec.nvars)
-        return _flow_segment(self.chart.spec, self.y0, 1.0, pt, self.chart.opts)
+        return self.chart.target(self.y0, x)
 
     def jacobian(self, x: Sequence) -> JetMatrix:
         """Derivative at x, from the first-variation integration."""
@@ -226,7 +223,7 @@ class CarriedDiffeo:
         n = self.chart.spec.nvars
         ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
         state = _float_point(x, n) + ident
-        out = _segment(1.0, state, self.chart.opts, 0.0, _var_step_fn(self.chart.spec, self.y0))
+        out = _drive(self.chart.spec, [(self.y0, 1.0)], state, self.chart.opts, True)
         return np.array(out[n:], dtype=float).reshape(n, n)
 
 
@@ -239,16 +236,11 @@ def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
 
 
 def _require_fixed_point(spec: FoliationSpec, word: FlowWord, x_fix: Sequence):
-    # exact input is checked exactly; float input up to a 1e-12 residual
-    exact = all(isinstance(c, (int, Fraction)) for c in x_fix)
-    pt = as_point(x_fix, spec.nvars) if exact else tuple(float(v) for v in x_fix)
+    pt = _exact_or_float(x_fix, spec.nvars)
     values = [g(pt) for g in spec.generators]
     for step in word.steps:
-        combined = [0] * spec.nvars
-        for c, val in zip(step.coeffs, values):
-            for j in range(spec.nvars):
-                combined[j] += c * val[j]
-        if any(combined) if exact else max(map(abs, combined), default=0.0) >= 1e-12:
+        combined = [sum(c * v[j] for c, v in zip(step.coeffs, values)) for j in range(spec.nvars)]
+        if not _vanishes(combined):
             raise NotFixedPointError("point is not a fixed point of every step's combined field")
 
 
@@ -261,8 +253,8 @@ def holonomy_jet(
     """Linearization at a fixed point of the word's diffeomorphism.
 
     The point must be fixed by every step's combined field: checked
-    symbolically for rational coordinates, numerically (norm < 1e-12)
-    otherwise.  The result is the product of the step linearizations in
+    exactly for rational coordinates, and for float coordinates up to
+    1e-12 in each component (``flow._vanishes``).  The result is the product of the step linearizations in
     action order, obtained by integrating the first-variation system
     along the stationary trajectory.
     """

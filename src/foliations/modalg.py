@@ -18,7 +18,7 @@ returns carries them to every pointwise function.  Each spec's generator
 rows and syzygy rows are compiled once into an evaluator of X and D that
 returns every row scaled to integers (by the lcm of its coefficient
 denominators times D^deg), with its source written by
-``vfparse.terms_src`` from the terms the RK4 kernels in ``flow`` use.  The
+``vfparse._sum_lines``, the emitter of the RK4 kernels in ``flow``.  The
 rank is taken by fraction-free (Bareiss) elimination; scaling a row by a
 nonzero constant does not change the rank.
 
@@ -39,7 +39,7 @@ from math import lcm
 from typing import Callable, Sequence
 
 from .errors import ArityError, BudgetError
-from .vfparse import FoliationSpec, Poly, VectorField, grevlex_key, lie_bracket, terms_src
+from .vfparse import FoliationSpec, Poly, VectorField, _sum_lines, grevlex_key, lie_bracket
 
 __all__ = [
     "Budget",
@@ -505,12 +505,6 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     return _rank_int([_over_lcm([Fraction(v) for v in row])[0] for row in rows])
 
 
-# terms per emitted sum: the compiler recurses once per operand of a chain
-# of additions or products and fails near 3,000, so longer polynomials are
-# summed in groups (exact, since these sums are of integers)
-_SUM_TERMS = 1_000
-
-
 def _compile_rows(rows: Sequence[Element], nvars: int):
     """Evaluator ``f(X0, .., X{nvars-1}, D)`` of the polynomial ``rows`` at
     the point x = X/D, returning each row scaled to integers by the lcm of
@@ -519,7 +513,8 @@ def _compile_rows(rows: Sequence[Element], nvars: int):
     A term c*x^e of a row of degree deg becomes c*L * X^e * D^(deg - |e|);
     the integer coefficients c*L are bound when the evaluator is built.
     Powers are products of the repeated squares ``X0_2 = X0*X0``,
-    ``X0_4 = X0_2*X0_2``, ..., computed once per call.
+    ``X0_4 = X0_2*X0_2``, ..., computed once per call; entry m of row r is
+    bound as ``r<r>_<m>`` by ``vfparse._sum_lines``.
     """
 
     def power(a: str, j: int) -> str:  # the name of a^(2^j)
@@ -528,24 +523,22 @@ def _compile_rows(rows: Sequence[Element], nvars: int):
     bits = max([p.degree() for row in rows for p in row] + [1]).bit_length()
     args = [f"X{i}" for i in range(nvars)] + ["D"]
     names = [power(a, j) for a in args for j in range(bits)]
-    squares = [f"{power(a, j + 1)} = {power(a, j)}*{power(a, j)}" for a in args for j in range(bits - 1)]
+    lines = [f"{power(a, j + 1)} = {power(a, j)}*{power(a, j)}" for a in args for j in range(bits - 1)]
     coeffs: list[int] = []
     row_srcs = []
-    for row in rows:
+    for r, row in enumerate(rows):
         deg = max(p.degree() for p in row)
         scale = lcm(*(c.denominator for p in row for _, c in p.terms))
-        entries = []
-        for p in row:
+        for m, p in enumerate(row):
             terms = []
             for expt, c in p.terms:
                 full = expt + (deg - sum(expt),)
                 terms.append((tuple(e >> j & 1 for e in full for j in range(bits)), f"c{len(coeffs)}"))
                 coeffs.append(c.numerator * (scale // c.denominator))
-            groups = [terms[i : i + _SUM_TERMS] for i in range(0, len(terms), _SUM_TERMS)]
-            entries.append(" + ".join(f"({terms_src(g, names)})" for g in groups) or "0")
-        row_srcs.append("(" + "".join(f"{e}, " for e in entries) + ")")
+            lines += _sum_lines(f"r{r}_{m}", terms, names, "0")
+        row_srcs.append("(" + "".join(f"r{r}_{m}, " for m in range(len(row))) + ")")
     src = [f"def make({', '.join(f'c{i}' for i in range(len(coeffs)))}):"]
-    src += [f"    def rows({', '.join(args)}):"] + ["        " + line for line in squares]
+    src += [f"    def rows({', '.join(args)}):"] + ["        " + line for line in lines]
     src += ["        return (" + "".join(f"{r}, " for r in row_srcs) + ")", "    return rows"]
     ns: dict = {}
     exec(compile("\n".join(src), "<generated rows>", "exec"), ns)
@@ -589,20 +582,9 @@ def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_
     return d
 
 
-def _det(mat: list[list[Poly]]) -> Poly:
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    nvars = mat[0][0].nvars
-    out = Poly.zero(nvars)
-    for j in range(n):
-        entry = mat[0][j]
-        if entry.is_zero:
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in mat[1:]]
-        term = entry * _det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+# the most term products the cofactor expansions of ``singular_locus`` may
+# form; one more is a BudgetError, raised before that product is formed
+_MAX_MINOR_PRODUCTS = 250_000
 
 
 def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
@@ -611,17 +593,41 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
 
     ``minor_ideal`` lists the nonzero r x r minors (r the generic rank) of
     the k x n coefficient matrix, in row/column enumeration order.  No
-    radical or primary decomposition is attempted.
+    radical or primary decomposition is attempted.  The minors are
+    expanded by cofactors; more than ``_MAX_MINOR_PRODUCTS`` term products
+    in all raise BudgetError.
     """
     k, n = spec.k, spec.nvars
     if k == 0:
         return SingularLocusReport(generic_rank=0, minor_ideal=())
+    products = done = 0
+
+    def det(mat: list[list[Poly]]) -> Poly:
+        nonlocal products
+        if len(mat) == 1:
+            return mat[0][0]
+        out = Poly.zero(nvars=n)
+        for j, entry in enumerate(mat[0]):
+            if entry.is_zero:
+                continue
+            minor = det([row[:j] + row[j + 1 :] for row in mat[1:]])
+            products += len(entry.terms) * len(minor.terms)
+            if products > _MAX_MINOR_PRODUCTS:
+                raise BudgetError(
+                    f"minors need more than {_MAX_MINOR_PRODUCTS} term products"
+                    f" ({done} minors done)"
+                )
+            term = entry * minor
+            out = out + term if j % 2 == 0 else out - term
+        return out
+
     matrix = [list(g.components) for g in spec.generators]
     for size in range(min(k, n), 0, -1):
         minors = []
         for rows in combinations(range(k), size):
             for cols in combinations(range(n), size):
-                d = _det([[matrix[r][c] for c in cols] for r in rows])
+                d = det([[matrix[r][c] for c in cols] for r in rows])
+                done += 1
                 if not d.is_zero:
                     minors.append(d)
         if minors:

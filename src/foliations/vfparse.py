@@ -24,9 +24,13 @@ merge of two sorted term tuples, monomial multiples and derivatives in the
 order they already have) and wraps them through a trusted internal
 constructor.  A Poly computes its hash on first use.
 
-``term_factors`` is the one emitter of polynomial source code: the RK4
-kernels in ``flow`` and, through ``terms_src``, the integer row evaluators
-in ``modalg`` both write their terms with it.
+``_sum_lines`` is the one emitter of polynomial source code: the RK4
+kernels in ``flow`` and the integer row evaluators in ``modalg`` both
+write their sums with it, each term the product of its ``term_factors``.
+CPython's compiler recurses once per operand of an operator chain and
+gives up near 3,000, so a product or sum of more than ``_MAX_CHAIN``
+operands is written as prefix temporaries (``t = a*b*..``, then
+``t*c*..``): the same operations in the same order, so the same rounding.
 """
 
 from __future__ import annotations
@@ -119,12 +123,36 @@ def term_factors(expt: tuple[int, ...], coeff: str, names: Sequence[str]) -> lis
     return factors
 
 
-def terms_src(terms, names: Sequence[str]) -> str:
-    """Python source of the sum of ``terms``, pairs ``(exponents, coefficient
-    source)``, over the variables ``names``: each term is the product of its
-    ``term_factors``; the empty sum is ``0.0``."""
-    parts = ["*".join(term_factors(expt, c, names)) for expt, c in terms]
-    return " + ".join(parts) if parts else "0.0"
+# the most operands of one emitted operator chain (see the module docstring)
+_MAX_CHAIN = 400
+
+
+def _chain(name: str, operands: list[str], op: str) -> list[str]:
+    """Lines binding ``name`` to ``operands`` joined by ``op``, left to right,
+    through prefix temporaries ``name__0``, .. when there are more than
+    ``_MAX_CHAIN``."""
+    lines: list[str] = []
+    while len(operands) > _MAX_CHAIN:
+        lines.append(f"{name}__{len(lines)} = {op.join(operands[:_MAX_CHAIN])}")
+        operands = [f"{name}__{len(lines) - 1}"] + operands[_MAX_CHAIN:]
+    return lines + [f"{name} = {op.join(operands)}"]
+
+
+def _sum_lines(name: str, terms, names: Sequence[str], zero: str) -> list[str]:
+    """Lines binding ``name`` to the sum of ``terms``, pairs ``(exponents,
+    coefficient source)``, at the variables ``names``; the empty sum is the
+    literal ``zero`` of the caller's number type (``0.0`` keeps float code
+    on floats, whose arithmetic is faster than an int's with a float).  A
+    term with too many factors is bound first, as ``name_t<i>``."""
+    lines: list[str] = []
+    parts = []
+    for i, (expt, c) in enumerate(terms):
+        factors = term_factors(expt, c, names)
+        if len(factors) > _MAX_CHAIN:
+            lines += _chain(f"{name}_t{i}", factors, "*")
+            factors = [f"{name}_t{i}"]
+        parts.append("*".join(factors))
+    return lines + _chain(name, parts or [zero], " + ")
 
 
 class Poly:

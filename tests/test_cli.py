@@ -13,7 +13,7 @@ pytest.importorskip("jsonschema")
 import jsonschema
 
 from foliations.cli import (
-    _GRID_MAX_POINTS,
+    _MAX_POINTS,
     FoliationFile,
     _grid_points,
     load_foliation,
@@ -22,7 +22,11 @@ from foliations.cli import (
     save_foliation_file,
 )
 from foliations.errors import BudgetError, ParseError, UnknownVariableError
+from foliations.flow import XorShift64Star
 from foliations.modalg import _generator_rows, _syzygy_rows
+from foliations.vfparse import FoliationSpec
+
+from helpers import random_field
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -216,12 +220,28 @@ def test_dims_grid_too_large_exit_3(files, capsys):
 
 
 def test_grid_point_cap_is_exact():
-    assert len(_grid_points((Fraction(0), Fraction(99999), Fraction(1)), 1)) == _GRID_MAX_POINTS
+    assert len(_grid_points((Fraction(0), Fraction(99999), Fraction(1)), 1)) == _MAX_POINTS
     with pytest.raises(BudgetError, match="100001 points"):
         _grid_points((Fraction(0), Fraction(100000), Fraction(1)), 1)
     # the axis holds exactly the points a, a + step, ... up to b
     axis = _grid_points((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
     assert axis == [(Fraction(-1, 2),), (Fraction(-1, 4),), (Fraction(0),), (Fraction(1, 4),)]
+
+
+@pytest.mark.parametrize(
+    "cmd, flag, extra",
+    [("leaf", "--steps", ["--seed", "1"]), ("chart-rank", "--samples", ["--seed", "1"])],
+)
+def test_point_counts_over_the_cap_exit_3(files, capsys, monkeypatch, cmd, flag, extra):
+    # refused from the count, before any point is built
+    def no_points(*args, **kwargs):
+        raise AssertionError("built points past the cap")
+
+    for name in ("leaf_sample", "random_rational_points"):
+        monkeypatch.setattr(f"foliations.cli.{name}", no_points)
+    count = _MAX_POINTS + 1
+    diags = _budget_report(capsys, [cmd, files["so3"], "--point", "1,0,0", flag, str(count), *extra])
+    assert f"{flag} has {count} points, more than {_MAX_POINTS}" in diags["error"]
 
 
 def test_check_involutive(files, capsys):
@@ -637,6 +657,17 @@ def test_long_and_high_degree_fields(capsys, tmp_path, generator, point):
     assert abs(rep["results"]["jet"][1][1] - 1.0) == 0.0
 
 
+def test_singular_locus_over_its_product_cap_exit_3(capsys, tmp_path):
+    # 9 quadratic generators in 7 variables: 36 minors of size 7 to expand
+    rng = XorShift64Star(5)
+    names = tuple("abcdefg")
+    spec = FoliationSpec(names, tuple(random_field(rng, 7, 2) for _ in range(9)))
+    p = tmp_path / "dense.fol"
+    save_foliation_file(FoliationFile(str(p), spec), p)
+    diags = _budget_report(capsys, ["singular", str(p)])
+    assert "more than 250000 term products (0 minors done)" in diags["error"]
+
+
 def test_missing_file_exit_2(capsys):
     code, rep, _ = invoke(capsys, ["check", "/nonexistent/nope.fol"])
     assert code == 2
@@ -651,3 +682,119 @@ def test_negative_values_accepted(files, capsys):
     code, rep, _ = invoke(capsys, ["dims", files["sl2"], "--point", "-1,0"])
     assert code == 0
     assert rep["results"]["tangent"] == 2
+
+
+# -- seeded fuzz ---------------------------------------------------------------
+
+_COMMANDS = (
+    "check", "dims", "member", "syzygy", "singular", "localgens", "leaf",
+    "flow", "chart-rank", "flowbox", "jet", "jet-exact", "germ-eq", "pushforward",
+)
+# mostly small rationals; also zero, a rational beyond the float range and junk
+_NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "2", "7/3", "1", "-1/3", "1e400", "nan", "x", "1/0")
+
+
+def _pick(rng, items):
+    return items[rng.randint(0, len(items) - 1)]
+
+
+def _number(rng):
+    return _pick(rng, _NUMBERS[:9] if rng.uniform() < 0.9 else _NUMBERS)
+
+
+def _fuzz_point(rng, n):
+    count = n if rng.uniform() < 0.85 else rng.randint(0, n + 1)
+    if rng.uniform() < 0.4:  # a fixed point of every linear family
+        return ",".join(["0"] * count)
+    return ",".join(_number(rng) for _ in range(count))
+
+
+def _fuzz_word(rng, k):
+    steps = []
+    for _ in range(rng.randint(0, 3)):
+        coeffs = ",".join(_number(rng) for _ in range(k if rng.uniform() < 0.9 else k + 1))
+        duration = _pick(rng, ("1/2", "-1/4", "1", "0", "3/2") if rng.uniform() < 0.9 else ("1e400", "x"))
+        steps.append(f"{coeffs}@{duration}")
+    return "; ".join(steps) if rng.uniform() < 0.98 else "1@"
+
+
+def _fuzz_field(rng, names, linear):
+    comps = []
+    for v in names:
+        if rng.uniform() < 0.6:
+            text = ""
+            for _ in range(rng.randint(1, 2)):
+                degree = 1 if linear else rng.randint(0, 2)
+                text += _pick(rng, (" + ", " - ")) + _pick(rng, ("1", "2", "1/2", "3"))
+                text += "".join("*" + _pick(rng, names) for _ in range(degree))
+            comps.append(f"({text[3:]})*d{v}")
+    text = " + ".join(comps) or f"{names[-1]}*d{names[0]}"
+    roll = rng.uniform()
+    if roll < 0.05:
+        return f"{names[0]}^2000*d{names[0]}"  # over the parser's exponent cap
+    if roll < 0.12:  # one junk character somewhere
+        i = rng.randint(0, len(text))
+        return text[:i] + _pick(rng, "^*+()/@#d1") + text[i:]
+    return text
+
+
+def _fuzz_case(rng, cmd, path):
+    names = ("x", "y", "z")[: rng.randint(1, 3)]
+    k = rng.randint(1, 3) if rng.uniform() < 0.9 else 0
+    linear = rng.uniform() < 0.6  # the linear-only subcommands need it
+    text = "vars: " + " ".join(names) + "\ngenerators:\n"
+    text += "".join(f"  {_fuzz_field(rng, names, linear)}\n" for _ in range(k))
+    if rng.uniform() < 0.05:
+        text = text.replace("vars:", "variables:")
+    path.write_text(text)
+    n = len(names)
+    args = {
+        "dims": lambda: [
+            "--point", _fuzz_point(rng, n),
+            "--grid", _pick(rng, ("-1:1:1", "0:1:1/2", "1:0:1", "0:1", "0:1000:1/1000000")),
+        ],
+        "member": lambda: ["--field", _fuzz_field(rng, names, False)],
+        "localgens": lambda: ["--point", _fuzz_point(rng, n)],
+        "leaf": lambda: [
+            "--point", _fuzz_point(rng, n), "--steps", _pick(rng, ("0", "3", "20", "-1", "100001")),
+            "--seed", str(rng.randint(0, 99)),
+        ],
+        "flow": lambda: ["--word", _fuzz_word(rng, k), "--point", _fuzz_point(rng, n)],
+        "chart-rank": lambda: [
+            "--point", _fuzz_point(rng, n), "--samples", _pick(rng, ("0", "2", "-1", "100001")),
+            "--seed", str(rng.randint(0, 99)),
+        ],
+        "flowbox": lambda: ["--gen", str(rng.randint(0, k + 1)), "--point", _fuzz_point(rng, n)],
+        "jet": lambda: ["--word", _fuzz_word(rng, k), "--point", _fuzz_point(rng, n)],
+        "jet-exact": lambda: ["--word", _fuzz_word(rng, k)],
+        "germ-eq": lambda: [
+            "--word1", _fuzz_word(rng, k), "--word2", _fuzz_word(rng, k),
+            "--point", _fuzz_point(rng, n) if rng.uniform() < 0.3 else ",".join(["0"] * n),
+            "--tol", _pick(rng, ("1e-6", "1e-6", "0", "nan")),
+        ],
+        "pushforward": lambda: [
+            "--coeffs", ",".join(_number(rng) for _ in range(k)),
+            "--time", _pick(rng, ("1/2", "1", "-2", "800", "nan", "inf")),
+        ],
+    }.get(cmd, lambda: [])()
+    if rng.uniform() < 0.2:
+        # 1e-12 asks for more RK4 steps than the step budget allows
+        args += ["--h", _pick(rng, ("0.01", "0.05", "0.1", "0", "nan", "1e-12"))]
+    if rng.uniform() < 0.1:
+        args += ["--jobs", _pick(rng, ("2", "2", "0"))]
+    file = str(path) if rng.uniform() < 0.97 else str(path) + ".missing"
+    return [cmd, file, *args]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_seeded_cli_fuzz(capsys, tmp_path, seed):
+    # every input ends in one schema-valid report with a documented exit
+    # code and nothing on stderr; the work is bounded by the budgets alone
+    rng = XorShift64Star(seed)
+    for i in range(5 * len(_COMMANDS)):
+        argv = _fuzz_case(rng, _COMMANDS[i % len(_COMMANDS)], tmp_path / f"case{i}.fol")
+        code = run(argv)
+        out, err = capsys.readouterr()
+        rep = json.loads(out, parse_constant=_reject_constant)
+        jsonschema.validate(rep, SCHEMA)
+        assert code in (0, 1, 2, 3) and err == "", argv

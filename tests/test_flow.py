@@ -1,6 +1,7 @@
 """Numerical flows, words, charts, leaf sampling, flow box."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -22,19 +23,19 @@ from foliations.flow import (
     random_rational_points,
     word_compose,
     word_inverse,
-    _MAX_CHAIN,
     _combined_terms,
-    _flow_step_fn,
     _kernel,
     _residual,
-    _sum_lines,
-    _var_step_fn,
+    _runner,
 )
 from foliations.holonomy import matrix_exp
 from foliations.modalg import tangent_dim
-from foliations.vfparse import terms_src
+from foliations.vfparse import _MAX_CHAIN, _sum_lines
 
 from helpers import cstar, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
+
+# the module itself: ``foliations.flow`` as an attribute is the function
+flow_module = sys.modules["foliations.flow"]
 
 
 def rational_round(pt):
@@ -390,7 +391,7 @@ def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
         comb = _combined_terms(spec, coeffs)
         x = tuple(rng.symmetric() for _ in range(n))
         xv = x + tuple(float(i == j) for i in range(n) for j in range(n))
-        step, var_step = _flow_step_fn(spec, coeffs), _var_step_fn(spec, coeffs)
+        step, var_step = _runner(spec, False, *coeffs), _runner(spec, True, *coeffs)
         for h in (1e-3, -2e-3, 0.05):
             for _ in range(5):
                 want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
@@ -416,7 +417,7 @@ def test_segment_runs_equal_chained_single_steps(name):
     for coeffs in _coeff_tuples(rng, spec.k, count=4):
         x = tuple(0.5 * rng.symmetric() for _ in range(n))
         xv = x + (1.0,) * n * n
-        for state, run in ((x, _flow_step_fn(spec, coeffs)), (xv, _var_step_fn(spec, coeffs))):
+        for state, run in ((x, _runner(spec, False, *coeffs)), (xv, _runner(spec, True, *coeffs))):
             for h in (1e-3, -2e-3, 0.05):
                 for steps in (1, 7):
                     chained = state
@@ -427,7 +428,7 @@ def test_segment_runs_equal_chained_single_steps(name):
 
 def test_segment_run_stops_where_the_state_leaves_the_box():
     spec = xk(2)  # x' = x^2 from 2 leaves any box near t = 1/2
-    run = _flow_step_fn(spec, (1,))
+    run = _runner(spec, False, 1)
     states = [(2.0,)]
     for _ in range(600):
         states.append(run(states[-1], 1e-3, 1, math.inf)[0])
@@ -470,7 +471,7 @@ def test_float_and_exact_coefficients_bind_the_same_terms(name):
 
 
 def _clear_kernel_caches():
-    for cache in (_kernel, _flow_step_fn, _var_step_fn):
+    for cache in (_kernel, _runner):
         cache.cache_clear()
 
 
@@ -495,24 +496,89 @@ def test_flow_jet_compiles_one_variation_kernel_per_support():
     word = FlowWord(spec, [(tuples[i % 3], 0.05) for i in range(9)])
     _clear_kernel_caches()
     flow_jet(spec, word, (0.2, -0.1, 0.4))
-    assert _var_step_fn.cache_info().misses == 3
+    assert _runner.cache_info().misses == 3
     assert _kernel.cache_info().misses == 1
+
+
+def test_flow_does_not_depend_on_earlier_chart_targets():
+    # a float coefficient and the Fraction equal to it compare and hash
+    # equal but fold differently, so the runner cache keeps them apart
+    spec = make_spec(("x", "y"), ("x*dx + y^2*dy", "1/3*x*dx + 1/7*x*y*dy"))
+    y = (0.4460241624749317, 0.9896391258994854)
+    word = FlowWord(spec, [(y, 1.0)])
+    chart = chart_at(spec, (0.5, 0.5))
+    _clear_kernel_caches()
+    fresh_flow = flow(spec, word, (0.5, 0.5))
+    _clear_kernel_caches()
+    fresh_target = chart.target(y)
+    assert (fresh_flow[0], fresh_target[0]) == (1.0862774748151356, 1.0862774748151354)
+    assert flow(spec, word, (0.5, 0.5)) == fresh_flow
+    _clear_kernel_caches()
+    assert flow(spec, word, (0.5, 0.5)) == fresh_flow
+    assert chart.target(y) == fresh_target
+
+
+@pytest.mark.parametrize(
+    "make, point", [(sl2, (Fraction(1, 3), Fraction(2, 7))), (so3, (1, 2, -1))], ids=["sl2", "so3"]
+)
+def test_flow_box_and_chart_rank_share_the_derivative(monkeypatch, make, point):
+    spec = make()
+    seen = []
+
+    def capture(matrix, rel_threshold=1e-8):
+        seen.append([list(row) for row in matrix])
+        return numerical_rank(matrix, rel_threshold)
+
+    monkeypatch.setattr(flow_module, "numerical_rank", capture)
+    chart_rank_check(chart_at(spec, point), point)
+    box = flow_box(spec, 1, point)
+    chart_column = [row[0] for row in seen[0]]
+    box_column = [row[0] for row in box.jacobian]
+    assert chart_column == box_column  # bit for bit
+    assert chart_column == pytest.approx([float(v) for v in spec.generators[0](point)], abs=1e-9)
+
+
+def test_chart_rank_takes_two_rk4_steps_per_generator(monkeypatch):
+    # the time-1 flow of eps*X_i is the time-eps flow of X_i: one step each way
+    spec = gl3()
+    steps = []
+    runner = flow_module._runner
+
+    def counting(spec, variation, *coeffs):
+        run = runner(spec, variation, *coeffs)
+
+        def counted(state, h, n, bound):
+            steps.append(n)
+            return run(state, h, n, bound)
+
+        return counted
+
+    monkeypatch.setattr(flow_module, "_runner", counting)
+    samples = random_rational_points(XorShift64Star(2), 3, 4)
+    report = chart_rank_check(chart_at(spec, (1, 2, 3)), (1, 2, 3), samples)
+    assert len(report.entries) == 5
+    assert sum(steps) == 2 * spec.k * 5
 
 
 def test_short_chains_emit_the_same_source():
     names = ["x0", "x1"]
-    for terms in ([], [((0, 0), "a0")], [((2, 1), "a0"), ((0, 3), "a1"), ((1, 0), "a2")]):
-        assert _sum_lines("k1_0", terms, names) == ["k1_0 = " + terms_src(terms, names)]
+    assert _sum_lines("k1_0", [], names, "0.0") == ["k1_0 = 0.0"]
+    assert _sum_lines("k1_0", [((0, 0), "a0")], names, "0.0") == ["k1_0 = a0"]
+    terms = [((2, 1), "a0"), ((0, 3), "a1"), ((1, 0), "a2")]
+    assert _sum_lines("k1_0", terms, names, "0.0") == ["k1_0 = a0*x0*x0*x1 + a1*x1*x1*x1 + a2*x0"]
+    # at the cap, a product and a sum are still one chain each
     widest = [((_MAX_CHAIN - 1, 0), "a0")] * _MAX_CHAIN
-    assert _sum_lines("k1_0", widest, names) == ["k1_0 = " + terms_src(widest, names)]
+    assert _sum_lines("k1_0", widest, names, "0.0") == [
+        "k1_0 = " + " + ".join(["*".join(["a0"] + ["x0"] * (_MAX_CHAIN - 1))] * _MAX_CHAIN)
+    ]
     # one factor more, and the product is bound first, through a prefix
-    assert _sum_lines("k1_0", [((_MAX_CHAIN, 0), "a0")], names) == [
+    assert _sum_lines("k1_0", [((_MAX_CHAIN, 0), "a0")], names, "0.0") == [
         "k1_0_t0__0 = " + "*".join(["a0"] + ["x0"] * (_MAX_CHAIN - 1)),
         "k1_0_t0 = k1_0_t0__0*x0",
         "k1_0 = k1_0_t0",
     ]
     # one term more, and the sum is cut the same way
-    assert _sum_lines("k1_0", [((1, 0), "a0")] * (_MAX_CHAIN + 1), names) == [
+    assert _sum_lines("k1_0", [((1, 0), "a0")] * (_MAX_CHAIN + 1), names, "0.0") == [
         "k1_0__0 = " + " + ".join(["a0*x0"] * _MAX_CHAIN),
         "k1_0 = k1_0__0 + a0*x0",
     ]
@@ -524,7 +590,7 @@ def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
     assert len(comb[1]) == 450
     x = (1.001, -0.5)
     xv = x + (1.0, 0.0, 0.0, 1.0)
-    step, var_step = _flow_step_fn(spec, (1,)), _var_step_fn(spec, (1,))
+    step, var_step = _runner(spec, False, 1), _runner(spec, True, 1)
     for h in (1e-3, -2e-3):
         for _ in range(3):
             want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)

@@ -372,6 +372,17 @@ def test_singular_locus_examples():
     assert singular_locus(FoliationSpec(("x",), ())).generic_rank == 0
 
 
+def test_singular_locus_counts_its_term_products(monkeypatch):
+    # gl3 forms 54 cofactor term products over its 84 3x3 minors; with one
+    # fewer allowed, the last minor is refused before that product is formed
+    cap = "foliations.modalg._MAX_MINOR_PRODUCTS"
+    monkeypatch.setattr(cap, 54)
+    assert singular_locus(gl3()).generic_rank == 3
+    monkeypatch.setattr(cap, 53)
+    with pytest.raises(BudgetError, match=r"more than 53 term products \(83 minors done\)"):
+        singular_locus(gl3())
+
+
 def test_singular_locus_consistency_at_samples():
     rng = XorShift64Star(55)
     for spec in (sl2(), gl2(), cstar()):
