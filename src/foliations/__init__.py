@@ -16,6 +16,14 @@ Submodules
 - :mod:`foliations.flow`     - RK4 flows, words, charts, leaf sampling
 - :mod:`foliations.holonomy` - first-jet holonomy and linear oracles
 - :mod:`foliations.cli`      - the ``fol`` command line
+
+Results and options (``Budget``, ``ModuleGB``, ``NumericOptions``,
+``FlowChart``, ``CarriedDiffeo``, ``FoliationFile`` and the reports) are
+``typing.NamedTuple`` records: immutable, compared field by field, and
+changed with ``_replace``.  ``Poly``, ``VectorField``, ``FoliationSpec``
+and ``FlowWord`` are frozen by hand with ``__slots__`` instead: they
+validate their input, cache their hashes and define arithmetic or
+``len``, which a tuple base would clash with.
 """
 
 from __future__ import annotations

@@ -31,10 +31,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import __version__
 from .errors import (
@@ -83,8 +82,7 @@ from .vfparse import (
 __all__ = ["FoliationFile", "load_foliation", "load_foliation_file", "save_foliation_file", "run", "main"]
 
 
-@dataclass
-class FoliationFile:
+class FoliationFile(NamedTuple):
     path: str
     spec: FoliationSpec
     name: str | None = None

@@ -25,7 +25,9 @@ Their sums are written by ``vfparse._sum_lines``, the emitter that also
 writes the integer row evaluators of ``modalg`` and cuts long operator
 chains into temporaries.  ``_runner`` is the one cache of bound kernels
 and ``_drive`` the one driver: every flow, jet, leaf walk and chart
-target runs a list of ``(coefficients, duration)`` pairs through it.
+target runs a list of ``(coefficients, duration)`` pairs through it, and
+``NumericOptions.max_steps`` caps the RK4 steps of the whole list (a leaf
+walk drives one pair at a time, so there the cap is per walk step).
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -48,10 +50,9 @@ seed is replaced by 0x9E3779B97F4A7C15.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from .modalg import as_point, tangent_dim
@@ -81,21 +82,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NumericOptions:
-    """Knobs for the numerical kernels; all finite and strictly positive."""
-
+class _NumericFields(NamedTuple):
     step_size: float = 1e-3
     max_steps: int = 1_000_000
     fd_epsilon: float = 1e-5
     rank_rel_threshold: float = 1e-8
     domain_bound: float = 1e10
 
-    def __post_init__(self):
-        for name in ("step_size", "max_steps", "fd_epsilon", "rank_rel_threshold", "domain_bound"):
-            value = getattr(self, name)
+
+class NumericOptions(_NumericFields):
+    """Knobs for the numerical kernels; all finite and strictly positive.
+
+    ``max_steps`` caps the RK4 steps of one flow word, all segments together.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if not (value > 0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and strictly positive")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that ``_replace`` checks its values too
+        return cls(*iterable)
 
 
 DEFAULT_OPTIONS = NumericOptions()
@@ -148,8 +160,7 @@ def random_rational_points(
     return pts
 
 
-@dataclass(frozen=True)
-class FlowStep:
+class FlowStep(NamedTuple):
     """One flow of the combined field sum_i coeffs[i] * X_i for ``duration``."""
 
     coeffs: tuple[Fraction, ...]
@@ -167,11 +178,7 @@ class FlowWord:
 
     def __init__(self, spec: FoliationSpec, steps: Sequence = ()):
         norm = []
-        for step in steps:
-            if isinstance(step, FlowStep):
-                coeffs, duration = step.coeffs, step.duration
-            else:
-                coeffs, duration = step
+        for coeffs, duration in steps:
             coeffs = tuple(Fraction(c) for c in coeffs)
             if len(coeffs) != spec.k:
                 raise ArityError(
@@ -391,8 +398,6 @@ def _segment(
     sign = 1.0 if duration > 0 else -1.0
     nfull = int(total / h)
     rem = total - nfull * h
-    if nfull + 1 > opts.max_steps:
-        raise BudgetError(f"flow would need more than {opts.max_steps} steps")
     bound = opts.domain_bound
     state, done = run(state, sign * h, nfull, bound)
     if done == nfull:
@@ -414,7 +419,16 @@ def _drive(
     spec: FoliationSpec, steps, state: tuple, opts: NumericOptions, variation: bool = False
 ) -> tuple:
     """Run ``state`` through the flows of the ``(coeffs, duration)`` pairs
-    ``steps``, in order; a blow-up time counts from the start of the first."""
+    ``steps``, in order; a blow-up time counts from the start of the first.
+
+    ``opts.max_steps`` caps the RK4 steps of all the pairs together, counted
+    as ``_segment`` splits each duration (the remainder step counted always);
+    a flow over the cap raises BudgetError before its first step.  Each
+    quotient is clamped at the cap, which changes no verdict, so that an
+    infinite one converts to an integer."""
+    h, cap = opts.step_size, opts.max_steps
+    if sum(int(min(abs(t) / h, cap)) + 1 for _, t in steps if t) > cap:
+        raise BudgetError(f"flow would need more than {cap} steps")
     t0 = 0.0
     for coeffs, duration in steps:
         state = _segment(duration, state, opts, t0, _runner(spec, variation, *coeffs))
@@ -422,10 +436,10 @@ def _drive(
     return state
 
 
-def _word_steps(spec: FoliationSpec, word: FlowWord) -> list[tuple]:
+def _word_steps(spec: FoliationSpec, word: FlowWord) -> tuple[FlowStep, ...]:
     if word.spec != spec:
         raise ArityError("word was built over a different spec")
-    return [(step.coeffs, step.duration) for step in word.steps]
+    return word.steps
 
 
 def _exact_or_float(x: Sequence, n: int) -> tuple:
@@ -467,11 +481,18 @@ def flow_jet(
     The linearization is integrated alongside the point (first-variation
     system), which composes correctly across steps; returned row-major.
     """
+    return _jet(spec, _word_steps(spec, word), x0, opts)
+
+
+def _jet(
+    spec: FoliationSpec, steps, x0: Sequence, opts: NumericOptions
+) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """Endpoint and row-major derivative at x0 of the flows of ``steps``:
+    the first-variation system driven from the identity linearization."""
     n = spec.nvars
     ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-    state = _drive(spec, _word_steps(spec, word), _float_point(x0, n) + ident, opts, True)
-    rows = tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
-    return state[:n], rows
+    state = _drive(spec, steps, _float_point(x0, n) + ident, opts, True)
+    return state[:n], tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
 
 
 def leaf_sample(
@@ -505,8 +526,7 @@ def leaf_sample(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowChart:
+class FlowChart(NamedTuple):
     """The parametrized chart R^k x M with source (y,x) -> x and target
     (y,x) -> time-1 flow of sum_i y_i X_i from x.
     """
@@ -514,7 +534,7 @@ class FlowChart:
     spec: FoliationSpec
     base_point: tuple[float, ...]
     k: int
-    opts: NumericOptions = field(default=DEFAULT_OPTIONS)
+    opts: NumericOptions = DEFAULT_OPTIONS
 
     def source(self, y: Sequence, x: Sequence) -> tuple[float, ...]:
         self._check_y(y)
@@ -550,8 +570,7 @@ def _flow_derivative(spec: FoliationSpec, i: int, x: tuple, opts: NumericOptions
     return [(a - b) / (2.0 * eps) for a, b in zip(fp, fm)]
 
 
-@dataclass(frozen=True)
-class ChartRankEntry:
+class ChartRankEntry(NamedTuple):
     point: tuple[Fraction, ...]
     rank: int
     tangent: int
@@ -561,8 +580,7 @@ class ChartRankEntry:
         return self.rank == self.tangent
 
 
-@dataclass(frozen=True)
-class ChartRankReport:
+class ChartRankReport(NamedTuple):
     entries: tuple[ChartRankEntry, ...]
     ok: bool
 
@@ -598,16 +616,14 @@ def chart_rank_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     """Affine hyperplane: base point plus n-1 direction vectors."""
 
     point: tuple[float, ...]
     directions: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class FlowBoxReport:
+class FlowBoxReport(NamedTuple):
     jacobian: tuple[tuple[float, ...], ...]
     invertible: bool
 

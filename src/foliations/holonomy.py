@@ -26,9 +26,8 @@ entries, which the callers report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
 from .flow import (
@@ -36,10 +35,9 @@ from .flow import (
     FlowChart,
     FlowWord,
     NumericOptions,
-    _drive,
     _exact_or_float,
     _float,
-    _float_point,
+    _jet,
     _residual,
     _vanishes,
     flow_jet,
@@ -205,8 +203,7 @@ def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
     return [np.array(a, dtype=float) for a in _linear_rows(spec)]
 
 
-@dataclass(frozen=True)
-class CarriedDiffeo:
+class CarriedDiffeo(NamedTuple):
     """The local diffeomorphism carried by the bisection {y0} x M of a chart."""
 
     chart: FlowChart
@@ -220,11 +217,8 @@ class CarriedDiffeo:
         """Derivative at x, from the first-variation integration."""
         import numpy as np
 
-        n = self.chart.spec.nvars
-        ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-        state = _float_point(x, n) + ident
-        out = _drive(self.chart.spec, [(self.y0, 1.0)], state, self.chart.opts, True)
-        return np.array(out[n:], dtype=float).reshape(n, n)
+        _, rows = _jet(self.chart.spec, [(self.y0, 1.0)], x, self.chart.opts)
+        return np.array(rows, dtype=float)
 
 
 def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
@@ -299,8 +293,7 @@ def germ_equal_at_fixed_point(
     return gap < tol
 
 
-@dataclass(frozen=True)
-class PushforwardReport:
+class PushforwardReport(NamedTuple):
     residuals: tuple[float, ...]
     threshold: float
     ok: bool

@@ -31,12 +31,11 @@ of polynomial and smooth fiber data is not claimed in general.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import ArityError, BudgetError
 from .vfparse import FoliationSpec, Poly, VectorField, _sum_lines, grevlex_key, lie_bracket
@@ -66,8 +65,7 @@ __all__ = [
 Element = tuple[Poly, ...]  # an element of a free module R^r
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Termination guard for basis computations.
 
     Exceeding either limit raises :class:`BudgetError`; results are never
@@ -81,8 +79,7 @@ class Budget:
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class ModuleGB:
+class ModuleGB(NamedTuple):
     """Groebner basis of the submodule of R^n generated by the spec's fields.
 
     ``basis`` elements are monic and autoreduced, under the
@@ -91,12 +88,14 @@ class ModuleGB:
 
     source: FoliationSpec
     basis: tuple[Element, ...]
-    reprs: tuple[Element, ...] = field(repr=False, default=())
+    reprs: tuple[Element, ...] = ()
     # reprs[j] expresses basis[j] as a combination of the original generators
 
+    def __repr__(self):
+        return f"ModuleGB(source={self.source!r}, basis={self.basis!r})"
 
-@dataclass(frozen=True)
-class SyzygyBasis:
+
+class SyzygyBasis(NamedTuple):
     """Generating set of the relation module of the spec's generators.
 
     Every ``relations`` entry r satisfies sum_i r[i] * X_i = 0 exactly.
@@ -106,8 +105,7 @@ class SyzygyBasis:
     relations: tuple[Element, ...]
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     certificate: tuple[Poly, ...] | None  # coefficients f with sum f_i X_i = X
 
@@ -115,21 +113,18 @@ class MembershipResult:
         return self.member
 
 
-@dataclass(frozen=True)
-class BracketWitness:
+class BracketWitness(NamedTuple):
     i: int  # 1-based generator indices
     j: int
     bracket: VectorField
 
 
-@dataclass(frozen=True)
-class InvolutivityReport:
+class InvolutivityReport(NamedTuple):
     closed: bool
     witnesses: tuple[BracketWitness, ...]
 
 
-@dataclass(frozen=True)
-class SingularLocusReport:
+class SingularLocusReport(NamedTuple):
     generic_rank: int
     minor_ideal: tuple[Poly, ...]
 
@@ -195,11 +190,6 @@ def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _sub_scaled(elem: Element, other: Element, mon: tuple[int, ...], coeff: Fraction) -> Element:
-    """elem - coeff * x^mon * other"""
-    return tuple(a - b.mul_term(mon, coeff) for a, b in zip(elem, other))
-
-
 def _scale(elem: Element, coeff: Fraction) -> Element:
     return tuple(p * coeff for p in elem)
 
@@ -263,6 +253,14 @@ def _reduce(
         tuple(Poly._canonical(nvars, tuple(t)) for t in rem),
         [Poly._canonical(nvars, tuple(t)) for t in quots],
     )
+
+
+def _minus_quotients(rep: Element, quots: list[Poly], reprs: Sequence[Element]) -> Element:
+    """rep - sum_b quots[b] * reprs[b]"""
+    for b, q in enumerate(quots):
+        if not q.is_zero:
+            rep = tuple(r - q * s for r, s in zip(rep, reprs[b]))
+    return rep
 
 
 def _unit_row(nvars: int, length: int, index: int) -> Element:
@@ -336,9 +334,7 @@ def _groebner(
                 a.mul_term(ui, Fraction(1)) - b.mul_term(uj, Fraction(1))
                 for a, b in zip(reprs[i], reprs[j])
             )
-            for b, q in enumerate(quots):
-                if not q.is_zero:
-                    rep = tuple(r - q * s_ for r, s_ in zip(rep, reprs[b]))
+            rep = _minus_quotients(rep, quots, reprs)
         push(rem, rep)
         add_pairs(len(basis) - 1)
 
@@ -364,11 +360,7 @@ def _groebner(
         rem, quots = _reduce(basis[i], basis, leads, key, counter, budget, skip=i)
         basis[i] = rem
         if track:
-            rep = reprs[i]
-            for b, q in enumerate(quots):
-                if not q.is_zero:
-                    rep = tuple(r - q * s_ for r, s_ in zip(rep, reprs[b]))
-            reprs[i] = rep
+            reprs[i] = _minus_quotients(reprs[i], quots, reprs)
 
     order = sorted(range(len(basis)), key=lambda i: leads[i][0], reverse=True)
     basis = [basis[i] for i in order]
@@ -392,6 +384,14 @@ def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Mod
     gens = [g.components for g in spec.generators]
     basis, reprs = _groebner(gens, spec.nvars, _top_key, budget, track=True)
     return ModuleGB(source=spec, basis=basis, reprs=reprs)
+
+
+def _combination(spec: FoliationSpec, coeffs: Sequence[Poly]) -> VectorField:
+    """sum_i coeffs[i] * X_i, exactly."""
+    out = VectorField.zero(spec.nvars)
+    for f, gen in zip(coeffs, spec.generators):
+        out = out + gen.scale(f)
+    return out
 
 
 def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
@@ -418,10 +418,7 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
         for i in range(spec.k):
             cert[i] = cert[i] + q * gb.reprs[b][i]
     # paranoia: a certificate must re-verify exactly
-    check = VectorField.zero(spec.nvars)
-    for f, gen in zip(cert, spec.generators):
-        check = check + gen.scale(f)
-    if check != x:
+    if _combination(spec, cert) != x:
         raise AssertionError("internal error: membership certificate failed verification")
     return MembershipResult(member=True, certificate=tuple(cert))
 
@@ -458,10 +455,7 @@ def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Syzygy
         if all(p.is_zero for p in elem[:n]):
             relations.append(elem[n:])
     for rel in relations:
-        check = VectorField.zero(n)
-        for f, gen in zip(rel, spec.generators):
-            check = check + gen.scale(f)
-        if not check.is_zero:
+        if not _combination(spec, rel).is_zero:
             raise AssertionError("internal error: relation does not annihilate the generators")
     return SyzygyBasis(source=spec, relations=tuple(relations))
 

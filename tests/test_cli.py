@@ -399,6 +399,26 @@ def test_flow_blowup_exit_3(files, capsys):
     assert rep["diagnostics"]["error_type"] == "BlowUpError"
 
 
+@pytest.mark.parametrize(
+    "cmd, word",
+    [("flow", "1,0,0@600; 0,1,0@600"), ("jet", "1,0,0@600; 0,1,0@600"), ("flow", "1,0,0@1e307")],
+    ids=["flow-word", "jet-word", "flow-duration-over-float-range"],
+)
+def test_flow_over_the_step_cap_exit_3(files, capsys, monkeypatch, cmd, word):
+    # each 600 segment takes 600,001 RK4 steps, under the 1e6 cap, and the
+    # word is over it; 1e307 / 1e-3 steps is beyond the float range.  Both
+    # are refused before the first step
+    monkeypatch.setattr(sys.modules["foliations.flow"], "_runner", lambda *a: pytest.fail("RK4 ran"))
+    code = run([cmd, files["sl2"], "--word", word, "--point", "0,0"])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert (code, rep["results"], err) == (3, {}, "")
+    assert rep["diagnostics"] == {
+        "error": "flow would need more than 1000000 steps", "error_type": "BudgetError",
+    }
+
+
 _SO3_WORD = "; ".join(["1/2,1/4,-1/8@0.3", "-1/3,1/5,1/7@0.25", "1/6,-1/2,1/3@0.4"] * 3)
 _CSTAR_WORD = "; ".join(["1/2,1@0.7", "-1/4,1/3@0.45", "0,-1@0.2"] * 2)
 
@@ -710,6 +730,8 @@ def _fuzz_point(rng, n):
 
 
 def _fuzz_word(rng, k):
+    if rng.uniform() < 0.08:  # every segment under the RK4 step cap, the word over it
+        return "; ".join([",".join(["1"] * k) + "@400"] * 3)
     steps = []
     for _ in range(rng.randint(0, 3)):
         coeffs = ",".join(_number(rng) for _ in range(k if rng.uniform() < 0.9 else k + 1))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from foliations.errors import ArityError, BlowUpError, PreconditionError
+from foliations.errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from foliations.flow import (
     FlowWord,
     NumericOptions,
@@ -361,6 +361,24 @@ def test_numeric_options_validation():
         NumericOptions(step_size=float("inf"))
     with pytest.raises(ValueError):
         NumericOptions(domain_bound=float("inf"))
+    assert NumericOptions()._replace(step_size=0.5) == NumericOptions(step_size=0.5)
+    with pytest.raises(ValueError):
+        NumericOptions()._replace(max_steps=0)
+
+
+def test_max_steps_caps_the_whole_word(monkeypatch):
+    # 0.9 takes 900 full steps and a remainder step: one segment is under a
+    # 1,000-step cap, three are over it, like the single 2.7 segment
+    spec = make_spec(("x", "y"), ["y*dx"])
+    opts = NumericOptions(max_steps=1000)
+    assert flow(spec, FlowWord(spec, [((1,), 0.9)]), (0, 1), opts) == pytest.approx((0.9, 1.0))
+    monkeypatch.setattr(flow_module, "_runner", lambda *args: pytest.fail("an RK4 step ran"))
+    for steps in ([((1,), 0.9)] * 3, [((1,), 2.7)]):
+        for run in (flow, flow_jet):
+            with pytest.raises(BudgetError, match="^flow would need more than 1000 steps$"):
+                run(spec, FlowWord(spec, steps), (0, 1), opts)
+    with pytest.raises(BudgetError):
+        chart_at(spec, (0, 1), NumericOptions(max_steps=1000, step_size=1e-4)).target((1,))
 
 
 # -- compiled kernels ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""``fol`` never loads numpy: no subcommand imports it.
+"""``fol`` never loads numpy: no subcommand imports it.  Importing the
+package loads neither ``dataclasses`` nor ``inspect`` either.
 
 pytest itself has numpy loaded, so every check runs in a fresh interpreter.
 """
@@ -30,9 +31,11 @@ def sl2_file(tmp_path):
 
 @pytest.mark.parametrize("module", ["foliations", "foliations.cli"])
 def test_import_leaves_numpy_unloaded(module):
-    proc = run_python(f"import sys\nimport {module}\nprint('numpy' in sys.modules)\n")
+    # records are named tuples: no ``dataclasses``, and through it no ``inspect``
+    names = ("numpy", "dataclasses", "inspect")
+    proc = run_python(f"import sys\nimport {module}\nprint(*[m in sys.modules for m in {names!r}])\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "False False False\n"
 
 
 _NUMERIC = [
