@@ -10,7 +10,7 @@ Every invocation writes a single JSON report to stdout.  Exit codes:
 * 3 - numerical failure (trajectory blow-up, budget exceeded, a result
       that is not finite; reports never carry NaN or infinities)
 
-Foliation files (``.fol``) are line oriented::
+Foliation files (``.fol``) are line-oriented UTF-8 text::
 
     # comment
     name: sl2
@@ -91,7 +91,10 @@ class FoliationFile(NamedTuple):
 
 def load_foliation_file(path) -> FoliationFile:
     """Parse a ``.fol`` file; errors carry 1-based line/column."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"file is not UTF-8 text (byte {e.start + 1})") from None
     var_names: tuple[str, ...] | None = None
     name = None
     description = None
@@ -111,11 +114,8 @@ def load_foliation_file(path) -> FoliationFile:
             try:
                 generators.append(parse_vector_field(line, var_names))
             except (ParseError, BudgetError) as e:
-                raise type(e)(
-                    *((e.name,) if hasattr(e, "name") else (e.message,)),
-                    line=lineno,
-                    column=e.column,
-                ) from None
+                e.line = lineno
+                raise
             continue
         stripped = line.strip()
         if stripped.startswith("vars:"):
@@ -233,12 +233,8 @@ def _fmt_point(pt) -> str:
     return ",".join(str(c) for c in pt)
 
 
-def _json_matrix(rows) -> list[list[float]]:
-    return [[float(v) for v in row] for row in rows]
-
-
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, results, diagnostics, seed)
+# Subcommand handlers: each returns (exit_code, results, diagnostics)
 # ---------------------------------------------------------------------------
 
 
@@ -268,7 +264,6 @@ def _cmd_check(ns, spec):
         0 if report.closed else 1,
         {"closed": report.closed, "witnesses": witnesses},
         {},
-        None,
     )
 
 
@@ -289,7 +284,7 @@ def _cmd_dims(ns, spec):
     if ns.grid is not None:
         pts = _grid_points(_parse_grid(ns.grid), spec.nvars)
         results["grid"] = [_dims_at(spec, p) for p in pts]
-    return 0, results, {}, None
+    return 0, results, {}
 
 
 def _cmd_member(ns, spec):
@@ -299,13 +294,13 @@ def _cmd_member(ns, spec):
     cert = None
     if res.member:
         cert = [format_poly(p, spec.var_names) for p in res.certificate]
-    return 0, {"member": res.member, "certificate": cert}, {}, None
+    return 0, {"member": res.member, "certificate": cert}, {}
 
 
 def _cmd_syzygy(ns, spec):
     syz = syzygy_basis(spec)
     rels = [[format_poly(p, spec.var_names) for p in rel] for rel in syz.relations]
-    return 0, {"relations": rels}, {}, None
+    return 0, {"relations": rels}, {}
 
 
 def _cmd_singular(ns, spec):
@@ -317,14 +312,13 @@ def _cmd_singular(ns, spec):
             "minor_ideal": [format_poly(p, spec.var_names) for p in rep.minor_ideal],
         },
         {},
-        None,
     )
 
 
 def _cmd_localgens(ns, spec):
     pt = _parse_point(ns.point)
     indices = minimal_local_generators(spec, pt)
-    return 0, {"indices": list(indices), "fiber": len(indices)}, {"index_base": 1}, None
+    return 0, {"indices": list(indices), "fiber": len(indices)}, {"index_base": 1}
 
 
 def _cmd_leaf(ns, spec):
@@ -334,9 +328,8 @@ def _cmd_leaf(ns, spec):
     pts = leaf_sample(spec, pt, ns.steps, ns.seed, opts)
     return (
         0,
-        {"points": [[float(v) for v in p] for p in pts]},
+        {"points": pts},
         {"step_size": opts.step_size},
-        ns.seed,
     )
 
 
@@ -347,9 +340,8 @@ def _cmd_flow(ns, spec):
     end = flow(spec, word, pt, opts)
     return (
         0,
-        {"endpoint": [float(v) for v in end]},
+        {"endpoint": end},
         {"step_size": opts.step_size, "tolerance_hint": 1e-6},
-        None,
     )
 
 
@@ -372,7 +364,7 @@ def _cmd_chart_rank(ns, spec):
         "rank_rel_threshold": opts.rank_rel_threshold,
         "step_size": opts.step_size,
     }
-    return (0 if report.ok else 1), {"ok": report.ok, "entries": rows}, diags, ns.seed
+    return (0 if report.ok else 1), {"ok": report.ok, "entries": rows}, diags
 
 
 def _cmd_flowbox(ns, spec):
@@ -381,9 +373,8 @@ def _cmd_flowbox(ns, spec):
     rep = flow_box(spec, ns.gen, pt, None, opts)
     return (
         0 if rep.invertible else 1,
-        {"jacobian": _json_matrix(rep.jacobian), "invertible": rep.invertible},
+        {"jacobian": rep.jacobian, "invertible": rep.invertible},
         {"fd_epsilon": opts.fd_epsilon, "rank_rel_threshold": opts.rank_rel_threshold},
-        None,
     )
 
 
@@ -395,16 +386,15 @@ def _cmd_jet(ns, spec):
     _, jet = flow_jet(spec, word, pt, opts)
     return (
         0,
-        {"jet": _json_matrix(jet)},
+        {"jet": jet},
         {"step_size": opts.step_size, "tolerance_hint": 1e-6},
-        None,
     )
 
 
 def _cmd_jet_exact(ns, spec):
     word = _parse_word(spec, ns.word)
     jet = _jet_exact_rows(spec, word)
-    return 0, {"jet": _json_matrix(jet)}, {"method_accuracy": 1e-12}, None
+    return 0, {"jet": jet}, {"method_accuracy": 1e-12}
 
 
 def _cmd_germ_eq(ns, spec):
@@ -413,7 +403,7 @@ def _cmd_germ_eq(ns, spec):
     pt = _parse_point(ns.point)
     tol = _finite("--tol", ns.tol) if ns.tol is not None else 1e-6
     equal = germ_equal_at_fixed_point(spec, w1, w2, pt, tol)
-    return 0, {"equal": equal}, {"tolerance": tol}, None
+    return 0, {"equal": equal}, {"tolerance": tol}
 
 
 def _cmd_pushforward(ns, spec):
@@ -421,9 +411,8 @@ def _cmd_pushforward(ns, spec):
     rep = check_pushforward_linear(spec, coeffs, _finite("--time", ns.time))
     return (
         0 if rep.ok else 1,
-        {"ok": rep.ok, "residuals": [float(r) for r in rep.residuals]},
+        {"ok": rep.ok, "residuals": rep.residuals},
         {"threshold": rep.threshold},
-        None,
     )
 
 
@@ -447,53 +436,53 @@ _HANDLERS = {
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true", help="JSON output (the default and only format)")
-    common.add_argument("--h", type=float, default=None, help="integrator step size (default 1e-3)")
-    common.add_argument("--tol", type=float, default=None, help="comparison tolerance where applicable")
-    common.add_argument("--jobs", type=int, default=1, help="accepted and has no effect (must be at least 1)")
+    common.add_argument("--json", action="store_true")
+    common.add_argument("--h", type=float, default=None)
+    common.add_argument("--tol", type=float, default=None)
+    common.add_argument("--jobs", type=int, default=1)
 
-    parser = _Parser(prog="fol", description="singular-foliation workbench")
+    parser = _Parser(prog="fol", add_help=False)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        p.add_argument("file", help="foliation file (.fol)")
+    def add(name):
+        p = sub.add_parser(name, parents=[common], add_help=False)
+        p.add_argument("file")
         return p
 
-    add("check", help="involutivity check")
-    p = add("dims", help="fiber/tangent/isotropy dimensions")
+    add("check")
+    p = add("dims")
     p.add_argument("--point", default=None)
-    p.add_argument("--grid", default=None, metavar="a:b:step")
-    p = add("member", help="module membership with certificate")
+    p.add_argument("--grid", default=None)
+    p = add("member")
     p.add_argument("--field", required=True)
-    add("syzygy", help="relations among the generators")
-    add("singular", help="generic rank and minor ideal")
-    p = add("localgens", help="minimal local generator indices at a point")
+    add("syzygy")
+    add("singular")
+    p = add("localgens")
     p.add_argument("--point", required=True)
-    p = add("leaf", help="random orbit walk")
+    p = add("leaf")
     p.add_argument("--point", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p = add("flow", help="apply a flow word to a point")
+    p = add("flow")
     p.add_argument("--word", required=True)
     p.add_argument("--point", required=True)
-    p = add("chart-rank", help="chart parameter-derivative rank vs tangent dimension")
+    p = add("chart-rank")
     p.add_argument("--point", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p = add("flowbox", help="flow-box Jacobian at a point")
-    p.add_argument("--gen", type=int, required=True, help="1-based generator index")
+    p = add("flowbox")
+    p.add_argument("--gen", type=int, required=True)
     p.add_argument("--point", required=True)
-    p = add("jet", help="holonomy jet of a word at a fixed point")
+    p = add("jet")
     p.add_argument("--word", required=True)
     p.add_argument("--point", required=True)
-    p = add("jet-exact", help="exact jet for linear generators")
+    p = add("jet-exact")
     p.add_argument("--word", required=True)
-    p = add("germ-eq", help="germ equality of two words at the origin (linear only)")
+    p = add("germ-eq")
     p.add_argument("--word1", required=True)
     p.add_argument("--word2", required=True)
     p.add_argument("--point", required=True)
-    p = add("pushforward", help="conjugation stays in the generator span (linear only)")
+    p = add("pushforward")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--time", type=float, required=True)
     return parser
@@ -555,7 +544,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         if ns.jobs < 1:
             raise _UsageError("--jobs must be at least 1")
         ff = load_foliation_file(ns.file)
-        code, results, diagnostics, seed = _HANDLERS[ns.cmd](ns, ff.spec)
+        code, results, diagnostics = _HANDLERS[ns.cmd](ns, ff.spec)
     except (OSError, _UsageError, ParseError, ArityError, PreconditionError) as e:
         _emit(_error_report(ns.cmd, argv, e))
         return 2
@@ -569,8 +558,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         "diagnostics": diagnostics,
         "version": __version__,
     }
-    if seed is not None:
-        report["seed"] = seed
+    if "seed" in ns:
+        report["seed"] = ns.seed
     try:
         _emit(report)
     except ValueError:  # a NaN or infinity in the results, which JSON cannot carry

@@ -9,16 +9,16 @@ class FoliationError(Exception):
 
 class _Located(FoliationError):
     """An error that carries the raw ``message`` plus optional 1-based
-    ``line``/``column`` in its input, so callers (the file loader, the CLI)
-    can re-anchor the location."""
+    ``line``/``column`` in its input; ``str()`` renders all three, so a
+    caller (the file loader) can set the line later."""
 
     def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
-        super().__init__(self._render())
 
-    def _render(self) -> str:
+    def __str__(self) -> str:
         loc = []
         if self.line is not None:
             loc.append(f"line {self.line}")

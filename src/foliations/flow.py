@@ -26,8 +26,8 @@ writes the integer row evaluators of ``modalg`` and cuts long operator
 chains into temporaries.  ``_runner`` is the one cache of bound kernels
 and ``_drive`` the one driver: every flow, jet, leaf walk and chart
 target runs a list of ``(coefficients, duration)`` pairs through it, and
-``NumericOptions.max_steps`` caps the RK4 steps of the whole list (a leaf
-walk drives one pair at a time, so there the cap is per walk step).
+``NumericOptions.max_steps`` caps the RK4 steps of the whole list, a leaf
+walk included.
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -417,9 +417,10 @@ def _segment(
 
 def _drive(
     spec: FoliationSpec, steps, state: tuple, opts: NumericOptions, variation: bool = False
-) -> tuple:
+) -> list[tuple]:
     """Run ``state`` through the flows of the ``(coeffs, duration)`` pairs
-    ``steps``, in order; a blow-up time counts from the start of the first.
+    ``steps``, in order; returns ``state`` followed by the state after each
+    pair.  A blow-up time counts from the start of the first pair.
 
     ``opts.max_steps`` caps the RK4 steps of all the pairs together, counted
     as ``_segment`` splits each duration (the remainder step counted always);
@@ -429,11 +430,13 @@ def _drive(
     h, cap = opts.step_size, opts.max_steps
     if sum(int(min(abs(t) / h, cap)) + 1 for _, t in steps if t) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
+    states = [state]
     t0 = 0.0
     for coeffs, duration in steps:
         state = _segment(duration, state, opts, t0, _runner(spec, variation, *coeffs))
+        states.append(state)
         t0 += duration
-    return state
+    return states
 
 
 def _word_steps(spec: FoliationSpec, word: FlowWord) -> tuple[FlowStep, ...]:
@@ -470,7 +473,7 @@ def flow(
     spec: FoliationSpec, word: FlowWord, x0: Sequence, opts: NumericOptions = DEFAULT_OPTIONS
 ) -> tuple[float, ...]:
     """Endpoint of the word applied to x0; the empty word returns x0 exactly."""
-    return _drive(spec, _word_steps(spec, word), _float_point(x0, spec.nvars), opts)
+    return _drive(spec, _word_steps(spec, word), _float_point(x0, spec.nvars), opts)[-1]
 
 
 def flow_jet(
@@ -491,7 +494,7 @@ def _jet(
     the first-variation system driven from the identity linearization."""
     n = spec.nvars
     ident = tuple(1.0 if i == j else 0.0 for i in range(n) for j in range(n))
-    state = _drive(spec, steps, _float_point(x0, n) + ident, opts, True)
+    state = _drive(spec, steps, _float_point(x0, n) + ident, opts, True)[-1]
     return state[:n], tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
 
 
@@ -506,19 +509,19 @@ def leaf_sample(
 
     Per step the combination coefficients are uniform on [-1,1]^k and the
     duration uniform on [0, 0.1]; all randomness comes from the seeded
-    xorshift64* generator, so output is reproducible.
+    xorshift64* generator, so output is reproducible.  The walk is driven
+    as one word: ``opts.max_steps`` caps its RK4 steps as a whole, and a
+    blow-up time counts from its start.
     """
     if n_steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {n_steps}")
     rng = XorShift64Star(rng_seed)
     x = _float_point(x0, spec.nvars)
-    points = [x]
-    for _ in range(n_steps):
-        coeffs = tuple(rng.symmetric() for _ in range(spec.k))
-        duration = 0.1 * rng.uniform()
-        x = _drive(spec, [(coeffs, duration)], x, opts)
-        points.append(x)
-    return points
+    steps = [
+        (tuple(rng.symmetric() for _ in range(spec.k)), 0.1 * rng.uniform())
+        for _ in range(n_steps)
+    ]
+    return _drive(spec, steps, x, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +547,7 @@ class FlowChart(NamedTuple):
         self._check_y(y)
         pt = self.base_point if x is None else _float_point(x, self.spec.nvars)
         coeffs = tuple(float(c) for c in y)
-        return _drive(self.spec, [(coeffs, 1.0)], pt, self.opts)
+        return _drive(self.spec, [(coeffs, 1.0)], pt, self.opts)[-1]
 
     def _check_y(self, y: Sequence):
         if len(y) != self.k:
@@ -565,8 +568,8 @@ def _flow_derivative(spec: FoliationSpec, i: int, x: tuple, opts: NumericOptions
     target, because the time-1 flow of eps*X_i is the time-eps flow of X_i."""
     eps = opts.fd_epsilon
     coeffs = tuple(Fraction(int(j == i)) for j in range(spec.k))
-    fp = _drive(spec, [(coeffs, eps)], x, opts)
-    fm = _drive(spec, [(coeffs, -eps)], x, opts)
+    fp = _drive(spec, [(coeffs, eps)], x, opts)[-1]
+    fm = _drive(spec, [(coeffs, -eps)], x, opts)[-1]
     return [(a - b) / (2.0 * eps) for a, b in zip(fp, fm)]
 
 

@@ -188,19 +188,22 @@ def _jet_exact_rows(spec: FoliationSpec, word: FlowWord) -> Rows:
     return acc
 
 
-def matrix_exp(a: Sequence) -> JetMatrix:
-    """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
+def _array(rows) -> JetMatrix:
+    """``rows`` as a float ndarray; numpy loads on the first call."""
     import numpy as np
 
+    return np.array(rows, dtype=float)
+
+
+def matrix_exp(a: Sequence) -> JetMatrix:
+    """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
     rows = [[float(v) for v in row] for row in a]
-    return np.array(_expm(rows), dtype=float).reshape(len(rows), len(rows))
+    return _array(_expm(rows)).reshape(len(rows), len(rows))
 
 
 def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
     """Matrices A_i with X_i(x) = A_i x; raises NotLinearError otherwise."""
-    import numpy as np
-
-    return [np.array(a, dtype=float) for a in _linear_rows(spec)]
+    return [_array(a) for a in _linear_rows(spec)]
 
 
 class CarriedDiffeo(NamedTuple):
@@ -215,17 +218,14 @@ class CarriedDiffeo(NamedTuple):
 
     def jacobian(self, x: Sequence) -> JetMatrix:
         """Derivative at x, from the first-variation integration."""
-        import numpy as np
-
         _, rows = _jet(self.chart.spec, [(self.y0, 1.0)], x, self.chart.opts)
-        return np.array(rows, dtype=float)
+        return _array(rows)
 
 
 def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
     """The diffeomorphism carried by the chart at parameter value y0."""
     y = tuple(float(c) for c in y0)
-    if len(y) != chart.k:
-        raise ArityError(f"parameter has {len(y)} entries, expected {chart.k}")
+    chart._check_y(y)
     return CarriedDiffeo(chart=chart, y0=y)
 
 
@@ -252,20 +252,16 @@ def holonomy_jet(
     action order, obtained by integrating the first-variation system
     along the stationary trajectory.
     """
-    import numpy as np
-
     _require_fixed_point(spec, word, x_fix)
     _, rows = flow_jet(spec, word, x_fix, opts)
-    return np.array(rows, dtype=float)
+    return _array(rows)
 
 
 def jet_exact_linear(spec: FoliationSpec, word: FlowWord) -> JetMatrix:
     """Jet at the origin for linear generators: product over steps of
     exp(t * sum_i c_i A_i), exact in method (matrix exponentials).
     """
-    import numpy as np
-
-    return np.array(_jet_exact_rows(spec, word), dtype=float)
+    return _array(_jet_exact_rows(spec, word))
 
 
 def germ_equal_at_fixed_point(

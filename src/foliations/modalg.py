@@ -212,10 +212,11 @@ def _reduce(
     ``quotients`` is aligned with ``basis`` and satisfies
     elem = sum quotients[b] * basis[b] + rem.
 
-    The leads of ``work`` strictly decrease, and the key compares terms of
-    one position by grevlex, so each remainder receives its terms in
-    descending order; so does each quotient, since a reducer always acts at
-    the position of its own lead.  Both are collected as term lists and
+    ``basis`` is monic, so a reducer's multiplier is the coefficient it
+    cancels.  The leads of ``work`` strictly decrease, and the key compares
+    terms of one position by grevlex, so each remainder receives its terms
+    in descending order; so does each quotient, since a reducer always acts
+    at the position of its own lead.  Both are collected as term lists and
     wrapped once at the end.
     """
     nvars = elem[0].nvars
@@ -243,12 +244,11 @@ def _reduce(
         else:
             lb = leads[reducer]
             fac_mon = tuple(a - b for a, b in zip(mon, lb[2]))
-            fac_coeff = coeff / lb[3]
             g = basis[reducer]
             for i in range(len(work)):
                 if g[i].terms:
-                    work[i] = work[i] + g[i].mul_term(fac_mon, -fac_coeff)
-            quots[reducer].append((fac_mon, fac_coeff))
+                    work[i] = work[i] + g[i].mul_term(fac_mon, -coeff)
+            quots[reducer].append((fac_mon, coeff))
     return (
         tuple(Poly._canonical(nvars, tuple(t)) for t in rem),
         [Poly._canonical(nvars, tuple(t)) for t in quots],
@@ -411,16 +411,12 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
     )
     if not _is_zero(rem):
         return MembershipResult(member=False, certificate=None)
-    cert = [Poly.zero(spec.nvars) for _ in range(spec.k)]
-    for b, q in enumerate(quots):
-        if q.is_zero:
-            continue
-        for i in range(spec.k):
-            cert[i] = cert[i] + q * gb.reprs[b][i]
+    zeros = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))
+    cert = tuple(-p for p in _minus_quotients(zeros, quots, gb.reprs))
     # paranoia: a certificate must re-verify exactly
     if _combination(spec, cert) != x:
         raise AssertionError("internal error: membership certificate failed verification")
-    return MembershipResult(member=True, certificate=tuple(cert))
+    return MembershipResult(member=True, certificate=cert)
 
 
 def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> InvolutivityReport:

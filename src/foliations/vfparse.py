@@ -507,18 +507,12 @@ def differentiate(p: Poly, var_index: int) -> Poly:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket [X,Y]^i = sum_j X^j dY^i/dx_j - Y^j dX^i/dx_j, exact over Q."""
+    """Lie bracket [X,Y]^i = X(Y^i) - Y(X^i), exact over Q."""
     if x.nvars != y.nvars:
         raise ArityError("vector fields have different numbers of variables")
-    n = x.nvars
-    comps = []
-    for i in range(n):
-        acc = Poly.zero(n)
-        for j in range(n):
-            acc = acc + x.components[j] * y.components[i].differentiate(j)
-            acc = acc - y.components[j] * x.components[i].differentiate(j)
-        comps.append(acc)
-    return VectorField(comps)
+    return VectorField(
+        tuple(x.apply_to(b) - y.apply_to(a) for a, b in zip(x.components, y.components))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -728,19 +722,32 @@ class _Parser:
                 val = self._div(val, rhs, op_pos + 1)
         return val
 
-    def parse_sum(self) -> _Val:
+    def parse_sum(self, top: bool = False) -> _Val:
+        """Signed terms joined by '+' and '-'; at the ``top`` of a field, differentials."""
         sign = 1
         while self.peek()[0] in ("+", "-"):
             if self.take()[0] == "-":
                 sign = -sign
-        val = self.parse_product()
-        if sign < 0:
-            val = self._neg(val)
-        while self.peek()[0] in ("+", "-"):
-            op, _, _ = self.take()
-            rhs = self.parse_product()
-            val = self._add(val, rhs if op == "+" else self._neg(rhs))
-        return val
+        val = None
+        while True:
+            kind, _, pos = self.peek()
+            if top and kind == "end":
+                raise ParseError(
+                    "empty expression" if val is None else "trailing operator", column=pos + 1
+                )
+            term = self.parse_product()
+            if top and not term.d:
+                raise ParseError(
+                    "term has no differential direction (expected '*d<var>')", column=pos + 1
+                )
+            if top and not term.p.is_zero:
+                raise ParseError("term mixes scalar and differential parts", column=pos + 1)
+            if sign < 0:
+                term = self._neg(term)
+            val = term if val is None else self._add(val, term)
+            if self.peek()[0] not in ("+", "-"):
+                return val
+            sign = 1 if self.take()[0] == "+" else -1
 
 
 def parse_vector_field(text: str, var_names: Sequence[str]) -> VectorField:
@@ -752,37 +759,11 @@ def parse_vector_field(text: str, var_names: Sequence[str]) -> VectorField:
     undeclared identifiers.
     """
     parser = _Parser(text, var_names)
-    n = parser.nvars
-    acc = _Val(Poly.zero(n))
-    sign = 1
-    if parser.peek()[0] in ("+", "-"):
-        while parser.peek()[0] in ("+", "-"):
-            if parser.take()[0] == "-":
-                sign = -sign
-    while True:
-        term_pos = parser.peek()[2]
-        if parser.peek()[0] == "end":
-            raise ParseError("empty expression" if not acc.d else "trailing operator",
-                             column=term_pos + 1)
-        val = parser.parse_product()
-        if not val.d:
-            raise ParseError(
-                "term has no differential direction (expected '*d<var>')", column=term_pos + 1
-            )
-        if not val.p.is_zero:
-            raise ParseError(
-                "term mixes scalar and differential parts", column=term_pos + 1
-            )
-        acc = parser._add(acc, val if sign > 0 else parser._neg(val))
-        kind, text_, pos = parser.peek()
-        if kind == "end":
-            break
-        if kind in ("+", "-"):
-            parser.take()
-            sign = 1 if kind == "+" else -1
-            continue
-        raise ParseError(f"unexpected token {text_!r}", column=pos + 1)
-    return VectorField(tuple(acc.d.get(i, Poly.zero(n)) for i in range(n)))
+    val = parser.parse_sum(top=True)
+    kind, tok, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected token {tok!r}", column=pos + 1)
+    return VectorField(tuple(val.d.get(i, parser._zero()) for i in range(parser.nvars)))
 
 
 # ---------------------------------------------------------------------------
@@ -827,18 +808,14 @@ def format_vector_field(x: VectorField, var_names: Sequence[str]) -> str:
     for i, p in enumerate(x.components):
         if p.is_zero:
             continue
-        dvar = f"d{var_names[i]}"
+        body = format_poly(p, var_names)
         if len(p.terms) > 1:
-            pieces.append(f"({format_poly(p, var_names)})*{dvar}")
+            body = f"({body})*"
+        elif body in ("1", "-1"):  # dx and -dx
+            body = body[:-1]
         else:
-            expt, coeff = p.terms[0]
-            mono = _format_monomial(expt, var_names)
-            mag = abs(coeff)
-            if mono:
-                body = f"{mono}*{dvar}" if mag == 1 else f"{mag}*{mono}*{dvar}"
-            else:
-                body = dvar if mag == 1 else f"{mag}*{dvar}"
-            pieces.append(body if coeff > 0 else f"-{body}")
+            body += "*"
+        pieces.append(f"{body}d{var_names[i]}")
     if not pieces:
         return f"0*d{var_names[0]}"
     out = pieces[0]

@@ -133,6 +133,38 @@ def test_load_syntax_error_has_line(tmp_path):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "generator, error, text",
+    [
+        ("x*dx +", ParseError, "trailing operator (line 3, column 9)"),
+        ("z*dx", UnknownVariableError, "unknown variable 'z' (line 3, column 3)"),
+        ("x^2000*dy", BudgetError, "exponent 2000 exceeds the cap 1000 (line 3, column 4)"),
+    ],
+)
+def test_file_errors_render_line_and_column(tmp_path, generator, error, text):
+    p = tmp_path / "bad.fol"
+    p.write_text(f"vars: x y\ngenerators:\n  {generator}\n")
+    with pytest.raises(error) as exc:
+        load_foliation(p)
+    assert type(exc.value) is error
+    assert str(exc.value) == text
+
+
+def test_non_utf8_file_exit_2(capsys, tmp_path):
+    data = b"vars: x y\ngenerators:\n  y*dx \xff\n"
+    p = tmp_path / "latin1.fol"
+    p.write_bytes(data)
+    code = run(["check", str(p)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert (code, rep["results"], err) == (2, {}, "")
+    bad = data.index(0xFF) + 1  # counted from 1
+    assert rep["diagnostics"] == {
+        "error": f"file is not UTF-8 text (byte {bad})", "error_type": "ParseError",
+    }
+
+
 def test_load_empty_generators(tmp_path):
     p = tmp_path / "zero.fol"
     p.write_text("vars: x y\ngenerators:\n")
@@ -399,17 +431,26 @@ def test_flow_blowup_exit_3(files, capsys):
     assert rep["diagnostics"]["error_type"] == "BlowUpError"
 
 
+_WALK = ["--steps", "100000", "--seed", "1", "--h", "1e-6"]
+
+
 @pytest.mark.parametrize(
-    "cmd, word",
-    [("flow", "1,0,0@600; 0,1,0@600"), ("jet", "1,0,0@600; 0,1,0@600"), ("flow", "1,0,0@1e307")],
-    ids=["flow-word", "jet-word", "flow-duration-over-float-range"],
+    "cmd, args",
+    [
+        ("flow", ["--word", "1,0,0@600; 0,1,0@600"]),
+        ("jet", ["--word", "1,0,0@600; 0,1,0@600"]),
+        ("flow", ["--word", "1,0,0@1e307"]),
+        ("leaf", _WALK),
+    ],
+    ids=["flow-word", "jet-word", "flow-duration-over-float-range", "leaf-walk"],
 )
-def test_flow_over_the_step_cap_exit_3(files, capsys, monkeypatch, cmd, word):
+def test_flow_over_the_step_cap_exit_3(files, capsys, monkeypatch, cmd, args):
     # each 600 segment takes 600,001 RK4 steps, under the 1e6 cap, and the
-    # word is over it; 1e307 / 1e-3 steps is beyond the float range.  Both
-    # are refused before the first step
+    # word is over it; 1e307 / 1e-3 steps is beyond the float range; each
+    # walk step takes at most 0.1 / 1e-6 + 1 steps, and the walk is over
+    # the cap.  All are refused before the first step
     monkeypatch.setattr(sys.modules["foliations.flow"], "_runner", lambda *a: pytest.fail("RK4 ran"))
-    code = run([cmd, files["sl2"], "--word", word, "--point", "0,0"])
+    code = run([cmd, files["sl2"], *args, "--point", "0,0"])
     out, err = capsys.readouterr()
     rep = json.loads(out, parse_constant=_reject_constant)
     jsonschema.validate(rep, SCHEMA)
@@ -417,6 +458,14 @@ def test_flow_over_the_step_cap_exit_3(files, capsys, monkeypatch, cmd, word):
     assert rep["diagnostics"] == {
         "error": "flow would need more than 1000000 steps", "error_type": "BudgetError",
     }
+
+
+def test_leaf_blowup_time_counts_from_the_start_of_the_walk(files, capsys):
+    # x' = x^2 from 50 leaves the box in walk step 30, after 1.4975 time units
+    args = ["leaf", files["folk2"], "--point", "50", "--steps", "200", "--seed", "1"]
+    code, rep, _ = invoke(capsys, args)
+    assert code == 3
+    assert rep["diagnostics"]["error"] == "trajectory left the domain box (t = 1.49753)"
 
 
 _SO3_WORD = "; ".join(["1/2,1/4,-1/8@0.3", "-1/3,1/5,1/7@0.25", "1/6,-1/2,1/3@0.4"] * 3)
@@ -696,6 +745,16 @@ def test_missing_file_exit_2(capsys):
 def test_usage_error_exit_2(capsys):
     code, rep, _ = invoke(capsys, ["dims"])  # missing file
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "{sl2}", "-h"]], ids=["fol", "subcommand"])
+def test_help_is_a_usage_error(files, capsys, argv):
+    # there is no help text: every invocation ends in one JSON report
+    code = run([a.format(**files) for a in argv])
+    out, err = capsys.readouterr()
+    rep = json.loads(out, parse_constant=_reject_constant)  # one document, or "Extra data"
+    jsonschema.validate(rep, SCHEMA)
+    assert (code, rep["results"], err) == (2, {}, "")
 
 
 def test_negative_values_accepted(files, capsys):

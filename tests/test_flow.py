@@ -379,6 +379,9 @@ def test_max_steps_caps_the_whole_word(monkeypatch):
                 run(spec, FlowWord(spec, steps), (0, 1), opts)
     with pytest.raises(BudgetError):
         chart_at(spec, (0, 1), NumericOptions(max_steps=1000, step_size=1e-4)).target((1,))
+    # a leaf walk is one word: 100 walk steps of at most 101 RK4 steps each
+    with pytest.raises(BudgetError, match="^flow would need more than 1000 steps$"):
+        leaf_sample(sl2(), (1.0, 0.5), 100, rng_seed=5, opts=opts)
 
 
 # -- compiled kernels ----------------------------------------------------------

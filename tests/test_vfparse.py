@@ -85,6 +85,24 @@ def test_parse_errors_report_position():
         P("")
 
 
+@pytest.mark.parametrize(
+    "text, message, column",
+    [
+        ("", "empty expression", 1),
+        ("+", "empty expression", 2),
+        ("x*dx +", "trailing operator", 7),
+        ("x + y", "term has no differential direction (expected '*d<var>')", 1),
+        ("(x + dx)", "term mixes scalar and differential parts", 1),
+        ("x*dx )", "unexpected token ')'", 6),
+    ],
+)
+def test_top_level_parse_error_messages_and_columns(text, message, column):
+    with pytest.raises(ParseError) as exc:
+        P(text)
+    assert (exc.value.message, exc.value.column) == (message, column)
+    assert str(exc.value) == f"{message} (column {column})"
+
+
 def test_differentiate_examples():
     x, y = Poly.variable(0, 2), Poly.variable(1, 2)
     assert differentiate(x**2 * y, 0) == 2 * x * y
@@ -241,6 +259,31 @@ def test_mul_term_validates_the_monomial():
         x.mul_term((1, 0), 0.5)
 
 
+@pytest.mark.parametrize(
+    "component, coeff, expt, text",
+    [
+        (0, 1, (0, 0), "dx"),
+        (0, -1, (0, 0), "-dx"),
+        (0, 3, (0, 0), "3*dx"),
+        (0, Fraction(-1, 2), (0, 0), "-1/2*dx"),
+        (1, 1, (1, 0), "x*dy"),
+        (1, -1, (2, 0), "-x^2*dy"),
+        (0, 2, (1, 1), "2*x*y*dx"),
+        (0, 0, (0, 0), "0*dx"),
+    ],
+)
+def test_format_one_term_components(component, coeff, expt, text):
+    comps = [Poly.zero(2), Poly.zero(2)]
+    comps[component] = Poly.term(2, expt, coeff)
+    assert format_vector_field(VectorField(comps), XY) == text
+
+
+def test_format_joins_components_and_parenthesizes_sums():
+    assert format_vector_field(P("-dx + x^2*dy"), XY) == "-dx + x^2*dy"
+    assert format_vector_field(P("2*dx - 1/3*y*dy"), XY) == "2*dx - 1/3*y*dy"
+    assert format_vector_field(P("(1 - x)*dx - dy"), XY) == "(-x + 1)*dx - dy"
+
+
 def test_zero_field_roundtrip():
     zero = VectorField.zero(2)
     assert parse_vector_field(format_vector_field(zero, XY), XY) == zero
@@ -267,7 +310,6 @@ def test_power_caps():
     # a differential power stays a parse error, whatever the exponent
     with pytest.raises(ParseError, match="differential"):
         P("dx^1000000000")
-
 
 
 def test_product_cap_counts_every_product(monkeypatch):
