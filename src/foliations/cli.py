@@ -62,15 +62,13 @@ from .holonomy import (
     germ_equal_at_fixed_point,
 )
 from .modalg import (
-    as_point,
+    _dims,
     contains,
-    fiber_dim,
     is_involutive,
     minimal_local_generators,
     module_groebner,
     singular_locus,
     syzygy_basis,
-    tangent_dim,
 )
 from .vfparse import (
     FoliationSpec,
@@ -268,9 +266,7 @@ def _cmd_check(ns, spec):
 
 
 def _dims_at(spec, pt):
-    pt = as_point(pt, spec.nvars)  # scaled to integers once, for both ranks
-    f = fiber_dim(spec, pt)
-    t = tangent_dim(spec, pt)
+    f, t = _dims(spec, pt)
     return {"point": _fmt_point(pt), "fiber": f, "tangent": t, "isotropy": f - t}
 
 
@@ -416,117 +412,98 @@ def _cmd_pushforward(ns, spec):
     )
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "dims": _cmd_dims,
-    "member": _cmd_member,
-    "syzygy": _cmd_syzygy,
-    "singular": _cmd_singular,
-    "localgens": _cmd_localgens,
-    "leaf": _cmd_leaf,
-    "flow": _cmd_flow,
-    "chart-rank": _cmd_chart_rank,
-    "flowbox": _cmd_flowbox,
-    "jet": _cmd_jet,
-    "jet-exact": _cmd_jet_exact,
-    "germ-eq": _cmd_germ_eq,
-    "pushforward": _cmd_pushforward,
+# the command line, declared once: each subcommand's handler and its flags
+# after the file, in usage order (a bracketed flag is optional), the flags
+# every subcommand takes, and each flag's type under every subcommand
+# (--json is a switch, and a flag not in _TYPES takes a string)
+_COMMANDS = {
+    "check": (_cmd_check, ""),
+    "dims": (_cmd_dims, "[--point] [--grid]"),
+    "member": (_cmd_member, "--field"),
+    "syzygy": (_cmd_syzygy, ""),
+    "singular": (_cmd_singular, ""),
+    "localgens": (_cmd_localgens, "--point"),
+    "leaf": (_cmd_leaf, "--point --steps --seed"),
+    "flow": (_cmd_flow, "--word --point"),
+    "chart-rank": (_cmd_chart_rank, "--point --samples --seed"),
+    "flowbox": (_cmd_flowbox, "--gen --point"),
+    "jet": (_cmd_jet, "--word --point"),
+    "jet-exact": (_cmd_jet_exact, "--word"),
+    "germ-eq": (_cmd_germ_eq, "--word1 --word2 --point"),
+    "pushforward": (_cmd_pushforward, "--coeffs --time"),
 }
+_COMMON = "[--json] [--h] [--tol] [--jobs]"
+_TYPES = {
+    "--json": bool,
+    "--steps": int, "--seed": int, "--samples": int, "--gen": int, "--jobs": int,
+    "--time": float, "--h": float, "--tol": float,
+}
+
+# the flags _normalize_argv joins to a value starting with '-'; argparse
+# itself reads a negative integer as the value of an int flag
+_VALUE_FLAGS = {
+    flag.strip("[]")
+    for flags in (_COMMON, *(flags for _, flags in _COMMANDS.values()))
+    for flag in flags.split()
+} - {flag for flag, kind in _TYPES.items() if kind in (int, bool)}
+
+
+def _add_flags(parser: _Parser, flags: str) -> None:
+    for flag in flags.split():
+        name = flag.strip("[]")
+        kind = _TYPES.get(name, str)
+        if kind is bool:
+            parser.add_argument(name, action="store_true")
+        else:
+            parser.add_argument(name, type=kind, required=name == flag)
 
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--json", action="store_true")
-    common.add_argument("--h", type=float, default=None)
-    common.add_argument("--tol", type=float, default=None)
-    common.add_argument("--jobs", type=int, default=1)
-
+    _add_flags(common, _COMMON)
+    common.set_defaults(jobs=1)
     parser = _Parser(prog="fol", add_help=False)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name, parents=[common], add_help=False)
         p.add_argument("file")
-        return p
-
-    add("check")
-    p = add("dims")
-    p.add_argument("--point", default=None)
-    p.add_argument("--grid", default=None)
-    p = add("member")
-    p.add_argument("--field", required=True)
-    add("syzygy")
-    add("singular")
-    p = add("localgens")
-    p.add_argument("--point", required=True)
-    p = add("leaf")
-    p.add_argument("--point", required=True)
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p = add("flow")
-    p.add_argument("--word", required=True)
-    p.add_argument("--point", required=True)
-    p = add("chart-rank")
-    p.add_argument("--point", required=True)
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p = add("flowbox")
-    p.add_argument("--gen", type=int, required=True)
-    p.add_argument("--point", required=True)
-    p = add("jet")
-    p.add_argument("--word", required=True)
-    p.add_argument("--point", required=True)
-    p = add("jet-exact")
-    p.add_argument("--word", required=True)
-    p = add("germ-eq")
-    p.add_argument("--word1", required=True)
-    p.add_argument("--word2", required=True)
-    p.add_argument("--point", required=True)
-    p = add("pushforward")
-    p.add_argument("--coeffs", required=True)
-    p.add_argument("--time", type=float, required=True)
+        _add_flags(p, flags)
     return parser
 
 
-def _emit(report: dict) -> None:
+def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) -> None:
+    """Print one report; a NaN or infinity in it raises ValueError, and nothing is printed."""
+    report = {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "diagnostics": diagnostics,
+        "version": __version__,
+        **seed,
+    }
     sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
-def _error_report(command: str | None, argv, exc: Exception) -> dict:
+def _fail(command: str | None, argv: list[str], exc: Exception, code: int) -> int:
+    """Print the error report for ``exc``; returns the exit code."""
     diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
     if isinstance(exc, (ParseError, BudgetError)):
         if exc.line is not None:
             diagnostics["line"] = exc.line
         if exc.column is not None:
             diagnostics["column"] = exc.column
-    return {
-        "command": command or "",
-        "inputs": {"argv": list(argv)},
-        "results": {},
-        "diagnostics": diagnostics,
-        "version": __version__,
-    }
-
-
-_VALUE_FLAGS = {
-    "--point", "--grid", "--word", "--word1", "--word2", "--coeffs",
-    "--field", "--time", "--h", "--tol",
-}
+    _emit(command or "", {"argv": argv}, {}, diagnostics)
+    return code
 
 
 def _normalize_argv(argv: list[str]) -> list[str]:
     # let value flags accept arguments with a leading '-' (negative numbers)
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt and nxt.startswith("-") and not nxt.startswith("--"):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and not tok.startswith("--"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -534,37 +511,23 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Run one CLI invocation; prints a JSON report, returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
+    command = None
     try:
         ns = parser.parse_args(_normalize_argv(argv))
-    except _UsageError as e:
-        _emit(_error_report(None, argv, e))
-        return 2
-    inputs = {"argv": argv, "file": ns.file}
-    try:
+        command = ns.cmd
         if ns.jobs < 1:
             raise _UsageError("--jobs must be at least 1")
         ff = load_foliation_file(ns.file)
-        code, results, diagnostics = _HANDLERS[ns.cmd](ns, ff.spec)
+        code, results, diagnostics = _COMMANDS[command][0](ns, ff.spec)
     except (OSError, _UsageError, ParseError, ArityError, PreconditionError) as e:
-        _emit(_error_report(ns.cmd, argv, e))
-        return 2
+        return _fail(command, argv, e, 2)
     except (BudgetError, BlowUpError) as e:
-        _emit(_error_report(ns.cmd, argv, e))
-        return 3
-    report = {
-        "command": ns.cmd,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics,
-        "version": __version__,
-    }
-    if "seed" in ns:
-        report["seed"] = ns.seed
+        return _fail(command, argv, e, 3)
+    seed = {"seed": ns.seed} if "seed" in ns else {}
     try:
-        _emit(report)
+        _emit(command, {"argv": argv, "file": ns.file}, results, diagnostics, **seed)
     except ValueError:  # a NaN or infinity in the results, which JSON cannot carry
-        _emit(_error_report(ns.cmd, argv, ArithmeticError("result is not finite")))
-        return 3
+        return _fail(command, argv, ArithmeticError("result is not finite"), 3)
     return code
 
 

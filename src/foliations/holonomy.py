@@ -278,7 +278,7 @@ def germ_equal_at_fixed_point(
     input is rejected rather than answered.  A jet that overflows raises
     BlowUpError (at the word's total duration) instead of comparing unequal.
     """
-    if any(c != 0 for c in x_fix):
+    if any(c != 0 for c in _exact_or_float(x_fix, spec.nvars)):
         raise PreconditionError("germ comparison is only offered at the origin")
     j1 = _jet_exact_rows(spec, w1)
     j2 = _jet_exact_rows(spec, w2)

@@ -563,13 +563,21 @@ def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUD
     return spec.k - _rank_int(_syzygy_rows(spec, budget)(*xs, d))
 
 
+def _dims(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> tuple[int, int]:
+    """Fiber and tangent dimensions at a point, which is scaled to integers
+    once for both; checked to give a nonnegative isotropy dimension."""
+    pt = as_point(point, spec.nvars)
+    f = fiber_dim(spec, pt, budget)
+    t = tangent_dim(spec, pt)
+    if f < t:
+        raise AssertionError("internal error: fiber dimension below tangent dimension")
+    return f, t
+
+
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """fiber_dim - tangent_dim; nonnegative."""
-    pt = as_point(point, spec.nvars)
-    d = fiber_dim(spec, pt, budget) - tangent_dim(spec, pt)
-    if d < 0:
-        raise AssertionError("internal error: fiber dimension below tangent dimension")
-    return d
+    f, t = _dims(spec, point, budget)
+    return f - t
 
 
 # the most term products the cofactor expansions of ``singular_locus`` may

@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive)::
     expr := ['+'|'-'] term (('+'|'-') term)*
     term := poly '*' 'd'var | 'd'var
     poly := sums / products / powers of integer or rational literals
-            ('p/q') and variables, '^' for exponents, parentheses allowed
+            ('p/q') and variables, '^' for exponents, parentheses nested
+            at most 100 deep
 
 Example: ``(x^2 - 1/2*y)*dx + 3*dy``.
 
@@ -520,6 +521,9 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 _OPERATORS = set("+-*/^()")
+# the deepest nesting of parentheses a field may have: the parser recurses
+# once per level, and deeper text would exhaust the interpreter's stack
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -530,9 +534,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -609,6 +613,7 @@ class _Parser:
         self.nvars = len(var_names)
         self.var_index = {name: i for i, name in enumerate(var_names)}
         self.products = 0  # term-by-term products of every power and '*' so far
+        self.depth = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -698,8 +703,12 @@ class _Parser:
                 return _Val(self._zero(), {i: Poly.constant(1, self.nvars)})
             raise UnknownVariableError(text, column=pos + 1)
         if kind == "(":
+            self.depth += 1
+            if self.depth > _MAX_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_DEPTH}", column=pos + 1)
             val = self.parse_sum()
             self.expect(")")
+            self.depth -= 1
             return val
         raise ParseError(f"unexpected token {text or 'end of input'!r}", column=pos + 1)
 

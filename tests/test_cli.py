@@ -1,7 +1,9 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
+import argparse
 import hashlib
 import json
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -14,7 +16,9 @@ import jsonschema
 
 from foliations.cli import (
     _MAX_POINTS,
+    _VALUE_FLAGS,
     FoliationFile,
+    _build_parser,
     _grid_points,
     load_foliation,
     load_foliation_file,
@@ -26,7 +30,7 @@ from foliations.flow import XorShift64Star
 from foliations.modalg import _generator_rows, _syzygy_rows
 from foliations.vfparse import FoliationSpec
 
-from helpers import random_field
+from helpers import random_field, run_python
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -101,6 +105,18 @@ def invoke(capsys, args):
     return code, report, out
 
 
+def failure(capsys, args, code, error_type):
+    """Run a request that must fail: one schema-valid error report with
+    exit ``code`` and nothing on stderr; returns its diagnostics."""
+    got = run(args)
+    out, err = capsys.readouterr()
+    report = json.loads(out, parse_constant=_reject_constant)
+    jsonschema.validate(report, SCHEMA)
+    assert (got, report["results"], err) == (code, {}, "")
+    assert report["diagnostics"]["error_type"] == error_type
+    return report["diagnostics"]
+
+
 # -- file format --------------------------------------------------------------
 
 
@@ -165,6 +181,22 @@ def test_non_utf8_file_exit_2(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("vars: x\ngenerators:\nx*dx\n", "generator lines must be indented (line 3, column 1)"),
+        ("generators:\n  dx\n", "'vars:' must come before 'generators:' (line 2)"),
+        ("vars:\ngenerators:\n", "'vars:' declares no variables (line 1)"),
+        ("name: empty\n", "file declares no 'vars:' line"),
+    ],
+    ids=["unindented-generator", "generators-before-vars", "no-variables", "no-vars-line"],
+)
+def test_file_structure_errors_exit_2(capsys, tmp_path, text, error):
+    p = tmp_path / "bad.fol"
+    p.write_text(text)
+    assert failure(capsys, ["check", str(p)], 2, "ParseError")["error"] == error
+
+
 def test_load_empty_generators(tmp_path):
     p = tmp_path / "zero.fol"
     p.write_text("vars: x y\ngenerators:\n")
@@ -192,6 +224,22 @@ def test_dims_point(files, capsys):
     code, rep, _ = invoke(capsys, ["dims", files["sl2"], "--point", "0,0"])
     assert code == 0
     assert rep["results"] == {"fiber": 3, "isotropy": 3, "point": "0,0", "tangent": 0}
+
+
+def test_dims_needs_point_or_grid(files, capsys):
+    diags = failure(capsys, ["dims", files["sl2"]], 2, "_UsageError")
+    assert diags["error"] == "dims needs --point and/or --grid"
+
+
+def test_dims_checks_fiber_against_tangent(files, monkeypatch):
+    # a tangent rank above the fiber dimension is an internal error; dims
+    # takes the checked path that isotropy_dim takes, and the check is an
+    # explicit raise, so it holds under python -O too
+    modalg = sys.modules["foliations.modalg"]
+    rank_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    monkeypatch.setattr(modalg, "_generator_rows", lambda spec: lambda *xs: rank_3)
+    with pytest.raises(AssertionError, match="fiber dimension below tangent dimension"):
+        run(["dims", files["sl2"], "--point", "1,0"])
 
 
 def test_dims_grid(files, capsys):
@@ -325,6 +373,18 @@ def test_flow(files, capsys):
     assert code == 0
     end = rep["results"]["endpoint"]
     assert abs(end[0] - 1.0) < 1e-6 and abs(end[1] - 1.0) < 1e-6
+
+
+def test_word_step_without_duration_exit_2(files, capsys):
+    diags = failure(capsys, ["flow", files["sl2"], "--word", "1,0,0", "--point", "1,1"], 2, "_UsageError")
+    assert diags["error"] == "word step '1,0,0' is missing '@duration'"
+
+
+def test_word_empty_chunks_are_skipped(files, capsys):
+    args = ["flow", files["sl2"], "--point", "1,1", "--word"]
+    code, rep, _ = invoke(capsys, args + ["0,1,0@1;; 1,0,0@1/2;"])
+    assert code == 0
+    assert rep["results"] == invoke(capsys, args + ["0,1,0@1; 1,0,0@1/2"])[1]["results"]
 
 
 @pytest.mark.parametrize("h", ["0", "nan", "-1"])
@@ -595,6 +655,13 @@ def test_germ_eq(files, capsys):
     assert rep["results"]["equal"] is False
 
 
+@pytest.mark.parametrize("point", ["0", "0,0,0"])
+def test_germ_eq_point_of_the_wrong_length_exit_2(files, capsys, point):
+    args = ["germ-eq", files["sl2"], "--word1", "1,0,0@1", "--word2", "1,0,0@1", "--point", point]
+    diags = failure(capsys, args, 2, "ArityError")
+    assert diags["error"] == f"point has {point.count(',') + 1} coordinates, expected 2"
+
+
 def test_germ_eq_non_finite_jet_exit_3(files, capsys):
     # exp(1e300 A) overflows; the answer is an error, not "equal": false
     args = ["germ-eq", files["sl2"], "--word1", "1,0,0@1e300", "--word2", "0,0,0@1", "--point", "0,0"]
@@ -648,6 +715,30 @@ def test_overlong_integer_literal_exit_2(files, capsys, tmp_path, template, colu
     assert (rep["diagnostics"]["line"], rep["diagnostics"]["column"]) == (4, column + 2)
 
 
+def _nested(depth):
+    return "(" * depth + "x" + ")" * depth + "*dy"
+
+
+def test_parentheses_100_deep_parse(files, capsys, tmp_path):
+    code, rep, _ = invoke(capsys, ["member", files["sl2"], "--field", _nested(100)])
+    assert (code, rep["results"]["member"]) == (0, True)
+    p = tmp_path / "deep.fol"
+    p.write_text(f"vars: x y\ngenerators:\n  {_nested(100)}\n")
+    assert invoke(capsys, ["check", str(p)])[0] == 0
+
+
+@pytest.mark.parametrize("depth", [101, 300])
+def test_parentheses_nested_too_deep_exit_2(files, capsys, tmp_path, depth):
+    # the parser recurses once per level, so it stops at the 101st '('
+    # instead of running out of stack
+    diags = failure(capsys, ["member", files["sl2"], "--field", _nested(depth)], 2, "ParseError")
+    assert (diags["error"], diags["column"]) == ("parentheses nested deeper than 100 (column 101)", 101)
+    p = tmp_path / "deep.fol"
+    p.write_text(f"vars: x y\ngenerators:\n  y*dx\n  {_nested(depth)}\n")
+    diags = failure(capsys, ["check", str(p)], 2, "ParseError")
+    assert (diags["line"], diags["column"]) == (4, 103)
+
+
 def test_huge_exponent_exit_3(files, capsys):
     # refused by the parser's exponent cap before the power is expanded
     code = run(["member", files["sl2"], "--field", "x^1000000000*dx"])
@@ -661,14 +752,7 @@ def test_huge_exponent_exit_3(files, capsys):
 
 
 def _budget_report(capsys, args):
-    code = run(args)
-    out, err = capsys.readouterr()
-    rep = json.loads(out, parse_constant=_reject_constant)
-    jsonschema.validate(rep, SCHEMA)
-    assert code == 3 and err == ""
-    assert rep["results"] == {}
-    assert rep["diagnostics"]["error_type"] == "BudgetError"
-    return rep["diagnostics"]
+    return failure(capsys, args, 3, "BudgetError")
 
 
 def test_budget_error_in_file_has_location(capsys, tmp_path):
@@ -747,6 +831,16 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+def test_usage_error_messages(files, capsys):
+    diags = failure(capsys, ["leaf", files["sl2"]], 2, "_UsageError")
+    assert diags["error"] == "the following arguments are required: --point, --steps, --seed"
+    diags = failure(capsys, ["bogus", files["sl2"]], 2, "_UsageError")
+    head, _, choices = diags["error"].partition(" (choose from ")
+    assert head == "argument cmd: invalid choice: 'bogus'"
+    # quoted or not, depending on the Python version
+    assert re.findall(r"[\w-]+", choices) == list(_COMMANDS)
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["check", "{sl2}", "-h"]], ids=["fol", "subcommand"])
 def test_help_is_a_usage_error(files, capsys, argv):
     # there is no help text: every invocation ends in one JSON report
@@ -757,10 +851,46 @@ def test_help_is_a_usage_error(files, capsys, argv):
     assert (code, rep["results"], err) == (2, {}, "")
 
 
-def test_negative_values_accepted(files, capsys):
-    code, rep, _ = invoke(capsys, ["dims", files["sl2"], "--point", "-1,0"])
-    assert code == 0
-    assert rep["results"]["tangent"] == 2
+# one request per flag that takes a value, with a value starting with '-',
+# and part of the report it gives: results, or diagnostics when it fails
+_ORIGIN = ["--point", "0,0"]
+_NEGATIVE_VALUES = {
+    "--point": (["dims", "--point", "-1,0"], 0, {"point": "-1,0", "tangent": 2}),
+    "--grid": (
+        ["dims", "--grid", "-1:-1:1"],
+        0,
+        {"grid": [{"point": "-1,-1", "fiber": 2, "tangent": 2, "isotropy": 0}]},
+    ),
+    "--word": (["jet-exact", "--word", "-1,0,0@0"], 0, {"jet": [[1.0, 0.0], [0.0, 1.0]]}),
+    "--word1": (["germ-eq", "--word1", "-1,0,0@1", "--word2", "0,0,0@0", *_ORIGIN], 0, {"equal": False}),
+    "--word2": (["germ-eq", "--word1", "0,0,0@0", "--word2", "-1,0,0@0", *_ORIGIN], 0, {"equal": True}),
+    "--coeffs": (["pushforward", "--coeffs", "-1,0,0", "--time", "1"], 0, {"ok": True}),
+    "--time": (["pushforward", "--coeffs", "1,0,0", "--time", "-1e-1"], 0, {"ok": True}),
+    "--field": (["member", "--field", "-x*dy"], 0, {"member": True, "certificate": ["0", "0", "-1"]}),
+    # read as the flag's value, then refused by its own check
+    "--h": (
+        ["flow", "--word", "1,0,0@1", "--point", "1,1", "--h", "-1e-3"],
+        2,
+        {"error": "step_size must be finite and strictly positive"},
+    ),
+    "--tol": (
+        ["germ-eq", "--word1", "0,0,0@0", "--word2", "0,0,0@0", *_ORIGIN, "--tol", "-1"],
+        0,
+        {"equal": False},
+    ),
+}
+
+
+def test_every_value_flag_has_a_negative_value_case():
+    assert set(_NEGATIVE_VALUES) == _VALUE_FLAGS
+
+
+@pytest.mark.parametrize("flag", sorted(_NEGATIVE_VALUES))
+def test_negative_values_accepted(files, capsys, flag):
+    args, code, expected = _NEGATIVE_VALUES[flag]
+    got, rep, _ = invoke(capsys, [args[0], files["sl2"], *args[1:]])
+    part = rep["results"] if code == 0 else rep["diagnostics"]
+    assert (got, {key: part.get(key) for key in expected}) == (code, expected)
 
 
 # -- seeded fuzz ---------------------------------------------------------------

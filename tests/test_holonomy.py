@@ -242,6 +242,9 @@ def test_germ_equality():
     )
     with pytest.raises(PreconditionError):
         germ_equal_at_fixed_point(spec, we, wf, (1, 0))
+    for point in ((0,), (0, 0, 0)):
+        with pytest.raises(ArityError):
+            germ_equal_at_fixed_point(spec, we, we, point)
     bad = xk(2)
     with pytest.raises(NotLinearError):
         germ_equal_at_fixed_point(bad, FlowWord(bad, []), FlowWord(bad, []), (0,))

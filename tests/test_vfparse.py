@@ -94,6 +94,16 @@ def test_parse_errors_report_position():
         ("x + y", "term has no differential direction (expected '*d<var>')", 1),
         ("(x + dx)", "term mixes scalar and differential parts", 1),
         ("x*dx )", "unexpected token ')'", 6),
+        # a superscript digit is a digit but not a decimal one
+        ("²*dx", "unexpected character '²'", 1),
+        ("2²*dx", "unexpected character '²'", 2),
+        # the parser stops at the 101st '('
+        *(
+            pytest.param(
+                "(" * d + "x" + ")" * d + "*dx", "parentheses nested deeper than 100", 101, id=f"depth-{d}"
+            )
+            for d in (101, 300)
+        ),
     ],
 )
 def test_top_level_parse_error_messages_and_columns(text, message, column):
@@ -101,6 +111,11 @@ def test_top_level_parse_error_messages_and_columns(text, message, column):
         P(text)
     assert (exc.value.message, exc.value.column) == (message, column)
     assert str(exc.value) == f"{message} (column {column})"
+
+
+def test_deep_parentheses_and_decimal_digits_parse():
+    assert P("(" * 100 + "x" + ")" * 100 + "*dx") == P("x*dx")
+    assert P("٣*dx") == P("3*dx")  # ARABIC-INDIC DIGIT THREE
 
 
 def test_differentiate_examples():
