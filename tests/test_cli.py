@@ -874,7 +874,7 @@ _NEGATIVE_VALUES = {
         {"error": "step_size must be finite and strictly positive"},
     ),
     "--tol": (
-        ["germ-eq", "--word1", "0,0,0@0", "--word2", "0,0,0@0", *_ORIGIN, "--tol", "-1"],
+        ["germ-eq", "--word1", "1,0,0@1", "--word2", "0,0,0@0", *_ORIGIN, "--tol", "-1"],
         0,
         {"equal": False},
     ),
@@ -891,6 +891,44 @@ def test_negative_values_accepted(files, capsys, flag):
     got, rep, _ = invoke(capsys, [args[0], files["sl2"], *args[1:]])
     part = rep["results"] if code == 0 else rep["diagnostics"]
     assert (got, {key: part.get(key) for key in expected}) == (code, expected)
+
+
+def test_readme_command_table_names_each_subcommands_flags():
+    # README's table lists every subcommand with its own flags in parser
+    # order, an optional one in brackets; the global flags are listed apart
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme[readme.index("| subcommand |"):readme.index("Syntax:")]
+    documented = {
+        name: " ".join(f"[{flag}]" if bracket else flag for bracket, flag in re.findall(r"(\[?)(--[\w-]+)", usage))
+        for name, usage in re.findall(r"^\| `([\w-]+)([^`]*)` \|", table, re.M)
+    }
+    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    common = {"--json", "--h", "--tol", "--jobs"}
+    in_parser = {
+        name: " ".join(
+            a.option_strings[0] if a.required else f"[{a.option_strings[0]}]"
+            for a in p._actions
+            if a.option_strings and a.option_strings[0] not in common
+        )
+        for name, p in subparsers.choices.items()
+    }
+    assert list(documented.items()) == list(in_parser.items())
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["check", "{nonint}"], 1),
+        (["leaf", "{sl2}", "--point", "1,0", "--steps", "100001", "--seed", "1"], 3),
+    ],
+    ids=["not-involutive", "over-the-point-cap"],
+)
+def test_main_passes_the_exit_code_to_the_shell(files, args, code):
+    # the installed ``fol`` script calls main(), which exits with run's code
+    argv = [a.format(**files) for a in args]
+    proc = run_python(f"import sys\nsys.argv[1:] = {argv!r}\nfrom foliations.cli import main\nmain()\n")
+    assert (proc.returncode, proc.stderr) == (code, "")
+    jsonschema.validate(json.loads(proc.stdout, parse_constant=_reject_constant), SCHEMA)
 
 
 # -- seeded fuzz ---------------------------------------------------------------
