@@ -459,13 +459,14 @@ def _add_flags(parser: _Parser, flags: str) -> None:
 
 
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
+    # flags are written in full: an abbreviation such as --poi is unknown
+    common = _Parser(add_help=False, allow_abbrev=False)
     _add_flags(common, _COMMON)
     common.set_defaults(jobs=1)
-    parser = _Parser(prog="fol", add_help=False)
+    parser = _Parser(prog="fol", add_help=False, allow_abbrev=False)
     sub = parser.add_subparsers(dest="cmd", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], add_help=False)
+        p = sub.add_parser(name, parents=[common], add_help=False, allow_abbrev=False)
         p.add_argument("file")
         _add_flags(p, flags)
     return parser

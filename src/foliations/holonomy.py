@@ -273,11 +273,14 @@ def germ_equal_at_fixed_point(
 ) -> bool:
     """Whether two words define the same germ at the origin of a linear family.
 
-    True iff the exact jets agree entrywise within ``tol``.  Jet equality
-    certifies germ equality only for linear families at 0, so any other
-    input is rejected rather than answered.  A jet that overflows raises
-    BlowUpError (at the word's total duration) instead of comparing unequal.
+    True iff the exact jets agree entrywise within ``tol``, which must be
+    positive.  Jet equality certifies germ equality only for linear
+    families at 0, so any other input is rejected rather than answered.  A
+    jet that overflows raises BlowUpError (at the word's total duration)
+    instead of comparing unequal.
     """
+    if not tol > 0:  # no gap is below a tolerance of 0, not even between equal jets
+        raise PreconditionError(f"tolerance must be positive, got {tol}")
     if any(c != 0 for c in _exact_or_float(x_fix, spec.nvars)):
         raise PreconditionError("germ comparison is only offered at the origin")
     j1 = _jet_exact_rows(spec, w1)

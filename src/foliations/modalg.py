@@ -4,7 +4,17 @@ Everything here is exact.  The generated submodule of the rank-n free
 module over Q[x_1..x_n] is handled through a Buchberger-style Groebner
 basis; relations among the generators (syzygies) come from a second
 Groebner run in rank n+k under a block order that eliminates the value
-components.  Pointwise data at a rational point x:
+components.  S-pairs are pruned by two of the Gebauer-Moeller criteria
+(Gebauer & Moeller 1988): when an element h arrives, B drops each pending
+pair (i, l) of h's position whose lcm the lead of h divides, unless
+lcm(i, h) or lcm(l, h) equals it, and F keeps only the first of the new
+pairs (i, h) with equal lcms.  Buchberger's product criterion (coprime
+leads) does not hold for modules and is absent.  So is the M criterion
+(drop a new pair whose lcm another new pair's lcm properly divides): it
+changes the order elements arrive in, so ``module_groebner``'s reprs and
+the membership certificates built from them, and on a dense (2,4,2) spec
+it let coefficients grow to thousands of digits.
+Pointwise data at a rational point x:
 
 * tangent dimension  = rank of the k x n matrix of generator values,
 * fiber dimension    = k - rank of the evaluated syzygy generators
@@ -300,27 +310,47 @@ def _groebner(
             continue
         push(g, _unit_row(nvars, k, idx) if track else None)
 
-    pairs: list[tuple[int, int, int]] = []
+    # pending S-pairs (degree of lcm, i, j, lcm), i < j, popped lowest first
+    pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
+
+    def lcm_of(i: int, j: int) -> tuple[int, ...]:
+        return tuple(map(max, leads[i][2], leads[j][2]))
 
     def add_pairs(j: int):
+        pos, mon = leads[j][1], leads[j][2]
+        # B: drop a pending pair (i, l) of this position whose lcm the new
+        # lead divides, unless lcm(i, j) or lcm(l, j) equals that lcm
+        kept = [
+            pair
+            for pair in pairs
+            if leads[pair[1]][1] != pos
+            or not _divides(mon, pair[3])
+            or pair[3] == lcm_of(pair[1], j)
+            or pair[3] == lcm_of(pair[2], j)
+        ]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapq.heapify(pairs)
+        # F: of the new pairs with equal lcms, only the first
+        seen = set()
         for i in range(j):
-            if leads[i][1] == leads[j][1]:  # same leading position
-                lcm = tuple(max(a, b) for a, b in zip(leads[i][2], leads[j][2]))
-                heapq.heappush(pairs, (sum(lcm), i, j))
+            if leads[i][1] == pos:
+                lcm = lcm_of(i, j)
+                if lcm not in seen:
+                    seen.add(lcm)
+                    heapq.heappush(pairs, (sum(lcm), i, j, lcm))
 
     for j in range(len(basis)):
         add_pairs(j)
 
     while pairs:
-        deg, i, j = heapq.heappop(pairs)
+        deg, i, j, lcm = heapq.heappop(pairs)
         if deg > budget.max_pair_degree:
             raise BudgetError(
                 f"S-pair degree {deg} exceeds cap {budget.max_pair_degree}"
             )
-        li, lj = leads[i], leads[j]
-        lcm = tuple(max(a, b) for a, b in zip(li[2], lj[2]))
-        ui = tuple(a - b for a, b in zip(lcm, li[2]))
-        uj = tuple(a - b for a, b in zip(lcm, lj[2]))
+        ui = tuple(a - b for a, b in zip(lcm, leads[i][2]))
+        uj = tuple(a - b for a, b in zip(lcm, leads[j][2]))
         s = tuple(
             a.mul_term(ui, Fraction(1)) - b.mul_term(uj, Fraction(1))
             for a, b in zip(basis[i], basis[j])

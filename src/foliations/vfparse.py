@@ -25,6 +25,16 @@ merge of two sorted term tuples, monomial multiples and derivatives in the
 order they already have) and wraps them through a trusted internal
 constructor.  A Poly computes its hash on first use.
 
+Coefficients are exact rationals at the API; the inner loops of
+multiplication run on integers.  A product of two polynomials of two or
+more terms scales each to integer numerators over the lcm of its
+denominators, multiplies and adds ints in one dict, and makes one Fraction
+per result term before one grevlex sort.  A product with a one-term
+operand (a constant, a monomial) is ``mul_term``, which keeps the term
+order.  ``p**e`` forms its e products one by one in integers and makes
+the Fractions and the sort once at the end (binary powering was measured
+slower on dense bases); the power of a one-term ``p`` is one term.
+
 ``_sum_lines`` is the one emitter of polynomial source code: the RK4
 kernels in ``flow`` and the integer row evaluators in ``modalg`` both
 write their sums with it, each term the product of its ``term_factors``.
@@ -37,7 +47,7 @@ operands is written as prefix temporaries (``t = a*b*..``, then
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from operator import add
 from typing import Iterable, Sequence
 
@@ -113,6 +123,35 @@ def _add_terms(a: tuple, b: tuple) -> tuple:
 
 def _neg_terms(terms: tuple) -> tuple:
     return tuple((e, -c) for e, c in terms)
+
+
+def _int_terms(terms: tuple) -> tuple[list, int]:
+    """(integer terms, D): ``terms`` times D, the lcm of their denominators."""
+    d = lcm(*(c.denominator for _, c in terms))
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms], d
+
+
+def _int_product(a: Iterable, b: list) -> dict:
+    """Integer coefficients of the product of two integer term lists, by
+    exponent tuple, unsorted and with any zeros kept."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for ea, ca in a:
+        for eb, cb in b:
+            key = tuple(map(add, ea, eb))
+            acc[key] = get(key, 0) + ca * cb
+    return acc
+
+
+def _from_int_terms(nvars: int, acc: dict, d: int) -> "Poly":
+    """The Poly of the integer coefficients ``acc`` over the denominator ``d``:
+    one Fraction per nonzero term, one sort."""
+    terms = sorted(
+        ((e, Fraction(c, d)) for e, c in acc.items() if c),
+        key=lambda t: grevlex_key(t[0]),
+        reverse=True,
+    )
+    return Poly._canonical(nvars, tuple(terms))
 
 
 def term_factors(expt: tuple[int, ...], coeff: str, names: Sequence[str]) -> list[str]:
@@ -285,17 +324,13 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        acc: dict[tuple[int, ...], Fraction] = {}
-        get = acc.get
-        for ea, ca in self.terms:
-            for eb, cb in p.terms:
-                key = tuple(map(add, ea, eb))
-                c = get(key)
-                acc[key] = ca * cb if c is None else c + ca * cb
-        terms = sorted(
-            ((e, c) for e, c in acc.items() if c), key=lambda t: grevlex_key(t[0]), reverse=True
-        )
-        return Poly._canonical(self.nvars, tuple(terms))
+        if len(p.terms) == 1:  # a monomial multiple keeps the term order
+            return self.mul_term(*p.terms[0])
+        if len(self.terms) == 1:
+            return p.mul_term(*self.terms[0])
+        a, da = _int_terms(self.terms)
+        b, db = _int_terms(p.terms)
+        return _from_int_terms(self.nvars, _int_product(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -305,19 +340,29 @@ class Poly:
         if not c:
             return Poly.zero(self.nvars)
         _check_expt(expt, self.nvars)
+        one = c == 1  # a bare monomial leaves the coefficients as they are
         # multiplying by a monomial keeps the term order
         return Poly._canonical(
             self.nvars,
-            tuple((tuple(map(add, e, expt)), q * c) for e, q in self.terms),
+            tuple((tuple(map(add, e, expt)), q if one else q * c) for e, q in self.terms),
         )
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.constant(1, self.nvars)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        if exponent == 0:
+            return Poly.constant(1, self.nvars)
+        if len(self.terms) <= 1:  # zero, or one term: one term
+            return Poly._canonical(
+                self.nvars,
+                tuple((tuple(e * exponent for e in ex), c**exponent) for ex, c in self.terms),
+            )
+        # the exponent's products one by one, in integers
+        base, d = _int_terms(self.terms)
+        acc = dict(base)
+        for _ in range(exponent - 1):
+            acc = _int_product(acc.items(), base)
+        return _from_int_terms(self.nvars, acc, d**exponent)
 
     def differentiate(self, var_index: int) -> "Poly":
         """Exact formal partial derivative with respect to variable ``var_index``."""

@@ -4,7 +4,10 @@ The membership oracle here is deliberately separate from the library's
 Groebner machinery: it solves the degree-bounded linear system for the
 combination coefficients by dense Gaussian elimination over Q.  The rank
 oracle is Gaussian elimination in Fractions, apart from the library's
-fraction-free integer elimination.
+fraction-free integer elimination.  The product oracle multiplies term by
+term in Fractions, apart from the library's integer products.  The
+Groebner check divides with its own module division, on terms kept in
+dicts, and uses no pair criteria.
 """
 
 from __future__ import annotations
@@ -213,6 +216,91 @@ def brute_force_member(spec: FoliationSpec, x: VectorField, degree_bound: int):
     if combo != x:  # explicit, so the check also runs under python -O
         raise AssertionError("oracle produced an invalid combination")
     return tuple(coeff_polys)
+
+
+# -- product and Groebner oracles ---------------------------------------------
+
+
+def product_oracle(a: Poly, b: Poly) -> Poly:
+    """a * b, term by term in Fractions, built by the validating constructor."""
+    return Poly(a.nvars, [
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb) for ea, ca in a.terms for eb, cb in b.terms
+    ])
+
+
+def power_oracle(p: Poly, exponent: int) -> Poly:
+    """p ** exponent as ``exponent`` products by p."""
+    out = Poly(p.nvars, [((0,) * p.nvars, 1)])
+    for _ in range(exponent):
+        out = product_oracle(out, p)
+    return out
+
+
+def _order_key(split: int | None):
+    """Sort key of a module term (position, exponents): grevlex on the
+    exponents, the lower position on ties; with ``split``, any position below
+    it first (the block order that eliminates those positions)."""
+
+    def key(term):
+        pos, expt = term
+        grevlex = (sum(expt), tuple(-e for e in reversed(expt)))
+        return (pos < split if split is not None else 0, grevlex, -pos)
+
+    return key
+
+
+def _as_terms(elem) -> dict:
+    return {(pos, expt): c for pos, p in enumerate(elem) for expt, c in p.terms}
+
+
+def _shifted(terms: dict, expt, coeff) -> dict:
+    return {(pos, tuple(a + b for a, b in zip(e, expt))): c * coeff for (pos, e), c in terms.items()}
+
+
+def _normal_form(terms: dict, basis: list, key) -> dict:
+    """Remainder of full division of ``terms`` by ``basis`` (term dicts)."""
+    heads = [max(g, key=key) for g in basis]
+    work, rem = dict(terms), {}
+    while work:
+        pos, expt = lead = max(work, key=key)
+        c = work.pop(lead)
+        for g, (gpos, gexpt) in zip(basis, heads):
+            if gpos == pos and all(a <= b for a, b in zip(gexpt, expt)):
+                factor = tuple(a - b for a, b in zip(expt, gexpt))
+                for t, v in _shifted(g, factor, -c / g[(gpos, gexpt)]).items():
+                    if t != lead:
+                        v += work.get(t, 0)
+                        if v:
+                            work[t] = v
+                        else:
+                            work.pop(t, None)
+                break
+        else:
+            rem[lead] = c
+    return rem
+
+
+def groebner_failures(gens, basis, split: int | None = None) -> list[str]:
+    """What keeps ``basis`` from being a Groebner basis containing ``gens``
+    (both sequences of tuples of Poly) under the order of ``_order_key``:
+    each generator and each S-pair of two basis elements whose leads share a
+    position must divide to zero.  Empty when it is one."""
+    key = _order_key(split)
+    elems = [_as_terms(b) for b in basis]
+    failures = [f"generator {i}" for i, g in enumerate(gens) if _normal_form(_as_terms(g), elems, key)]
+    heads = [max(g, key=key) for g in elems]
+    for i in range(len(elems)):
+        for j in range(i + 1, len(elems)):
+            (pi, ei), (pj, ej) = heads[i], heads[j]
+            if pi != pj:
+                continue
+            lcm = tuple(map(max, ei, ej))
+            s = _shifted(elems[i], tuple(a - b for a, b in zip(lcm, ei)), 1 / elems[i][heads[i]])
+            for t, v in _shifted(elems[j], tuple(a - b for a, b in zip(lcm, ej)), -1 / elems[j][heads[j]]).items():
+                s[t] = s.get(t, 0) + v
+            if _normal_form({t: v for t, v in s.items() if v}, elems, key):
+                failures.append(f"S-pair {i},{j}")
+    return failures
 
 
 # -- interpreted RK4 reference -----------------------------------------------

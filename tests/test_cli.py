@@ -875,8 +875,8 @@ _NEGATIVE_VALUES = {
     ),
     "--tol": (
         ["germ-eq", "--word1", "1,0,0@1", "--word2", "0,0,0@0", *_ORIGIN, "--tol", "-1"],
-        0,
-        {"equal": False},
+        2,
+        {"error": "tolerance must be positive, got -1.0"},
     ),
 }
 
@@ -891,6 +891,25 @@ def test_negative_values_accepted(files, capsys, flag):
     got, rep, _ = invoke(capsys, [args[0], files["sl2"], *args[1:]])
     part = rep["results"] if code == 0 else rep["diagnostics"]
     assert (got, {key: part.get(key) for key in expected}) == (code, expected)
+
+
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_germ_eq_tolerance_must_be_positive(files, capsys, tol):
+    # no gap is below a tolerance of 0, so two equal words would compare unequal
+    args = ["germ-eq", files["sl2"], "--word1", "0,0,0@0", "--word2", "0,0,0@0", "--point", "0,0"]
+    diags = failure(capsys, [*args, "--tol", tol], 2, "PreconditionError")
+    assert diags["error"] == f"tolerance must be positive, got {float(tol)}"
+    code, rep, _ = invoke(capsys, [*args, "--tol", "1e-300"])
+    assert (code, rep["results"]) == (0, {"equal": True})
+
+
+@pytest.mark.parametrize("value", ["1,0", "-1,0"])
+def test_abbreviated_flags_are_usage_errors(files, capsys, value):
+    # flags are written in full, whatever their value looks like
+    diags = failure(capsys, ["dims", files["sl2"], "--poi", value], 2, "_UsageError")
+    assert diags["error"] == f"unrecognized arguments: --poi {value}"
+    diags = failure(capsys, ["dims", files["sl2"], "--point", value, "--js"], 2, "_UsageError")
+    assert diags["error"] == "unrecognized arguments: --js"
 
 
 def test_readme_command_table_names_each_subcommands_flags():

@@ -242,6 +242,9 @@ def test_germ_equality():
     )
     with pytest.raises(PreconditionError):
         germ_equal_at_fixed_point(spec, we, wf, (1, 0))
+    for tol in (0, -1.0, float("nan")):  # no gap is below these, not even between equal jets
+        with pytest.raises(PreconditionError, match="tolerance must be positive"):
+            germ_equal_at_fixed_point(spec, we, we, (0, 0), tol)
     for point in ((0,), (0, 0, 0)):
         with pytest.raises(ArityError):
             germ_equal_at_fixed_point(spec, we, we, point)

@@ -29,8 +29,10 @@ from helpers import (
     cstar,
     gl2,
     gl3,
+    groebner_failures,
     make_spec,
     nonintegrable,
+    product_oracle,
     random_field,
     random_fraction,
     random_poly,
@@ -154,12 +156,88 @@ def _exact_digests(spec):
     return tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts)
 
 
+def _dense_spec(n, k, deg, seed):
+    rng = XorShift64Star(seed)
+    return FoliationSpec(("x", "y", "z")[:n], tuple(random_field(rng, n, deg) for _ in range(k)))
+
+
 @pytest.mark.parametrize("shape", list(DENSE_DIGESTS), ids=lambda s: "n{}k{}d{}-seed{}".format(*s))
 def test_dense_spec_results_match_golden_digests(shape):
-    n, k, deg, seed = shape
-    rng = XorShift64Star(seed)
-    spec = FoliationSpec(("x", "y", "z")[:n], tuple(random_field(rng, n, deg) for _ in range(k)))
-    assert _exact_digests(spec) == DENSE_DIGESTS[shape]
+    assert _exact_digests(_dense_spec(*shape)) == DENSE_DIGESTS[shape]
+
+
+_ORACLE_SPECS = {
+    "sl2": sl2, "gl2": gl2, "so3": so3, "gl3": gl3,
+    **{"n{}k{}d{}-seed{}".format(*s): (lambda s=s: _dense_spec(*s))
+       for s in ((2, 3, 3, 11), (2, 3, 3, 12), (2, 4, 2, 11), (2, 4, 2, 12))},
+}
+
+
+@pytest.mark.parametrize("name", list(_ORACLE_SPECS))
+def test_groebner_bases_pass_the_independent_check(name):
+    from foliations.modalg import DEFAULT_BUDGET, _groebner, _make_elim_key, _unit_row
+
+    spec = _ORACLE_SPECS[name]()
+    n = spec.nvars
+    gens = [g.components for g in spec.generators]
+    gb = module_groebner(spec)
+    assert groebner_failures(gens, gb.basis) == []
+    # reprs[j] combines the generators into basis[j]
+    for elem, rep in zip(gb.basis, gb.reprs, strict=True):
+        for m in range(n):
+            assert elem[m] == Poly(n, [t for f, g in zip(rep, gens) for t in product_oracle(f, g[m]).terms])
+    # the block-order basis of the elements (X_i ; e_i) that syzygy_basis
+    # reads its relations from
+    augmented = [g + _unit_row(n, spec.k, i) for i, g in enumerate(gens)]
+    basis, _ = _groebner(augmented, n, _make_elim_key(n), DEFAULT_BUDGET)
+    assert groebner_failures(augmented, basis, split=n) == []
+    # the check itself fails a basis that lacks an element
+    assert groebner_failures(augmented, basis[1:], split=n) != []
+
+
+# S-pair reductions (total, to zero) of module_groebner and syzygy_basis:
+# exact counts of the work the pair criteria leave, pinned so that a change
+# in algorithmic work fails here rather than in a timing
+_PAIR_REDUCTIONS = {
+    (2, 4, 2, 11): ((19, 11), (50, 28)),
+    (2, 4, 2, 12): ((25, 16), (74, 47)),
+}
+
+
+def _reductions(monkeypatch, compute) -> tuple[int, int]:
+    """(total, to zero) of the reductions ``compute`` runs, tail reductions
+    of a finished basis aside; no cached basis is used."""
+    from foliations import modalg
+
+    log = []
+    reduce = modalg._reduce
+
+    def counted(elem, basis, leads, key, counter, budget, skip=-1):
+        rem, quots = reduce(elem, basis, leads, key, counter, budget, skip)
+        if skip < 0:
+            log.append(modalg._is_zero(rem))
+        return rem, quots
+
+    monkeypatch.setattr(modalg, "_reduce", counted)
+    monkeypatch.setattr(modalg, "module_groebner", module_groebner.__wrapped__)
+    compute()
+    monkeypatch.undo()
+    return len(log), sum(log)
+
+
+@pytest.mark.parametrize("shape", list(_PAIR_REDUCTIONS), ids=lambda s: "n{}k{}d{}-seed{}".format(*s))
+def test_s_pair_reductions_are_pinned(monkeypatch, shape):
+    spec = _dense_spec(*shape)
+    counts = (
+        _reductions(monkeypatch, lambda: module_groebner.__wrapped__(spec)),
+        _reductions(monkeypatch, lambda: syzygy_basis.__wrapped__(spec)),
+    )
+    assert counts == _PAIR_REDUCTIONS[shape]
+
+
+def test_involutivity_of_sl2_reductions_are_pinned(monkeypatch):
+    # two S-pairs (one to zero), then the three brackets reduce to zero
+    assert _reductions(monkeypatch, lambda: is_involutive(sl2())) == (5, 4)
 
 
 # -- contains ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from foliations.vfparse import (
 )
 from foliations.flow import XorShift64Star
 
-from helpers import random_field, random_poly
+from helpers import power_oracle, product_oracle, random_field, random_poly
 
 XY = ("x", "y")
 
@@ -203,12 +203,6 @@ def test_poly_zero_terms_dropped():
     assert (x - x).terms == ()
 
 
-def _product_terms(p, q):
-    return [
-        (tuple(x + y for x, y in zip(ea, eb)), ca * cb) for ea, ca in p.terms for eb, cb in q.terms
-    ]
-
-
 def _derivative_terms(p, i):
     return [
         (e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms if e[i]
@@ -234,8 +228,8 @@ def test_arithmetic_matches_validating_constructor_fuzz():
         for q in (b, a, -a, partial):
             _assert_canonical(a + q, n, a.terms + q.terms)
             _assert_canonical(a - q, n, a.terms + tuple((e, -c) for e, c in q.terms))
-            _assert_canonical(a * q, n, _product_terms(a, q))
-            _assert_canonical(q * a, n, _product_terms(q, a))
+            _assert_canonical(a * q, n, product_oracle(a, q).terms)
+            _assert_canonical(q * a, n, product_oracle(q, a).terms)
         assert (a - a).terms == () and (a + (-a)).terms == ()
         assert (a + partial).terms == Poly(n, a.terms[cut:] + b.terms).terms
         k = rng.randint(-3, 3)
@@ -249,6 +243,44 @@ def test_arithmetic_matches_validating_constructor_fuzz():
         ])
         i = rng.randint(0, n - 1)
         _assert_canonical(a.differentiate(i), n, _derivative_terms(a, i))
+
+
+def _mixed_poly(rng, n, deg, n_terms):
+    # rational coefficients over several denominators
+    return Poly(n, [(e, c / rng.randint(1, 9)) for e, c in random_poly(rng, n, deg, n_terms).terms])
+
+
+def test_products_and_powers_match_the_fraction_oracle_fuzz():
+    # the products run on integer numerators; each result equals the
+    # term-by-term product in Fractions, terms and hash alike
+    rng = XorShift64Star(14_014)
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        a = _mixed_poly(rng, n, 3, rng.randint(0, 5))
+        b = _mixed_poly(rng, n, 3, rng.randint(0, 5))
+        for p, q in ((a, b), (b, a), (a, a), (a, -b)):
+            _assert_canonical(p * q, n, product_oracle(p, q).terms)
+        e = rng.randint(0, 6)
+        _assert_canonical(a**e, n, power_oracle(a, e).terms)
+        _assert_canonical(b**e, n, power_oracle(b, e).terms)
+
+
+def test_power_of_one_term_is_one_term(monkeypatch):
+    y = Poly.variable(1, 2)
+    one_term = (y, Poly.term(2, (1, 2), Fraction(-2, 3)), Poly.constant(Fraction(5, 7), 2), Poly.zero(2))
+    for p in one_term:
+        for e in (0, 1, 2, 7, 30):
+            _assert_canonical(p**e, 2, power_oracle(p, e).terms)
+
+    def no_products(*args):
+        raise AssertionError("a one-term power formed a product")
+
+    monkeypatch.setattr("foliations.vfparse._int_product", no_products)
+    monkeypatch.setattr(Poly, "mul_term", no_products)
+    assert (y**1000).terms == (((0, 1000), Fraction(1)),)
+    assert (Poly.term(2, (1, 2), Fraction(-2, 3)) ** 3).terms == (((3, 6), Fraction(-8, 27)),)
+    monkeypatch.undo()
+    assert P("y^1000*dx").components[0] == y**1000
 
 
 @pytest.mark.parametrize(
