@@ -32,6 +32,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -63,6 +64,7 @@ from .holonomy import (
 )
 from .modalg import (
     _dims,
+    as_point,
     contains,
     is_involutive,
     minimal_local_generators,
@@ -216,15 +218,16 @@ def _require_points(flag: str, count: int) -> None:
         raise BudgetError(f"{flag} has {count} points, more than {_MAX_POINTS}")
 
 
-def _grid_points(bounds, nvars: int) -> list[tuple[Fraction, ...]]:
+def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
+    """The grid's axis scaled to one denominator: (D, X, labels), D the lcm
+    of the denominators of a and step, X[i] = D*(a + i*step) and labels[i]
+    = str(a + i*step), for the points a, a + step, ... up to b."""
     a, b, step = bounds
     per_axis = math.floor((b - a) / step) + 1
     _require_points("--grid", per_axis**nvars)
-    axis = [a + i * step for i in range(per_axis)]
-    points = [()]
-    for _ in range(nvars):
-        points = [p + (c,) for p in points for c in axis]
-    return points
+    d = math.lcm(a.denominator, step.denominator)
+    a_d, step_d = int(a * d), int(step * d)
+    return d, [a_d + i * step_d for i in range(per_axis)], [str(a + i * step) for i in range(per_axis)]
 
 
 def _fmt_point(pt) -> str:
@@ -265,9 +268,14 @@ def _cmd_check(ns, spec):
     )
 
 
-def _dims_at(spec, pt):
-    f, t = _dims(spec, pt)
-    return {"point": _fmt_point(pt), "fiber": f, "tangent": t, "isotropy": f - t}
+def _dims_row(label: str, f: int, t: int) -> dict:
+    return {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
+
+
+def _dims_at(spec, pt) -> dict:
+    """The dims row of one point, scaled to integers by its own denominators."""
+    xs, d = as_point(pt, spec.nvars).scaled
+    return _dims_row(_fmt_point(pt), *_dims(spec, [xs], d)[0])
 
 
 def _cmd_dims(ns, spec):
@@ -275,11 +283,16 @@ def _cmd_dims(ns, spec):
         raise _UsageError("dims needs --point and/or --grid")
     results = {}
     if ns.point is not None:
-        pt = _parse_point(ns.point)
-        results.update(_dims_at(spec, pt))
+        results.update(_dims_at(spec, _parse_point(ns.point)))
     if ns.grid is not None:
-        pts = _grid_points(_parse_grid(ns.grid), spec.nvars)
-        results["grid"] = [_dims_at(spec, p) for p in pts]
+        # every grid point is a tuple of scaled axis values over one D
+        d, xs, labels = _lattice(_parse_grid(ns.grid), spec.nvars)
+        n = spec.nvars
+        dims = _dims(spec, list(product(xs, repeat=n)), d)
+        results["grid"] = [
+            _dims_row(",".join(label), f, t)
+            for label, (f, t) in zip(product(labels, repeat=n), dims)
+        ]
     return 0, results, {}
 
 

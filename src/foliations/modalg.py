@@ -22,15 +22,19 @@ Pointwise data at a rational point x:
   module equals the span of the evaluated generators),
 * isotropy dimension = fiber - tangent.
 
-Both ranks are exact and use integers only.  ``as_point`` scales the point
-once to integers X = D*x (D the lcm of its denominators), and the point it
-returns carries them to every pointwise function.  Each spec's generator
-rows and syzygy rows are compiled once into an evaluator of X and D that
-returns every row scaled to integers (by the lcm of its coefficient
-denominators times D^deg), with its source written by
-``vfparse._sum_lines``, the emitter of the RK4 kernels in ``flow``.  The
-rank is taken by fraction-free (Bareiss) elimination; scaling a row by a
-nonzero constant does not change the rank.
+Both ranks are exact and use integers only.  A point x is given to them
+as integers X and D > 0 with x = X/D: ``as_point`` scales one point by the
+lcm of its denominators, and the point it returns carries (X, D) to every
+pointwise function.  ``fol dims --grid`` scales its whole grid once, to
+the lcm of the denominators of its start and step, so there X/D need not
+be in lowest terms.  Each spec's generator rows and syzygy rows are
+compiled once into an evaluator of X and D that returns every row scaled
+to integers (by the lcm of its coefficient denominators times D^deg), with
+its source written by ``vfparse._sum_lines``, the emitter of the RK4
+kernels in ``flow``.  The rank is taken by fraction-free (Bareiss)
+elimination.  Each evaluated row is a positive multiple of the row at x,
+whether X/D is in lowest terms or not, and scaling a row by a nonzero
+constant does not change the rank.
 
 Note: the coefficient ring is the polynomial ring, standing in for the
 ring of smooth functions.  On the homogeneous examples shipped with the
@@ -42,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
@@ -147,6 +151,20 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 class _Point(tuple):
     """Exact rational coordinates; ``scaled`` is their ``_over_lcm``."""
+
+
+def _cached(fn):
+    """``lru_cache`` of ``fn(spec, budget=DEFAULT_BUDGET)`` keyed on both
+    arguments however they are passed, so that ``fn(spec)`` and
+    ``fn(spec, DEFAULT_BUDGET)`` share one entry."""
+    cached = lru_cache(maxsize=128)(fn)
+
+    @wraps(fn)
+    def call(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
+        return cached(spec, budget)
+
+    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+    return call
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
@@ -404,7 +422,7 @@ def _groebner(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
+@_cached
 def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> ModuleGB:
     """Groebner basis of the generated submodule of R^n.
 
@@ -460,7 +478,7 @@ def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Invol
     return InvolutivityReport(closed=not witnesses, witnesses=tuple(witnesses))
 
 
-@lru_cache(maxsize=128)
+@_cached
 def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> SyzygyBasis:
     """Generating set of the relation module {r : sum r_i X_i = 0}.
 
@@ -577,36 +595,47 @@ def _syzygy_rows(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
     return _compile_rows(syzygy_basis(spec, budget).relations, spec.nvars)
 
 
+def _fibers(spec: FoliationSpec, points: Sequence[Sequence[int]], d: int, budget: Budget) -> list[int]:
+    """Fiber dimension at each x = X/D, X in ``points``, for one integer D > 0."""
+    if spec.k == 0:
+        return [0] * len(points)
+    rows, k = _syzygy_rows(spec, budget), spec.k
+    return [k - _rank_int(rows(*xs, d)) for xs in points]
+
+
+def _tangents(spec: FoliationSpec, points: Sequence[Sequence[int]], d: int) -> list[int]:
+    """Tangent dimension at each x = X/D, X in ``points``, for one integer D > 0."""
+    rows = _generator_rows(spec)
+    return [_rank_int(rows(*xs, d)) for xs in points]
+
+
+def _dims(
+    spec: FoliationSpec, points: Sequence[Sequence[int]], d: int, budget: Budget = DEFAULT_BUDGET
+) -> list[tuple[int, int]]:
+    """Fiber and tangent dimensions at each x = X/D, X in ``points``, for one
+    integer D > 0; checked to give nonnegative isotropy dimensions."""
+    dims = list(zip(_fibers(spec, points, d, budget), _tangents(spec, points, d)))
+    if any(f < t for f, t in dims):
+        raise AssertionError("internal error: fiber dimension below tangent dimension")
+    return dims
+
+
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:
     """Dimension of the span of the generator values at a rational point."""
     xs, d = as_point(point, spec.nvars).scaled
-    if spec.k == 0:
-        return 0
-    return _rank_int(_generator_rows(spec)(*xs, d))
+    return _tangents(spec, [xs], d)[0]
 
 
 def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """k minus the rank of the syzygy generators evaluated at the point."""
     xs, d = as_point(point, spec.nvars).scaled
-    if spec.k == 0:
-        return 0
-    return spec.k - _rank_int(_syzygy_rows(spec, budget)(*xs, d))
-
-
-def _dims(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> tuple[int, int]:
-    """Fiber and tangent dimensions at a point, which is scaled to integers
-    once for both; checked to give a nonnegative isotropy dimension."""
-    pt = as_point(point, spec.nvars)
-    f = fiber_dim(spec, pt, budget)
-    t = tangent_dim(spec, pt)
-    if f < t:
-        raise AssertionError("internal error: fiber dimension below tangent dimension")
-    return f, t
+    return _fibers(spec, [xs], d, budget)[0]
 
 
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """fiber_dim - tangent_dim; nonnegative."""
-    f, t = _dims(spec, point, budget)
+    xs, d = as_point(point, spec.nvars).scaled
+    [(f, t)] = _dims(spec, [xs], d, budget)
     return f - t
 
 

@@ -613,8 +613,9 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
 # multiplies by p e times, so its work grows with e, with the terms of p and
 # with the terms of the powers in between.  _MAX_POWER_PRODUCTS caps the
 # term-by-term products of all the powers and ``*`` of one parse together,
-# counted as they come, a power by its bound.  Each cap exits 3 as a budget
-# error.
+# counted as they come, a power by its bound.  A power repeated in one parse
+# is expanded once and counted at every occurrence.  Each cap exits 3 as a
+# budget error.
 _MAX_EXPONENT = 1_000
 _MAX_POWER_PRODUCTS = 250_000
 
@@ -658,6 +659,7 @@ class _Parser:
         self.nvars = len(var_names)
         self.var_index = {name: i for i, name in enumerate(var_names)}
         self.products = 0  # term-by-term products of every power and '*' so far
+        self.powers: dict[tuple[Poly, int], Poly] = {}  # each distinct power, expanded once
         self.depth = 0  # parentheses open at the current token
 
     def peek(self):
@@ -731,7 +733,11 @@ class _Parser:
                 f"{products} term products{before}, more than {_MAX_POWER_PRODUCTS}",
                 column=op_col,
             )
-        return _Val(a.p**exponent)
+        # charged above at every occurrence, so the budget does not depend on the memo
+        key = (a.p, exponent)
+        if key not in self.powers:
+            self.powers[key] = a.p**exponent
+        return _Val(self.powers[key])
 
     # grammar -------------------------------------------------------------
 

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import warnings
@@ -19,7 +20,8 @@ from foliations.cli import (
     _VALUE_FLAGS,
     FoliationFile,
     _build_parser,
-    _grid_points,
+    _dims_at,
+    _lattice,
     load_foliation,
     load_foliation_file,
     run,
@@ -27,10 +29,10 @@ from foliations.cli import (
 )
 from foliations.errors import BudgetError, ParseError, UnknownVariableError
 from foliations.flow import XorShift64Star
-from foliations.modalg import _generator_rows, _syzygy_rows
+from foliations.modalg import _generator_rows, _syzygy_rows, syzygy_basis
 from foliations.vfparse import FoliationSpec
 
-from helpers import random_field, run_python
+from helpers import gl2, make_spec, random_field, rank_oracle, run_python
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -290,6 +292,70 @@ def test_dims_grid_compiles_two_evaluators(files, capsys, grid, count):
     assert _syzygy_rows.cache_info().misses == 1
 
 
+# each spec on a grid whose D (the lcm of the denominators of its start
+# and step) exceeds the denominator lcm of some of its points; the
+# shifted gl2 vanishes at (-4/3, 1/6), a point of the grid -7/3:2:1/2
+LATTICE_CASES = {
+    "gl2": (gl2, "-7/3:2:1/2"),
+    "gl2-shifted": (
+        lambda: make_spec(("x", "y"), ("(x+4/3)*dx", "(y-1/6)*dy", "(y-1/6)*dx", "(x+4/3)*dy")),
+        "-7/3:2:1/2",
+    ),
+    "dense": (
+        lambda: FoliationSpec(("x", "y"), tuple(random_field(XorShift64Star(41), 2, 3) for _ in range(3))),
+        "-3/4:1:1/6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
+def test_dims_grid_matches_pointwise_references(tmp_path, capsys, name):
+    make, grid = LATTICE_CASES[name]
+    spec = make()
+    path = tmp_path / f"{name}.fol"
+    save_foliation_file(FoliationFile(str(path), spec), path)
+    code, rep, _ = invoke(capsys, ["dims", str(path), "--grid", grid])
+    assert code == 0
+    a, b, step = map(Fraction, grid.split(":"))
+    axis = [a + i * step for i in range(int((b - a) / step) + 1)]
+    points = [(u, v) for u in axis for v in axis]
+    d = math.lcm(a.denominator, step.denominator)
+    assert any(math.lcm(*(c.denominator for c in pt)) < d for pt in points)
+    rows = rep["results"]["grid"]
+    assert len(rows) == len(points)
+    rels = syzygy_basis(spec).relations
+    for row, pt in zip(rows, points):
+        # the point scaled by itself, and ranks over Q of the rows evaluated in Fractions
+        assert row == _dims_at(spec, pt)
+        fiber = spec.k - rank_oracle([[p(pt) for p in rel] for rel in rels])
+        tangent = rank_oracle([g(pt) for g in spec.generators])
+        assert (row["fiber"], row["tangent"], row["isotropy"]) == (fiber, tangent, fiber - tangent)
+    if name == "gl2-shifted":
+        drop = rows[points.index((Fraction(-4, 3), Fraction(1, 6)))]
+        assert (drop["fiber"], drop["tangent"]) == (4, 0)
+        assert {row["tangent"] for row in rows} == {0, 2}
+
+
+@pytest.mark.parametrize(
+    "extra, calls", [([], 0), (["--point", "1,2,3"], 1)], ids=["grid", "grid-and-point"]
+)
+def test_dims_grid_scales_no_point_by_itself(files, capsys, monkeypatch, extra, calls):
+    # the grid is scaled once, as a whole; only --point goes through as_point
+    original = sys.modules["foliations.modalg"].as_point
+    scaled = []
+
+    def counted(*args):
+        scaled.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("foliations") and getattr(mod, "as_point", None) is original:
+            monkeypatch.setattr(mod, "as_point", counted)
+    code, rep, _ = invoke(capsys, ["dims", files["gl3"], "--grid", "-2:2:1/4"] + extra)
+    assert code == 0 and len(rep["results"]["grid"]) == 4913
+    assert len(scaled) == calls
+
+
 def test_dims_grid_too_large_exit_3(files, capsys):
     # 10^9 + 1 points per axis: refused from the count, before any point is built
     code, rep, _ = invoke(capsys, ["dims", files["sl2"], "--grid", "0:1000:1/1000000"])
@@ -300,12 +366,19 @@ def test_dims_grid_too_large_exit_3(files, capsys):
 
 
 def test_grid_point_cap_is_exact():
-    assert len(_grid_points((Fraction(0), Fraction(99999), Fraction(1)), 1)) == _MAX_POINTS
+    assert len(_lattice((Fraction(0), Fraction(99999), Fraction(1)), 1)[1]) == _MAX_POINTS
     with pytest.raises(BudgetError, match="100001 points"):
-        _grid_points((Fraction(0), Fraction(100000), Fraction(1)), 1)
-    # the axis holds exactly the points a, a + step, ... up to b
-    axis = _grid_points((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
-    assert axis == [(Fraction(-1, 2),), (Fraction(-1, 4),), (Fraction(0),), (Fraction(1, 4),)]
+        _lattice((Fraction(0), Fraction(100000), Fraction(1)), 1)
+    with pytest.raises(BudgetError, match=f"{317**2} points"):
+        _lattice((Fraction(0), Fraction(316), Fraction(1)), 2)
+    # the axis holds exactly the points a, a + step, ... up to b, over D = 4
+    d, xs, labels = _lattice((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
+    assert (d, xs, labels) == (4, [-2, -1, 0, 1], ["-1/2", "-1/4", "0", "1/4"])
+    # D is the lcm of the denominators of a and step, not of each point's own
+    d, xs, labels = _lattice((Fraction(-7, 3), Fraction(2), Fraction(1, 2)), 1)
+    assert d == 6 and xs == [-14 + 3 * i for i in range(9)]
+    assert [Fraction(x, d) for x in xs] == [Fraction(label) for label in labels]
+    assert labels[1] == "-11/6" and labels[-1] == "5/3"
 
 
 @pytest.mark.parametrize(

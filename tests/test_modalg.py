@@ -493,6 +493,23 @@ def test_rank_exact():
     assert rank_exact([[Fraction(0)]]) == 0
 
 
+def test_default_budget_shares_one_cache_entry():
+    # f(spec) and f(spec, DEFAULT_BUDGET) are one call: the pointwise and
+    # involutivity functions pass the budget on, a library caller may not
+    from foliations.modalg import DEFAULT_BUDGET, _syzygy_rows
+
+    for cache in (syzygy_basis, module_groebner, _syzygy_rows):
+        cache.cache_clear()
+    syzygy_basis(sl2())
+    fiber_dim(sl2(), (1, 0))
+    assert syzygy_basis.cache_info()[:2] == (1, 1)  # hits, misses
+    module_groebner(sl2())
+    is_involutive(sl2())
+    assert module_groebner.cache_info()[:2] == (1, 1)
+    assert module_groebner(sl2(), budget=DEFAULT_BUDGET) is module_groebner(sl2())
+    assert module_groebner.cache_info()[:2] == (3, 1)
+
+
 def test_as_point_carries_the_point_scaled_to_integers():
     pt = as_point(("1/2", 0.25, 3), 3)
     assert pt == (Fraction(1, 2), Fraction(1, 4), Fraction(3))

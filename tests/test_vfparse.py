@@ -359,6 +359,29 @@ def test_power_caps():
         P("dx^1000000000")
 
 
+def test_each_distinct_power_is_expanded_once(monkeypatch):
+    # a member text of the benchmark corpus holds one (x + y + 1)^13 per
+    # generator; one parse expands each distinct (base, exponent) once
+    expanded = []
+    power = Poly.__pow__
+
+    def counted(p, e):
+        expanded.append(e)
+        return power(p, e)
+
+    monkeypatch.setattr(Poly, "__pow__", counted)
+    base = "(x + y + 1)^13"
+    text = " + ".join(f"{base}*({c}/4)*x*dx" for c in (1, -3, 5, 7)) + " + (y+x+1)^13*dy + (x+1)^13*dy"
+    field = P(text)
+    assert sorted(expanded) == [13, 13]  # (x + y + 1)^13 and (x + 1)^13
+    monkeypatch.undo()
+    assert field == P(f"(5/2)*{base}*x*dx + ({base} + (x+1)^13)*dy")
+    # each occurrence is still charged: one (x+y)^350 fits the budget, two do not
+    P("(x+y)^350*dx")
+    with pytest.raises(BudgetError, match="245700 term products, 491751 in all"):
+        P("(x+y)^350*dx + (x+y)^350*dy")
+
+
 def test_product_cap_counts_every_product(monkeypatch):
     # one running count per parse: each '*' adds len(a) * len(b), differential
     # parts included, and is refused before it multiplies once the count passes the cap
