@@ -21,8 +21,10 @@ Foliation files (``.fol``) are line-oriented UTF-8 text::
       x*dy
 
 Randomized subcommands (``leaf``, ``chart-rank``) require ``--seed``.
-Output is byte-identical for identical invocations and seeds.  ``--jobs N``
-is accepted and has no effect (N must be at least 1).
+Output is byte-identical for identical invocations and seeds, and so is its
+layout: exactly what ``json.dumps(report, indent=2, sort_keys=True)`` writes
+(2-space indent, sorted keys, ASCII only) and one trailing newline.
+``--jobs N`` is accepted and has no effect (N must be at least 1).
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import product
-from pathlib import Path
+from itertools import chain, product
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple, Sequence
 
 from . import __version__
@@ -92,7 +94,8 @@ class FoliationFile(NamedTuple):
 def load_foliation_file(path) -> FoliationFile:
     """Parse a ``.fol`` file; errors carry 1-based line/column."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except UnicodeDecodeError as e:
         raise ParseError(f"file is not UTF-8 text (byte {e.start + 1})") from None
     var_names: tuple[str, ...] | None = None
@@ -151,7 +154,8 @@ def save_foliation_file(ff: FoliationFile, path) -> None:
     lines.append("generators:")
     for g in ff.spec.generators:
         lines.append("  " + format_vector_field(g, ff.spec.var_names))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -485,17 +489,47 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# one dims --grid row, as json.dumps(indent=2) writes it in a report
+_GRID_ROW = '\n      {\n        "fiber": %d,\n        "isotropy": %d,\n        "point": %s,\n        "tangent": %d\n      }'
+
+
+def _rows_json(key: str, rows: list) -> str:
+    """The items of ``results[key]``, the grid rows or the leaf points, as
+    ``json.dumps(indent=2, allow_nan=False)`` writes them in a report."""
+    if key == "grid":
+        return ",".join(
+            _GRID_ROW % (r["fiber"], r["isotropy"], encode_basestring_ascii(r["point"]), r["tangent"])
+            for r in rows
+        )
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        raise ValueError("Out of range float values are not JSON compliant")
+    row = "\n      [" + ",".join(["\n        %r"] * len(rows[0])) + "\n      ]"
+    return ",".join(row % tuple(p) for p in rows)
+
+
 def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) -> None:
-    """Print one report; a NaN or infinity in it raises ValueError, and nothing is printed."""
+    """Print one report as ``json.dumps(report, indent=2, sort_keys=True)``
+    writes it (2-space indent, sorted keys, ASCII only), and a newline; a NaN
+    or infinity in it raises ValueError, and nothing is printed.
+
+    The pure-Python encoder that ``indent`` needs is slow on the two large
+    arrays, so json.dumps writes the report with the array left empty, and
+    its items are spliced in from one row template.  A JSON string escapes
+    every '"', so the unescaped text '"grid": []' can only be the results key
+    (and so for "points")."""
+    key = next((k for k in ("grid", "points") if results.get(k)), None)
     report = {
         "command": command,
         "inputs": inputs,
-        "results": results,
+        "results": {**results, key: []} if key else results,
         "diagnostics": diagnostics,
         "version": __version__,
         **seed,
     }
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    if key:
+        text = text.replace(f'"{key}": []', f'"{key}": [{_rows_json(key, results[key])}\n    ]', 1)
+    sys.stdout.write(text + "\n")
 
 
 def _fail(command: str | None, argv: list[str], exc: Exception, code: int) -> int:

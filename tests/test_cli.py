@@ -15,6 +15,7 @@ import pytest
 pytest.importorskip("jsonschema")
 import jsonschema
 
+from foliations import __version__
 from foliations.cli import (
     _MAX_POINTS,
     _VALUE_FLAGS,
@@ -279,6 +280,33 @@ def test_dims_grid_results_match_golden_digests(files, capsys, args, count, dige
     code, rep, _ = invoke(capsys, ["dims", files[args[0]]] + args[1:])
     assert code == 0 and len(rep["results"]["grid"]) == count
     assert hashlib.sha256(json.dumps(rep["results"], sort_keys=True).encode()).hexdigest() == digest
+
+
+# sha256 of the whole stdout, run from the spec files' directory, recorded
+# while json.dumps still wrote every byte of the report; they pin the layout
+# (indent, key order, escapes) that GRID_DIGESTS cannot see
+GRID_STDOUT_DIGESTS = [
+    (
+        ["gl3.fol", "--grid", "-4/3:4/3:1/3"],
+        "5238d60274879ccdf381c650a991b62cc89c0b84e66033039ee95738a1742531",
+    ),
+    (
+        ["so3.fol", "--point", "1,0,-5/4", "--grid", "-7/3:7/3:1/3"],
+        "b8a1313f8b108f0589de9ef1ba6ac22abbb9ec21b9341d1f105d6eda60631b04",
+    ),
+    (
+        ["folk2.fol", "--grid", "0:0:1"],
+        "885b872ccb8bab89d0060224aaa46aa411c68e58f247682718cd76d707b853e0",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, digest", GRID_STDOUT_DIGESTS, ids=["gl3", "so3", "one-point"])
+def test_dims_grid_output_matches_golden_digests(files, capsys, monkeypatch, args, digest):
+    monkeypatch.chdir(Path(files["sl2"]).parent)
+    code, _, out = invoke(capsys, ["dims", *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("grid, count", [("-1:1:1", 27), ("-2:2:1/4", 4913)])
@@ -1021,6 +1049,105 @@ def test_main_passes_the_exit_code_to_the_shell(files, args, code):
     proc = run_python(f"import sys\nsys.argv[1:] = {argv!r}\nfrom foliations.cli import main\nmain()\n")
     assert (proc.returncode, proc.stderr) == (code, "")
     jsonschema.validate(json.loads(proc.stdout, parse_constant=_reject_constant), SCHEMA)
+
+
+# -- the report writer ---------------------------------------------------------
+#
+# _emit splices the dims --grid rows and the leaf points into what json.dumps
+# writes for the rest of the report; json.dumps of the whole report is the oracle
+
+
+def _written_and_expected(monkeypatch, capsys, argv):
+    """run(argv)'s exit code and stdout, and json.dumps of the last report it emitted."""
+    cli = sys.modules["foliations.cli"]
+    emit, reports = cli._emit, []
+
+    def record(command, inputs, results, diagnostics, **seed):
+        reports.append(
+            {"command": command, "inputs": inputs, "results": results,
+             "diagnostics": diagnostics, "version": __version__, **seed}
+        )
+        emit(command, inputs, results, diagnostics, **seed)
+
+    monkeypatch.setattr(cli, "_emit", record)
+    code = run(argv)
+    out, err = capsys.readouterr()
+    assert err == ""
+    return code, out, json.dumps(reports[-1], indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# the specs of the `files` fixture by variable count
+_WRITER_SPECS = (("folk2", 1), ("sl2", 2), ("cstar", 2), ("gl3", 3), ("so3", 3))
+_COORDS = ("0", "1", "-1", "1/2", "-3/4", "2/3", "-5/6")
+
+
+def _writer_case(rng, files):
+    name, n = _pick(rng, _WRITER_SPECS)
+    point = ",".join(_pick(rng, _COORDS) for _ in range(n))
+    if rng.uniform() < 0.4:
+        steps = _pick(rng, ("0", "1", "8", "40"))
+        return ["leaf", files[name], "--point", point, "--steps", steps, "--seed", str(rng.randint(0, 999))]
+    # negative starts, steps over mixed denominators, one-point axes
+    a = Fraction(-rng.randint(0, 9), rng.randint(1, 4))
+    step = Fraction(rng.randint(1, 3), rng.randint(1, 6))
+    per_axis = rng.randint(1, (30, 9, 4)[n - 1])
+    b = a + (per_axis - 1) * step + step * rng.randint(0, 2) / 3
+    argv = ["dims", files[name], "--grid", f"{a}:{b}:{step}"]
+    return argv + ["--point", point] if rng.uniform() < 0.4 else argv
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_report_writer_matches_json_dumps(files, capsys, monkeypatch, seed):
+    rng = XorShift64Star(seed)
+    for _ in range(25):
+        argv = _writer_case(rng, files)
+        code, out, expected = _written_and_expected(monkeypatch, capsys, argv)
+        assert code == 0 and out == expected, argv
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dims", "--grid", "-5/2:-5/2:1"],
+        ["dims", "--grid", "0:0:1", "--point", "0"],
+        ["dims", "--grid", "-7/3:3/4:5/6"],
+        ["leaf", "--point", "1/3", "--steps", "0", "--seed", "1"],
+        ["leaf", "--point", "-1/2", "--steps", "5", "--seed", "2"],
+    ],
+    ids=["one-point", "one-point-and-point", "mixed-denominators", "walk-of-0-steps", "walk"],
+)
+def test_report_writer_one_variable(files, capsys, monkeypatch, args):
+    code, out, expected = _written_and_expected(monkeypatch, capsys, [args[0], files["folk2"], *args[1:]])
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("stem", ['"grid": []', '"points": []', "ψ é", '"grid": [] ψ'])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dims", "--point", "1,0", "--grid", "-1:1:1/2"],
+        ["leaf", "--point", "1,0", "--steps", "5", "--seed", "3"],
+        ["dims", "--point", '"grid": []'],
+    ],
+    ids=["dims", "leaf", "usage-error"],
+)
+def test_report_writer_escapes_argv(files, capsys, monkeypatch, tmp_path, stem, args):
+    # the spliced key's text in a file name (so in both argv and file), or a non-ASCII one
+    path = tmp_path / f"{stem}.fol"
+    path.write_text(SL2, encoding="utf-8")
+    code, out, expected = _written_and_expected(monkeypatch, capsys, [args[0], str(path), *args[1:]])
+    assert code == (2 if args[-1] == '"grid": []' else 0)
+    assert out == expected and out.isascii()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_leaf_point_exit_3(files, capsys, monkeypatch, bad):
+    # the fast path raises as allow_nan=False does: one error report, nothing else
+    cli = sys.modules["foliations.cli"]
+    monkeypatch.setattr(cli, "leaf_sample", lambda *args: [(1.0, 0.0), (0.5, bad), (0.25, 0.0)])
+    args = ["leaf", files["sl2"], "--point", "1,0", "--steps", "2", "--seed", "1"]
+    diags = failure(capsys, args, 3, "ArithmeticError")
+    assert diags["error"] == "result is not finite"
 
 
 # -- seeded fuzz ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """``fol`` never loads numpy: no subcommand imports it.  Importing the
-package loads neither ``dataclasses`` nor ``inspect`` either.
+package loads neither ``dataclasses`` nor ``inspect`` either, and importing
+the CLI loads no ``pathlib``.
 
 pytest itself has numpy loaded, so every check runs in a fresh interpreter.
 """
@@ -36,6 +37,13 @@ def test_import_leaves_numpy_unloaded(module):
     proc = run_python(f"import sys\nimport {module}\nprint(*[m in sys.modules for m in {names!r}])\n")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False False False\n"
+
+
+def test_cli_import_leaves_pathlib_unloaded():
+    # under -S no site hook preloads pathlib (and through it fnmatch, ntpath, urllib, ...)
+    proc = run_python("import sys\nimport foliations.cli\nprint('pathlib' in sys.modules)\n", "-S")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 _NUMERIC = [
