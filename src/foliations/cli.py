@@ -45,6 +45,7 @@ from .errors import (
     BudgetError,
     ParseError,
     PreconditionError,
+    _Located,
 )
 from .flow import (
     FlowWord,
@@ -66,6 +67,7 @@ from .holonomy import (
 )
 from .modalg import (
     _dims,
+    _over_lcm,
     as_point,
     contains,
     is_involutive,
@@ -116,7 +118,7 @@ def load_foliation_file(path) -> FoliationFile:
                 raise ParseError("'vars:' must come before 'generators:'", line=lineno)
             try:
                 generators.append(parse_vector_field(line, var_names))
-            except (ParseError, BudgetError) as e:
+            except _Located as e:
                 e.line = lineno
                 raise
             continue
@@ -229,8 +231,7 @@ def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
     a, b, step = bounds
     per_axis = math.floor((b - a) / step) + 1
     _require_points("--grid", per_axis**nvars)
-    d = math.lcm(a.denominator, step.denominator)
-    a_d, step_d = int(a * d), int(step * d)
+    (a_d, step_d), d = _over_lcm((a, step))
     return d, [a_d + i * step_d for i in range(per_axis)], [str(a + i * step) for i in range(per_axis)]
 
 
@@ -272,14 +273,11 @@ def _cmd_check(ns, spec):
     )
 
 
-def _dims_row(label: str, f: int, t: int) -> dict:
-    return {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
-
-
 def _dims_at(spec, pt) -> dict:
     """The dims row of one point, scaled to integers by its own denominators."""
     xs, d = as_point(pt, spec.nvars).scaled
-    return _dims_row(_fmt_point(pt), *_dims(spec, [xs], d)[0])
+    [(f, t)] = _dims(spec, [xs], d)
+    return {"point": _fmt_point(pt), "fiber": f, "tangent": t, "isotropy": f - t}
 
 
 def _cmd_dims(ns, spec):
@@ -289,13 +287,13 @@ def _cmd_dims(ns, spec):
     if ns.point is not None:
         results.update(_dims_at(spec, _parse_point(ns.point)))
     if ns.grid is not None:
-        # every grid point is a tuple of scaled axis values over one D
+        # every grid point is a tuple of scaled axis values over one D; its row
+        # stays a (label, fiber, tangent) tuple until _rows_json writes it
         d, xs, labels = _lattice(_parse_grid(ns.grid), spec.nvars)
         n = spec.nvars
         dims = _dims(spec, list(product(xs, repeat=n)), d)
         results["grid"] = [
-            _dims_row(",".join(label), f, t)
-            for label, (f, t) in zip(product(labels, repeat=n), dims)
+            (",".join(label), f, t) for label, (f, t) in zip(product(labels, repeat=n), dims)
         ]
     return 0, results, {}
 
@@ -494,13 +492,11 @@ _GRID_ROW = '\n      {\n        "fiber": %d,\n        "isotropy": %d,\n        "
 
 
 def _rows_json(key: str, rows: list) -> str:
-    """The items of ``results[key]``, the grid rows or the leaf points, as
-    ``json.dumps(indent=2, allow_nan=False)`` writes them in a report."""
+    """The items of ``results[key]``, the leaf points or the grid rows, as
+    ``json.dumps(indent=2, allow_nan=False)`` writes them in a report; a
+    grid row's (label, fiber, tangent) becomes its object, isotropy included."""
     if key == "grid":
-        return ",".join(
-            _GRID_ROW % (r["fiber"], r["isotropy"], encode_basestring_ascii(r["point"]), r["tangent"])
-            for r in rows
-        )
+        return ",".join(_GRID_ROW % (f, f - t, encode_basestring_ascii(label), t) for label, f, t in rows)
     if not all(map(math.isfinite, chain.from_iterable(rows))):
         raise ValueError("Out of range float values are not JSON compliant")
     row = "\n      [" + ",".join(["\n        %r"] * len(rows[0])) + "\n      ]"
@@ -535,7 +531,7 @@ def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) 
 def _fail(command: str | None, argv: list[str], exc: Exception, code: int) -> int:
     """Print the error report for ``exc``; returns the exit code."""
     diagnostics = {"error": str(exc), "error_type": type(exc).__name__}
-    if isinstance(exc, (ParseError, BudgetError)):
+    if isinstance(exc, _Located):
         if exc.line is not None:
             diagnostics["line"] = exc.line
         if exc.column is not None:

@@ -40,6 +40,7 @@ from .flow import (
     _jet,
     _residual,
     _vanishes,
+    _word_steps,
     flow_jet,
 )
 from .vfparse import FoliationSpec
@@ -155,6 +156,11 @@ def _expm(a: Rows) -> Rows:
     return r
 
 
+def _weighted_sum(coeffs: Sequence, mats: list[Rows], n: int) -> Rows:
+    """The n x n rows of sum_i c_i A_i, over the nonzero c_i."""
+    return _comb((1.0, [[0.0] * n] * n), *((_float(c), a) for c, a in zip(coeffs, mats) if c))
+
+
 def _linear_rows(spec: FoliationSpec) -> list[Rows]:
     """Matrices A_i with X_i(x) = A_i x, as rows; raises NotLinearError otherwise."""
     n = spec.nvars
@@ -174,16 +180,12 @@ def _linear_rows(spec: FoliationSpec) -> list[Rows]:
 
 def _jet_exact_rows(spec: FoliationSpec, word: FlowWord) -> Rows:
     """Rows of the product over steps of exp(t * sum_i c_i A_i), in action order."""
-    if word.spec != spec:
-        raise ArityError("word was built over a different spec")
+    steps = _word_steps(spec, word)
     mats = _linear_rows(spec)
     n = spec.nvars
     acc = _eye(n)
-    for step in word.steps:
-        m = [[0.0] * n for _ in range(n)]
-        for c, a in zip(step.coeffs, mats):
-            if c:
-                m = _comb((1.0, m), (_float(c), a))
+    for step in steps:
+        m = _weighted_sum(step.coeffs, mats, n)
         acc = _matmul(_expm(_comb((step.duration, m))), acc)
     return acc
 
@@ -309,10 +311,7 @@ def check_pushforward_linear(
     mats = _linear_rows(spec)
     if len(coeffs) != spec.k:
         raise ArityError(f"{len(coeffs)} coefficients for {spec.k} generators")
-    n = spec.nvars
-    m = [[0.0] * n for _ in range(n)]
-    for c, a in zip(coeffs, mats):
-        m = _comb((1.0, m), (_float(c), a))
+    m = _weighted_sum(coeffs, mats, spec.nvars)
     t = _float(time)
     g = _expm(_comb((t, m)))
     g_inv = _expm(_comb((-t, m)))

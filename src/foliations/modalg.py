@@ -222,6 +222,12 @@ def _scale(elem: Element, coeff: Fraction) -> Element:
     return tuple(p * coeff for p in elem)
 
 
+def _s_poly(a: Element, ui: tuple[int, ...], b: Element, uj: tuple[int, ...]) -> Element:
+    """ui*a - uj*b, for the monomials ui and uj"""
+    one = Fraction(1)
+    return tuple(p.mul_term(ui, one) - q.mul_term(uj, one) for p, q in zip(a, b))
+
+
 def _is_zero(elem: Element) -> bool:
     return all(p.is_zero for p in elem)
 
@@ -369,20 +375,12 @@ def _groebner(
             )
         ui = tuple(a - b for a, b in zip(lcm, leads[i][2]))
         uj = tuple(a - b for a, b in zip(lcm, leads[j][2]))
-        s = tuple(
-            a.mul_term(ui, Fraction(1)) - b.mul_term(uj, Fraction(1))
-            for a, b in zip(basis[i], basis[j])
-        )
-        rem, quots = _reduce(s, basis, leads, key, counter, budget)
+        rem, quots = _reduce(_s_poly(basis[i], ui, basis[j], uj), basis, leads, key, counter, budget)
         if _is_zero(rem):
             continue
         rep = None
         if track:
-            rep = tuple(
-                a.mul_term(ui, Fraction(1)) - b.mul_term(uj, Fraction(1))
-                for a, b in zip(reprs[i], reprs[j])
-            )
-            rep = _minus_quotients(rep, quots, reprs)
+            rep = _minus_quotients(_s_poly(reprs[i], ui, reprs[j], uj), quots, reprs)
         push(rem, rep)
         add_pairs(len(basis) - 1)
 
@@ -642,6 +640,9 @@ def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_
 # the most term products the cofactor expansions of ``singular_locus`` may
 # form; one more is a BudgetError, raised before that product is formed
 _MAX_MINOR_PRODUCTS = 250_000
+# the most minors ``singular_locus`` may visit, zero or not (a zero minor
+# forms no product); one more is a BudgetError, raised before it is expanded
+_MAX_MINORS = 100_000
 
 
 def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
@@ -652,7 +653,7 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
     the k x n coefficient matrix, in row/column enumeration order.  No
     radical or primary decomposition is attempted.  The minors are
     expanded by cofactors; more than ``_MAX_MINOR_PRODUCTS`` term products
-    in all raise BudgetError.
+    or ``_MAX_MINORS`` minors in all raise BudgetError.
     """
     k, n = spec.k, spec.nvars
     if k == 0:
@@ -683,6 +684,10 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
         minors = []
         for rows in combinations(range(k), size):
             for cols in combinations(range(n), size):
+                if done >= _MAX_MINORS:
+                    raise BudgetError(
+                        f"the minor ideal needs more than {_MAX_MINORS} minors ({done} minors done)"
+                    )
                 d = det([[matrix[r][c] for c in cols] for r in rows])
                 done += 1
                 if not d.is_zero:

@@ -535,6 +535,20 @@ def test_non_finite_result_exit_3(files, capsys):
         assert caught == [] and err == ""
 
 
+def test_zero_weight_on_an_overflowing_generator(capsys, tmp_path):
+    # 10^400 is beyond the float range: the zero weight leaves it out of the
+    # combined field, but the pushforward still conjugates it and is not finite
+    p = tmp_path / "huge.fol"
+    p.write_text("vars: x y\ngenerators:\n  10^400*x*dx\n  y*dy\n")
+    diags = failure(capsys, ["pushforward", str(p), "--coeffs", "0,1", "--time", "1"], 3, "ArithmeticError")
+    assert diags["error"] == "result is not finite"
+    code, rep, _ = invoke(capsys, ["jet-exact", str(p), "--word", "0,1@1"])
+    assert (code, rep["results"]) == (0, {"jet": [[1.0, 0.0], [0.0, 2.718281828459046]]})
+    word = ["--word1", "0,1@1", "--word2", "0,1@1", "--point", "0,0"]
+    code, rep, _ = invoke(capsys, ["germ-eq", str(p), *word])
+    assert (code, rep["results"]) == (0, {"equal": True})
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -922,6 +936,16 @@ def test_singular_locus_over_its_product_cap_exit_3(capsys, tmp_path):
     assert "more than 250000 term products (0 minors done)" in diags["error"]
 
 
+def test_singular_locus_over_its_minor_cap_exit_3(capsys, monkeypatch, tmp_path):
+    # 8 copies of x0*dx0 in 8 variables: every minor above size 1 is zero and
+    # forms no term product, so only the minor cap stops the 12,805 of them
+    monkeypatch.setattr("foliations.modalg._MAX_MINORS", 1000)
+    p = tmp_path / "rank1.fol"
+    p.write_text("vars: " + " ".join(f"x{i}" for i in range(8)) + "\ngenerators:\n" + "  x0*dx0\n" * 8)
+    diags = _budget_report(capsys, ["singular", str(p)])
+    assert "more than 1000 minors (1000 minors done)" in diags["error"]
+
+
 def test_missing_file_exit_2(capsys):
     code, rep, _ = invoke(capsys, ["check", "/nonexistent/nope.fol"])
     assert code == 2
@@ -1058,13 +1082,18 @@ def test_main_passes_the_exit_code_to_the_shell(files, args, code):
 
 
 def _written_and_expected(monkeypatch, capsys, argv):
-    """run(argv)'s exit code and stdout, and json.dumps of the last report it emitted."""
+    """run(argv)'s exit code and stdout, and json.dumps of the last report it
+    emitted, its (label, fiber, tangent) grid rows expanded to the report's objects."""
     cli = sys.modules["foliations.cli"]
     emit, reports = cli._emit, []
 
     def record(command, inputs, results, diagnostics, **seed):
+        grid = [
+            {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
+            for label, f, t in results.get("grid", ())
+        ]
         reports.append(
-            {"command": command, "inputs": inputs, "results": results,
+            {"command": command, "inputs": inputs, "results": {**results, "grid": grid} if grid else results,
              "diagnostics": diagnostics, "version": __version__, **seed}
         )
         emit(command, inputs, results, diagnostics, **seed)

@@ -461,6 +461,17 @@ def test_singular_locus_counts_its_term_products(monkeypatch):
         singular_locus(gl3())
 
 
+def test_singular_locus_counts_its_minors(monkeypatch):
+    # gl3 visits 84 3x3 minors; with one fewer allowed, the last minor is
+    # refused before it is expanded
+    cap = "foliations.modalg._MAX_MINORS"
+    monkeypatch.setattr(cap, 84)
+    assert singular_locus(gl3()).generic_rank == 3
+    monkeypatch.setattr(cap, 83)
+    with pytest.raises(BudgetError, match=r"more than 83 minors \(83 minors done\)"):
+        singular_locus(gl3())
+
+
 def test_singular_locus_consistency_at_samples():
     rng = XorShift64Star(55)
     for spec in (sl2(), gl2(), cstar()):

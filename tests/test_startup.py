@@ -83,3 +83,14 @@ def test_numeric_requests_run_without_numpy(sl2_file):
     proc = run_python(_RUN.format(prelude="sys.modules['numpy'] = None\n", argvs=argvs))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0 " * len(argvs) + "False\n"
+
+
+def test_the_name_flow_is_the_function():
+    # the package binds ``flow`` to the function, after its submodule's import
+    # has bound the module there; ``sys.modules`` keeps the module
+    proc = run_python(
+        "import sys\nimport foliations.flow, foliations.holonomy, foliations.cli\n"
+        "from foliations import flow\nprint(flow is sys.modules['foliations.flow'].flow)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
