@@ -36,6 +36,27 @@ elimination.  Each evaluated row is a positive multiple of the row at x,
 whether X/D is in lowest terms or not, and scaling a row by a nonzero
 constant does not change the rank.
 
+Over many points (``fol dims --grid``) most points are regular, and there
+one witness minor answers without elimination.  Let G be the k x n
+generator matrix, r its generic rank and S the matrix of syzygy
+generators.  S*G = 0, and S spans the relations over the fraction field,
+so at every point rank G(p) <= r <= k - rank S(p).  At the first point p0
+where elimination finds fiber = tangent, r is therefore tangent(p0).  Pick
+pivot rows I and columns J of G(p0) with the r x r minor m = det G[I, J]
+nonzero at p0; m is expanded once by cofactors (under the same product cap
+as ``singular_locus``) and compiled like the rows.  At a later point p with
+m(p) != 0, fiber = tangent = r:
+
+* rank G(p) >= r, as m(p) != 0; every (r+1)-minor of G is the zero
+  polynomial, so rank G(p) <= r;
+* for each j not in I, Cramer's rule gives the relation m*X_j - sum_{i in
+  I} c_ij*X_i, with polynomial cofactors c_ij.  These k - r relations are
+  independent at p (m(p) sits alone in column j) and lie in the row span
+  of S(p), so rank S(p) = k - r.
+
+Points before p0 and points on m = 0 are eliminated as before.  With a
+single point, k = 0, r = 0 or m over the product cap no witness is built.
+
 Note: the coefficient ring is the polynomial ring, standing in for the
 ring of smooth functions.  On the homogeneous examples shipped with the
 test-suite the fiber dimensions agree with the smooth ones, but equality
@@ -593,41 +614,82 @@ def _syzygy_rows(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
     return _compile_rows(syzygy_basis(spec, budget).relations, spec.nvars)
 
 
-def _fibers(spec: FoliationSpec, points: Sequence[Sequence[int]], d: int, budget: Budget) -> list[int]:
-    """Fiber dimension at each x = X/D, X in ``points``, for one integer D > 0."""
-    if spec.k == 0:
-        return [0] * len(points)
-    rows, k = _syzygy_rows(spec, budget), spec.k
-    return [k - _rank_int(rows(*xs, d)) for xs in points]
+def _independent(rows: Sequence[Sequence[int]], r: int) -> list[int]:
+    """Indices of the first ``r`` linearly independent ``rows``, taken greedily
+    in order; ``rows`` must have rank at least r."""
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        if len(picked) == r:
+            break
+        if _rank_int([rows[j] for j in picked] + [row]) > len(picked):
+            picked.append(i)
+    return picked
 
 
-def _tangents(spec: FoliationSpec, points: Sequence[Sequence[int]], d: int) -> list[int]:
-    """Tangent dimension at each x = X/D, X in ``points``, for one integer D > 0."""
-    rows = _generator_rows(spec)
-    return [_rank_int(rows(*xs, d)) for xs in points]
+def _witness(spec: FoliationSpec, values: Sequence[Sequence[int]], r: int, xs: Sequence[int], d: int):
+    """Integer evaluator (see ``_compile_rows``) of an r x r minor m of the
+    generator matrix that is nonzero at x = X/D, where the generator rows
+    evaluate to ``values`` of rank r > 0; None if expanding m would form more
+    than ``_MAX_MINOR_PRODUCTS`` term products.  The module docstring says
+    why m(x') != 0 certifies fiber = tangent = r at another point x'."""
+    rows = _independent(values, r)
+    cols = _independent(list(zip(*(values[i] for i in rows))), r)
+    gens = [spec.generators[i].components for i in rows]
+    try:
+        minor = _det([[g[j] for j in cols] for g in gens], [0])
+    except BudgetError:
+        return None
+    evaluate = _compile_rows([(minor,)], spec.nvars)
+    if not evaluate(*xs, d)[0][0]:
+        raise AssertionError("internal error: the witness minor vanishes at its own point")
+    return evaluate
 
 
 def _dims(
     spec: FoliationSpec, points: Sequence[Sequence[int]], d: int, budget: Budget = DEFAULT_BUDGET
 ) -> list[tuple[int, int]]:
     """Fiber and tangent dimensions at each x = X/D, X in ``points``, for one
-    integer D > 0; checked to give nonnegative isotropy dimensions."""
-    dims = list(zip(_fibers(spec, points, d, budget), _tangents(spec, points, d)))
-    if any(f < t for f, t in dims):
-        raise AssertionError("internal error: fiber dimension below tangent dimension")
+    integer D > 0; checked to give nonnegative isotropy dimensions.
+
+    Points are ranked by elimination up to the first one where fiber equals
+    tangent, r; from there on a point where the witness minor of size r is
+    nonzero gets (r, r) unranked (see the module docstring).  A single point,
+    k = 0, r = 0 or a minor over the product cap builds no witness.
+    """
+    k = spec.k
+    gens = _generator_rows(spec)
+    syz = _syzygy_rows(spec, budget) if k else None
+    # a witness may still be built until the first point where fiber = tangent
+    pending = k > 0 and len(points) > 1
+    witness, r = None, 0
+    dims = []
+    for xs in points:
+        if witness is not None and witness(*xs, d)[0][0]:
+            dims.append((r, r))
+            continue
+        values = gens(*xs, d)
+        t = _rank_int(values)
+        f = k - _rank_int(syz(*xs, d)) if k else 0
+        if f < t:
+            raise AssertionError("internal error: fiber dimension below tangent dimension")
+        dims.append((f, t))
+        if pending and f == t:
+            pending = False
+            if t:
+                witness, r = _witness(spec, values, t, xs, d), t
     return dims
 
 
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:
     """Dimension of the span of the generator values at a rational point."""
     xs, d = as_point(point, spec.nvars).scaled
-    return _tangents(spec, [xs], d)[0]
+    return _rank_int(_generator_rows(spec)(*xs, d))
 
 
 def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """k minus the rank of the syzygy generators evaluated at the point."""
     xs, d = as_point(point, spec.nvars).scaled
-    return _fibers(spec, [xs], d, budget)[0]
+    return spec.k - _rank_int(_syzygy_rows(spec, budget)(*xs, d)) if spec.k else 0
 
 
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -638,11 +700,31 @@ def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_
 
 
 # the most term products the cofactor expansions of ``singular_locus`` may
-# form; one more is a BudgetError, raised before that product is formed
+# form, and so may a witness minor of ``_dims``; one more is a BudgetError,
+# raised before that product is formed
 _MAX_MINOR_PRODUCTS = 250_000
 # the most minors ``singular_locus`` may visit, zero or not (a zero minor
 # forms no product); one more is a BudgetError, raised before it is expanded
 _MAX_MINORS = 100_000
+
+
+def _det(mat: list[list[Poly]], spent: list[int]) -> Poly:
+    """Determinant of a square matrix of polynomials, by cofactors along its
+    first row.  ``spent[0]`` counts the term products formed, and one more
+    than ``_MAX_MINOR_PRODUCTS`` is a BudgetError, raised before it is formed."""
+    if len(mat) == 1:
+        return mat[0][0]
+    out = Poly.zero(nvars=mat[0][0].nvars)
+    for j, entry in enumerate(mat[0]):
+        if entry.is_zero:
+            continue
+        minor = _det([row[:j] + row[j + 1 :] for row in mat[1:]], spent)
+        spent[0] += len(entry.terms) * len(minor.terms)
+        if spent[0] > _MAX_MINOR_PRODUCTS:
+            raise BudgetError(f"minors need more than {_MAX_MINOR_PRODUCTS} term products")
+        term = entry * minor
+        out = out + term if j % 2 == 0 else out - term
+    return out
 
 
 def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
@@ -651,36 +733,23 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
 
     ``minor_ideal`` lists the nonzero r x r minors (r the generic rank) of
     the k x n coefficient matrix, in row/column enumeration order.  No
-    radical or primary decomposition is attempted.  The minors are
-    expanded by cofactors; more than ``_MAX_MINOR_PRODUCTS`` term products
-    or ``_MAX_MINORS`` minors in all raise BudgetError.
+    radical or primary decomposition is attempted.  The rank a of the
+    matrix evaluated at the point (1, 2, .., n) is at most r, so the minors
+    are enumerated by size upward from max(a, 1), up to the first size whose
+    minors are all zero, and r is the size below it; no size above r + 1 is
+    visited.  The minors are expanded by cofactors; more than
+    ``_MAX_MINOR_PRODUCTS`` term products or ``_MAX_MINORS`` minors in all
+    raise BudgetError.
     """
     k, n = spec.k, spec.nvars
+    report = SingularLocusReport(generic_rank=0, minor_ideal=())
     if k == 0:
-        return SingularLocusReport(generic_rank=0, minor_ideal=())
-    products = done = 0
-
-    def det(mat: list[list[Poly]]) -> Poly:
-        nonlocal products
-        if len(mat) == 1:
-            return mat[0][0]
-        out = Poly.zero(nvars=n)
-        for j, entry in enumerate(mat[0]):
-            if entry.is_zero:
-                continue
-            minor = det([row[:j] + row[j + 1 :] for row in mat[1:]])
-            products += len(entry.terms) * len(minor.terms)
-            if products > _MAX_MINOR_PRODUCTS:
-                raise BudgetError(
-                    f"minors need more than {_MAX_MINOR_PRODUCTS} term products"
-                    f" ({done} minors done)"
-                )
-            term = entry * minor
-            out = out + term if j % 2 == 0 else out - term
-        return out
-
+        return report
+    point = tuple(range(1, n + 1))
+    start = max(rank_exact([g(point) for g in spec.generators]), 1)
     matrix = [list(g.components) for g in spec.generators]
-    for size in range(min(k, n), 0, -1):
+    spent, done = [0], 0
+    for size in range(start, min(k, n) + 1):
         minors = []
         for rows in combinations(range(k), size):
             for cols in combinations(range(n), size):
@@ -688,13 +757,17 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
                     raise BudgetError(
                         f"the minor ideal needs more than {_MAX_MINORS} minors ({done} minors done)"
                     )
-                d = det([[matrix[r][c] for c in cols] for r in rows])
+                try:
+                    d = _det([[matrix[r][c] for c in cols] for r in rows], spent)
+                except BudgetError as e:
+                    raise BudgetError(f"{e} ({done} minors done)") from None
                 done += 1
                 if not d.is_zero:
                     minors.append(d)
-        if minors:
-            return SingularLocusReport(generic_rank=size, minor_ideal=tuple(minors))
-    return SingularLocusReport(generic_rank=0, minor_ideal=())
+        if not minors:
+            break
+        report = SingularLocusReport(generic_rank=size, minor_ideal=tuple(minors))
+    return report
 
 
 def minimal_local_generators(

@@ -8,6 +8,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,10 @@ from foliations.cli import (
 )
 from foliations.errors import BudgetError, ParseError, UnknownVariableError
 from foliations.flow import XorShift64Star
-from foliations.modalg import _generator_rows, _syzygy_rows, syzygy_basis
-from foliations.vfparse import FoliationSpec
+from foliations.modalg import _dims, _generator_rows, _syzygy_rows, syzygy_basis
+from foliations.vfparse import FoliationSpec, Poly, VectorField
 
-from helpers import gl2, make_spec, random_field, rank_oracle, run_python
+from helpers import gl2, make_spec, nonintegrable, random_field, rank_oracle, run_python, so3
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -82,12 +83,15 @@ generators:
   -y*dx + x*dy
 """
 
+GL2 = "vars: x y\ngenerators:\n  x*dx\n  y*dy\n  y*dx\n  x*dy\n"
+
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
     specs = (
         ("sl2", SL2), ("nonint", NONINT), ("folk2", FOLK2), ("gl3", GL3), ("so3", SO3), ("cstar", CSTAR),
+        ("gl2", GL2),
     )
     for name, body in specs:
         p = tmp_path / f"{name}.fol"
@@ -309,15 +313,63 @@ def test_dims_grid_output_matches_golden_digests(files, capsys, monkeypatch, arg
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _counted(monkeypatch, name):
+    """The argument tuples of every call of ``modalg.<name>`` from now on."""
+    modalg = sys.modules["foliations.modalg"]
+    original, calls = getattr(modalg, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(modalg, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("grid, count", [("-1:1:1", 27), ("-2:2:1/4", 4913)])
-def test_dims_grid_compiles_two_evaluators(files, capsys, grid, count):
-    # one generator-row and one syzygy-row evaluator, whatever the point count
+def test_dims_grid_compiles_each_evaluator_once(files, capsys, monkeypatch, grid, count):
+    # one generator-row, one syzygy-row and one witness-minor evaluator,
+    # whatever the point count; the --point request builds no witness
     for cache in (_generator_rows, _syzygy_rows):
         cache.cache_clear()
+    compiled = _counted(monkeypatch, "_compile_rows")
     code, rep, _ = invoke(capsys, ["dims", files["gl3"], "--point", "1,2,3", "--grid", grid])
     assert code == 0 and len(rep["results"]["grid"]) == count
     assert _generator_rows.cache_info().misses == 1
     assert _syzygy_rows.cache_info().misses == 1
+    assert len(compiled) == 3
+
+
+# eliminations (_rank_int calls) of dims --grid on the corpus-shaped grids;
+# before the witness minor every point took two: 5,832, 6,750, 1,458, 5,000
+# and 8,192.  A point on the witness's zero set still takes two, and so does
+# every point up to the first where fiber = tangent; the witness's own rows
+# and columns are picked by one elimination each
+GRID_ELIMINATIONS = [
+    ("sl2", "-27/2:13:1/2", 2916, 114),
+    ("so3", "-7/3:7/3:1/3", 3375, 876),
+    ("gl3", "-4/3:4/3:1/3", 729, 170),
+    ("gl2", "-25/2:12:1/2", 2500, 204),
+    ("cstar", "-16:31/2:1/2", 4096, 8),
+]
+
+
+@pytest.mark.parametrize(
+    "name, grid, points, eliminations", GRID_ELIMINATIONS, ids=[case[0] for case in GRID_ELIMINATIONS]
+)
+def test_dims_grid_eliminations_are_pinned(files, capsys, monkeypatch, name, grid, points, eliminations):
+    ranks, witnesses = _counted(monkeypatch, "_rank_int"), _counted(monkeypatch, "_witness")
+    code, rep, _ = invoke(capsys, ["dims", files[name], "--grid", grid])
+    assert code == 0 and len(rep["results"]["grid"]) == points
+    assert (len(ranks), len(witnesses)) == (eliminations, 1)
+
+
+@pytest.mark.parametrize("args", [["--point", "1,2,3"], ["--grid", "1:1:1"]], ids=["point", "one-point-grid"])
+def test_dims_of_one_point_builds_no_witness(files, capsys, monkeypatch, args):
+    ranks, witnesses = _counted(monkeypatch, "_rank_int"), _counted(monkeypatch, "_witness")
+    code, rep, _ = invoke(capsys, ["dims", files["so3"], *args])
+    assert code == 0
+    assert (len(ranks), len(witnesses)) == (2, 0)
 
 
 # each spec on a grid whose D (the lcm of the denominators of its start
@@ -362,6 +414,71 @@ def test_dims_grid_matches_pointwise_references(tmp_path, capsys, name):
         drop = rows[points.index((Fraction(-4, 3), Fraction(1, 6)))]
         assert (drop["fiber"], drop["tangent"]) == (4, 0)
         assert {row["tangent"] for row in rows} == {0, 2}
+
+
+def _crossed_spec(rng, n):
+    """k = 1-3 random fields of degree <= 1, each times a linear factor that
+    vanishes on a hyperplane through points of the grid -1:1:1/2"""
+    names = ("x", "y", "z")[:n]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        i, c = rng.randint(0, n - 1), Fraction(rng.randint(-2, 2), 2)
+        factor = Poly.variable(i, n) - Poly.constant(c, n)
+        gens.append(random_field(rng, n, 1).scale(factor))
+    return FoliationSpec(names, tuple(gens))
+
+
+WITNESS_CASES = {
+    "zero-generators": (lambda: FoliationSpec(("x", "y"), (VectorField.zero(2),) * 2), "-1:1:1/2", 0),
+    "no-generators": (lambda: FoliationSpec(("x", "y"), ()), "-1:1:1/2", 0),
+    "so3": (so3, "-1:1:1/2", 1),
+    "nonintegrable": (nonintegrable, "-1:1:1/2", 1),
+    "inside-singular-set": (lambda: make_spec(("x",), ("(x^2 - x)*dx",)), "0:1:1", 0),
+}
+WITNESS_CASES.update(
+    (f"random-n{n}-seed{seed}", (lambda n=n, seed=seed: _crossed_spec(XorShift64Star(seed), n), "-1:1:1/2", 1))
+    for n, seeds in ((2, range(1, 9)), (3, range(9, 13)))
+    for seed in seeds
+)
+
+
+@pytest.mark.parametrize("name", list(WITNESS_CASES))
+def test_dims_grid_witness_matches_pointwise_oracles(monkeypatch, name):
+    # every row, whether certified by the witness minor or eliminated, is the
+    # row of the point ranked by itself and the rank over Q of the rows
+    # evaluated in Fractions
+    make, grid, witnesses = WITNESS_CASES[name]
+    spec = make()
+    n = spec.nvars
+    bounds = tuple(map(Fraction, grid.split(":")))
+    d, xs, labels = _lattice(bounds, n)
+    built = _counted(monkeypatch, "_witness")
+    dims = _dims(spec, list(product(xs, repeat=n)), d)
+    assert len(built) == witnesses
+    rels = syzygy_basis(spec).relations if spec.k else ()
+    for (f, t), label in zip(dims, product(labels, repeat=n)):
+        pt = tuple(map(Fraction, label))
+        assert _dims_at(spec, pt) == {"point": ",".join(label), "fiber": f, "tangent": t, "isotropy": f - t}
+        fiber = spec.k - rank_oracle([[p(pt) for p in rel] for rel in rels])
+        assert (f, t) == (fiber, rank_oracle([g(pt) for g in spec.generators])), label
+
+
+def test_witness_check_survives_python_O():
+    # a witness minor that vanishes at its own point is caught with asserts stripped
+    proc = run_python(
+        "import sys\n"
+        "from foliations import modalg\n"
+        "from foliations.vfparse import Poly\n"
+        "from helpers import sl2\n"
+        "modalg._det = lambda mat, spent: Poly.zero(2)\n"
+        "try:\n"
+        "    modalg._dims(sl2(), [(1, 0), (0, 1)], 1)\n"
+        "except AssertionError as e:\n"
+        "    print(sys.flags.optimize, e)\n",
+        "-O",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 internal error: the witness minor vanishes at its own point\n"
 
 
 @pytest.mark.parametrize(
@@ -936,14 +1053,32 @@ def test_singular_locus_over_its_product_cap_exit_3(capsys, tmp_path):
     assert "more than 250000 term products (0 minors done)" in diags["error"]
 
 
+def _rank_one_file(tmp_path, n):
+    # n copies of x0*dx0 in n variables: every minor above size 1 is zero
+    p = tmp_path / f"rank1-{n}.fol"
+    p.write_text("vars: " + " ".join(f"x{i}" for i in range(n)) + "\ngenerators:\n" + "  x0*dx0\n" * n)
+    return str(p)
+
+
 def test_singular_locus_over_its_minor_cap_exit_3(capsys, monkeypatch, tmp_path):
-    # 8 copies of x0*dx0 in 8 variables: every minor above size 1 is zero and
-    # forms no term product, so only the minor cap stops the 12,805 of them
-    monkeypatch.setattr("foliations.modalg._MAX_MINORS", 1000)
-    p = tmp_path / "rank1.fol"
-    p.write_text("vars: " + " ".join(f"x{i}" for i in range(8)) + "\ngenerators:\n" + "  x0*dx0\n" * 8)
-    diags = _budget_report(capsys, ["singular", str(p)])
-    assert "more than 1000 minors (1000 minors done)" in diags["error"]
+    # the scan visits the 64 minors of size 1, then the 784 of size 2; these
+    # are zero and form no term product, so only the minor cap stops it
+    monkeypatch.setattr("foliations.modalg._MAX_MINORS", 500)
+    diags = _budget_report(capsys, ["singular", _rank_one_file(tmp_path, 8)])
+    assert "more than 500 minors (500 minors done)" in diags["error"]
+
+
+def test_singular_locus_of_rank_one_skips_the_larger_minors(capsys, monkeypatch, tmp_path):
+    # rank 1 at the point (1, .., 10), so the scan starts at size 1 and stops
+    # after the zero size-2 minors: 100 + 2,025 of them, not the millions of
+    # sizes 3 to 10
+    monkeypatch.setattr("foliations.modalg._MAX_MINORS", 2125)
+    code, rep, _ = invoke(capsys, ["singular", _rank_one_file(tmp_path, 10)])
+    assert code == 0
+    assert rep["results"] == {"generic_rank": 1, "minor_ideal": ["x0"] * 10}
+    monkeypatch.setattr("foliations.modalg._MAX_MINORS", 2124)
+    diags = _budget_report(capsys, ["singular", _rank_one_file(tmp_path, 10)])
+    assert "more than 2124 minors (2124 minors done)" in diags["error"]
 
 
 def test_missing_file_exit_2(capsys):

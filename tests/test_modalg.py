@@ -474,7 +474,10 @@ def test_singular_locus_counts_its_minors(monkeypatch):
 
 def test_singular_locus_consistency_at_samples():
     rng = XorShift64Star(55)
-    for spec in (sl2(), gl2(), cstar()):
+    # so3 has generic rank 2 < min(k, n); the shifted gl2 has rank 0 at the
+    # point (1, 2) where the minor scan takes its starting size
+    shifted = make_spec(("x", "y"), ("(x-1)*dx", "(y-2)*dy", "(y-2)*dx", "(x-1)*dy"))
+    for spec in (sl2(), gl2(), cstar(), so3(), shifted):
         rep = singular_locus(spec)
         for _ in range(25):
             pt = tuple(Fraction(rng.randint(-8, 8), 4) for _ in range(spec.nvars))
