@@ -124,6 +124,8 @@ def load_foliation_file(path) -> FoliationFile:
             continue
         stripped = line.strip()
         if stripped.startswith("vars:"):
+            if var_names is not None:
+                raise ParseError("'vars:' is declared twice", line=lineno)
             var_names = tuple(stripped[len("vars:") :].split())
             if not var_names:
                 raise ParseError("'vars:' declares no variables", line=lineno)
@@ -221,7 +223,10 @@ _MAX_POINTS = 100_000
 
 def _require_points(flag: str, count: int) -> None:
     if count > _MAX_POINTS:
-        raise BudgetError(f"{flag} has {count} points, more than {_MAX_POINTS}")
+        try:
+            raise BudgetError(f"{flag} has {count} points, more than {_MAX_POINTS}")
+        except ValueError:  # a count too long to print
+            raise BudgetError(f"{flag} has more than {_MAX_POINTS} points") from None
 
 
 def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
@@ -232,11 +237,16 @@ def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
     per_axis = math.floor((b - a) / step) + 1
     _require_points("--grid", per_axis**nvars)
     (a_d, step_d), d = _over_lcm((a, step))
-    return d, [a_d + i * step_d for i in range(per_axis)], [str(a + i * step) for i in range(per_axis)]
+    labels = [_fmt_point((a + i * step,), "--grid") for i in range(per_axis)]
+    return d, [a_d + i * step_d for i in range(per_axis)], labels
 
 
-def _fmt_point(pt) -> str:
-    return ",".join(str(c) for c in pt)
+def _fmt_point(pt, flag: str = "--point") -> str:
+    """``pt`` joined by commas; a number str() cannot write is a usage error naming ``flag``."""
+    try:
+        return ",".join(map(str, pt))
+    except ValueError:
+        raise _UsageError(f"{flag} has a number too long to print") from None
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +285,10 @@ def _cmd_check(ns, spec):
 
 def _dims_at(spec, pt) -> dict:
     """The dims row of one point, scaled to integers by its own denominators."""
+    label = _fmt_point(pt)
     xs, d = as_point(pt, spec.nvars).scaled
     [(f, t)] = _dims(spec, [xs], d)
-    return {"point": _fmt_point(pt), "fiber": f, "tangent": t, "isotropy": f - t}
+    return {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
 
 
 def _cmd_dims(ns, spec):

@@ -31,21 +31,23 @@ be in lowest terms.  Each spec's generator rows and syzygy rows are
 compiled once into an evaluator of X and D that returns every row scaled
 to integers (by the lcm of its coefficient denominators times D^deg), with
 its source written by ``vfparse._sum_lines``, the emitter of the RK4
-kernels in ``flow``.  The rank is taken by fraction-free (Bareiss)
-elimination.  Each evaluated row is a positive multiple of the row at x,
-whether X/D is in lowest terms or not, and scaling a row by a nonzero
-constant does not change the rank.
+kernels in ``flow``.  A rank is one fraction-free (Bareiss) elimination,
+which also gives its pivot rows and columns; the minimal local generators
+are the unit rows that are pivots of one elimination of the evaluated
+syzygy generators over the k unit rows.  Each evaluated row is a positive
+multiple of the row at x, whether X/D is in lowest terms or not, and
+scaling a row by a nonzero constant changes neither rank nor pivots.
 
 Over many points (``fol dims --grid``) most points are regular, and there
 one witness minor answers without elimination.  Let G be the k x n
 generator matrix, r its generic rank and S the matrix of syzygy
 generators.  S*G = 0, and S spans the relations over the fraction field,
 so at every point rank G(p) <= r <= k - rank S(p).  At the first point p0
-where elimination finds fiber = tangent, r is therefore tangent(p0).  Pick
-pivot rows I and columns J of G(p0) with the r x r minor m = det G[I, J]
-nonzero at p0; m is expanded once by cofactors (under the same product cap
-as ``singular_locus``) and compiled like the rows.  At a later point p with
-m(p) != 0, fiber = tangent = r:
+where elimination finds fiber = tangent, r is therefore tangent(p0).  The
+pivot rows I and columns J of the elimination that ranked G(p0) give an
+r x r minor m = det G[I, J] nonzero at p0; m is expanded once by cofactors
+(under the same product cap as ``singular_locus``) and compiled like the
+rows.  At a later point p with m(p) != 0, fiber = tangent = r:
 
 * rank G(p) >= r, as m(p) != 0; every (r+1)-minor of G is the zero
   polynomial, so rank G(p) <= r;
@@ -523,34 +525,47 @@ def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Syzygy
     return SyzygyBasis(source=spec, relations=tuple(relations))
 
 
-def _rank_int(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _pivots(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
+    """Pivot rows (ascending) and columns of an integer matrix, by one
+    fraction-free (Bareiss) elimination; the rank is their number.
 
-    Each step takes a pivot in the leading column, eliminates that column
-    from the other rows and drops it, with the pivot row and every row that
-    became zero.  The remaining entries are then minors of the input, so the
-    division by the previous pivot is exact.
+    Each step pivots on the first remaining row with a nonzero entry in the
+    leading column, eliminates that column from the other rows and drops
+    it, with the pivot row and every row that became zero.  The remaining
+    entries are then minors of the input, so the division by the previous
+    pivot is exact.
+
+    The pivot rows are the greedy ones, each not in the span of the rows
+    before it.  The steps are linear and send pivot and dropped rows to 0,
+    so if row i is a combination of earlier rows, the remaining row i is a
+    combination of the remaining earlier rows: one of them is nonzero in
+    the leading column whenever row i is, and is taken first.  So every
+    pivot row is greedy, and both sets have rank many rows.  Row operations
+    keep the relations among the columns, so the pivot columns are the
+    greedy ones, of the matrix and of its pivot rows.
     """
-    m = [r for r in rows if any(r)]
-    rank, prev = 0, 1
+    m = [(i, r) for i, r in enumerate(rows) if any(r)]
+    pivots: list[tuple[int, int]] = []  # (row, column) of each step
+    col, prev = -1, 1
     while m:
-        for i, top in enumerate(m):
+        col += 1
+        for at, (i, top) in enumerate(m):
             if top[0]:
                 break
         else:
-            m = [r[1:] for r in m]
+            m = [(i, r[1:]) for i, r in m]
             continue
-        del m[i]
+        del m[at]
         pv, tail = top[0], top[1:]
         rest = []
-        for r in m:
+        for j, r in m:
             a = r[0]
             r = [(pv * x - a * y) // prev for x, y in zip(r[1:], tail)]
             if any(r):
-                rest.append(r)
+                rest.append((j, r))
         m, prev = rest, pv
-        rank += 1
-    return rank
+        pivots.append((i, col))
+    return sorted(i for i, _ in pivots), [j for _, j in pivots]
 
 
 def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
@@ -559,7 +574,7 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     Each row is scaled to integers by the lcm of its denominators, then
     ranked by fraction-free elimination.
     """
-    return _rank_int([_over_lcm([Fraction(v) for v in row])[0] for row in rows])
+    return len(_pivots([_over_lcm([Fraction(v) for v in row])[0] for row in rows])[0])
 
 
 def _compile_rows(rows: Sequence[Element], nvars: int):
@@ -614,26 +629,12 @@ def _syzygy_rows(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
     return _compile_rows(syzygy_basis(spec, budget).relations, spec.nvars)
 
 
-def _independent(rows: Sequence[Sequence[int]], r: int) -> list[int]:
-    """Indices of the first ``r`` linearly independent ``rows``, taken greedily
-    in order; ``rows`` must have rank at least r."""
-    picked: list[int] = []
-    for i, row in enumerate(rows):
-        if len(picked) == r:
-            break
-        if _rank_int([rows[j] for j in picked] + [row]) > len(picked):
-            picked.append(i)
-    return picked
-
-
-def _witness(spec: FoliationSpec, values: Sequence[Sequence[int]], r: int, xs: Sequence[int], d: int):
-    """Integer evaluator (see ``_compile_rows``) of an r x r minor m of the
-    generator matrix that is nonzero at x = X/D, where the generator rows
-    evaluate to ``values`` of rank r > 0; None if expanding m would form more
-    than ``_MAX_MINOR_PRODUCTS`` term products.  The module docstring says
-    why m(x') != 0 certifies fiber = tangent = r at another point x'."""
-    rows = _independent(values, r)
-    cols = _independent(list(zip(*(values[i] for i in rows))), r)
+def _witness(spec: FoliationSpec, rows: Sequence[int], cols: Sequence[int], xs: Sequence[int], d: int):
+    """Integer evaluator (see ``_compile_rows``) of the minor m of the
+    generator matrix on ``rows`` and ``cols``, the pivots of its elimination
+    at x = X/D, so that m is nonzero there; None if expanding m would form
+    more than ``_MAX_MINOR_PRODUCTS`` term products.  The module docstring
+    says why m(x') != 0 certifies fiber = tangent = r at another point x'."""
     gens = [spec.generators[i].components for i in rows]
     try:
         minor = _det([[g[j] for j in cols] for g in gens], [0])
@@ -667,29 +668,29 @@ def _dims(
         if witness is not None and witness(*xs, d)[0][0]:
             dims.append((r, r))
             continue
-        values = gens(*xs, d)
-        t = _rank_int(values)
-        f = k - _rank_int(syz(*xs, d)) if k else 0
+        rows, cols = _pivots(gens(*xs, d))
+        t = len(rows)
+        f = k - len(_pivots(syz(*xs, d))[0]) if k else 0
         if f < t:
             raise AssertionError("internal error: fiber dimension below tangent dimension")
         dims.append((f, t))
         if pending and f == t:
             pending = False
             if t:
-                witness, r = _witness(spec, values, t, xs, d), t
+                witness, r = _witness(spec, rows, cols, xs, d), t
     return dims
 
 
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:
     """Dimension of the span of the generator values at a rational point."""
     xs, d = as_point(point, spec.nvars).scaled
-    return _rank_int(_generator_rows(spec)(*xs, d))
+    return len(_pivots(_generator_rows(spec)(*xs, d))[0])
 
 
 def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """k minus the rank of the syzygy generators evaluated at the point."""
     xs, d = as_point(point, spec.nvars).scaled
-    return spec.k - _rank_int(_syzygy_rows(spec, budget)(*xs, d)) if spec.k else 0
+    return spec.k - len(_pivots(_syzygy_rows(spec, budget)(*xs, d))[0]) if spec.k else 0
 
 
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -775,25 +776,12 @@ def minimal_local_generators(
 ) -> tuple[int, ...]:
     """Greedy lowest-index set of generators whose fiber classes at the point
     form a basis.  Returned indices are 1-based (file order); the size equals
-    the fiber dimension.
+    the fiber dimension (one elimination, see the module docstring).
     """
     if spec.k < 1:
         raise ArityError("minimal_local_generators needs at least one generator")
     xs, d = as_point(point, spec.nvars).scaled
-    k = spec.k
-    rows = list(_syzygy_rows(spec, budget)(*xs, d))
-    rank = _rank_int(rows)
-    target = k - rank
-    picked: list[int] = []
-    for i in range(k):
-        if len(picked) == target:
-            break
-        candidate = rows + [tuple(int(j == i) for j in range(k))]
-        r = _rank_int(candidate)
-        if r > rank:
-            rows = candidate
-            rank = r
-            picked.append(i + 1)
-    if len(picked) != target:
-        raise AssertionError("internal error: independent subset smaller than fiber")
-    return tuple(picked)
+    syz = _syzygy_rows(spec, budget)(*xs, d)
+    units = [[int(j == i) for j in range(spec.k)] for i in range(spec.k)]
+    rows, _ = _pivots([*syz, *units])
+    return tuple(i - len(syz) + 1 for i in rows if i >= len(syz))

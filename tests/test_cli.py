@@ -195,8 +195,9 @@ def test_non_utf8_file_exit_2(capsys, tmp_path):
         ("generators:\n  dx\n", "'vars:' must come before 'generators:' (line 2)"),
         ("vars:\ngenerators:\n", "'vars:' declares no variables (line 1)"),
         ("name: empty\n", "file declares no 'vars:' line"),
+        ("vars: x y\nvars: x\ngenerators:\n  x*dx\n", "'vars:' is declared twice (line 2)"),
     ],
-    ids=["unindented-generator", "generators-before-vars", "no-variables", "no-vars-line"],
+    ids=["unindented-generator", "generators-before-vars", "no-variables", "no-vars-line", "second-vars-line"],
 )
 def test_file_structure_errors_exit_2(capsys, tmp_path, text, error):
     p = tmp_path / "bad.fol"
@@ -340,33 +341,36 @@ def test_dims_grid_compiles_each_evaluator_once(files, capsys, monkeypatch, grid
     assert len(compiled) == 3
 
 
-# eliminations (_rank_int calls) of dims --grid on the corpus-shaped grids;
+# eliminations (_pivots calls) of dims --grid on the corpus-shaped grids;
 # before the witness minor every point took two: 5,832, 6,750, 1,458, 5,000
 # and 8,192.  A point on the witness's zero set still takes two, and so does
-# every point up to the first where fiber = tangent; the witness's own rows
-# and columns are picked by one elimination each
+# every point up to the first where fiber = tangent; the witness's rows and
+# columns are the pivots of that point's elimination, so it eliminates nothing
 GRID_ELIMINATIONS = [
-    ("sl2", "-27/2:13:1/2", 2916, 114),
-    ("so3", "-7/3:7/3:1/3", 3375, 876),
-    ("gl3", "-4/3:4/3:1/3", 729, 170),
-    ("gl2", "-25/2:12:1/2", 2500, 204),
-    ("cstar", "-16:31/2:1/2", 4096, 8),
+    ("sl2", "-27/2:13:1/2", 2916, 110, [0, 1]),
+    ("so3", "-7/3:7/3:1/3", 3375, 872, [0, 1]),
+    ("gl3", "-4/3:4/3:1/3", 729, 164, [0, 1, 2]),
+    ("gl2", "-25/2:12:1/2", 2500, 200, [0, 1]),
+    ("cstar", "-16:31/2:1/2", 4096, 4, [0, 1]),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, grid, points, eliminations", GRID_ELIMINATIONS, ids=[case[0] for case in GRID_ELIMINATIONS]
+    "name, grid, points, eliminations, pivots", GRID_ELIMINATIONS, ids=[case[0] for case in GRID_ELIMINATIONS]
 )
-def test_dims_grid_eliminations_are_pinned(files, capsys, monkeypatch, name, grid, points, eliminations):
-    ranks, witnesses = _counted(monkeypatch, "_rank_int"), _counted(monkeypatch, "_witness")
+def test_dims_grid_eliminations_are_pinned(files, capsys, monkeypatch, name, grid, points, eliminations, pivots):
+    ranks, witnesses = _counted(monkeypatch, "_pivots"), _counted(monkeypatch, "_witness")
     code, rep, _ = invoke(capsys, ["dims", files[name], "--grid", grid])
     assert code == 0 and len(rep["results"]["grid"]) == points
     assert (len(ranks), len(witnesses)) == (eliminations, 1)
+    # the witness minor's rows and columns, ascending
+    [(_, rows, cols, _, _)] = witnesses
+    assert (list(rows), list(cols)) == (pivots, pivots)
 
 
 @pytest.mark.parametrize("args", [["--point", "1,2,3"], ["--grid", "1:1:1"]], ids=["point", "one-point-grid"])
 def test_dims_of_one_point_builds_no_witness(files, capsys, monkeypatch, args):
-    ranks, witnesses = _counted(monkeypatch, "_rank_int"), _counted(monkeypatch, "_witness")
+    ranks, witnesses = _counted(monkeypatch, "_pivots"), _counted(monkeypatch, "_witness")
     code, rep, _ = invoke(capsys, ["dims", files["so3"], *args])
     assert code == 0
     assert (len(ranks), len(witnesses)) == (2, 0)
@@ -526,6 +530,31 @@ def test_grid_point_cap_is_exact():
     assert labels[1] == "-11/6" and labels[-1] == "5/3"
 
 
+# exponents whose powers of ten, or a grid's point count, str() refuses
+# (LONG) or still writes (SHORT)
+_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG, SHORT = _DIGITS + 700, (_DIGITS - 1) // 2
+
+
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length to strings")
+@pytest.mark.parametrize(
+    "args, code, error",
+    [
+        (["--point", f"1e{LONG},0"], 2, "--point has a number too long to print"),
+        (["--point", f"1e-{LONG},0"], 2, "--point has a number too long to print"),
+        (["--grid", f"1e{LONG}:1e{LONG}:1"], 2, "--grid has a number too long to print"),
+        (["--grid", f"0:1e{LONG}:1"], 3, f"--grid has more than {_MAX_POINTS} points"),
+        (["--grid", f"0:1e{SHORT}:1"], 3, f"--grid has {(10**SHORT + 1) ** 2} points, more than {_MAX_POINTS}"),
+    ],
+    ids=["point", "point-denominator", "grid-label", "grid-count", "grid-count-printed"],
+)
+def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error):
+    # a number str() cannot write is a usage error naming its flag; a grid
+    # over the point cap is a budget error however many digits its count has
+    error_type = "_UsageError" if code == 2 else "BudgetError"
+    assert failure(capsys, ["dims", files["sl2"], *args], code, error_type)["error"] == error
+
+
 @pytest.mark.parametrize(
     "cmd, flag, extra",
     [("leaf", "--steps", ["--seed", "1"]), ("chart-rank", "--samples", ["--seed", "1"])],
@@ -584,6 +613,14 @@ def test_localgens(files, capsys):
     code, rep, _ = invoke(capsys, ["localgens", files["sl2"], "--point", "1,0"])
     assert code == 0
     assert rep["results"]["indices"] == [1, 3]
+
+
+@pytest.mark.parametrize("point, indices", [("1,0", [1, 3]), ("0,0", [1, 2, 3])])
+def test_localgens_is_one_elimination(files, capsys, monkeypatch, point, indices):
+    # the syzygy rows over the unit rows; before, one more per generator tried
+    ranks = _counted(monkeypatch, "_pivots")
+    code, rep, _ = invoke(capsys, ["localgens", files["sl2"], "--point", point])
+    assert (code, rep["results"]["indices"], len(ranks)) == (0, indices, 1)
 
 
 def test_flow(files, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,6 +11,7 @@ from foliations.errors import ArityError, BudgetError
 from foliations.flow import XorShift64Star
 from foliations.modalg import (
     Budget,
+    _pivots,
     as_point,
     contains,
     fiber_dim,
@@ -552,6 +554,17 @@ def _random_matrix(rng, nrows, ncols):
     return m
 
 
+def _greedy_rows(rows, base=()):
+    """Indices of the ``rows`` not in the span of ``base`` and the rows
+    before them, by ``rank_oracle``."""
+    picked = []
+    for i, row in enumerate(rows):
+        kept = [*base, *(rows[j] for j in picked)]
+        if rank_oracle(kept + [row]) > rank_oracle(kept):
+            picked.append(i)
+    return picked
+
+
 def test_rank_exact_matches_oracle_fuzz():
     rng = XorShift64Star(2_024)
     ranks = set()
@@ -560,6 +573,12 @@ def test_rank_exact_matches_oracle_fuzz():
         want = rank_oracle(m)
         assert rank_exact(m) == want
         ranks.add((want < min(len(m), len(m[0])), want))
+        # the pivots are the greedy rows, and the greedy columns of those rows
+        dens = [lcm(*(Fraction(v).denominator for v in row)) for row in m]
+        rows, cols = _pivots([[int(v * d) for v in row] for row, d in zip(m, dens)])
+        assert rows == _greedy_rows(m)
+        assert cols == _greedy_rows(list(zip(*(m[i] for i in rows))))
+        assert rank_oracle([[m[i][j] for j in cols] for i in rows]) == len(rows) == want
     assert len(ranks) > 12  # full and deficient ranks of many sizes
 
 
@@ -626,11 +645,13 @@ def test_pointwise_dims_match_oracle_fuzz(name):
         tangent = rank_oracle([g(q) for g in spec.generators])
         assert (fiber_dim(spec, pt), tangent_dim(spec, pt)) == (fiber, tangent), pt
         assert isotropy_dim(spec, pt) == fiber - tangent
-        # the picked generators complete the evaluated relations to a basis
+        # the picked generators are the lowest-index ones whose classes are
+        # independent, and complete the evaluated relations to a basis
         picked = minimal_local_generators(spec, pt)
+        units = [[int(j == i) for j in range(spec.k)] for i in range(spec.k)]
+        assert list(picked) == [i + 1 for i in _greedy_rows(units, rel_rows)]
         assert len(picked) == fiber
-        units = [[int(j == i - 1) for j in range(spec.k)] for i in picked]
-        assert rank_oracle(rel_rows + units) == spec.k
+        assert rank_oracle(rel_rows + [units[i - 1] for i in picked]) == spec.k
 
 
 def test_pointwise_ranks_of_long_and_high_degree_polynomials():
