@@ -8,7 +8,8 @@ Every invocation writes a single JSON report to stdout.  Exit codes:
       ``flowbox`` with a singular Jacobian)
 * 2 - parse or usage error, including violated preconditions
 * 3 - numerical failure (trajectory blow-up, budget exceeded, a result
-      that is not finite; reports never carry NaN or infinities)
+      that is not finite, an answer with a number too long to print;
+      reports never carry NaN or infinities)
 
 Foliation files (``.fol``) are line-oriented UTF-8 text::
 
@@ -67,7 +68,6 @@ from .holonomy import (
 )
 from .modalg import (
     _dims,
-    _over_lcm,
     as_point,
     contains,
     is_involutive,
@@ -78,6 +78,7 @@ from .modalg import (
 )
 from .vfparse import (
     FoliationSpec,
+    _over_lcm,
     format_poly,
     format_vector_field,
     parse_vector_field,
@@ -286,7 +287,7 @@ def _cmd_check(ns, spec):
 def _dims_at(spec, pt) -> dict:
     """The dims row of one point, scaled to integers by its own denominators."""
     label = _fmt_point(pt)
-    xs, d = as_point(pt, spec.nvars).scaled
+    xs, d = _over_lcm(as_point(pt, spec.nvars))
     [(f, t)] = _dims(spec, [xs], d)
     return {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
 

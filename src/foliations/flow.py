@@ -234,7 +234,8 @@ def word_compose(w1: FlowWord, w2: FlowWord) -> FlowWord:
 
 
 def _float(q) -> float:
-    """``float(q)``, with a rational beyond the float range as a signed infinity."""
+    """``float(q)``, with a rational beyond the float range as a signed
+    infinity: the float of every number but a point (``_float_point``)."""
     try:
         return float(q)
     except OverflowError:
@@ -546,7 +547,7 @@ class FlowChart(NamedTuple):
     def target(self, y: Sequence, x: Sequence | None = None) -> tuple[float, ...]:
         self._check_y(y)
         pt = self.base_point if x is None else _float_point(x, self.spec.nvars)
-        coeffs = tuple(float(c) for c in y)
+        coeffs = tuple(_float(c) for c in y)
         return _drive(self.spec, [(coeffs, 1.0)], pt, self.opts)[-1]
 
     def _check_y(self, y: Sequence):
@@ -674,14 +675,14 @@ def flow_box(
         if len(d) != n:
             raise ArityError("transversal direction has wrong length")
         # at t = 0 the flow is the identity, so d(h)/dv is the direction itself
-        cols.append([float(b) for b in d])
+        cols.append([_float(b) for b in d])
     jac = tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
     invertible = numerical_rank(jac, opts.rank_rel_threshold) == n
     return FlowBoxReport(jacobian=jac, invertible=invertible)
 
 
 def _require_on_transversal(pt: tuple, transversal: Transversal, tol: float = 1e-9):
-    r = [a - b for a, b in zip(pt, transversal.point)]
+    r = [a - b for a, b in zip(pt, _float_point(transversal.point, len(pt)))]
     if not max(map(abs, _residual(transversal.directions, r)), default=0.0) <= tol:
         raise PreconditionError("base point does not lie on the transversal")
 
@@ -696,13 +697,13 @@ def _residual(vectors: Sequence[Sequence[float]], b: Sequence[float]) -> list[fl
     """
     basis: list[list[float]] = []
     for v in vectors:
-        w = [float(x) for x in v]
+        w = [_float(x) for x in v]
         norm0 = math.hypot(*w)
         w = _orthogonalise(w, basis)
         norm = math.hypot(*w)
         if norm > 1e-12 * norm0:  # false for a zero or non-finite vector
             basis.append([x / norm for x in w])
-    return _orthogonalise([float(x) for x in b], basis)
+    return _orthogonalise([_float(x) for x in b], basis)
 
 
 def _orthogonalise(w: list[float], basis: list[list[float]]) -> list[float]:
@@ -722,7 +723,7 @@ def numerical_rank(matrix: Sequence[Sequence[float]], rel_threshold: float = 1e-
     """Rank by pivoted elimination; pivots below rel_threshold * (largest
     pivot) count as zero.  An exactly zero matrix has rank 0.
     """
-    a = [list(map(float, row)) for row in matrix]
+    a = [list(map(_float, row)) for row in matrix]
     if not a or not a[0]:
         return 0
     nr, nc = len(a), len(a[0])

@@ -199,7 +199,7 @@ def _array(rows) -> JetMatrix:
 
 def matrix_exp(a: Sequence) -> JetMatrix:
     """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
-    rows = [[float(v) for v in row] for row in a]
+    rows = [[_float(v) for v in row] for row in a]
     return _array(_expm(rows)).reshape(len(rows), len(rows))
 
 
@@ -226,7 +226,7 @@ class CarriedDiffeo(NamedTuple):
 
 def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
     """The diffeomorphism carried by the chart at parameter value y0."""
-    y = tuple(float(c) for c in y0)
+    y = tuple(_float(c) for c in y0)
     chart._check_y(y)
     return CarriedDiffeo(chart=chart, y0=y)
 

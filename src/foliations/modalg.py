@@ -23,9 +23,9 @@ Pointwise data at a rational point x:
 * isotropy dimension = fiber - tangent.
 
 Both ranks are exact and use integers only.  A point x is given to them
-as integers X and D > 0 with x = X/D: ``as_point`` scales one point by the
-lcm of its denominators, and the point it returns carries (X, D) to every
-pointwise function.  ``fol dims --grid`` scales its whole grid once, to
+as integers X and D > 0 with x = X/D, scaled by ``vfparse._over_lcm``
+(the one scaler of rationals to integers): a pointwise function scales
+its point by its own lcm.  ``fol dims --grid`` scales its whole grid once, to
 the lcm of the denominators of its start and step, so there X/D need not
 be in lowest terms.  Each spec's generator rows and syzygy rows are
 compiled once into an evaluator of X and D that returns every row scaled
@@ -71,11 +71,10 @@ import heapq
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
-from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import ArityError, BudgetError
-from .vfparse import FoliationSpec, Poly, VectorField, _sum_lines, grevlex_key, lie_bracket
+from .vfparse import FoliationSpec, Poly, VectorField, _over_lcm, _sum_lines, grevlex_key, lie_bracket
 
 __all__ = [
     "Budget",
@@ -166,16 +165,6 @@ class SingularLocusReport(NamedTuple):
     minor_ideal: tuple[Poly, ...]
 
 
-def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(X, D) with D the lcm of the denominators of ``values`` and X = D*values."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
-
-
-class _Point(tuple):
-    """Exact rational coordinates; ``scaled`` is their ``_over_lcm``."""
-
-
 def _cached(fn):
     """``lru_cache`` of ``fn(spec, budget=DEFAULT_BUDGET)`` keyed on both
     arguments however they are passed, so that ``fn(spec)`` and
@@ -191,17 +180,10 @@ def _cached(fn):
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
-    """Coerce a coordinate sequence to exact rationals, checking arity.
-
-    The result also carries the point scaled to integers, so passing it on
-    to several pointwise functions scales it once.
-    """
-    if type(coords) is _Point and len(coords) == nvars:
-        return coords
-    pt = _Point(Fraction(c) for c in coords)
+    """Coerce a coordinate sequence to exact rationals, checking arity."""
+    pt = tuple(Fraction(c) for c in coords)
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
-    pt.scaled = _over_lcm(pt)
     return pt
 
 
@@ -600,13 +582,13 @@ def _compile_rows(rows: Sequence[Element], nvars: int):
     row_srcs = []
     for r, row in enumerate(rows):
         deg = max(p.degree() for p in row)
-        scale = lcm(*(c.denominator for p in row for _, c in p.terms))
+        ints = iter(_over_lcm([c for p in row for _, c in p.terms])[0])
         for m, p in enumerate(row):
             terms = []
-            for expt, c in p.terms:
+            for expt, _ in p.terms:
                 full = expt + (deg - sum(expt),)
                 terms.append((tuple(e >> j & 1 for e in full for j in range(bits)), f"c{len(coeffs)}"))
-                coeffs.append(c.numerator * (scale // c.denominator))
+                coeffs.append(next(ints))
             lines += _sum_lines(f"r{r}_{m}", terms, names, "0")
         row_srcs.append("(" + "".join(f"r{r}_{m}, " for m in range(len(row))) + ")")
     src = [f"def make({', '.join(f'c{i}' for i in range(len(coeffs)))}):"]
@@ -683,19 +665,19 @@ def _dims(
 
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:
     """Dimension of the span of the generator values at a rational point."""
-    xs, d = as_point(point, spec.nvars).scaled
+    xs, d = _over_lcm(as_point(point, spec.nvars))
     return len(_pivots(_generator_rows(spec)(*xs, d))[0])
 
 
 def fiber_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """k minus the rank of the syzygy generators evaluated at the point."""
-    xs, d = as_point(point, spec.nvars).scaled
+    xs, d = _over_lcm(as_point(point, spec.nvars))
     return spec.k - len(_pivots(_syzygy_rows(spec, budget)(*xs, d))[0]) if spec.k else 0
 
 
 def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_BUDGET) -> int:
     """fiber_dim - tangent_dim; nonnegative."""
-    xs, d = as_point(point, spec.nvars).scaled
+    xs, d = _over_lcm(as_point(point, spec.nvars))
     [(f, t)] = _dims(spec, [xs], d, budget)
     return f - t
 
@@ -780,7 +762,7 @@ def minimal_local_generators(
     """
     if spec.k < 1:
         raise ArityError("minimal_local_generators needs at least one generator")
-    xs, d = as_point(point, spec.nvars).scaled
+    xs, d = _over_lcm(as_point(point, spec.nvars))
     syz = _syzygy_rows(spec, budget)(*xs, d)
     units = [[int(j == i) for j in range(spec.k)] for i in range(spec.k)]
     rows, _ = _pivots([*syz, *units])

@@ -125,10 +125,16 @@ def _neg_terms(terms: tuple) -> tuple:
     return tuple((e, -c) for e, c in terms)
 
 
+def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(X, D) with D the lcm of the denominators of ``values`` and X = D*values."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _int_terms(terms: tuple) -> tuple[list, int]:
     """(integer terms, D): ``terms`` times D, the lcm of their denominators."""
-    d = lcm(*(c.denominator for _, c in terms))
-    return [(e, c.numerator * (d // c.denominator)) for e, c in terms], d
+    ints, d = _over_lcm([c for _, c in terms])
+    return [(e, c) for (e, _), c in zip(terms, ints)], d
 
 
 def _int_product(a: Iterable, b: list) -> dict:
@@ -842,23 +848,27 @@ def _format_monomial(expt: tuple[int, ...], var_names: Sequence[str]) -> str:
 
 
 def format_poly(p: Poly, var_names: Sequence[str]) -> str:
-    """Canonical text form of a polynomial (terms in grevlex-descending order)."""
+    """Canonical text form of a polynomial (terms in grevlex-descending order);
+    a coefficient longer than ``str()`` writes is a BudgetError."""
     if p.is_zero:
         return "0"
     out = []
-    for expt, coeff in p.terms:
-        mono = _format_monomial(expt, var_names)
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not out:
-            out.append(body if coeff > 0 else f"-{body}")
-        else:
-            out.append(f" + {body}" if coeff > 0 else f" - {body}")
+    try:
+        for expt, coeff in p.terms:
+            mono = _format_monomial(expt, var_names)
+            mag = abs(coeff)
+            if not mono:
+                body = str(mag)
+            elif mag == 1:
+                body = mono
+            else:
+                body = f"{mag}*{mono}"
+            if not out:
+                out.append(body if coeff > 0 else f"-{body}")
+            else:
+                out.append(f" + {body}" if coeff > 0 else f" - {body}")
+    except ValueError:
+        raise BudgetError("answer has a number too long to print") from None
     return "".join(out)
 
 

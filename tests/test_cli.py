@@ -555,6 +555,30 @@ def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error)
     assert failure(capsys, ["dims", files["sl2"], *args], code, error_type)["error"] == error
 
 
+# short literals whose product has more digits than str() writes
+_TOO_LONG = "*".join(["10^1000"] * (_DIGITS // 1000 + 1))
+
+
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length to strings")
+@pytest.mark.parametrize(
+    "cmd, generators, extra",
+    [
+        ("member", ["x*dx - y*dy", "y*dx", "x*dy"], ["--field", f"{_TOO_LONG}*x*dy"]),
+        ("singular", [f"{_TOO_LONG}*x*dy"], []),
+        ("syzygy", [f"{_TOO_LONG}*x*dx", "y*dx"], []),
+        ("check", ["dx", f"{_TOO_LONG}*x*dy"], []),
+    ],
+    ids=["certificate", "minor", "relation", "bracket-witness"],
+)
+def test_answers_too_long_to_print_exit_3(capsys, tmp_path, cmd, generators, extra):
+    # the parser's literal check cannot see the product; the one printer of
+    # exact coefficients refuses it, and the report names the result
+    path = tmp_path / "long.fol"
+    path.write_text("vars: x y\ngenerators:\n" + "".join(f"  {g}\n" for g in generators))
+    diagnostics = failure(capsys, [cmd, str(path), *extra], 3, "BudgetError")
+    assert diagnostics["error"] == "answer has a number too long to print"
+
+
 @pytest.mark.parametrize(
     "cmd, flag, extra",
     [("leaf", "--steps", ["--seed", "1"]), ("chart-rank", "--samples", ["--seed", "1"])],
@@ -1401,7 +1425,9 @@ def _fuzz_field(rng, names, linear):
     roll = rng.uniform()
     if roll < 0.05:
         return f"{names[0]}^2000*d{names[0]}"  # over the parser's exponent cap
-    if roll < 0.12:  # one junk character somewhere
+    if roll < 0.15:  # short literals whose product str() cannot write
+        return "10^1000*" * 5 + f"{_pick(rng, names)}*d{_pick(rng, names)}"
+    if roll < 0.22:  # one junk character somewhere
         i = rng.randint(0, len(text))
         return text[:i] + _pick(rng, "^*+()/@#d1") + text[i:]
     return text

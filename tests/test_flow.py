@@ -272,6 +272,26 @@ def test_flow_box_translation():
     assert [row[1] for row in rep.jacobian] == [0.3, 0.7]
 
 
+def test_flow_box_direction_beyond_the_float_range_is_an_infinity():
+    spec = make_spec(("x", "y"), ("dx",))
+    huge = Transversal(point=(0.0, 0.0), directions=((0, Fraction(10**400)),))
+    assert [row[1] for row in flow_box(spec, 1, (0, 0), huge).jacobian] == [0.0, math.inf]
+    # the transversal's point is a point: beyond the float range it is refused
+    far = Transversal(point=(Fraction(10**400), 0), directions=((0, 1),))
+    with pytest.raises(PreconditionError, match="beyond the float range"):
+        flow_box(spec, 1, (0, 0), far)
+
+
+def test_chart_parameter_beyond_the_float_range_blows_up_in_the_first_step():
+    # an infinity, as a word coefficient of that size is in flow
+    spec = sl2()
+    with pytest.raises(BlowUpError) as word:
+        flow(spec, FlowWord(spec, [((Fraction(10**400), 0, 0), 1.0)]), (1.0, 0.0))
+    with pytest.raises(BlowUpError) as target:
+        chart_at(spec, (1.0, 0.0)).target((Fraction(10**400), 0, 0))
+    assert target.value.time == word.value.time == 1e-3
+
+
 def test_flow_box_1d():
     spec = xk(1)
     rep = flow_box(spec, 1, (1,))
@@ -336,6 +356,8 @@ def test_numerical_rank():
     assert numerical_rank([[0.0, 0.0], [0.0, 0.0]]) == 0
     assert numerical_rank([[1.0, 0.0], [0.0, 1e-12]]) == 1
     assert numerical_rank([]) == 0
+    # an entry beyond the float range is an infinity: every other pivot is below its threshold
+    assert numerical_rank([[Fraction(10**400), 0], [0, 1]]) == 1
 
 
 def test_xorshift_reproducible():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from foliations.errors import ArityError, NotFixedPointError, NotLinearError, PreconditionError
+from foliations.errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
 from foliations.flow import FlowWord, XorShift64Star, chart_at, word_compose, word_inverse
 from foliations.holonomy import (
     _expm,
@@ -88,6 +88,11 @@ def test_matrix_exp_rows_raise_nothing():
     assert _solve([[0.0, 2.0], [4.0, 0.0]], [[2.0], [8.0]]) == [[2.0], [1.0]]
 
 
+def test_matrix_exp_entry_beyond_the_float_range_gives_nan():
+    # an infinity, so NaN entries: no exception, and no numpy warning (warnings fail tests)
+    assert np.isnan(matrix_exp([[10**400, 0], [0, 1]])).all()
+
+
 def test_matrix_returning_functions_return_ndarrays():
     spec = sl2()
     word = FlowWord(spec, [E_STEP])
@@ -145,6 +150,14 @@ def test_carried_diffeo_jacobian_fd_crosscheck():
             fp, fm = d.evaluate(xp), d.evaluate(xm)
             for i in range(2):
                 assert abs(jac[i][j] - (fp[i] - fm[i]) / (2 * eps)) < 1e-4
+
+
+def test_carried_diffeo_parameter_beyond_the_float_range_blows_up_in_the_first_step():
+    diffeo = carried_diffeo(chart_at(sl2(), (1.0, 0.0)), (Fraction(10**400), 0, 0))
+    for method in (diffeo.evaluate, diffeo.jacobian):
+        with pytest.raises(BlowUpError) as exc:
+            method((1.0, 0.0))
+        assert exc.value.time == 1e-3
 
 
 def test_carried_diffeo_arity():

@@ -24,7 +24,15 @@ from foliations.modalg import (
     syzygy_basis,
     tangent_dim,
 )
-from foliations.vfparse import FoliationSpec, Poly, VectorField, format_poly, lie_bracket, parse_vector_field
+from foliations.vfparse import (
+    FoliationSpec,
+    Poly,
+    VectorField,
+    _over_lcm,
+    format_poly,
+    lie_bracket,
+    parse_vector_field,
+)
 
 from helpers import (
     brute_force_member,
@@ -526,13 +534,13 @@ def test_default_budget_shares_one_cache_entry():
     assert module_groebner.cache_info()[:2] == (3, 1)
 
 
-def test_as_point_carries_the_point_scaled_to_integers():
+def test_as_point_returns_the_exact_tuple():
     pt = as_point(("1/2", 0.25, 3), 3)
-    assert pt == (Fraction(1, 2), Fraction(1, 4), Fraction(3))
-    assert pt.scaled == ([2, 1, 12], 4)
-    assert as_point(pt, 3) is pt  # passed on, it is not scaled again
+    assert pt == (Fraction(1, 2), Fraction(1, 4), Fraction(3)) and type(pt) is tuple
     with pytest.raises(ArityError):
         as_point(pt, 2)
+    # the pointwise functions scale it to integers over the lcm of its denominators
+    assert _over_lcm(as_point(("1/2", 0.25, 3), 3)) == ([2, 1, 12], 4)
 
 
 def _random_matrix(rng, nrows, ncols):

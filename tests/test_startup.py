@@ -5,6 +5,9 @@ the CLI loads no ``pathlib``.
 pytest itself has numpy loaded, so every check runs in a fresh interpreter.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from foliations.cli import FoliationFile, save_foliation_file
@@ -94,3 +97,24 @@ def test_the_name_flow_is_the_function():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "True\n"
+
+
+_TRACER = str(Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py")
+
+
+@pytest.mark.parametrize(
+    "args, layer",
+    [(["check"], "modalg.is_involutive"), (["flow", "--word", "0,1,0@1", "--point", "1,1"], "flow.flow")],
+    ids=["check", "flow"],
+)
+def test_the_tracer_runs_an_exact_and_a_flow_request(sl2_file, tmp_path, args, layer):
+    # perfbench/tracer.py imports foliations.cli, then wraps the public names
+    # of all five layers, looked up in sys.modules: the import of the CLI must
+    # load every layer, or the traced benchmark pass fails on every request
+    spans = tmp_path / "spans.json"
+    argv = [_TRACER, str(spans), "r1", "--", args[0], sl2_file, *args[1:]]
+    proc = run_python(f"import runpy, sys\nsys.argv = {argv!r}\nrunpy.run_path(sys.argv[0], run_name='__main__')\n")
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["request"] == "r1" and trace["spans"]
+    assert trace["names"].index(layer) in [name for name, *_ in trace["spans"]]
