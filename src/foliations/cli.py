@@ -21,22 +21,23 @@ Foliation files (``.fol``) are line-oriented UTF-8 text::
       y*dx
       x*dy
 
-Randomized subcommands (``leaf``, ``chart-rank``) require ``--seed``.
-Output is byte-identical for identical invocations and seeds, and so is its
-layout: exactly what ``json.dumps(report, indent=2, sort_keys=True)`` writes
-(2-space indent, sorted keys, ASCII only) and one trailing newline.
-``--jobs N`` is accepted and has no effect (N must be at least 1).
+Flags are read from ``_COMMANDS``: a value may start with one '-' or follow
+'=', and '--' ends the flags.  Randomized subcommands (``leaf``,
+``chart-rank``) require ``--seed``.  Output is byte-identical for identical
+invocations and seeds, and so is its layout: exactly what ``json.dumps(report,
+indent=2, sort_keys=True)`` writes (2-space indent, sorted keys, ASCII only)
+and one trailing newline.  ``--jobs N`` (N >= 1) is accepted and has no effect.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 from fractions import Fraction
 from itertools import chain, product
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import __version__
@@ -172,11 +173,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -190,17 +186,15 @@ def _parse_point(text: str) -> tuple[Fraction, ...]:
 
 def _parse_word(spec: FoliationSpec, text: str) -> FlowWord:
     steps = []
-    text = text.strip()
-    if text:
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            if "@" not in chunk:
-                raise _UsageError(f"word step {chunk!r} is missing '@duration'")
-            cpart, tpart = chunk.rsplit("@", 1)
-            coeffs = tuple(_parse_rational(c) for c in cpart.split(","))
-            steps.append((coeffs, _parse_rational(tpart)))
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if "@" not in chunk:
+            raise _UsageError(f"word step {chunk!r} is missing '@duration'")
+        cpart, tpart = chunk.rsplit("@", 1)
+        coeffs = tuple(_parse_rational(c) for c in cpart.split(","))
+        steps.append((coeffs, _parse_rational(tpart)))
     try:
         return FlowWord(spec, steps)
     except ArityError as e:
@@ -466,37 +460,51 @@ _TYPES = {
     "--time": float, "--h": float, "--tol": float,
 }
 
-# the flags _normalize_argv joins to a value starting with '-'; argparse
-# itself reads a negative integer as the value of an int flag
-_VALUE_FLAGS = {
-    flag.strip("[]")
-    for flags in (_COMMON, *(flags for _, flags in _COMMANDS.values()))
-    for flag in flags.split()
-} - {flag for flag, kind in _TYPES.items() if kind in (int, bool)}
 
-
-def _add_flags(parser: _Parser, flags: str) -> None:
-    for flag in flags.split():
-        name = flag.strip("[]")
-        kind = _TYPES.get(name, str)
-        if kind is bool:
-            parser.add_argument(name, action="store_true")
+def _read_argv(argv: list[str]) -> SimpleNamespace:
+    """``cmd``, ``file`` and one attribute per flag of the subcommand; errors in argparse's words."""
+    unknown, args = [], list(argv)
+    while args and args[0].startswith("-") and args[0] not in ("-", "--"):
+        unknown.append(args.pop(0))
+    if not args:
+        raise _UsageError("the following arguments are required: cmd")
+    cmd = args.pop(0)
+    if cmd not in _COMMANDS:
+        raise _UsageError(f"argument cmd: invalid choice: {cmd!r} (choose from {', '.join(map(repr, _COMMANDS))})")
+    usage = f"{_COMMON} {_COMMANDS[cmd][1]}".split()
+    flags = {flag.strip("[]"): _TYPES.get(flag.strip("[]"), str) for flag in usage}
+    ns = SimpleNamespace(**{flag[2:]: None for flag in flags} | {"cmd": cmd, "file": None, "json": False, "jobs": 1})
+    ended = False  # by '--': every later argument is the file or unrecognized
+    while args:
+        arg = args.pop(0)
+        flag, eq, value = arg.partition("=")
+        if ended or arg == "-" or not arg.startswith("-"):
+            if ns.file is None:
+                ns.file = arg
+            else:
+                unknown.append(arg)
+        elif arg == "--":
+            ended = True
+        elif flag not in flags:
+            unknown.append(arg)
+        elif flags[flag] is bool and eq:
+            raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+        elif flags[flag] is bool:
+            setattr(ns, flag[2:], True)
+        elif not eq and (not args or args[0].startswith("--")):  # else the next argument is the value
+            raise _UsageError(f"argument {flag}: expected one argument")
         else:
-            parser.add_argument(name, type=kind, required=name == flag)
-
-
-def _build_parser() -> _Parser:
-    # flags are written in full: an abbreviation such as --poi is unknown
-    common = _Parser(add_help=False, allow_abbrev=False)
-    _add_flags(common, _COMMON)
-    common.set_defaults(jobs=1)
-    parser = _Parser(prog="fol", add_help=False, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], add_help=False, allow_abbrev=False)
-        p.add_argument("file")
-        _add_flags(p, flags)
-    return parser
+            value = value if eq else args.pop(0)
+            try:
+                setattr(ns, flag[2:], flags[flag](value))
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid {flags[flag].__name__} value: {value!r}") from None
+    missing = [name for name in ("file", *usage) if name[0] != "[" and getattr(ns, name.lstrip("-")) is None]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if unknown:
+        raise _UsageError("unrecognized arguments: " + " ".join(unknown))
+    return ns
 
 
 # one dims --grid row, as json.dumps(indent=2) writes it in a report
@@ -552,24 +560,12 @@ def _fail(command: str | None, argv: list[str], exc: Exception, code: int) -> in
     return code
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    # let value flags accept arguments with a leading '-' (negative numbers)
-    out = []
-    for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and not tok.startswith("--"):
-            out[-1] += "=" + tok
-        else:
-            out.append(tok)
-    return out
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Run one CLI invocation; prints a JSON report, returns the exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     command = None
     try:
-        ns = parser.parse_args(_normalize_argv(argv))
+        ns = _read_argv(argv)
         command = ns.cmd
         if ns.jobs < 1:
             raise _UsageError("--jobs must be at least 1")
@@ -579,7 +575,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _fail(command, argv, e, 2)
     except (BudgetError, BlowUpError) as e:
         return _fail(command, argv, e, 3)
-    seed = {"seed": ns.seed} if "seed" in ns else {}
+    seed = {"seed": ns.seed} if hasattr(ns, "seed") else {}
     try:
         _emit(command, {"argv": argv, "file": ns.file}, results, diagnostics, **seed)
     except ValueError:  # a NaN or infinity in the results, which JSON cannot carry

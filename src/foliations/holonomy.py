@@ -235,7 +235,10 @@ def _require_fixed_point(spec: FoliationSpec, word: FlowWord, x_fix: Sequence):
     pt = _exact_or_float(x_fix, spec.nvars)
     values = [g(pt) for g in spec.generators]
     for step in word.steps:
-        combined = [sum(c * v[j] for c, v in zip(step.coeffs, values)) for j in range(spec.nvars)]
+        combined = [  # a zero value adds 0 whatever its coefficient; a float one multiplies _float(c)
+            sum(_float(c) * x if isinstance(x, float) else c * x for c, x in zip(step.coeffs, col) if x)
+            for col in zip(*values)
+        ]
         if not _vanishes(combined):
             raise NotFixedPointError("point is not a fixed point of every step's combined field")
 

@@ -1,6 +1,5 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
-import argparse
 import hashlib
 import json
 import math
@@ -17,11 +16,12 @@ pytest.importorskip("jsonschema")
 import jsonschema
 
 from foliations import __version__
+from foliations.cli import _COMMANDS as _TABLE
 from foliations.cli import (
+    _COMMON,
     _MAX_POINTS,
-    _VALUE_FLAGS,
+    _TYPES,
     FoliationFile,
-    _build_parser,
     _dims_at,
     _lattice,
     load_foliation,
@@ -1152,9 +1152,25 @@ def test_usage_error_exit_2(capsys):
     assert code == 2
 
 
+# malformed requests and the error each reports, in argparse's words
+_USAGE_ERRORS = [
+    ([], "the following arguments are required: cmd"),
+    (["check"], "the following arguments are required: file"),
+    (["leaf", "{sl2}"], "the following arguments are required: --point, --steps, --seed"),
+    (["leaf", "{sl2}", "--point", "1,0", "--steps", "x", "--seed", "1"], "argument --steps: invalid int value: 'x'"),
+    (["localgens", "{sl2}", "--point"], "argument --point: expected one argument"),
+    (["check", "{sl2}", "--json=1"], "argument --json: ignored explicit argument '1'"),
+    (["-h"], "the following arguments are required: cmd"),
+    (["dims", "{sl2}", "--pointx", "1"], "unrecognized arguments: --pointx 1"),
+    # the arguments as given, not joined into '--field=-1:1:1'
+    (["singular", "{sl2}", "--field", "-1:1:1"], "unrecognized arguments: --field -1:1:1"),
+]
+
+
 def test_usage_error_messages(files, capsys):
-    diags = failure(capsys, ["leaf", files["sl2"]], 2, "_UsageError")
-    assert diags["error"] == "the following arguments are required: --point, --steps, --seed"
+    for argv, error in _USAGE_ERRORS:
+        diags = failure(capsys, [a.format(**files) for a in argv], 2, "_UsageError")
+        assert diags["error"] == error, argv
     diags = failure(capsys, ["bogus", files["sl2"]], 2, "_UsageError")
     head, _, choices = diags["error"].partition(" (choose from ")
     assert head == "argument cmd: invalid choice: 'bogus'"
@@ -1203,7 +1219,9 @@ _NEGATIVE_VALUES = {
 
 
 def test_every_value_flag_has_a_negative_value_case():
-    assert set(_NEGATIVE_VALUES) == _VALUE_FLAGS
+    # every flag in the table that takes a string or a float
+    flags = {flag.strip("[]") for usage in (_COMMON, *(usage for _, usage in _TABLE.values())) for flag in usage.split()}
+    assert set(_NEGATIVE_VALUES) == {flag for flag in flags if _TYPES.get(flag, str) in (str, float)}
 
 
 @pytest.mark.parametrize("flag", sorted(_NEGATIVE_VALUES))
@@ -1212,6 +1230,20 @@ def test_negative_values_accepted(files, capsys, flag):
     got, rep, _ = invoke(capsys, [args[0], files["sl2"], *args[1:]])
     part = rep["results"] if code == 0 else rep["diagnostics"]
     assert (got, {key: part.get(key) for key in expected}) == (code, expected)
+
+
+def test_equals_values_and_the_end_of_the_flags(files, capsys):
+    # '--flag=value' gives the value in one argument, and after '--' every
+    # argument is the file or unrecognized
+    code, rep, _ = invoke(capsys, ["dims", "--point=-1,0", files["sl2"]])
+    assert (code, rep["results"]["point"]) == (0, "-1,0")
+    code, rep, _ = invoke(capsys, ["check", "--json", "--", files["sl2"]])
+    assert (code, rep["inputs"]["file"]) == (0, files["sl2"])
+    diags = failure(capsys, ["dims", files["sl2"], "--point", "1,0", "--", "--grid", "0:1:1"], 2, "_UsageError")
+    assert diags["error"] == "unrecognized arguments: --grid 0:1:1"
+    # an int flag takes a value with one leading '-' too, and int() judges it
+    diags = failure(capsys, ["leaf", files["sl2"], "--point", "1,0", "--steps", "-x", "--seed", "1"], 2, "_UsageError")
+    assert diags["error"] == "argument --steps: invalid int value: '-x'"
 
 
 @pytest.mark.parametrize("tol", ["0", "-1"])
@@ -1234,7 +1266,7 @@ def test_abbreviated_flags_are_usage_errors(files, capsys, value):
 
 
 def test_readme_command_table_names_each_subcommands_flags():
-    # README's table lists every subcommand with its own flags in parser
+    # README's table lists every subcommand with its own flags in table
     # order, an optional one in brackets; the global flags are listed apart
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     table = readme[readme.index("| subcommand |"):readme.index("Syntax:")]
@@ -1242,17 +1274,7 @@ def test_readme_command_table_names_each_subcommands_flags():
         name: " ".join(f"[{flag}]" if bracket else flag for bracket, flag in re.findall(r"(\[?)(--[\w-]+)", usage))
         for name, usage in re.findall(r"^\| `([\w-]+)([^`]*)` \|", table, re.M)
     }
-    subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    common = {"--json", "--h", "--tol", "--jobs"}
-    in_parser = {
-        name: " ".join(
-            a.option_strings[0] if a.required else f"[{a.option_strings[0]}]"
-            for a in p._actions
-            if a.option_strings and a.option_strings[0] not in common
-        )
-        for name, p in subparsers.choices.items()
-    }
-    assert list(documented.items()) == list(in_parser.items())
+    assert list(documented.items()) == [(name, usage) for name, (_, usage) in _TABLE.items()]
 
 
 @pytest.mark.parametrize(

@@ -199,6 +199,19 @@ def test_holonomy_jet_rejects_non_fixed_point():
     assert jet.shape == (2, 2)
 
 
+def test_huge_coefficient_is_checked_in_floats_at_a_float_point():
+    # 10**400 is past the float range: against a zero generator value it adds
+    # nothing, and the flow leaves the box at once; against a nonzero one the
+    # step's field is infinite, so the point is not fixed
+    spec = sl2()
+    word = FlowWord(spec, [((Fraction(10**400), 0, 0), 1.0)])
+    with pytest.raises(BlowUpError) as info:
+        holonomy_jet(spec, word, (0.0, 0.0))
+    assert info.value.time == 0.001
+    with pytest.raises(NotFixedPointError):
+        holonomy_jet(spec, word, (1.0, 0.0))
+
+
 def test_jet_exact_examples():
     spec = sl2()
     j = jet_exact_linear(spec, FlowWord(spec, [E_STEP]))

@@ -42,11 +42,14 @@ def test_import_leaves_numpy_unloaded(module):
     assert proc.stdout == "False False False\n"
 
 
-def test_cli_import_leaves_pathlib_unloaded():
-    # under -S no site hook preloads pathlib (and through it fnmatch, ntpath, urllib, ...)
-    proc = run_python("import sys\nimport foliations.cli\nprint('pathlib' in sys.modules)\n", "-S")
+def test_cli_import_leaves_pathlib_unloaded(sl2_file):
+    # under -S no site hook preloads pathlib (and through it fnmatch, ntpath, urllib, ...);
+    # nor does a request load argparse and the gettext it imports: fol reads its own argv
+    names = ("pathlib", "argparse", "gettext")
+    script = _RUN.format(prelude="", argvs=[["check", sl2_file]]) + f"print(*[m in sys.modules for m in {names!r}])\n"
+    proc = run_python(script, "-S")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "0 False\nFalse False False\n"
 
 
 _NUMERIC = [
