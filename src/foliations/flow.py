@@ -5,17 +5,19 @@ The only integrator is classical fixed-step 4th-order Runge-Kutta
 ceil(|t|/h) steps: full steps of the configured size plus one remainder
 step, signed.  The RK4 kernel is compiled once per monomial support of
 the combined field (the exponents with a nonzero coefficient) and takes
-the float coefficients when bound, so a walk through many coefficient
+the float coefficients as data, so a walk through many coefficient
 tuples compiles one kernel; each step does the float operations of a
 kernel with the coefficients written in as constants.
 
-A kernel runs a whole segment: one call takes every full step, with the
-state in local variables and the domain box tested after each step, and
-a second call takes the remainder step.  What does not change from step
-to step is computed once: ``0.5*h`` per call, and per coefficient tuple
-every entry of the first-variation Jacobian that has no variable in it
-(all of them for a linear field).  The operations and their order are
-those of one step at a time, so the results are the same floats.
+One kernel call runs a list of segments, one per ``(coefficients,
+duration)`` pair.  Per segment it binds the coefficients, takes every
+full step and then the remainder step, with the state in local variables
+and the domain box tested after each step, and keeps the state at the
+segment's end.  What does not change from step to step is computed once
+per segment: ``0.5*h`` (once more for the remainder step), and every
+entry of the first-variation Jacobian that has no variable in it (all of
+them for a linear field).  The operations and their order are those of
+one step at a time, so the results are the same floats.
 
 The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
@@ -23,11 +25,15 @@ of partial derivatives of the combined field.  ``_rk4_fn`` is the single
 RK4 code generator; the two kernels differ only in their right-hand side.
 Their sums are written by ``vfparse._sum_lines``, the emitter that also
 writes the integer row evaluators of ``modalg`` and cuts long operator
-chains into temporaries.  ``_runner`` is the one cache of bound kernels
-and ``_drive`` the one driver: every flow, jet, leaf walk and chart
-target runs a list of ``(coefficients, duration)`` pairs through it, and
-``NumericOptions.max_steps`` caps the RK4 steps of the whole list, a leaf
-walk included.
+chains into temporaries.  ``_combined_terms`` folds a coefficient tuple
+into the support and its float coefficients, by a plan made once per
+spec, and keeps the folds of recent tuples.  ``_drive`` is the one
+driver: every flow, jet, leaf walk and chart target runs a list of
+``(coefficients, duration)`` pairs through it.  It folds each pair once
+and runs consecutive pairs with the same support in one kernel call, so
+a leaf walk with no coefficient that folds to zero is one call;
+``NumericOptions.max_steps`` caps the RK4 steps of the whole list, a
+leaf walk included.
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -52,6 +58,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
@@ -243,33 +251,55 @@ def _float(q) -> float:
 
 
 @lru_cache(maxsize=64)
-def _float_generators(spec: FoliationSpec) -> tuple:
-    """Per generator and component: the terms with float coefficients."""
-    return tuple(
-        tuple(tuple((e, _float(q)) for e, q in comp.terms) for comp in g.components)
-        for g in spec.generators
-    )
+def _fold_plan(spec: FoliationSpec) -> tuple:
+    """How ``_combined_terms`` folds ``spec``'s generators.
 
-
-def _combined_terms(spec: FoliationSpec, coeffs: tuple) -> list[list[tuple[tuple[int, ...], float]]]:
-    """Per component: float-folded terms of the field sum_i coeffs[i] * X_i.
-
-    A float coefficient multiplies the float copies of its generator's
-    coefficients: ``c * float(q)`` is the float ``c * q`` gives for a
-    Fraction q, without converting q on every call.  Exact coefficients
-    sum exactly.
+    The slots number the pairs (component, exponent) of all generators in
+    sorted order.  Per generator: its terms as pairs (slot, coefficient),
+    once with the Fraction coefficients and once with their floats; then
+    the slots, and the support with every slot in it.
     """
-    out = []
-    for j in range(spec.nvars):
-        acc: dict[tuple[int, ...], object] = {}
-        for c, g, fg in zip(coeffs, spec.generators, _float_generators(spec)):
-            if not c:
-                continue
-            for expt, q in fg[j] if isinstance(c, float) else g.components[j].terms:
-                acc[expt] = acc.get(expt, 0) + c * q
-        folded = [(e, _float(v)) for e, v in sorted(acc.items())]
-        out.append([(e, v) for e, v in folded if v != 0.0])
-    return out
+    terms = [
+        [(j, e, q) for j, comp in enumerate(g.components) for e, q in comp.terms]
+        for g in spec.generators
+    ]
+    slots = sorted({(j, e) for g in terms for j, e, _ in g})
+    index = {slot: i for i, slot in enumerate(slots)}
+    exact = tuple(tuple((index[j, e], q) for j, e, q in g) for g in terms)
+    floats = tuple(tuple((i, _float(q)) for i, q in g) for g in exact)
+    support = tuple(tuple(e for j, e in slots if j == m) for m in range(spec.nvars))
+    return exact, floats, slots, support
+
+
+# typed: a float coefficient and the Fraction equal to it compare and hash
+# equal, but they fold differently
+@lru_cache(maxsize=1024, typed=True)
+def _combined_terms(spec: FoliationSpec, *coeffs) -> tuple[tuple, tuple[float, ...]]:
+    """The field sum_i coeffs[i] * X_i folded to floats: ``(support,
+    values)``, where ``support[j]`` lists the exponents of component j in
+    sorted order and ``values`` their float coefficients, component after
+    component.  Terms that fold to 0.0 are left out.
+
+    Each term sums, from 0 and in generator order, ``c * q`` over the
+    nonzero coefficients c.  A float c multiplies the float copy of the
+    generator's coefficient q: ``c * float(q)`` is the float ``c * q``
+    gives for a Fraction q, without converting q on every call.  Exact
+    coefficients sum exactly.
+    """
+    exact, floats, slots, support = _fold_plan(spec)
+    acc = [0] * len(slots)
+    for c, terms, float_terms in zip(coeffs, exact, floats):
+        if c:
+            for i, q in float_terms if isinstance(c, float) else terms:
+                acc[i] += c * q
+    values = tuple(map(_float, acc))
+    if 0.0 not in values:
+        return support, values
+    kept: list[list] = [[] for _ in support]
+    for (j, e), v in zip(slots, values):
+        if v != 0.0:
+            kept[j].append(e)
+    return tuple(map(tuple, kept)), tuple(v for v in values if v != 0.0)
 
 
 def _diff_terms(terms, var: int, setup: list[str]):
@@ -286,15 +316,19 @@ def _diff_terms(terms, var: int, setup: list[str]):
 
 
 def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
-    """Compile ``make(*params) -> run`` for classical RK4 over ``size`` floats.
+    """Compile ``run(state, segments, bound)``: classical RK4 over ``size``
+    floats, from the tuple ``state`` through a list of segments.
 
-    ``run(state, h, n, bound)`` takes up to ``n`` steps of size ``h`` from
-    the tuple ``state`` and returns ``(state, i)``: ``i == n``, or ``i`` is
-    the number of steps taken before the one whose result left the box
-    ``[-bound, bound]`` (or is NaN), and ``state`` is that result.
-    ``rhs(s, names)`` returns the source lines that bind the stage-``s``
-    slopes ``k{s}_0 .. k{s}_{size-1}`` at the point named by ``names``.
-    ``setup`` lines run once per ``make`` call, not per step.
+    A segment is ``(coefficients, h, n, r)``: the values of ``params``, a
+    signed step ``h`` taken ``n`` times, then one remainder step ``r``
+    unless it is None.  ``run`` returns ``(states, stop)``: ``states`` holds
+    the state after each segment, and ``stop`` is None, or ``(s, i,
+    state)`` when step ``i`` of segment ``s`` (``i == n`` for the remainder
+    step) left the box ``[-bound, bound]`` (or gave NaN), ``state`` being
+    that step's result.  ``rhs(s, names)`` returns the source lines that
+    bind the stage-``s`` slopes ``k{s}_0 .. k{s}_{size-1}`` at the point
+    named by ``names``.  ``setup`` lines run once per segment, after the
+    coefficients are bound.
     """
     xs = [f"x{i}" for i in range(size)]
     state = ", ".join(xs) + ("," if size == 1 else "")
@@ -310,27 +344,33 @@ def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
         f"x{i} = x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
     ]
     inside = " and ".join(f"lo <= {x} <= bound" for x in xs)
-    lines += [f"if not ({inside}):", f"    return ({state}), i"]  # also catches NaN
-    head = [f"{state} = state", "h2 = 0.5*h", "lo = -bound", "for i in range(n):"]
-    src = [f"def make({', '.join(params)}):"] + ["    " + line for line in setup]
-    src += ["    def run(state, h, n, bound):"] + ["        " + line for line in head]
-    src += ["            " + line for line in lines]
-    src += [f"        return ({state}), n", "    return run"]
+    lines += [f"if not ({inside}):", f"    return states, (len(states), i, ({state}))"]  # also NaN
+    bind = [f"{', '.join(params)}{',' * (len(params) == 1)} = coeffs"] if params else []
+    body = bind + setup + [
+        "for h, i0, i1 in ((h, 0, n),) if r is None else ((h, 0, n), (r, n, n + 1)):",
+        "    h2 = 0.5*h",
+        "    for i in range(i0, i1):",
+    ]
+    src = ["def run(state, segments, bound):", f"    {state} = state", "    lo = -bound",
+           "    states = []", "    for coeffs, h, n, r in segments:"]
+    src += ["        " + line for line in body] + ["                " + line for line in lines]
+    src += [f"        states.append(({state}))", "    return states, None"]
     ns: dict = {}
     exec(compile("\n".join(src), "<generated rk4>", "exec"), ns)
-    return ns["make"]
+    return ns["run"]
 
 
 @lru_cache(maxsize=256)
 def _kernel(support: tuple, variation: bool):
-    """RK4 segment runner factory ``make(*coefficients)`` for one monomial
-    support.
+    """RK4 runner ``run(state, segments, bound)`` (see ``_rk4_fn``) for one
+    monomial support, whose segments carry the ``values`` of
+    ``_combined_terms``.
 
     ``support[j]`` lists the exponents of component j, in the order of the
     coefficients.  With ``variation`` the state is the first-variation
     system's: n point coordinates, then the n x n linearization row-major.
     A Jacobian entry without a variable (every entry of a linear field) is
-    bound once per ``make`` call, as ``j_<j>_<m>``.
+    computed once per segment, as ``j_<j>_<m>``.
     """
     n = len(support)
     params = [f"a{i}" for i in range(sum(map(len, support)))]
@@ -373,47 +413,11 @@ def _kernel(support: tuple, variation: bool):
     return _rk4_fn(n + n * n, rhs, params, setup)
 
 
-# typed: a float coefficient and the Fraction equal to it compare and hash
-# equal, but ``_combined_terms`` folds them differently
-@lru_cache(maxsize=1024, typed=True)
-def _runner(spec: FoliationSpec, variation: bool, *coeffs):
-    """RK4 segment runner (``_rk4_fn``'s ``run``) of the field
-    sum_i coeffs[i] * X_i, or with ``variation`` of its first-variation
-    system (state layout as in ``_kernel``)."""
-    comb = _combined_terms(spec, coeffs)
-    make = _kernel(tuple(tuple(e for e, _ in terms) for terms in comb), variation)
-    return make(*(c for terms in comb for _, c in terms))
-
-
-def _segment(
-    duration: float,
-    state: tuple,
-    opts: NumericOptions,
-    t0: float,
-    run,
-) -> tuple:
-    if duration == 0.0:
-        return state
-    h = opts.step_size
+def _split(duration: float, h: float) -> tuple[int, float]:
+    """Full steps of size ``h`` in ``|duration|``, and the remainder."""
     total = abs(duration)
-    sign = 1.0 if duration > 0 else -1.0
-    nfull = int(total / h)
-    rem = total - nfull * h
-    bound = opts.domain_bound
-    state, done = run(state, sign * h, nfull, bound)
-    if done == nfull:
-        if rem <= 1e-15:
-            return state
-        state, ok = run(state, sign * rem, 1, bound)
-        if ok:
-            return state
-    # the step after ``done`` good ones left the box; its time is summed step by step
-    t = 0.0
-    for _ in range(min(done + 1, nfull)):
-        t += h
-    if done == nfull:
-        t += rem
-    raise BlowUpError("trajectory left the domain box", time=t0 + sign * t)
+    n = int(total / h)
+    return n, total - n * h
 
 
 def _drive(
@@ -423,21 +427,47 @@ def _drive(
     ``steps``, in order; returns ``state`` followed by the state after each
     pair.  A blow-up time counts from the start of the first pair.
 
-    ``opts.max_steps`` caps the RK4 steps of all the pairs together, counted
-    as ``_segment`` splits each duration (the remainder step counted always);
-    a flow over the cap raises BudgetError before its first step.  Each
-    quotient is clamped at the cap, which changes no verdict, so that an
-    infinite one converts to an integer."""
+    Each pair is one segment: ``ceil(|duration|/h)`` steps, the full ones
+    and a remainder step above 1e-15.  Consecutive pairs whose fields share
+    a monomial support run in one kernel call.  ``opts.max_steps`` caps the
+    RK4 steps of all the pairs together (the remainder step counted
+    always); a flow over the cap raises BudgetError before its first step.
+    Each quotient is clamped at the cap, which changes no verdict, so that
+    an infinite one converts to an integer."""
     h, cap = opts.step_size, opts.max_steps
     if sum(int(min(abs(t) / h, cap)) + 1 for _, t in steps if t) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
-    states = [state]
-    t0 = 0.0
+    runs = []
     for coeffs, duration in steps:
-        state = _segment(duration, state, opts, t0, _runner(spec, variation, *coeffs))
-        states.append(state)
-        t0 += duration
+        support, values = _combined_terms(spec, *coeffs)
+        n, rem = _split(duration, h)
+        sign = 1.0 if duration > 0 else -1.0
+        runs.append((support, (values, sign * h, n, sign * rem if rem > 1e-15 else None)))
+    states = [state]
+    for support, group in groupby(runs, itemgetter(0)):
+        run = _kernel(support, variation)
+        done, stop = run(states[-1], [seg for _, seg in group], opts.domain_bound)
+        states += done
+        if stop is not None:  # pair len(states) - 1 left the box
+            time = _blowup_time(steps, len(states) - 1, stop[1], h)
+            raise BlowUpError("trajectory left the domain box", time=time)
     return states
+
+
+def _blowup_time(steps, index: int, i: int, h: float) -> float:
+    """When step ``i`` of pair ``index`` left the box, summed step by step
+    from the start of the first pair."""
+    t0 = 0.0
+    for _, duration in steps[:index]:
+        t0 += duration
+    duration = steps[index][1]
+    n, rem = _split(duration, h)
+    t = 0.0
+    for _ in range(min(i + 1, n)):
+        t += h
+    if i == n:
+        t += rem
+    return t0 + (1.0 if duration > 0 else -1.0) * t
 
 
 def _word_steps(spec: FoliationSpec, word: FlowWord) -> tuple[FlowStep, ...]:

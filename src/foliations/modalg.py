@@ -73,7 +73,7 @@ from functools import lru_cache, wraps
 from itertools import combinations
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ArityError, BudgetError
+from .errors import ArityError, BudgetError, PreconditionError
 from .vfparse import FoliationSpec, Poly, VectorField, _over_lcm, _sum_lines, grevlex_key, lie_bracket
 
 __all__ = [
@@ -455,6 +455,10 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
     spec = gb.source
     if x.nvars != spec.nvars:
         raise ArityError("vector field arity does not match the spec")
+    if len(gb.reprs) != len(gb.basis):
+        raise PreconditionError(
+            "the basis has no representation table (reprs): build it with module_groebner"
+        )
     counter = [0]
     leads = [_lead(b, _top_key) for b in gb.basis]
     rem, quots = _reduce(

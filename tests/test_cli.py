@@ -802,7 +802,7 @@ def test_flow_over_the_step_cap_exit_3(files, capsys, monkeypatch, cmd, args):
     # word is over it; 1e307 / 1e-3 steps is beyond the float range; each
     # walk step takes at most 0.1 / 1e-6 + 1 steps, and the walk is over
     # the cap.  All are refused before the first step
-    monkeypatch.setattr(sys.modules["foliations.flow"], "_runner", lambda *a: pytest.fail("RK4 ran"))
+    monkeypatch.setattr(sys.modules["foliations.flow"], "_kernel", lambda *a: pytest.fail("RK4 ran"))
     code = run([cmd, files["sl2"], *args, "--point", "0,0"])
     out, err = capsys.readouterr()
     rep = json.loads(out, parse_constant=_reject_constant)

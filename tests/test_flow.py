@@ -9,6 +9,7 @@ import pytest
 
 from foliations.errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from foliations.flow import (
+    DEFAULT_OPTIONS,
     FlowWord,
     NumericOptions,
     Transversal,
@@ -24,9 +25,9 @@ from foliations.flow import (
     word_compose,
     word_inverse,
     _combined_terms,
+    _drive,
     _kernel,
     _residual,
-    _runner,
 )
 from foliations.holonomy import matrix_exp
 from foliations.modalg import tangent_dim
@@ -394,7 +395,7 @@ def test_max_steps_caps_the_whole_word(monkeypatch):
     spec = make_spec(("x", "y"), ["y*dx"])
     opts = NumericOptions(max_steps=1000)
     assert flow(spec, FlowWord(spec, [((1,), 0.9)]), (0, 1), opts) == pytest.approx((0.9, 1.0))
-    monkeypatch.setattr(flow_module, "_runner", lambda *args: pytest.fail("an RK4 step ran"))
+    monkeypatch.setattr(flow_module, "_kernel", lambda *args: pytest.fail("an RK4 step ran"))
     for steps in ([((1,), 0.9)] * 3, [((1,), 2.7)]):
         for run in (flow, flow_jet):
             with pytest.raises(BudgetError, match="^flow would need more than 1000 steps$"):
@@ -424,6 +425,24 @@ def _coeff_tuples(rng, k, count=12):
     ]
 
 
+def _terms(spec, coeffs):
+    # per component, the (exponent, float) pairs that ``rk4_reference_step`` takes
+    support, values = _combined_terms(spec, *coeffs)
+    it = iter(values)
+    return [[(e, next(it)) for e in comp] for comp in support]
+
+
+def _kernel_of(spec, variation, coeffs):
+    # the kernel and the segment coefficients of one tuple, as ``_drive`` gets them
+    support, values = _combined_terms(spec, *coeffs)
+    return _kernel(support, variation), values
+
+
+def _step(run, values, state, h):
+    # one RK4 step: a segment of one full step
+    return run(state, [(values, h, 1, None)], math.inf)[0][0]
+
+
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
@@ -431,14 +450,14 @@ def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
     n = spec.nvars
     rng = XorShift64Star(seed)
     for coeffs in _coeff_tuples(rng, spec.k):
-        comb = _combined_terms(spec, coeffs)
+        comb = _terms(spec, coeffs)
         x = tuple(rng.symmetric() for _ in range(n))
         xv = x + tuple(float(i == j) for i in range(n) for j in range(n))
-        step, var_step = _runner(spec, False, *coeffs), _runner(spec, True, *coeffs)
+        (run, values), (var_run, _) = _kernel_of(spec, False, coeffs), _kernel_of(spec, True, coeffs)
         for h in (1e-3, -2e-3, 0.05):
             for _ in range(5):
                 want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
-                x, xv = step(x, h, 1, math.inf)[0], var_step(xv, h, 1, math.inf)[0]
+                x, xv = _step(run, values, x, h), _step(var_run, values, xv, h)
                 assert x == want
                 assert xv == want_v
 
@@ -460,31 +479,89 @@ def test_segment_runs_equal_chained_single_steps(name):
     for coeffs in _coeff_tuples(rng, spec.k, count=4):
         x = tuple(0.5 * rng.symmetric() for _ in range(n))
         xv = x + (1.0,) * n * n
-        for state, run in ((x, _runner(spec, False, *coeffs)), (xv, _runner(spec, True, *coeffs))):
+        for state, variation in ((x, False), (xv, True)):
+            run, values = _kernel_of(spec, variation, coeffs)
             for h in (1e-3, -2e-3, 0.05):
                 for steps in (1, 7):
                     chained = state
                     for _ in range(steps):
-                        chained = run(chained, h, 1, math.inf)[0]
-                    assert run(state, h, steps, math.inf) == (chained, steps)
+                        chained = _step(run, values, chained, h)
+                    assert run(state, [(values, h, steps, None)], math.inf) == ([chained], None)
+                    # the remainder step is one more step, of its own size
+                    assert run(state, [(values, h, steps - 1, h)], math.inf) == ([chained], None)
+                    last = _step(run, values, chained, 0.3 * h)
+                    assert run(state, [(values, h, steps, 0.3 * h)], math.inf) == ([last], None)
 
 
 def test_segment_run_stops_where_the_state_leaves_the_box():
     spec = xk(2)  # x' = x^2 from 2 leaves any box near t = 1/2
-    run = _runner(spec, False, 1)
+    run, values = _kernel_of(spec, False, (1,))
     states = [(2.0,)]
     for _ in range(600):
-        states.append(run(states[-1], 1e-3, 1, math.inf)[0])
+        states.append(_step(run, values, states[-1], 1e-3))
     bound = 100.0
     first_out = next(i for i, s in enumerate(states) if abs(s[0]) > bound)
-    # ``i`` counts the good steps; the state returned is the first one outside
-    assert run((2.0,), 1e-3, 600, bound) == (states[first_out], first_out - 1)
-    assert run((2.0,), 1e-3, first_out - 1, bound) == (states[first_out - 1], first_out - 1)
-    assert run((bound + 1.0,), 1e-3, 5, bound)[1] == 0  # the state after a step is tested
+
+    def segment(n, r=None):
+        return [(values, 1e-3, n, r)]
+
+    # ``stop`` holds the segment, the index of the step that left (the
+    # number of good steps before it) and the first state outside
+    assert run((2.0,), segment(600), bound) == ([], (0, first_out - 1, states[first_out]))
+    assert run((2.0,), segment(first_out - 1), bound) == ([states[first_out - 1]], None)
+    # the remainder step is step n of its segment
+    assert run((2.0,), segment(first_out - 1, 1e-3), bound) == (
+        [], (0, first_out - 1, states[first_out])
+    )
+    assert run((bound + 1.0,), segment(5), bound)[1][1] == 0  # the state after a step is tested
     # NaN compares false with everything, so it stops a run too
-    state, done = run((math.nan,), 1e-3, 5, bound)
-    assert done == 0 and math.isnan(state[0])
-    assert run((2.0,), 1e-3, 0, bound) == ((2.0,), 0)
+    done, (s, i, state) = run((math.nan,), segment(5), bound)
+    assert (done, s, i) == ([], 0, 0) and math.isnan(state[0])
+    assert run((2.0,), segment(0), bound) == ([(2.0,)], None)
+    # a later segment: the states before it are returned
+    assert run((2.0,), segment(3) + segment(600), bound) == (
+        [states[3]], (1, first_out - 4, states[first_out])
+    )
+
+
+def _one_at_a_time(spec, steps, x):
+    states = [x]
+    for step in steps:
+        states.append(_drive(spec, [step], states[-1], DEFAULT_OPTIONS)[-1])
+    return states
+
+
+def test_segment_list_equals_segments_run_one_at_a_time(monkeypatch):
+    # x^2*dx blows up from x near 1 within 0.1 when its coefficient is 50;
+    # a zero coefficient drops a generator's terms and changes the support
+    spec = make_spec(("x", "y"), ("x^2*dx", "-y*dx + x*dy"))
+    steps = [
+        ((0, 1), 0.3),
+        ((Fraction(1, 2), 1.0), 0.0305),  # 30 full steps and a remainder step
+        ((0.25, -0.5), -0.05),
+        ((1, 1), 0.0),
+        ((Fraction(1, 3), Fraction(-2, 3)), -0.0123),
+        ((0, 1.5), 0.02),
+        ((0, -0.75), 0.04),
+    ]
+    x = (0.9, 0.2)
+    calls = _count_kernel_calls(monkeypatch)
+    states = _drive(spec, steps, x, DEFAULT_OPTIONS)
+    # the supports: rotation; both generators' four times; rotation twice
+    assert [len(segments) for segments in calls] == [1, 4, 2]
+    assert states == _one_at_a_time(spec, steps, x)
+    blow = ((50, 0), 0.1)
+    for at in (1, 4):
+        head = _one_at_a_time(spec, steps[:at], x)
+        with pytest.raises(BlowUpError) as alone:
+            _drive(spec, [blow], head[-1], DEFAULT_OPTIONS)
+        with pytest.raises(BlowUpError) as within:
+            _drive(spec, steps[:at] + [blow] + steps[at:], x, DEFAULT_OPTIONS)
+        t0 = 0.0
+        for _, duration in steps[:at]:
+            t0 += duration
+        assert 0.0 < alone.value.time < 0.1
+        assert within.value.time == t0 + alone.value.time
 
 
 def _combined_terms_per_term(spec, coeffs):
@@ -502,26 +579,74 @@ def _combined_terms_per_term(spec, coeffs):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(KERNEL_SPECS))
-def test_float_and_exact_coefficients_bind_the_same_terms(name):
-    spec = KERNEL_SPECS[name]()
+def _huge_spec():
+    # a generator coefficient beyond the float range; four generators add
+    # to x*dx, so the order of the sum shows in its rounding
+    return make_spec(
+        ("x", "y"),
+        ("10^400*x*dx", "x*dx + y*dy", "1/3*x*dx - 1/7*y*dy", "3/11*x*dx + y^2*dx - x*y*dy"),
+    )
+
+
+def _fold_cases(name):
     rng = XorShift64Star(8)
-    for coeffs in _coeff_tuples(rng, spec.k, count=20):
+    if name == "huge":
+        # the oracle converts every sum to a float: the huge generator gets
+        # zero or small exact coefficients, and -1 + 1.0 folds to 0.0
+        small = Fraction(1, 10**399)
+        return [
+            (small, 0.5, 0.0, 0.1), (0.0, 0.25, -1.5, 0.7), (0, Fraction(1, 3), 2, 0.3),
+            (-small / 10, 1.0, 0, 0), (3 * small, Fraction(-2, 7), 0.125, Fraction(1, 9)),
+            (-small, 0.0, Fraction(5, 3), -0.6),
+        ] + [(0,) + tuple(rng.symmetric() for _ in range(3)) for _ in range(8)]
+    k = KERNEL_SPECS[name]().k
+    mixed = [tuple(_coeff(rng, rng.uniform() < 0.5) for _ in range(k)) for _ in range(10)]
+    return _coeff_tuples(rng, k, count=20) + mixed
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SPECS) + ["huge"])
+def test_float_and_exact_coefficients_bind_the_same_terms(name):
+    spec = _huge_spec() if name == "huge" else KERNEL_SPECS[name]()
+    for coeffs in _fold_cases(name):
         want = _combined_terms_per_term(spec, coeffs)
-        got = _combined_terms(spec, coeffs)
+        got = _terms(spec, coeffs)
         hexes = [[[(e, c.hex()) for e, c in terms] for terms in out] for out in (got, want)]
         assert hexes[0] == hexes[1]  # the same floats, bit for bit
 
 
 def _clear_kernel_caches():
-    for cache in (_kernel, _runner):
+    for cache in (_kernel, _combined_terms):
         cache.cache_clear()
+
+
+def _count_kernel_calls(monkeypatch):
+    # the segment list of every kernel call
+    calls = []
+    kernel = flow_module._kernel
+
+    def counting(support, variation):
+        run = kernel(support, variation)
+
+        def counted(state, segments, bound):
+            calls.append(segments)
+            return run(state, segments, bound)
+
+        return counted
+
+    monkeypatch.setattr(flow_module, "_kernel", counting)
+    return calls
 
 
 def test_leaf_sample_compiles_one_kernel():
     _clear_kernel_caches()
     leaf_sample(sl2(), (1.0, 0.5), 600, rng_seed=5)
     assert _kernel.cache_info().misses == 1
+
+
+def test_leaf_sample_is_one_kernel_call(monkeypatch):
+    calls = _count_kernel_calls(monkeypatch)
+    leaf_sample(sl2(), (1.0, 0.5), 600, rng_seed=5)
+    assert [len(segments) for segments in calls] == [600]
 
 
 def test_chart_rank_compiles_one_kernel_per_generator():
@@ -539,7 +664,7 @@ def test_flow_jet_compiles_one_variation_kernel_per_support():
     word = FlowWord(spec, [(tuples[i % 3], 0.05) for i in range(9)])
     _clear_kernel_caches()
     flow_jet(spec, word, (0.2, -0.1, 0.4))
-    assert _runner.cache_info().misses == 3
+    assert _combined_terms.cache_info().misses == 3
     assert _kernel.cache_info().misses == 1
 
 
@@ -584,22 +709,11 @@ def test_flow_box_and_chart_rank_share_the_derivative(monkeypatch, make, point):
 def test_chart_rank_takes_two_rk4_steps_per_generator(monkeypatch):
     # the time-1 flow of eps*X_i is the time-eps flow of X_i: one step each way
     spec = gl3()
-    steps = []
-    runner = flow_module._runner
-
-    def counting(spec, variation, *coeffs):
-        run = runner(spec, variation, *coeffs)
-
-        def counted(state, h, n, bound):
-            steps.append(n)
-            return run(state, h, n, bound)
-
-        return counted
-
-    monkeypatch.setattr(flow_module, "_runner", counting)
+    calls = _count_kernel_calls(monkeypatch)
     samples = random_rational_points(XorShift64Star(2), 3, 4)
     report = chart_rank_check(chart_at(spec, (1, 2, 3)), (1, 2, 3), samples)
     assert len(report.entries) == 5
+    steps = [n + (r is not None) for segments in calls for _, _, n, r in segments]
     assert sum(steps) == 2 * spec.k * 5
 
 
@@ -629,14 +743,14 @@ def test_short_chains_emit_the_same_source():
 
 def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
     spec = _long_chain_spec()
-    comb = _combined_terms(spec, (1,))
+    comb = _terms(spec, (1,))
     assert len(comb[1]) == 450
     x = (1.001, -0.5)
     xv = x + (1.0, 0.0, 0.0, 1.0)
-    step, var_step = _runner(spec, False, 1), _runner(spec, True, 1)
+    (run, values), (var_run, _) = _kernel_of(spec, False, (1,)), _kernel_of(spec, True, (1,))
     for h in (1e-3, -2e-3):
         for _ in range(3):
             want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
-            x, xv = step(x, h, 1, math.inf)[0], var_step(xv, h, 1, math.inf)[0]
+            x, xv = _step(run, values, x, h), _step(var_run, values, xv, h)
             assert x == want
             assert xv == want_v

@@ -7,10 +7,11 @@ from math import lcm
 
 import pytest
 
-from foliations.errors import ArityError, BudgetError
+from foliations.errors import ArityError, BudgetError, PreconditionError
 from foliations.flow import XorShift64Star
 from foliations.modalg import (
     Budget,
+    ModuleGB,
     _pivots,
     as_point,
     contains,
@@ -265,6 +266,16 @@ def test_contains_examples():
 def test_contains_arity():
     with pytest.raises(ArityError):
         contains(module_groebner(xk(2)), parse_vector_field("x*dx", ("x", "y")))
+
+
+def test_contains_needs_the_representation_table():
+    # the certificate is built from reprs: a basis without them is refused
+    # up front, where it ended in an IndexError inside the quotient sum
+    spec = sl2()
+    gb = module_groebner(spec)
+    with pytest.raises(PreconditionError, match=r"representation table \(reprs\)"):
+        contains(ModuleGB(gb.source, gb.basis), spec.generators[0])
+    assert contains(gb, spec.generators[0]).member
 
 
 def test_contains_zero_field_and_zero_module():
