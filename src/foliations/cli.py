@@ -22,11 +22,13 @@ Foliation files (``.fol``) are line-oriented UTF-8 text::
       x*dy
 
 Flags are read from ``_COMMANDS``: a value may start with one '-' or follow
-'=', and '--' ends the flags.  Randomized subcommands (``leaf``,
-``chart-rank``) require ``--seed``.  Output is byte-identical for identical
-invocations and seeds, and so is its layout: exactly what ``json.dumps(report,
-indent=2, sort_keys=True)`` writes (2-space indent, sorted keys, ASCII only)
-and one trailing newline.  ``--jobs N`` (N >= 1) is accepted and has no effect.
+'=', and '--' ends the flags.  Each value is checked as its reader in
+``_TYPES`` reads it, before the file is opened: a float must be finite and a
+count reach its value in ``_LEAST`` (else exit 2).  ``--jobs N`` has no effect.
+Randomized subcommands (``leaf``, ``chart-rank``) require ``--seed``.  Output
+is byte-identical for identical invocations and seeds, and so is its layout:
+exactly what ``json.dumps(report, indent=2, sort_keys=True)`` writes (2-space
+indent, sorted keys, ASCII only) and one trailing newline.
 """
 
 from __future__ import annotations
@@ -259,12 +261,6 @@ def _opts_from(ns) -> NumericOptions:
         raise _UsageError(str(e))
 
 
-def _finite(flag: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise _UsageError(f"{flag} must be finite, got {value}")
-    return value
-
-
 def _cmd_check(ns, spec):
     report = is_involutive(spec)
     witnesses = [
@@ -291,11 +287,11 @@ def _cmd_dims(ns, spec):
         raise _UsageError("dims needs --point and/or --grid")
     results = {}
     if ns.point is not None:
-        results.update(_dims_at(spec, _parse_point(ns.point)))
+        results.update(_dims_at(spec, ns.point))
     if ns.grid is not None:
         # every grid point is a tuple of scaled axis values over one D; its row
         # stays a (label, fiber, tangent) tuple until _rows_json writes it
-        d, xs, labels = _lattice(_parse_grid(ns.grid), spec.nvars)
+        d, xs, labels = _lattice(ns.grid, spec.nvars)
         n = spec.nvars
         dims = _dims(spec, list(product(xs, repeat=n)), d)
         results["grid"] = [
@@ -333,16 +329,14 @@ def _cmd_singular(ns, spec):
 
 
 def _cmd_localgens(ns, spec):
-    pt = _parse_point(ns.point)
-    indices = minimal_local_generators(spec, pt)
+    indices = minimal_local_generators(spec, ns.point)
     return 0, {"indices": list(indices), "fiber": len(indices)}, {"index_base": 1}
 
 
 def _cmd_leaf(ns, spec):
     opts = _opts_from(ns)
     _require_points("--steps", ns.steps)
-    pt = _parse_point(ns.point)
-    pts = leaf_sample(spec, pt, ns.steps, ns.seed, opts)
+    pts = leaf_sample(spec, ns.point, ns.steps, ns.seed, opts)
     return (
         0,
         {"points": pts},
@@ -352,9 +346,7 @@ def _cmd_leaf(ns, spec):
 
 def _cmd_flow(ns, spec):
     opts = _opts_from(ns)
-    word = _parse_word(spec, ns.word)
-    pt = _parse_point(ns.point)
-    end = flow(spec, word, pt, opts)
+    end = flow(spec, _parse_word(spec, ns.word), ns.point, opts)
     return (
         0,
         {"endpoint": end},
@@ -364,14 +356,11 @@ def _cmd_flow(ns, spec):
 
 def _cmd_chart_rank(ns, spec):
     opts = _opts_from(ns)
-    if ns.samples < 0:
-        raise _UsageError(f"--samples must be non-negative, got {ns.samples}")
     _require_points("--samples", ns.samples)
-    pt = _parse_point(ns.point)
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)
-    chart = chart_at(spec, pt, opts)
-    report = chart_rank_check(chart, pt, samples)
+    chart = chart_at(spec, ns.point, opts)
+    report = chart_rank_check(chart, ns.point, samples)
     rows = [
         {"point": _fmt_point(e.point), "rank": e.rank, "tangent": e.tangent, "match": e.match}
         for e in report.entries
@@ -386,8 +375,7 @@ def _cmd_chart_rank(ns, spec):
 
 def _cmd_flowbox(ns, spec):
     opts = _opts_from(ns)
-    pt = _parse_point(ns.point)
-    rep = flow_box(spec, ns.gen, pt, None, opts)
+    rep = flow_box(spec, ns.gen, ns.point, None, opts)
     return (
         0 if rep.invertible else 1,
         {"jacobian": rep.jacobian, "invertible": rep.invertible},
@@ -398,9 +386,8 @@ def _cmd_flowbox(ns, spec):
 def _cmd_jet(ns, spec):
     opts = _opts_from(ns)
     word = _parse_word(spec, ns.word)
-    pt = _parse_point(ns.point)
-    _require_fixed_point(spec, word, pt)
-    _, jet = flow_jet(spec, word, pt, opts)
+    _require_fixed_point(spec, word, ns.point)
+    _, jet = flow_jet(spec, word, ns.point, opts)
     return (
         0,
         {"jet": jet},
@@ -417,15 +404,13 @@ def _cmd_jet_exact(ns, spec):
 def _cmd_germ_eq(ns, spec):
     w1 = _parse_word(spec, ns.word1)
     w2 = _parse_word(spec, ns.word2)
-    pt = _parse_point(ns.point)
-    tol = _finite("--tol", ns.tol) if ns.tol is not None else 1e-6
-    equal = germ_equal_at_fixed_point(spec, w1, w2, pt, tol)
+    tol = ns.tol if ns.tol is not None else 1e-6
+    equal = germ_equal_at_fixed_point(spec, w1, w2, ns.point, tol)
     return 0, {"equal": equal}, {"tolerance": tol}
 
 
 def _cmd_pushforward(ns, spec):
-    coeffs = _parse_point(ns.coeffs)
-    rep = check_pushforward_linear(spec, coeffs, _finite("--time", ns.time))
+    rep = check_pushforward_linear(spec, ns.coeffs, ns.time)
     return (
         0 if rep.ok else 1,
         {"ok": rep.ok, "residuals": rep.residuals},
@@ -435,8 +420,8 @@ def _cmd_pushforward(ns, spec):
 
 # the command line, declared once: each subcommand's handler and its flags
 # after the file, in usage order (a bracketed flag is optional), the flags
-# every subcommand takes, and each flag's type under every subcommand
-# (--json is a switch, and a flag not in _TYPES takes a string)
+# every subcommand takes, each flag's reader (--json is a switch, a flag not
+# in _TYPES takes a string; a float must be finite) and each count's least value
 _COMMANDS = {
     "check": (_cmd_check, ""),
     "dims": (_cmd_dims, "[--point] [--grid]"),
@@ -458,11 +443,13 @@ _TYPES = {
     "--json": bool,
     "--steps": int, "--seed": int, "--samples": int, "--gen": int, "--jobs": int,
     "--time": float, "--h": float, "--tol": float,
+    "--point": _parse_point, "--coeffs": _parse_point, "--grid": _parse_grid,
 }
+_LEAST = {"--steps": 0, "--samples": 0, "--jobs": 1}
 
 
 def _read_argv(argv: list[str]) -> SimpleNamespace:
-    """``cmd``, ``file`` and one attribute per flag of the subcommand; errors in argparse's words."""
+    """``cmd``, ``file`` and one attribute per flag, each value checked as it is read; errors in argparse's words."""
     unknown, args = [], list(argv)
     while args and args[0].startswith("-") and args[0] not in ("-", "--"):
         unknown.append(args.pop(0))
@@ -473,7 +460,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
         raise _UsageError(f"argument cmd: invalid choice: {cmd!r} (choose from {', '.join(map(repr, _COMMANDS))})")
     usage = f"{_COMMON} {_COMMANDS[cmd][1]}".split()
     flags = {flag.strip("[]"): _TYPES.get(flag.strip("[]"), str) for flag in usage}
-    ns = SimpleNamespace(**{flag[2:]: None for flag in flags} | {"cmd": cmd, "file": None, "json": False, "jobs": 1})
+    ns = SimpleNamespace(**{flag[2:]: None for flag in flags} | {"cmd": cmd, "file": None})
     ended = False  # by '--': every later argument is the file or unrecognized
     while args:
         arg = args.pop(0)
@@ -496,9 +483,14 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
         else:
             value = value if eq else args.pop(0)
             try:
-                setattr(ns, flag[2:], flags[flag](value))
+                read = flags[flag](value)
             except ValueError:
                 raise _UsageError(f"argument {flag}: invalid {flags[flag].__name__} value: {value!r}") from None
+            if flags[flag] is float and not math.isfinite(read):
+                raise _UsageError(f"{flag} must be finite, got {read}")
+            if flag in _LEAST and read < _LEAST[flag]:
+                raise _UsageError(f"{flag} must be at least {_LEAST[flag]}, got {read}")
+            setattr(ns, flag[2:], read)
     missing = [name for name in ("file", *usage) if name[0] != "[" and getattr(ns, name.lstrip("-")) is None]
     if missing:
         raise _UsageError("the following arguments are required: " + ", ".join(missing))
@@ -567,8 +559,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         ns = _read_argv(argv)
         command = ns.cmd
-        if ns.jobs < 1:
-            raise _UsageError("--jobs must be at least 1")
         ff = load_foliation_file(ns.file)
         code, results, diagnostics = _COMMANDS[command][0](ns, ff.spec)
     except (OSError, _UsageError, ParseError, ArityError, PreconditionError) as e:

@@ -495,6 +495,8 @@ def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
         pt = tuple(float(v) for v in x)
     except OverflowError:
         raise PreconditionError("point coordinate is beyond the float range") from None
+    if not all(map(math.isfinite, pt)):
+        raise PreconditionError("point coordinate is not finite")
     if len(pt) != n:
         raise ArityError(f"point has {len(pt)} coordinates, expected {n}")
     return pt
@@ -711,9 +713,9 @@ def flow_box(
     return FlowBoxReport(jacobian=jac, invertible=invertible)
 
 
-def _require_on_transversal(pt: tuple, transversal: Transversal, tol: float = 1e-9):
+def _require_on_transversal(pt: tuple, transversal: Transversal):
     r = [a - b for a, b in zip(pt, _float_point(transversal.point, len(pt)))]
-    if not max(map(abs, _residual(transversal.directions, r)), default=0.0) <= tol:
+    if not max(map(abs, _residual(transversal.directions, r)), default=0.0) <= 1e-9:
         raise PreconditionError("base point does not lie on the transversal")
 
 

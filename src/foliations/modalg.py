@@ -68,6 +68,7 @@ of polynomial and smooth fiber data is not claimed in general.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
@@ -180,7 +181,9 @@ def _cached(fn):
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
-    """Coerce a coordinate sequence to exact rationals, checking arity."""
+    """Coerce a coordinate sequence to exact rationals, checking arity and finiteness."""
+    if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
+        raise PreconditionError("point coordinate is not finite")
     pt = tuple(Fraction(c) for c in coords)
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
@@ -330,7 +333,7 @@ def _groebner(
         ld = _lead(elem, key)
         inv = Fraction(1) / ld[3]
         basis.append(_scale(elem, inv))
-        leads.append((ld[0], ld[1], ld[2], Fraction(1)))
+        leads.append(ld[:3])
         if track:
             reprs.append(_scale(rep, inv))
 

@@ -668,30 +668,67 @@ def test_word_empty_chunks_are_skipped(files, capsys):
 
 @pytest.mark.parametrize("h", ["0", "nan", "-1"])
 def test_flow_bad_step_size_exit_2(files, capsys, h):
-    code, rep, _ = invoke(
-        capsys, ["flow", files["sl2"], "--word", "0,1,0@1", "--point", "0,1", "--h", h]
-    )
-    assert code == 2
-    assert "step_size" in rep["diagnostics"]["error"]
+    # a NaN is refused as it is read; 0 and -1 are finite, and NumericOptions refuses them
+    diags = failure(capsys, ["flow", files["sl2"], "--word", "0,1,0@1", "--point", "0,1", "--h", h], 2, "_UsageError")
+    expected = {"nan": "--h must be finite, got nan"}.get(h, "step_size must be finite and strictly positive")
+    assert diags["error"] == expected
 
 
 @pytest.mark.parametrize(
-    "args, flag",
+    "args, error",
     [
-        (["flow", "sl2", "--word", "1,0,0@1", "--point", "1,1", "--h", "inf"], "step_size"),
-        (["pushforward", "sl2", "--coeffs", "1,0,0", "--time", "nan"], "--time"),
-        (["germ-eq", "sl2", "--word1", "1,0,0@1", "--word2", "0,0,0@1", "--point", "0,0", "--tol", "nan"], "--tol"),
-        (["leaf", "sl2", "--point", "1,1", "--steps", "-3", "--seed", "1"], "step count"),
-        (["chart-rank", "sl2", "--point", "1,1", "--samples", "-2", "--seed", "1"], "--samples"),
+        (["flow", "sl2", "--word", "1,0,0@1", "--point", "1,1", "--h", "inf"], "--h must be finite, got inf"),
+        (["pushforward", "sl2", "--coeffs", "1,0,0", "--time", "nan"], "--time must be finite, got nan"),
+        (
+            ["germ-eq", "sl2", "--word1", "1,0,0@1", "--word2", "0,0,0@1", "--point", "0,0", "--tol", "nan"],
+            "--tol must be finite, got nan",
+        ),
+        (["leaf", "sl2", "--point", "1,1", "--steps", "-3", "--seed", "1"], "--steps must be at least 0, got -3"),
+        (
+            ["chart-rank", "sl2", "--point", "1,1", "--samples", "-2", "--seed", "1"],
+            "--samples must be at least 0, got -2",
+        ),
+        (["check", "sl2", "--jobs", "0"], "--jobs must be at least 1, got 0"),
     ],
-    ids=["flow-h-inf", "pushforward-time-nan", "germ-eq-tol-nan", "leaf-steps-neg", "chart-rank-samples-neg"],
+    ids=[
+        "flow-h-inf", "pushforward-time-nan", "germ-eq-tol-nan", "leaf-steps-neg", "chart-rank-samples-neg",
+        "check-jobs-zero",
+    ],
 )
-def test_bad_numeric_input_exit_2(files, capsys, args, flag):
+def test_bad_numeric_input_exit_2(files, capsys, args, error):
     args = [args[0], files[args[1]]] + args[2:]
-    code, rep, _ = invoke(capsys, args)
-    assert code == 2
-    assert rep["results"] == {}
-    assert flag in rep["diagnostics"]["error"]
+    assert failure(capsys, args, 2, "_UsageError")["error"] == error
+
+
+# a valid request of every subcommand on sl2
+_VALID_REQUESTS = {
+    "check": [],
+    "dims": ["--point", "1,0", "--grid", "0:1:1"],
+    "member": ["--field", "x*dy"],
+    "syzygy": [],
+    "singular": [],
+    "localgens": ["--point", "1,0"],
+    "leaf": ["--point", "1,0", "--steps", "2", "--seed", "1"],
+    "flow": ["--word", "1,0,0@1", "--point", "1,1"],
+    "chart-rank": ["--point", "1,0", "--samples", "1", "--seed", "1"],
+    "flowbox": ["--gen", "1", "--point", "1,1"],
+    "jet": ["--word", "1,0,0@1", "--point", "0,0"],
+    "jet-exact": ["--word", "1,0,0@1"],
+    "germ-eq": ["--word1", "1,0,0@1", "--word2", "0,0,0@1", "--point", "0,0"],
+    "pushforward": ["--coeffs", "1,0,0", "--time", "1"],
+}
+
+
+@pytest.mark.parametrize("cmd", list(_TABLE))
+def test_every_subcommand_refuses_a_non_finite_flag(files, capsys, cmd):
+    # the flags every subcommand takes are checked under every subcommand,
+    # used by it or not
+    args = [cmd, files["sl2"], *_VALID_REQUESTS[cmd]]
+    code, _, _ = invoke(capsys, args)
+    assert code in (0, 1)
+    for flag, value in (("--h", "nan"), ("--tol", "inf")):
+        diags = failure(capsys, args + [flag, value], 2, "_UsageError")
+        assert diags["error"] == f"{flag} must be finite, got {value}"
 
 
 def test_non_finite_result_exit_3(files, capsys):
@@ -1164,6 +1201,11 @@ _USAGE_ERRORS = [
     (["dims", "{sl2}", "--pointx", "1"], "unrecognized arguments: --pointx 1"),
     # the arguments as given, not joined into '--field=-1:1:1'
     (["singular", "{sl2}", "--field", "-1:1:1"], "unrecognized arguments: --field -1:1:1"),
+    # a bad value is reported as it is read: before a missing argument, an
+    # unrecognized one, the file and the point budget
+    (["leaf", "{sl2}", "--steps", "100001", "--point", "x", "--seed", "1"], "cannot parse rational 'x'"),
+    (["dims", "missing.fol", "--bogus", "--grid", "1:0:1"], "--grid needs step > 0 and b >= a"),
+    (["pushforward", "--coeffs", "1,/0"], "cannot parse rational '/0'"),
 ]
 
 
@@ -1219,9 +1261,9 @@ _NEGATIVE_VALUES = {
 
 
 def test_every_value_flag_has_a_negative_value_case():
-    # every flag in the table that takes a string or a float
+    # every flag in the table whose reader is neither int nor bool
     flags = {flag.strip("[]") for usage in (_COMMON, *(usage for _, usage in _TABLE.values())) for flag in usage.split()}
-    assert set(_NEGATIVE_VALUES) == {flag for flag in flags if _TYPES.get(flag, str) in (str, float)}
+    assert set(_NEGATIVE_VALUES) == {flag for flag in flags if _TYPES.get(flag, str) not in (int, bool)}
 
 
 @pytest.mark.parametrize("flag", sorted(_NEGATIVE_VALUES))

@@ -283,6 +283,24 @@ def test_flow_box_direction_beyond_the_float_range_is_an_infinity():
         flow_box(spec, 1, (0, 0), far)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_point_coordinate_is_refused(bad):
+    # before, the empty word returned the NaN, a word ran until the box test
+    # and flow_box reported a point off the transversal
+    spec = sl2()
+    calls = (
+        lambda: flow(spec, FlowWord(spec, []), (bad, 0.0)),
+        lambda: flow(spec, FlowWord(spec, [((1, 0, 0), 1.0)]), (bad, 0.0)),
+        lambda: flow_jet(spec, FlowWord(spec, []), (0.0, bad)),
+        lambda: flow_box(spec, 1, (bad, 1.0)),
+        lambda: chart_at(spec, (bad, 0.0)),
+        lambda: leaf_sample(spec, (bad, 0.0), 2, rng_seed=1),
+    )
+    for call in calls:
+        with pytest.raises(PreconditionError, match="^point coordinate is not finite$"):
+            call()
+
+
 def test_chart_parameter_beyond_the_float_range_blows_up_in_the_first_step():
     # an infinity, as a word coefficient of that size is in flow
     spec = sl2()

@@ -8,7 +8,7 @@ from math import lcm
 import pytest
 
 from foliations.errors import ArityError, BudgetError, PreconditionError
-from foliations.flow import XorShift64Star
+from foliations.flow import XorShift64Star, chart_at, chart_rank_check
 from foliations.modalg import (
     Budget,
     ModuleGB,
@@ -552,6 +552,18 @@ def test_as_point_returns_the_exact_tuple():
         as_point(pt, 2)
     # the pointwise functions scale it to integers over the lcm of its denominators
     assert _over_lcm(as_point(("1/2", 0.25, 3), 3)) == ([2, 1, 12], 4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_point_coordinate_is_refused(bad):
+    # Fraction(nan) is a ValueError and Fraction(inf) an OverflowError; every
+    # pointwise function refuses both as a precondition
+    spec = sl2()
+    for fn in (tangent_dim, fiber_dim, isotropy_dim, minimal_local_generators):
+        with pytest.raises(PreconditionError, match="^point coordinate is not finite$"):
+            fn(spec, (bad, 0))
+    with pytest.raises(PreconditionError, match="^point coordinate is not finite$"):
+        chart_rank_check(chart_at(spec, (1.0, 0.0)), (1, 0), [(0, bad)])
 
 
 def _random_matrix(rng, nrows, ncols):
