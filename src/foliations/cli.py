@@ -175,7 +175,16 @@ class _UsageError(Exception):
     pass
 
 
+# the largest decimal exponent a number may have: ``Fraction`` writes out
+# 10**exponent in full before anything else can bound the work
+_MAX_EXPONENT = 10_000
+
+
 def _parse_rational(text: str) -> Fraction:
+    if "e" in text or "E" in text:
+        digits = text.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
+        if digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
+            raise _UsageError(f"rational {text!r} has an exponent beyond {_MAX_EXPONENT}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -232,7 +241,12 @@ def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
     = str(a + i*step), for the points a, a + step, ... up to b."""
     a, b, step = bounds
     per_axis = math.floor((b - a) / step) + 1
-    _require_points("--grid", per_axis**nvars)
+    # a count over 16**digits has more digits than str() writes: refuse it
+    # from the bit length, before forming it
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    if (per_axis.bit_length() - 1) * nvars > 4 * digits:
+        raise BudgetError(f"--grid has more than {_MAX_POINTS} points")
+    _require_points("--grid", pow(per_axis, nvars))
     (a_d, step_d), d = _over_lcm((a, step))
     labels = [_fmt_point((a + i * step,), "--grid") for i in range(per_axis)]
     return d, [a_d + i * step_d for i in range(per_axis)], labels

@@ -21,8 +21,14 @@ one step at a time, so the results are the same floats.
 
 The first-variation system (point, linearization) shares the same
 kernel: the linearization v evolves by v' = J(x(t)) v with J the matrix
-of partial derivatives of the combined field.  ``_rk4_fn`` is the single
-RK4 code generator; the two kernels differ only in their right-hand side.
+of partial derivatives of the combined field, whose structural zeros
+(entries with no term) are left out of the products.  A segment whose
+point the field leaves where it is, every component exactly 0.0, steps
+only the linearization: a "still" kernel binds J at the point once per
+segment and holds the point, with the same floats as the full system
+(see ``_kernel``).  When a segment's point moves, the rest of its kernel
+call runs through the full system.  ``_rk4_fn`` is the single RK4 code
+generator; the three kernels differ only in their right-hand side.
 Their sums are written by ``vfparse._sum_lines``, the emitter that also
 writes the integer row evaluators of ``modalg`` and cuts long operator
 chains into temporaries.  ``_combined_terms`` folds a coefficient tuple
@@ -315,9 +321,10 @@ def _diff_terms(terms, var: int, setup: list[str]):
     return out
 
 
-def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
-    """Compile ``run(state, segments, bound)``: classical RK4 over ``size``
-    floats, from the tuple ``state`` through a list of segments.
+def _rk4_fn(size: int, rhs, params: list[str], setup: list[str], held: int = 0):
+    """Compile ``run(state, segments, bound)``: classical RK4 over the last
+    ``size`` of the floats in the tuple ``state``, through a list of
+    segments; the first ``held`` floats are not stepped.
 
     A segment is ``(coefficients, h, n, r)``: the values of ``params``, a
     signed step ``h`` taken ``n`` times, then one remainder step ``r``
@@ -326,24 +333,27 @@ def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
     state)`` when step ``i`` of segment ``s`` (``i == n`` for the remainder
     step) left the box ``[-bound, bound]`` (or gave NaN), ``state`` being
     that step's result.  ``rhs(s, names)`` returns the source lines that
-    bind the stage-``s`` slopes ``k{s}_0 .. k{s}_{size-1}`` at the point
-    named by ``names``.  ``setup`` lines run once per segment, after the
-    coefficients are bound.
+    bind the stage-``s`` slopes ``k{s}_<i>`` of the stepped floats at the
+    point named by ``names``.  ``setup`` lines run once per segment, after
+    the coefficients are bound; they may end the run with ``return states,
+    (len(states), None, None)``, a stop at segment ``len(states)`` before
+    its first step.
     """
-    xs = [f"x{i}" for i in range(size)]
-    state = ", ".join(xs) + ("," if size == 1 else "")
+    xs = [f"x{i}" for i in range(held + size)]
+    state = ", ".join(xs) + ("," if len(xs) == 1 else "")
+    stepped = range(held, held + size)
     lines = []
     point = xs
     # h2*k is 0.5*h*k, which parses as (0.5*h)*k
     for s, scale in ((1, "h2"), (2, "h2"), (3, "h"), (4, None)):
         lines += rhs(s, point)
         if scale is not None:
-            point = [f"p{s}_{i}" for i in range(size)]
-            lines += [f"p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in range(size)]
+            point = xs[:held] + [f"p{s}_{i}" for i in stepped]
+            lines += [f"p{s}_{i} = x{i} + {scale}*k{s}_{i}" for i in stepped]
     lines += [
-        f"x{i} = x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in range(size)
+        f"x{i} = x{i} + h*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})/6.0" for i in stepped
     ]
-    inside = " and ".join(f"lo <= {x} <= bound" for x in xs)
+    inside = " and ".join(f"lo <= x{i} <= bound" for i in stepped)
     lines += [f"if not ({inside}):", f"    return states, (len(states), i, ({state}))"]  # also NaN
     bind = [f"{', '.join(params)}{',' * (len(params) == 1)} = coeffs"] if params else []
     body = bind + setup + [
@@ -355,13 +365,13 @@ def _rk4_fn(size: int, rhs, params: list[str], setup: list[str]):
            "    states = []", "    for coeffs, h, n, r in segments:"]
     src += ["        " + line for line in body] + ["                " + line for line in lines]
     src += [f"        states.append(({state}))", "    return states, None"]
-    ns: dict = {}
+    ns: dict = {"copysign": math.copysign}
     exec(compile("\n".join(src), "<generated rk4>", "exec"), ns)
     return ns["run"]
 
 
 @lru_cache(maxsize=256)
-def _kernel(support: tuple, variation: bool):
+def _kernel(support: tuple, variation: bool, still: bool = False):
     """RK4 runner ``run(state, segments, bound)`` (see ``_rk4_fn``) for one
     monomial support, whose segments carry the ``values`` of
     ``_combined_terms``.
@@ -370,12 +380,37 @@ def _kernel(support: tuple, variation: bool):
     coefficients.  With ``variation`` the state is the first-variation
     system's: n point coordinates, then the n x n linearization row-major.
     A Jacobian entry without a variable (every entry of a linear field) is
-    computed once per segment, as ``j_<j>_<m>``.
+    computed once per segment, as ``j_<j>_<m>``.  An entry with no term
+    after differentiation is a structural zero: its products are left out,
+    and a row of them is the slope ``0.0``.  No observable float changes:
+    - For a finite factor such a product is a signed zero, and adding a
+      signed zero changes at most the sign of a zero sum.  A linearization
+      entry starts at ``+0.0`` or ``1.0`` and is never ``-0.0`` (a sum is
+      ``-0.0`` only when both terms are), and neither is a stage point of
+      it, so the sign of a zero slope never reaches them.
+    - For an infinite or NaN factor the product is NaN where the sum
+      without it may be finite or infinite.  With a step of at most 1 (the
+      default is 1e-3) a stage entry ``x + h2*k`` is infinite or NaN only
+      when its slope ``k`` is, and then the step's result is too: the step
+      leaves the box either way, at the same reported time.  A larger step
+      could overflow a stage entry from a finite slope; the result would
+      differ only if the stages then cancelled exactly.
+
+    With ``still`` as well the point is held, not stepped.  Per segment the
+    kernel evaluates the field at the point once and, only if every
+    component is exactly 0.0 with the point inside the box and no
+    coordinate ``-0.0``, binds every Jacobian entry at the point once and
+    steps the n x n entries alone.  Each stage point then equals the
+    point, since ``x + h2*0.0`` is ``x`` for any ``x`` but ``-0.0``, so the
+    full system would compute the same Jacobian at every stage and the same
+    linearization, bit for bit.  Otherwise the run stops at that segment
+    with ``(s, None, None)``, before its first step.
     """
     n = len(support)
     params = [f"a{i}" for i in range(sum(map(len, support)))]
     names = iter(params)
     comb = [[(expt, next(names)) for expt in comp] for comp in support]
+    xs = [f"x{i}" for i in range(n)]
 
     def field(s: int, pt: list[str]) -> list[str]:
         return [
@@ -386,29 +421,40 @@ def _kernel(support: tuple, variation: bool):
         return _rk4_fn(n, field, params, [])
     setup: list[str] = []
     jac = [[_diff_terms(comb[j], m, setup) for m in range(n)] for j in range(n)]
-    const = {(j, m) for j in range(n) for m in range(n) if not any(any(e) for e, _ in jac[j][m])}
-    for j, m in sorted(const):
-        setup += _sum_lines(f"j_{j}_{m}", jac[j][m], [], "0.0")
+    once = {(j, m) for j in range(n) for m in range(n)
+            if jac[j][m] and (still or not any(any(e) for e, _ in jac[j][m]))}
+    if still:
+        zero = " and ".join(f"k1_{j} == 0.0" for j in range(n))
+        inside = " and ".join(f"lo <= {x} <= bound and ({x} != 0.0 or copysign(1.0, {x}) > 0.0)"
+                              for x in xs)
+        setup += field(1, xs) + [f"if not ({zero} and {inside}):",
+                                 "    return states, (len(states), None, None)"]
+    for j, m in sorted(once):
+        setup += _sum_lines(f"j_{j}_{m}", jac[j][m], xs, "0.0")
+
+    def linearization(s: int, v: list[str]) -> list[str]:
+        entry = [[f"j_{j}_{m}" if (j, m) in once else f"j{s}_{j}_{m}" for m in range(n)]
+                 for j in range(n)]
+        return [
+            f"k{s}_{n + j * n + l} = "
+            + (" + ".join(f"{entry[j][m]}*{v[m * n + l]}" for m in range(n) if jac[j][m]) or "0.0")
+            for j in range(n)
+            for l in range(n)
+        ]
+
+    if still:
+        return _rk4_fn(n * n, lambda s, pt: linearization(s, pt[n:]), params, setup, n)
 
     def rhs(s: int, pt: list[str]) -> list[str]:
-        x, v = pt[:n], pt[n:]
-        entry = [[f"j_{j}_{m}" if (j, m) in const else f"j{s}_{j}_{m}" for m in range(n)]
-                 for j in range(n)]
+        x = pt[:n]
         lines = [
             line
             for j in range(n)
             for m in range(n)
-            if (j, m) not in const
+            if jac[j][m] and (j, m) not in once
             for line in _sum_lines(f"j{s}_{j}_{m}", jac[j][m], x, "0.0")
         ]
-        lines += field(s, x)
-        lines += [
-            f"k{s}_{n + j * n + l} = "
-            + " + ".join(f"{entry[j][m]}*{v[m * n + l]}" for m in range(n))
-            for j in range(n)
-            for l in range(n)
-        ]
-        return lines
+        return lines + field(s, x) + linearization(s, pt[n:])
 
     return _rk4_fn(n + n * n, rhs, params, setup)
 
@@ -429,7 +475,9 @@ def _drive(
 
     Each pair is one segment: ``ceil(|duration|/h)`` steps, the full ones
     and a remainder step above 1e-15.  Consecutive pairs whose fields share
-    a monomial support run in one kernel call.  ``opts.max_steps`` caps the
+    a monomial support run in one kernel call; with ``variation`` that is
+    a call of the still kernel, and from the first segment whose point
+    moves, one of the full system's.  ``opts.max_steps`` caps the
     RK4 steps of all the pairs together (the remainder step counted
     always); a flow over the cap raises BudgetError before its first step.
     Each quotient is clamped at the cap, which changes no verdict, so that
@@ -445,9 +493,13 @@ def _drive(
         runs.append((support, (values, sign * h, n, sign * rem if rem > 1e-15 else None)))
     states = [state]
     for support, group in groupby(runs, itemgetter(0)):
-        run = _kernel(support, variation)
-        done, stop = run(states[-1], [seg for _, seg in group], opts.domain_bound)
+        segments = [seg for _, seg in group]
+        run = _kernel(support, True, True) if variation else _kernel(support, False)
+        done, stop = run(states[-1], segments, opts.domain_bound)
         states += done
+        if stop is not None and stop[1] is None:  # the point moves in segment stop[0]
+            done, stop = _kernel(support, True)(states[-1], segments[stop[0]:], opts.domain_bound)
+            states += done
         if stop is not None:  # pair len(states) - 1 left the box
             time = _blowup_time(steps, len(states) - 1, stop[1], h)
             raise BlowUpError("trajectory left the domain box", time=time)

@@ -15,10 +15,11 @@ import pytest
 pytest.importorskip("jsonschema")
 import jsonschema
 
-from foliations import __version__
+from foliations import __version__, cli
 from foliations.cli import _COMMANDS as _TABLE
 from foliations.cli import (
     _COMMON,
+    _MAX_EXPONENT,
     _MAX_POINTS,
     _TYPES,
     FoliationFile,
@@ -34,6 +35,7 @@ from foliations.flow import XorShift64Star
 from foliations.modalg import _dims, _generator_rows, _syzygy_rows, syzygy_basis
 from foliations.vfparse import FoliationSpec, Poly, VectorField
 
+import cli_cases
 from helpers import gl2, make_spec, nonintegrable, random_field, rank_oracle, run_python, so3
 
 SCHEMA = json.loads(
@@ -553,6 +555,43 @@ def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error)
     # over the point cap is a budget error however many digits its count has
     error_type = "_UsageError" if code == 2 else "BudgetError"
     assert failure(capsys, ["dims", files["sl2"], *args], code, error_type)["error"] == error
+
+
+def _bounded_fraction(text):
+    # Fraction writes 10**exponent out in full, so it must not see one over the bound
+    m = re.search(r"[eE][+-]?([0-9_]+)\s*$", text)
+    if m is not None and int(m[1].replace("_", "")) > _MAX_EXPONENT:
+        pytest.fail(f"Fraction read {text!r}")
+    return Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["dims", "sl2", "--point", "1e10001,0"], "1e10001"),
+        (["dims", "sl2", "--point", "0,1e-30000"], "1e-30000"),
+        (["dims", "sl2", "--point", "1E+4000000"], "1E+4000000"),
+        (["dims", "sl2", "--grid", "0:1e99999999999999999999:1"], "1e99999999999999999999"),
+        (["flow", "so3", "--point", "1,0,0", "--word", "1,0,0@1e2000000"], "1e2000000"),
+        (["flow", "so3", "--point", "1,0,0", "--word", "1e-10001,0,0@1"], "1e-10001"),
+        (["pushforward", "sl2", "--coeffs", "2.5e00010001,0,0", "--time", "1"], "2.5e00010001"),
+    ],
+    ids=["point", "point-negative", "point-signed", "grid", "duration", "coefficient", "coeffs"],
+)
+def test_decimal_exponents_are_bounded_before_fraction_reads_them(files, capsys, monkeypatch, args, text):
+    monkeypatch.setattr(cli, "Fraction", _bounded_fraction)
+    argv = [args[0], files[args[1]], *args[2:]]
+    error = failure(capsys, argv, 2, "_UsageError")["error"]
+    assert error == f"rational {text!r} has an exponent beyond {_MAX_EXPONENT}"
+
+
+def test_exponents_up_to_the_bound_are_read(files, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "Fraction", _bounded_fraction)
+    assert run(["dims", files["sl2"], "--point", "1e0000000000000000000010,5E-3"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["point"] == "10000000000,1/200"
+    # a coefficient that small still reads as the float 0.0
+    assert run(["flow", files["so3"], "--point", "1,0,0", "--word", "1e-10000,0,0@1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["endpoint"] == [1.0, 0.0, 0.0]
 
 
 # short literals whose product has more digits than str() writes
@@ -1140,6 +1179,22 @@ def test_long_and_high_degree_fields(capsys, tmp_path, generator, point):
     assert abs(rep["results"]["jet"][1][1] - 1.0) == 0.0
 
 
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length to strings")
+@pytest.mark.parametrize("nvars, grid", [(1000, "0:1e4000:1"), (2, "1e-4300:1e4300:1e-4300")])
+def test_grid_counts_too_long_to_print_are_never_formed(capsys, monkeypatch, tmp_path, nvars, grid):
+    # the count is refused from the bit length of the points per axis
+    def checked_pow(base, exp):
+        if (base.bit_length() - 1) * exp * math.log10(2) >= _DIGITS:
+            pytest.fail(f"formed a count of more than {_DIGITS} digits")
+        return base**exp
+
+    monkeypatch.setattr(cli, "pow", checked_pow, raising=False)
+    p = tmp_path / "wide.fol"
+    p.write_text("vars: " + " ".join(f"x{i}" for i in range(nvars)) + "\ngenerators:\n  x0*dx0\n")
+    diagnostics = _budget_report(capsys, ["dims", str(p), "--grid", grid])
+    assert diagnostics["error"] == f"--grid has more than {_MAX_POINTS} points"
+
+
 def test_singular_locus_over_its_product_cap_exit_3(capsys, tmp_path):
     # 9 quadratic generators in 7 variables: 36 minors of size 7 to expand
     rng = XorShift64Star(5)
@@ -1445,8 +1500,11 @@ _COMMANDS = (
     "check", "dims", "member", "syzygy", "singular", "localgens", "leaf",
     "flow", "chart-rank", "flowbox", "jet", "jet-exact", "germ-eq", "pushforward",
 )
-# mostly small rationals; also zero, a rational beyond the float range and junk
-_NUMBERS = ("0", "1", "-1", "1/2", "-3/4", "2", "7/3", "1", "-1/3", "1e400", "nan", "x", "1/0")
+# mostly small rationals; also zero, a rational beyond the float range, junk and
+# exponents over the bound
+_NUMBERS = (
+    "0", "1", "-1", "1/2", "-3/4", "2", "7/3", "1", "-1/3", "1e400", "nan", "x", "1/0", "1e10001", "1e-30000",
+)
 
 
 def _pick(rng, items):
@@ -1557,3 +1615,12 @@ def test_seeded_cli_fuzz(capsys, tmp_path, seed):
         rep = json.loads(out, parse_constant=_reject_constant)
         jsonschema.validate(rep, SCHEMA)
         assert code in (0, 1, 2, 3) and err == "", argv
+
+
+@pytest.mark.parametrize("case", cli_cases.CASES, ids=[case[0] for case in cli_cases.CASES])
+def test_command_line_cases(capsys, tmp_path, case):
+    # the table that the installed script runs too: python tests/cli_cases.py
+    cli_cases.write_files(tmp_path)
+    code = run(cli_cases.argv_in(tmp_path, case[1]))
+    out, err = capsys.readouterr()
+    assert cli_cases.failures(case, code, out, err) == []

@@ -476,8 +476,7 @@ def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
             for _ in range(5):
                 want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
                 x, xv = _step(run, values, x, h), _step(var_run, values, xv, h)
-                assert x == want
-                assert xv == want_v
+                assert _bits([x, xv]) == _bits([want, want_v])  # the sign of a zero too
 
 
 def _geometric(var, count):
@@ -642,8 +641,8 @@ def _count_kernel_calls(monkeypatch):
     calls = []
     kernel = flow_module._kernel
 
-    def counting(support, variation):
-        run = kernel(support, variation)
+    def counting(*args):
+        run = kernel(*args)
 
         def counted(state, segments, bound):
             calls.append(segments)
@@ -675,15 +674,37 @@ def test_chart_rank_compiles_one_kernel_per_generator():
     assert _kernel.cache_info().misses == spec.k
 
 
-def test_flow_jet_compiles_one_variation_kernel_per_support():
+def _so3_word():
+    # nine segments over three coefficient tuples of one monomial support
     spec = so3()
     rng = XorShift64Star(9)
     tuples = [tuple(Fraction(rng.randint(1, 16), 16) for _ in range(3)) for _ in range(3)]
-    word = FlowWord(spec, [(tuples[i % 3], 0.05) for i in range(9)])
+    return spec, FlowWord(spec, [(tuples[i % 3], 0.05) for i in range(9)])
+
+
+def test_flow_jet_compiles_one_variation_kernel_per_support():
+    # a point that moves: the still kernel stops at the first segment, and
+    # the full system runs the word; each is compiled once
+    spec, word = _so3_word()
     _clear_kernel_caches()
     flow_jet(spec, word, (0.2, -0.1, 0.4))
     assert _combined_terms.cache_info().misses == 3
+    assert _kernel.cache_info().misses == 2
+    support = _combined_terms(spec, *word.steps[0].coeffs)[0]
+    _kernel(support, True, True), _kernel(support, True)
+    assert _kernel.cache_info()[:2] == (2, 2)  # both were hits
+
+
+def test_stationary_jet_compiles_no_full_variation_kernel():
+    spec, word = _so3_word()
+    _clear_kernel_caches()
+    flow_jet(spec, word, (0, 0, 0))
     assert _kernel.cache_info().misses == 1
+    support = _combined_terms(spec, *word.steps[0].coeffs)[0]
+    _kernel(support, True, True)
+    assert _kernel.cache_info()[:2] == (1, 1)  # the still kernel was the one compiled
+    _kernel(support, True)
+    assert _kernel.cache_info().misses == 2
 
 
 def test_flow_does_not_depend_on_earlier_chart_targets():
@@ -770,5 +791,130 @@ def test_long_chain_kernels_bit_identical_to_interpreted_rk4():
         for _ in range(3):
             want, want_v = rk4_reference_step(comb, x, h), rk4_reference_step(comb, xv, h, True)
             x, xv = _step(run, values, x, h), _step(var_run, values, xv, h)
-            assert x == want
-            assert xv == want_v
+            assert _bits([x, xv]) == _bits([want, want_v])
+
+
+# -- jets at a fixed point: the still kernel ----------------------------------
+
+
+def _jet_states(spec, steps, point):
+    # the first-variation states after each pair, from the identity
+    n = spec.nvars
+    ident = tuple(float(i == j) for i in range(n) for j in range(n))
+    return _drive(spec, steps, tuple(map(float, point)) + ident, DEFAULT_OPTIONS, True)
+
+
+def _full_system(monkeypatch, spec, steps, point):
+    # the same states with every pair run through the full system
+    kernel = flow_module._kernel
+    with monkeypatch.context() as m:
+        m.setattr(flow_module, "_kernel", lambda support, variation, still=False: kernel(support, variation))
+        return _jet_states(spec, steps, point)
+
+
+def _kernel_kinds(monkeypatch):
+    # the ``(variation, still)`` flags of every kernel ``_drive`` asks for
+    kinds = []
+    kernel = flow_module._kernel
+
+    def recording(support, variation, still=False):
+        kinds.append((variation, still))
+        return kernel(support, variation, still)
+
+    monkeypatch.setattr(flow_module, "_kernel", recording)
+    return kinds
+
+
+def _bits(states):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [[v.hex() for v in state] for state in states]
+
+
+def _nonlinear():
+    # its linear part at 0 is not zero, and its Jacobian entries depend on the point
+    return make_spec(("x", "y"), ("(x + y^2)*dx + (x*y - y)*dy",))
+
+
+STILL_CASES = {
+    "so3": (so3, (0, 0, 0)),
+    "cstar": (cstar, (0, 0)),
+    "gl3": (gl3, (0, 0, 0)),
+    "nonlinear": (_nonlinear, (0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STILL_CASES))
+def test_still_jets_equal_the_full_system_bit_for_bit(monkeypatch, name):
+    make, point = STILL_CASES[name]
+    spec = make()
+    rng = XorShift64Star(11)
+    for _ in range(4):
+        steps = list(random_word(rng, spec, max_steps=5).steps)
+        steps.insert(rng.randint(0, len(steps)), (steps[-1].coeffs, 0.0))  # a zero-duration segment
+        kinds = _kernel_kinds(monkeypatch)
+        states = _jet_states(spec, steps, point)
+        monkeypatch.undo()
+        assert set(kinds) == {(True, True)}  # the still kernel ran every segment
+        assert _bits(states) == _bits(_full_system(monkeypatch, spec, steps, point))
+
+
+def test_a_point_whose_slopes_are_not_zero_takes_the_full_system(monkeypatch):
+    spec = _nonlinear()
+    steps = [((1,), 0.3), ((Fraction(-1, 2),), 0.25)]
+    point = (1e-200, 0)  # x + y^2 is 1e-200 there, not 0.0
+    kinds = _kernel_kinds(monkeypatch)
+    states = _jet_states(spec, steps, point)
+    monkeypatch.undo()
+    assert kinds == [(True, True), (True, False)]
+    assert states[-1][0] != 1e-200
+    assert _bits(states) == _bits(_full_system(monkeypatch, spec, steps, point))
+
+
+def test_a_negative_zero_coordinate_takes_the_full_system(monkeypatch):
+    # -0.0 + h2*0.0 is 0.0: the full system turns the zeros positive
+    spec = cstar()
+    steps = [((1, 1), 0.3)]
+    point = (-0.0, -0.0)
+    kinds = _kernel_kinds(monkeypatch)
+    endpoint, _ = flow_jet(spec, FlowWord(spec, steps), point)
+    monkeypatch.undo()
+    assert kinds == [(True, True), (True, False)]
+    assert [v.hex() for v in endpoint] == ["0x0.0p+0", "0x0.0p+0"]
+    assert _bits(_jet_states(spec, steps, point)) == _bits(_full_system(monkeypatch, spec, steps, point))
+
+
+def test_a_stationary_point_outside_the_box_takes_the_full_system(monkeypatch):
+    # the field vanishes at x = 10^11, outside [-1e10, 1e10]: the first step leaves the box
+    spec = make_spec(("x", "y"), ("(x - 100000000000)*dx + y*dy",))
+    kinds = _kernel_kinds(monkeypatch)
+    with pytest.raises(BlowUpError) as exc:
+        flow_jet(spec, FlowWord(spec, [((1,), 1.0)]), (10**11, 0))
+    assert exc.value.time == 0.001
+    assert kinds == [(True, True), (True, False)]
+
+
+def test_a_word_whose_later_segments_move_takes_the_full_system_from_there(monkeypatch):
+    # x*dx and dx share one support while both coefficients are nonzero:
+    # (1, -1) fixes x = 1, and (1, 1) moves it
+    spec = make_spec(("x",), ("x*dx", "dx"))
+    steps = [((1, -1), 0.5), ((1, -1), 0.0), ((1, 1), 0.3), ((1, -1), 0.2), ((0, 1), 0.1), ((1, -1), 0.05)]
+    kinds = _kernel_kinds(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
+    states = _jet_states(spec, steps, (1,))
+    monkeypatch.undo()
+    # the first support's still call stops at the third segment; every later call starts off the fixed point
+    assert [len(segments) for segments in calls] == [4, 2, 1, 1, 1, 1]
+    assert kinds == [(True, True), (True, False)] * 3
+    assert [state[0] == 1.0 for state in states[:4]] == [True, True, True, False]
+    assert _bits(states) == _bits(_full_system(monkeypatch, spec, steps, (1,)))
+
+
+def test_a_still_jet_that_leaves_the_box_reports_the_same_time(monkeypatch):
+    # at the origin of cstar the linearization grows like exp(30 t)
+    spec = cstar()
+    steps = [((1, 0), 0.5), ((30, 0), 1.0)]
+    with pytest.raises(BlowUpError) as still:
+        _jet_states(spec, steps, (0, 0))
+    with pytest.raises(BlowUpError) as full:
+        _full_system(monkeypatch, spec, steps, (0, 0))
+    assert 0.5 < still.value.time == full.value.time < 1.5
