@@ -235,6 +235,19 @@ def _require_points(flag: str, count: int) -> None:
             raise BudgetError(f"{flag} has more than {_MAX_POINTS} points") from None
 
 
+# the most random numbers a request may draw: ``leaf --steps`` draws k + 1
+# per step and ``chart-rank --samples`` nvars per sample; more exit 3, before
+# any is drawn (a million took 1.2 s as walk steps and 2.8 s as sample
+# points, Python 3.11 on a shared 2-CPU x86-64 host)
+_MAX_DRAWS = 1_000_000
+
+
+def _require_draws(flag: str, count: int, each: int) -> None:
+    _require_points(flag, count)
+    if count * each > _MAX_DRAWS:
+        raise BudgetError(f"{flag} needs {count * each} random numbers, more than {_MAX_DRAWS}")
+
+
 def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
     """The grid's axis scaled to one denominator: (D, X, labels), D the lcm
     of the denominators of a and step, X[i] = D*(a + i*step) and labels[i]
@@ -349,7 +362,7 @@ def _cmd_localgens(ns, spec):
 
 def _cmd_leaf(ns, spec):
     opts = _opts_from(ns)
-    _require_points("--steps", ns.steps)
+    _require_draws("--steps", ns.steps, spec.k + 1)
     pts = leaf_sample(spec, ns.point, ns.steps, ns.seed, opts)
     return (
         0,
@@ -370,7 +383,7 @@ def _cmd_flow(ns, spec):
 
 def _cmd_chart_rank(ns, spec):
     opts = _opts_from(ns)
-    _require_points("--samples", ns.samples)
+    _require_draws("--samples", ns.samples, spec.nvars)
     rng = XorShift64Star(ns.seed)
     samples = random_rational_points(rng, spec.nvars, ns.samples)
     chart = chart_at(spec, ns.point, opts)

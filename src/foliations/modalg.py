@@ -4,7 +4,18 @@ Everything here is exact.  The generated submodule of the rank-n free
 module over Q[x_1..x_n] is handled through a Buchberger-style Groebner
 basis; relations among the generators (syzygies) come from a second
 Groebner run in rank n+k under a block order that eliminates the value
-components.  S-pairs are pruned by two of the Gebauer-Moeller criteria
+components.
+
+Inside the engine (``_groebner``, ``_reduce``, ``contains``) an element of
+a free module is one tuple of ``(position, exponents, coefficient)``
+terms in descending module order; outside it, a tuple of Polys, one per
+position.  One integer ``split`` sets the order: a term in a position
+below ``split`` comes first, then the bigger monomial in grevlex, then the
+lower position.  ``split = 0`` is term-over-position (``module_groebner``,
+``contains``), ``split = n`` the elimination block of ``syzygy_basis``.
+The lead is the first term, and a monomial factor keeps the order, so a
+reduction step and an S-pair are each one ``_merge`` of term tuples.
+S-pairs are pruned by two of the Gebauer-Moeller criteria
 (Gebauer & Moeller 1988): when an element h arrives, B drops each pending
 pair (i, l) of h's position whose lcm the lead of h divides, unless
 lcm(i, h) or lcm(l, h) equals it, and F keeps only the first of the new
@@ -72,7 +83,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import combinations
-from typing import Callable, NamedTuple, Sequence
+from operator import add
+from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BudgetError, PreconditionError
 from .vfparse import FoliationSpec, Poly, VectorField, _over_lcm, _sum_lines, grevlex_key, lie_bracket
@@ -194,85 +206,71 @@ def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
 # Groebner engine on free-module elements
 # ---------------------------------------------------------------------------
 
-KeyFn = Callable[[tuple[int, ...], int], tuple]
-
-
-def _top_key(mon: tuple[int, ...], pos: int) -> tuple:
-    # term-over-position: grevlex on monomials, lower position wins ties
-    return (grevlex_key(mon), -pos)
-
-
-def _make_elim_key(split: int) -> KeyFn:
-    # any term in positions < split beats any term in positions >= split
-    def key(mon: tuple[int, ...], pos: int) -> tuple:
-        return (1 if pos < split else 0, grevlex_key(mon), -pos)
-
-    return key
-
-
-def _lead(elem: Element, key: KeyFn):
-    """(key, position, monomial, coefficient) of the leading term, or None."""
-    best = None
-    for pos, p in enumerate(elem):
-        if p.terms:
-            mon, coeff = p.terms[0]
-            k = key(mon, pos)
-            if best is None or k > best[0]:
-                best = (k, pos, mon, coeff)
-    return best
-
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _scale(elem: Element, coeff: Fraction) -> Element:
-    return tuple(p * coeff for p in elem)
+def _merge(a: tuple, b: tuple, split: int) -> tuple:
+    """The sum of two elements, by one merge in the module order of
+    ``split``; terms that cancel are dropped."""
+    out = []
+    append = out.append
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        (pa, ea, ca), (pb, eb, cb) = a[i], b[j]
+        if ea == eb and pa == pb:
+            c = ca + cb
+            if c:
+                append((pa, ea, c))
+            i += 1
+            j += 1
+        # the order: the block below split, grevlex, the lower position
+        elif (pa < split, sum(ea), eb[::-1], pb) > (pb < split, sum(eb), ea[::-1], pa):
+            append(a[i])
+            i += 1
+        else:
+            append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
-def _s_poly(a: Element, ui: tuple[int, ...], b: Element, uj: tuple[int, ...]) -> Element:
-    """ui*a - uj*b, for the monomials ui and uj"""
-    one = Fraction(1)
-    return tuple(p.mul_term(ui, one) - q.mul_term(uj, one) for p, q in zip(a, b))
+def _shift(terms: tuple, mon: tuple[int, ...], coeff: Fraction) -> tuple:
+    """``terms`` times coeff*x^mon."""
+    return tuple((p, tuple(map(add, e, mon)), c * coeff) for p, e, c in terms)
 
 
-def _is_zero(elem: Element) -> bool:
-    return all(p.is_zero for p in elem)
+def _flat(elem: Element, split: int) -> tuple:
+    """The element of a tuple of Polys, in the module order of ``split``."""
+    out: tuple = ()
+    for pos, p in enumerate(elem):
+        out = _merge(out, tuple((pos, e, c) for e, c in p.terms), split)
+    return out
 
 
 def _reduce(
-    elem: Element,
-    basis: list[Element],
-    leads: list,
-    key: KeyFn,
-    counter: list[int],
-    budget: Budget,
-    skip: int = -1,
+    elem: tuple, basis: list[tuple], split: int, counter: list[int], budget: Budget, skip: int = -1
 ):
-    """Full normal form of ``elem`` modulo ``basis``; returns (rem, quotients).
+    """Full normal form of the element ``elem`` modulo the monic elements
+    ``basis`` but ``basis[skip]``; returns (rem, quotients).
 
-    ``quotients`` is aligned with ``basis`` and satisfies
-    elem = sum quotients[b] * basis[b] + rem.
-
-    ``basis`` is monic, so a reducer's multiplier is the coefficient it
-    cancels.  The leads of ``work`` strictly decrease, and the key compares
-    terms of one position by grevlex, so each remainder receives its terms
-    in descending order; so does each quotient, since a reducer always acts
-    at the position of its own lead.  Both are collected as term lists and
-    wrapped once at the end.
+    ``quotients`` is a list of Polys aligned with ``basis``, and
+    elem = sum quotients[b] * basis[b] + rem.  Each step takes the lead of
+    ``work``: with no reducer it moves to ``rem``; else the two leads cancel,
+    and the reducer's tail times the quotient term is subtracted from the
+    rest in one merge.  So the leads of ``work`` strictly decrease: the
+    terms of ``rem`` arrive in module order, and those of each quotient in
+    grevlex order, since a reducer always acts at the position of its lead.
     """
-    nvars = elem[0].nvars
-    work = list(elem)
-    rem: list[list] = [[] for _ in elem]
+    work = elem
+    rem = []
     quots: list[list] = [[] for _ in basis]
-    while True:
-        ld = _lead(work, key)
-        if ld is None:
-            break
-        _, pos, mon, coeff = ld
+    while work:
+        pos, mon, coeff = work[0]
         reducer = -1
-        for bi, lb in enumerate(leads):
-            if bi != skip and lb[1] == pos and _divides(lb[2], mon):
+        for bi, g in enumerate(basis):
+            if bi != skip and g[0][0] == pos and _divides(g[0][1], mon):
                 reducer = bi
                 break
         counter[0] += 1
@@ -281,20 +279,14 @@ def _reduce(
                 f"reduction step budget of {budget.max_reduction_steps} exceeded"
             )
         if reducer < 0:
-            rem[pos].append((mon, coeff))
-            work[pos] = Poly._canonical(nvars, work[pos].terms[1:])
+            rem.append(work[0])
+            work = work[1:]
         else:
-            lb = leads[reducer]
-            fac_mon = tuple(a - b for a, b in zip(mon, lb[2]))
             g = basis[reducer]
-            for i in range(len(work)):
-                if g[i].terms:
-                    work[i] = work[i] + g[i].mul_term(fac_mon, -coeff)
+            fac_mon = tuple(a - b for a, b in zip(mon, g[0][1]))
+            work = _merge(work[1:], _shift(g[1:], fac_mon, -coeff), split)
             quots[reducer].append((fac_mon, coeff))
-    return (
-        tuple(Poly._canonical(nvars, tuple(t)) for t in rem),
-        [Poly._canonical(nvars, tuple(t)) for t in quots],
-    )
+    return tuple(rem), [Poly._canonical(len(g[0][1]), tuple(q)) for g, q in zip(basis, quots)]
 
 
 def _minus_quotients(rep: Element, quots: list[Poly], reprs: Sequence[Element]) -> Element:
@@ -314,48 +306,48 @@ def _unit_row(nvars: int, length: int, index: int) -> Element:
 def _groebner(
     gens: Sequence[Element],
     nvars: int,
-    key: KeyFn,
+    split: int,
     budget: Budget,
     track: bool = False,
 ):
-    """Buchberger with optional tracking of combinations of the inputs.
+    """Buchberger in the module order of ``split``, with optional tracking
+    of combinations of the inputs.
 
-    Returns (basis, reprs); ``reprs[j]`` (rank len(gens)) expresses
-    basis[j] in the inputs when ``track`` is set, else ().
+    ``gens`` and the returned basis are tuples of Polys; the run holds term
+    tuples (see the module docstring).  Returns (basis, reprs);
+    ``reprs[j]`` (rank len(gens)) expresses basis[j] in the inputs when
+    ``track`` is set, else ().
     """
     k = len(gens)
-    basis: list[Element] = []
+    basis: list[tuple] = []
     reprs: list[Element] = []
-    leads: list = []
     counter = [0]
 
-    def push(elem: Element, rep: Element | None):
-        ld = _lead(elem, key)
-        inv = Fraction(1) / ld[3]
-        basis.append(_scale(elem, inv))
-        leads.append(ld[:3])
+    def push(elem: tuple, rep: Element | None):
+        inv = Fraction(1) / elem[0][2]
+        basis.append(tuple((p, e, c * inv) for p, e, c in elem))
         if track:
-            reprs.append(_scale(rep, inv))
+            reprs.append(tuple(p * inv for p in rep))
 
     for idx, g in enumerate(gens):
-        if _is_zero(g):
-            continue
-        push(g, _unit_row(nvars, k, idx) if track else None)
+        elem = _flat(g, split)
+        if elem:
+            push(elem, _unit_row(nvars, k, idx) if track else None)
 
     # pending S-pairs (degree of lcm, i, j, lcm), i < j, popped lowest first
     pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
 
     def lcm_of(i: int, j: int) -> tuple[int, ...]:
-        return tuple(map(max, leads[i][2], leads[j][2]))
+        return tuple(map(max, basis[i][0][1], basis[j][0][1]))
 
     def add_pairs(j: int):
-        pos, mon = leads[j][1], leads[j][2]
+        pos, mon, _ = basis[j][0]
         # B: drop a pending pair (i, l) of this position whose lcm the new
         # lead divides, unless lcm(i, j) or lcm(l, j) equals that lcm
         kept = [
             pair
             for pair in pairs
-            if leads[pair[1]][1] != pos
+            if basis[pair[1]][0][0] != pos
             or not _divides(mon, pair[3])
             or pair[3] == lcm_of(pair[1], j)
             or pair[3] == lcm_of(pair[2], j)
@@ -366,7 +358,7 @@ def _groebner(
         # F: of the new pairs with equal lcms, only the first
         seen = set()
         for i in range(j):
-            if leads[i][1] == pos:
+            if basis[i][0][0] == pos:
                 lcm = lcm_of(i, j)
                 if lcm not in seen:
                     seen.add(lcm)
@@ -375,52 +367,61 @@ def _groebner(
     for j in range(len(basis)):
         add_pairs(j)
 
+    one = Fraction(1)
     while pairs:
         deg, i, j, lcm = heapq.heappop(pairs)
         if deg > budget.max_pair_degree:
             raise BudgetError(
                 f"S-pair degree {deg} exceeds cap {budget.max_pair_degree}"
             )
-        ui = tuple(a - b for a, b in zip(lcm, leads[i][2]))
-        uj = tuple(a - b for a, b in zip(lcm, leads[j][2]))
-        rem, quots = _reduce(_s_poly(basis[i], ui, basis[j], uj), basis, leads, key, counter, budget)
-        if _is_zero(rem):
+        ui = tuple(a - b for a, b in zip(lcm, basis[i][0][1]))
+        uj = tuple(a - b for a, b in zip(lcm, basis[j][0][1]))
+        # ui*basis[i] - uj*basis[j], whose monic leads cancel
+        s = _merge(_shift(basis[i][1:], ui, one), _shift(basis[j][1:], uj, -one), split)
+        rem, quots = _reduce(s, basis, split, counter, budget)
+        if not rem:
             continue
         rep = None
         if track:
-            rep = _minus_quotients(_s_poly(reprs[i], ui, reprs[j], uj), quots, reprs)
+            rep = tuple(p.mul_term(ui, one) - q.mul_term(uj, one) for p, q in zip(reprs[i], reprs[j]))
+            rep = _minus_quotients(rep, quots, reprs)
         push(rem, rep)
         add_pairs(len(basis) - 1)
 
     # minimalize: drop elements whose lead is divisible by another's lead
     # (strict divisibility cannot cycle; among equal leads the first stays)
     def _redundant(i: int) -> bool:
-        for j in range(len(basis)):
-            if j == i or leads[j][1] != leads[i][1]:
-                continue
-            if _divides(leads[j][2], leads[i][2]):
-                if leads[j][2] != leads[i][2] or j < i:
+        pos, mon, _ = basis[i][0]
+        for j, g in enumerate(basis):
+            if j != i and g[0][0] == pos and _divides(g[0][1], mon):
+                if g[0][1] != mon or j < i:
                     return True
         return False
 
     kept = [i for i in range(len(basis)) if not _redundant(i)]
     basis = [basis[i] for i in kept]
-    leads = [leads[i] for i in kept]
     if track:
         reprs = [reprs[i] for i in kept]
 
     # tail-reduce each element against the others (leads stay fixed)
     for i in range(len(basis)):
-        rem, quots = _reduce(basis[i], basis, leads, key, counter, budget, skip=i)
-        basis[i] = rem
+        basis[i], quots = _reduce(basis[i], basis, split, counter, budget, skip=i)
         if track:
             reprs[i] = _minus_quotients(reprs[i], quots, reprs)
 
-    order = sorted(range(len(basis)), key=lambda i: leads[i][0], reverse=True)
-    basis = [basis[i] for i in order]
-    if track:
-        reprs = [reprs[i] for i in order]
-    return tuple(basis), tuple(reprs)
+    # by descending lead, each element as a tuple of Polys
+    def lead_key(i: int) -> tuple:
+        pos, mon, _ = basis[i][0]
+        return (pos < split, grevlex_key(mon), -pos)
+
+    def polys(elem: tuple) -> Element:
+        return tuple(
+            Poly._canonical(nvars, tuple((e, c) for p, e, c in elem if p == pos))
+            for pos in range(len(gens[0]))
+        )
+
+    order = sorted(range(len(basis)), key=lead_key, reverse=True)
+    return tuple(polys(basis[i]) for i in order), (tuple(reprs[i] for i in order) if track else ())
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Mod
     sorted by leading term.
     """
     gens = [g.components for g in spec.generators]
-    basis, reprs = _groebner(gens, spec.nvars, _top_key, budget, track=True)
+    basis, reprs = _groebner(gens, spec.nvars, 0, budget, track=True)
     return ModuleGB(source=spec, basis=basis, reprs=reprs)
 
 
@@ -462,12 +463,9 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
         raise PreconditionError(
             "the basis has no representation table (reprs): build it with module_groebner"
         )
-    counter = [0]
-    leads = [_lead(b, _top_key) for b in gb.basis]
-    rem, quots = _reduce(
-        x.components, list(gb.basis), leads, _top_key, counter, budget
-    )
-    if not _is_zero(rem):
+    basis = [_flat(b, 0) for b in gb.basis]
+    rem, quots = _reduce(_flat(x.components, 0), basis, 0, [0], budget)
+    if rem:
         return MembershipResult(member=False, certificate=None)
     zeros = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))
     cert = tuple(-p for p in _minus_quotients(zeros, quots, gb.reprs))
@@ -503,7 +501,7 @@ def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Syzygy
     augmented = []
     for i, g in enumerate(spec.generators):
         augmented.append(g.components + _unit_row(n, k, i))
-    basis, _ = _groebner(augmented, n, _make_elim_key(n), budget, track=False)
+    basis, _ = _groebner(augmented, n, n, budget)
     relations = []
     for elem in basis:
         if all(p.is_zero for p in elem[:n]):

@@ -247,23 +247,26 @@ class Poly:
 
     # -- constructors ------------------------------------------------------
 
+    # these check their arguments and build through _canonical
+
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars, ())
+        if nvars < 1:
+            raise ArityError("nvars must be positive")
+        return cls._canonical(nvars, ())
 
     @classmethod
     def constant(cls, value, nvars: int) -> "Poly":
         c = _as_fraction(value)
-        if not c:
-            return cls.zero(nvars)
-        return cls(nvars, (((0,) * nvars, c),))
+        zero = cls.zero(nvars)  # checks nvars
+        return cls._canonical(nvars, (((0,) * nvars, c),)) if c else zero
 
     @classmethod
     def variable(cls, index: int, nvars: int) -> "Poly":
         if not 0 <= index < nvars:
             raise ArityError(f"variable index {index} out of range for {nvars} variables")
         expt = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(nvars, ((expt, Fraction(1)),))
+        return cls._canonical(nvars, ((expt, Fraction(1)),))
 
     @classmethod
     def term(cls, nvars: int, expt: tuple[int, ...], coeff) -> "Poly":
@@ -667,6 +670,7 @@ class _Parser:
         self.products = 0  # term-by-term products of every power and '*' so far
         self.powers: dict[tuple[Poly, int], Poly] = {}  # each distinct power, expanded once
         self.depth = 0  # parentheses open at the current token
+        self.zero = Poly.zero(self.nvars)  # Polys are immutable: one zero serves the parse
 
     def peek(self):
         return self.tokens[self.pos]
@@ -686,16 +690,13 @@ class _Parser:
 
     # value algebra -------------------------------------------------------
 
-    def _zero(self) -> Poly:
-        return Poly.zero(self.nvars)
-
     def _neg(self, v: _Val) -> _Val:
         return _Val(-v.p, {i: -q for i, q in v.d.items()})
 
     def _add(self, a: _Val, b: _Val) -> _Val:
         d = dict(a.d)
         for i, q in b.d.items():
-            d[i] = d.get(i, self._zero()) + q
+            d[i] = d[i] + q if i in d else q
         return _Val(a.p + b.p, d)
 
     def _mul(self, a: _Val, b: _Val, op_col: int) -> _Val:
@@ -757,7 +758,7 @@ class _Parser:
                 return _Val(Poly.variable(self.var_index[text], self.nvars))
             if len(text) > 1 and text[0] == "d" and text[1:] in self.var_index:
                 i = self.var_index[text[1:]]
-                return _Val(self._zero(), {i: Poly.constant(1, self.nvars)})
+                return _Val(self.zero, {i: Poly.constant(1, self.nvars)})
             raise UnknownVariableError(text, column=pos + 1)
         if kind == "(":
             self.depth += 1
@@ -829,7 +830,7 @@ def parse_vector_field(text: str, var_names: Sequence[str]) -> VectorField:
     kind, tok, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {tok!r}", column=pos + 1)
-    return VectorField(tuple(val.d.get(i, parser._zero()) for i in range(parser.nvars)))
+    return VectorField(tuple(val.d.get(i, parser.zero) for i in range(parser.nvars)))
 
 
 # ---------------------------------------------------------------------------

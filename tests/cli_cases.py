@@ -33,6 +33,7 @@ FILES = {
     "xk2.fol": "vars: x\ngenerators:\n  x^2*dx\n",
     # a fixed point at x = 10^11, outside the domain box
     "far.fol": "vars: x y\ngenerators:\n  (x - 100000000000)*dx + y*dy\n",
+    "wide.fol": "vars: " + " ".join(f"x{i}" for i in range(20)) + "\ngenerators:\n  x0*dx0\n",
 }
 
 CASES = [
@@ -42,6 +43,13 @@ CASES = [
     ("dims-negative", ["dims", "sl2.fol", "--point", "-1,0", "--grid", "-1:1:1/2"], 0, ("dumps", None)),
     ("dims-so3", ["dims", "so3.fol", "--grid", "-1:1:1/2"], 0, ("dumps", None)),
     ("leaf", ["leaf", "sl2.fol", "--point", "1,0", "--steps", "50", "--seed", "3"], 0, ("dumps", None)),
+    # 50,001 samples of 20 coordinates: under the point cap, over the draw cap
+    (
+        "chart-rank-draws",
+        ["chart-rank", "wide.fol", "--point", ",".join(["1"] * 20), "--samples", "50001", "--seed", "1"],
+        3,
+        ("error", "--samples needs 1000020 random numbers, more than 1000000"),
+    ),
     # the lowest-index generators
     ("localgens-regular", ["localgens", "sl2.fol", "--point", "1,0"], 0, ("results", ("indices", [1, 3]))),
     ("localgens-origin", ["localgens", "sl2.fol", "--point", "0,0"], 0, ("results", ("indices", [1, 2, 3]))),

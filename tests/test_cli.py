@@ -19,6 +19,7 @@ from foliations import __version__, cli
 from foliations.cli import _COMMANDS as _TABLE
 from foliations.cli import (
     _COMMON,
+    _MAX_DRAWS,
     _MAX_EXPONENT,
     _MAX_POINTS,
     _TYPES,
@@ -632,6 +633,34 @@ def test_point_counts_over_the_cap_exit_3(files, capsys, monkeypatch, cmd, flag,
     count = _MAX_POINTS + 1
     diags = _budget_report(capsys, [cmd, files["so3"], "--point", "1,0,0", flag, str(count), *extra])
     assert f"{flag} has {count} points, more than {_MAX_POINTS}" in diags["error"]
+
+
+# 20 variables and 19 generators: leaf draws k + 1 = 20 numbers a step, and
+# chart-rank nvars = 20 a sample
+_WIDE = "vars: " + " ".join(f"x{i}" for i in range(20)) + "\ngenerators:\n" + "".join(
+    f"  x{i}*dx{i}\n" for i in range(19)
+)
+
+
+@pytest.mark.parametrize("cmd, flag", [("leaf", "--steps"), ("chart-rank", "--samples")])
+def test_draw_counts_over_the_cap_exit_3(tmp_path, capsys, monkeypatch, cmd, flag):
+    # 50,000 steps or samples draw the 1,000,000 numbers allowed; one more
+    # is refused from the count, before anything is drawn
+    class Drawn(Exception):
+        pass
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    for name in ("leaf_sample", "random_rational_points"):
+        monkeypatch.setattr(f"foliations.cli.{name}", drawn)
+    path = tmp_path / "wide.fol"
+    path.write_text(_WIDE)
+    argv = [cmd, str(path), "--point", ",".join(["1"] * 20), "--seed", "1", flag]
+    with pytest.raises(Drawn):
+        run([*argv, "50000"])
+    diags = _budget_report(capsys, [*argv, "50001"])
+    assert diags["error"] == f"{flag} needs 1000020 random numbers, more than {_MAX_DRAWS}"
 
 
 def test_check_involutive(files, capsys):

@@ -57,16 +57,16 @@ from helpers import (
 
 def span_equal(spec_vars, rels_a, rels_b, nvars):
     """Mutual membership of two relation families in each other's module."""
-    from foliations.modalg import _groebner, _lead, _reduce, _top_key, DEFAULT_BUDGET, _is_zero
+    from foliations.modalg import _flat, _groebner, _reduce, DEFAULT_BUDGET
 
     def contains_all(base, others):
         if not base:
             return all(all(p.is_zero for p in r) for r in others)
-        basis, _ = _groebner(list(base), nvars, _top_key, DEFAULT_BUDGET)
-        leads = [_lead(b, _top_key) for b in basis]
+        basis, _ = _groebner(list(base), nvars, 0, DEFAULT_BUDGET)
+        flat = [_flat(b, 0) for b in basis]
         for r in others:
-            rem, _ = _reduce(r, list(basis), leads, _top_key, [0], DEFAULT_BUDGET)
-            if not _is_zero(rem):
+            rem, _ = _reduce(_flat(r, 0), flat, 0, [0], DEFAULT_BUDGET)
+            if rem:
                 return False
         return True
 
@@ -109,17 +109,17 @@ def test_groebner_autoreduced_and_deterministic():
     gb2 = module_groebner(make_spec(("x", "y"), ("x*dx - y*dy", "y*dx", "x*dy")))
     assert gb1.basis == gb2.basis
     # autoreduced: no leading term of one element divides any term of another
-    from foliations.modalg import _lead, _top_key, _divides
+    from foliations.modalg import _divides, _flat
 
-    leads = [_lead(b, _top_key) for b in gb1.basis]
+    leads = [_flat(b, 0)[0] for b in gb1.basis]
     for i, elem in enumerate(gb1.basis):
         for j, lj in enumerate(leads):
             if i == j:
                 continue
             for p_pos, p in enumerate(elem):
                 for expt, _ in p.terms:
-                    if p_pos == lj[1]:
-                        assert not _divides(lj[2], expt)
+                    if p_pos == lj[0]:
+                        assert not _divides(lj[1], expt)
 
 
 def test_budget_error_is_raised():
@@ -186,7 +186,7 @@ _ORACLE_SPECS = {
 
 @pytest.mark.parametrize("name", list(_ORACLE_SPECS))
 def test_groebner_bases_pass_the_independent_check(name):
-    from foliations.modalg import DEFAULT_BUDGET, _groebner, _make_elim_key, _unit_row
+    from foliations.modalg import DEFAULT_BUDGET, _groebner, _unit_row
 
     spec = _ORACLE_SPECS[name]()
     n = spec.nvars
@@ -200,7 +200,7 @@ def test_groebner_bases_pass_the_independent_check(name):
     # the block-order basis of the elements (X_i ; e_i) that syzygy_basis
     # reads its relations from
     augmented = [g + _unit_row(n, spec.k, i) for i, g in enumerate(gens)]
-    basis, _ = _groebner(augmented, n, _make_elim_key(n), DEFAULT_BUDGET)
+    basis, _ = _groebner(augmented, n, n, DEFAULT_BUDGET)
     assert groebner_failures(augmented, basis, split=n) == []
     # the check itself fails a basis that lacks an element
     assert groebner_failures(augmented, basis[1:], split=n) != []
@@ -223,10 +223,10 @@ def _reductions(monkeypatch, compute) -> tuple[int, int]:
     log = []
     reduce = modalg._reduce
 
-    def counted(elem, basis, leads, key, counter, budget, skip=-1):
-        rem, quots = reduce(elem, basis, leads, key, counter, budget, skip)
+    def counted(elem, basis, split, counter, budget, skip=-1):
+        rem, quots = reduce(elem, basis, split, counter, budget, skip)
         if skip < 0:
-            log.append(modalg._is_zero(rem))
+            log.append(not rem)
         return rem, quots
 
     monkeypatch.setattr(modalg, "_reduce", counted)
@@ -285,19 +285,22 @@ def test_contains_zero_field_and_zero_module():
 
 
 def test_reduce_builds_canonical_remainders_and_quotients():
-    from foliations.modalg import DEFAULT_BUDGET, _lead, _reduce, _top_key
+    from foliations.modalg import DEFAULT_BUDGET, _flat, _reduce
 
     rng = XorShift64Star(4_242)
     for _ in range(30):
         nvars = rng.randint(1, 2)
         gens = tuple(random_field(rng, nvars, 3) for _ in range(rng.randint(1, 3)))
         gb = module_groebner(FoliationSpec(("x", "y")[:nvars], gens))
-        leads = [_lead(b, _top_key) for b in gb.basis]
         query = random_field(rng, nvars, 4)
-        rem, quots = _reduce(query.components, list(gb.basis), leads, _top_key, [0], DEFAULT_BUDGET)
-        for p in rem + tuple(quots):
+        basis = [_flat(b, 0) for b in gb.basis]
+        rem, quots = _reduce(_flat(query.components, 0), basis, 0, [0], DEFAULT_BUDGET)
+        # the remainder's terms, sorted and merged by the validating Poly
+        polys = tuple(Poly(nvars, [(e, c) for p, e, c in rem if p == m]) for m in range(nvars))
+        assert _flat(polys, 0) == rem
+        for p in quots:
             assert p.terms == Poly(nvars, p.terms).terms
-        total = VectorField(rem)
+        total = VectorField(polys)
         for q, b in zip(quots, gb.basis):
             total = total + VectorField(b).scale(q)
         assert total == query
@@ -313,6 +316,62 @@ def test_is_involutive_passes_its_budget_to_the_brackets():
     with pytest.raises(BudgetError):
         contains(module_groebner(spec), lie_bracket(*spec.generators), budget)
     assert not is_involutive(spec).closed
+
+
+# sha256 of the module basis and of what contains says on seeded queries:
+# three random fields (a verdict, and a certificate when it is a member) and
+# three members g1*X1 + g2*Xk with random g1, g2 (their certificates), for
+# the dense specs of shapes (2,3,3) and (2,4,2), seeds 1-12; recorded before
+# the engine held module elements as term tuples
+CONTAINS_DIGESTS = {
+    (2, 3, 3, 1): "beb20ca0e201ea77a1ba2261bd013098927e02b289abecb915369cfb0063f368",
+    (2, 3, 3, 2): "a675a1c71b6fb680b6c1d03870d94439702fbd81f0dbfb85cbc0d7841e5cb7f1",
+    (2, 3, 3, 3): "7c00f05c25d7fb67af3bb8945316494a6740b8b2fa3c549d2347814a07807fc8",
+    (2, 3, 3, 4): "4d694ae7213a7b13dcb4fd93f27726530de2e2937463ea54dcdb39971df898bb",
+    (2, 3, 3, 5): "57ec2d65d93b12bc528609767e04b39761a7ec35e03c5cb1e572db8d7bb9cf3e",
+    (2, 3, 3, 6): "aab9e50997d196ac58c61204c3c38d93483b8812c4f0ddb57f7a17ef8b7671fd",
+    (2, 3, 3, 7): "512320f7461f409a4091278a7a939d13d51c757f5b8bc19021e1beed7f4738c4",
+    (2, 3, 3, 8): "7b88780cd5262915384d521c8fff9abc89329500e5409fa29d1434933b2d1186",
+    (2, 3, 3, 9): "49c63e5507b648e1f85ba2f18a4fbcc4014d2cb423bf0f166921f6ab7d2a4ade",
+    (2, 3, 3, 10): "6e654c99ddf798a28931ef913930162a1da2f149b837b8fcabcc68c4def2299a",
+    (2, 3, 3, 11): "0daac1f6fb40c54156806f1187bcb52c47a6feeb537d52b909e93895ae96d9ec",
+    (2, 3, 3, 12): "220d2ed553f0220e6c9da3e39e11e28603a72deab0fb9beeab574030ab174d10",
+    (2, 4, 2, 1): "746d5bb052fe50ddff7e8bcf3ad074bd709e187e9127aabd05e6a846556e88a3",
+    (2, 4, 2, 2): "c2319518a4f0e5b3696144a5e900fc44d4fefe404ab160b2b0294f8ea71991c6",
+    (2, 4, 2, 3): "d99d0d90d5f9b44c56e4278820fd77665ab65039c27d3e9b7b9fedc60b588414",
+    (2, 4, 2, 4): "2c3886451e774125f470ebd12217cdd940726491b486c7884a400e62542495e7",
+    (2, 4, 2, 5): "b4d2bcd5aaafcc68bfaf9d6a74ad1a9ed380876ab87184534f7803b8d80b509c",
+    (2, 4, 2, 6): "d903b21e6faf5f1112c5053e5c11fd317ced52579995a3e39dbb223175134b58",
+    (2, 4, 2, 7): "44d2935f12f0fe4987ba07f98e06397689aa35fc9a4a0e587b350eee6cedc73e",
+    (2, 4, 2, 8): "0c9e3a5c2852ab6903e6070cac68302bd697ed7d09097a7dcd86119e0cd57dd7",
+    (2, 4, 2, 9): "cd47fdcd15e8f61757fdfb753e53e4c90a27fa97d419211fec56a6ad841c9062",
+    (2, 4, 2, 10): "533934c7eb6722b35812700c543f41accb02f4b40df28a3c51af8c1c420b3f92",
+    (2, 4, 2, 11): "88f8f7a64709199c7bcabaef76bbba76bc23f462ba1c027296a77164b537db4d",
+    (2, 4, 2, 12): "1df0a6557464a3f01f8559694d867e46c44f1e6bcab4bbde8f30561458f5ca7a",
+}
+
+
+def _contains_digest(spec, seed):
+    def elem(e):
+        return "(" + ", ".join(format_poly(p, spec.var_names) for p in e) + ")"
+
+    gb = module_groebner(spec)
+    rng = XorShift64Star(1_000 + seed)
+    parts = [";".join(elem(b) for b in gb.basis)]
+    for _ in range(3):
+        got = contains(gb, random_field(rng, spec.nvars, 3))
+        parts.append(f"{got.member} " + (elem(got.certificate) if got.member else ""))
+    for _ in range(3):
+        g1, g2 = random_poly(rng, spec.nvars, 2), random_poly(rng, spec.nvars, 2)
+        got = contains(gb, spec.generators[0].scale(g1) + spec.generators[-1].scale(g2))
+        assert got.member
+        parts.append(elem(got.certificate))
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", list(CONTAINS_DIGESTS), ids=lambda s: "n{}k{}d{}-seed{}".format(*s))
+def test_contains_results_match_golden_digests(shape):
+    assert _contains_digest(_dense_spec(*shape), shape[3]) == CONTAINS_DIGESTS[shape]
 
 
 def test_contains_agrees_with_bruteforce_oracle():

@@ -306,6 +306,42 @@ def test_mul_term_validates_the_monomial():
         x.mul_term((1, 0), 0.5)
 
 
+def test_poly_constructors_check_their_arguments():
+    # zero, constant and variable skip the validating constructor but keep its checks
+    for make in (lambda: Poly.zero(0), lambda: Poly.constant(1, 0), lambda: Poly.constant(0, 0),
+                 lambda: Poly.variable(2, 2), lambda: Poly.variable(-1, 2)):
+        with pytest.raises(ArityError):
+            make()
+    with pytest.raises(TypeError):
+        Poly.constant(0.5, 2)
+    assert Poly.zero(2).terms == Poly(2).terms == ()
+    assert Poly.constant(0, 2).terms == ()
+    assert Poly.constant(Fraction(-3, 2), 2).terms == Poly(2, [((0, 0), Fraction(-3, 2))]).terms
+    assert Poly.variable(1, 3).terms == Poly(3, [((0, 1, 0), 1)]).terms
+
+
+def test_parsing_builds_no_validated_poly_per_variable(monkeypatch):
+    # the absent components share one zero, and no Poly is validated term by
+    # term: a field over 1,000 variables costs no more Poly constructions
+    # than one over 10 (13, 103 and 1,003 when each absent component was a
+    # fresh Poly(nvars, ()))
+    counts = []
+    init = Poly.__init__
+    for nvars in (10, 100, 1000):
+        calls = [0]
+
+        def counted(self, *args, calls=calls):
+            calls[0] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        field = P("x0*dx0", tuple(f"x{i}" for i in range(nvars)))
+        monkeypatch.undo()
+        assert field == VectorField((Poly.variable(0, nvars),) + (Poly.zero(nvars),) * (nvars - 1))
+        counts.append(calls[0])
+    assert counts[0] == counts[1] == counts[2]
+
+
 @pytest.mark.parametrize(
     "component, coeff, expt, text",
     [
