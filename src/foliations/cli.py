@@ -177,14 +177,15 @@ class _UsageError(Exception):
 
 # the largest decimal exponent a number may have: ``Fraction`` writes out
 # 10**exponent in full before anything else can bound the work
-_MAX_EXPONENT = 10_000
+_MAX_DECIMAL_EXPONENT = 10_000
 
 
 def _parse_rational(text: str) -> Fraction:
     if "e" in text or "E" in text:
         digits = text.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        if digits.isdecimal() and (len(digits) > len(str(_MAX_EXPONENT)) or int(digits) > _MAX_EXPONENT):
-            raise _UsageError(f"rational {text!r} has an exponent beyond {_MAX_EXPONENT}")
+        bound = _MAX_DECIMAL_EXPONENT
+        if digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
+            raise _UsageError(f"rational {text!r} has an exponent beyond {bound}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):

@@ -33,13 +33,13 @@ Their sums are written by ``vfparse._sum_lines``, the emitter that also
 writes the integer row evaluators of ``modalg`` and cuts long operator
 chains into temporaries.  ``_combined_terms`` folds a coefficient tuple
 into the support and its float coefficients, by a plan made once per
-spec, and keeps the folds of recent tuples.  ``_drive`` is the one
-driver: every flow, jet, leaf walk and chart target runs a list of
-``(coefficients, duration)`` pairs through it.  It folds each pair once
-and runs consecutive pairs with the same support in one kernel call, so
-a leaf walk with no coefficient that folds to zero is one call;
-``NumericOptions.max_steps`` caps the RK4 steps of the whole list, a
-leaf walk included.
+spec.  ``_drive`` is the one driver: every flow, jet, leaf walk and chart
+target runs a list of ``(coefficients, duration)`` pairs through it.  It
+folds each pair as it comes and runs consecutive pairs with the same
+support in one kernel call, so a leaf walk with no coefficient that
+folds to zero is one call; ``NumericOptions.max_steps`` caps the RK4
+steps of the whole list, a leaf walk included.  A point enters through
+``_float_point``, the float view of ``modalg.as_point``.
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -249,7 +249,9 @@ def word_compose(w1: FlowWord, w2: FlowWord) -> FlowWord:
 
 def _float(q) -> float:
     """``float(q)``, with a rational beyond the float range as a signed
-    infinity: the float of every number but a point (``_float_point``)."""
+    infinity: the one place a number becomes a float.  A point's
+    coordinates go through it too, by ``_float_point``, which refuses the
+    infinity."""
     try:
         return float(q)
     except OverflowError:
@@ -277,9 +279,6 @@ def _fold_plan(spec: FoliationSpec) -> tuple:
     return exact, floats, slots, support
 
 
-# typed: a float coefficient and the Fraction equal to it compare and hash
-# equal, but they fold differently
-@lru_cache(maxsize=1024, typed=True)
 def _combined_terms(spec: FoliationSpec, *coeffs) -> tuple[tuple, tuple[float, ...]]:
     """The field sum_i coeffs[i] * X_i folded to floats: ``(support,
     values)``, where ``support[j]`` lists the exponents of component j in
@@ -529,11 +528,11 @@ def _word_steps(spec: FoliationSpec, word: FlowWord) -> tuple[FlowStep, ...]:
 
 
 def _exact_or_float(x: Sequence, n: int) -> tuple:
-    """``x`` as an exact point when every coordinate is an int or a
-    Fraction, else as floats."""
-    if all(isinstance(c, (int, Fraction)) for c in x):
-        return as_point(x, n)
-    return _float_point(x, n)
+    """``x`` as ``as_point`` reads it, exact, unless one of its coordinates
+    is a float: then as its float view, ``_float_point``."""
+    if any(isinstance(c, float) for c in x):
+        return _float_point(x, n)
+    return as_point(x, n)
 
 
 def _vanishes(vector: Sequence) -> bool:
@@ -543,14 +542,12 @@ def _vanishes(vector: Sequence) -> bool:
 
 
 def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
-    try:
-        pt = tuple(float(v) for v in x)
-    except OverflowError:
-        raise PreconditionError("point coordinate is beyond the float range") from None
+    """The float view of the point ``as_point`` reads from ``x``: a float
+    coordinate as given (so -0.0 stays -0.0), any other from its exact
+    value.  A coordinate beyond the float range raises PreconditionError."""
+    pt = tuple(_float(c if isinstance(c, float) else q) for c, q in zip(x, as_point(x, n)))
     if not all(map(math.isfinite, pt)):
-        raise PreconditionError("point coordinate is not finite")
-    if len(pt) != n:
-        raise ArityError(f"point has {len(pt)} coordinates, expected {n}")
+        raise PreconditionError("point coordinate is beyond the float range")
     return pt
 
 

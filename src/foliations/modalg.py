@@ -193,10 +193,16 @@ def _cached(fn):
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
-    """Coerce a coordinate sequence to exact rationals, checking arity and finiteness."""
+    """A library point as exact rationals, the one reader of a point: each
+    coordinate an int, a Fraction, a finite float or a rational string such
+    as ``"1/2"``.  Anything else raises PreconditionError, and a point of the
+    wrong length ArityError."""
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise PreconditionError("point coordinate is not finite")
-    pt = tuple(Fraction(c) for c in coords)
+    try:
+        pt = tuple(Fraction(c) for c in coords)
+    except (ValueError, TypeError, OverflowError):
+        raise PreconditionError("point coordinate is not a rational number") from None
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
     return pt

@@ -30,9 +30,10 @@ multiplication run on integers.  A product of two polynomials of two or
 more terms scales each to integer numerators over the lcm of its
 denominators, multiplies and adds ints in one dict, and makes one Fraction
 per result term before one grevlex sort.  A product with a one-term
-operand (a constant, a monomial) is ``mul_term``, which keeps the term
-order.  ``p**e`` forms its e products one by one in integers and makes
-the Fractions and the sort once at the end (binary powering was measured
+operand (a constant, a monomial) is ``_times``, unchecked, which keeps
+the term order; ``mul_term`` checks its term and then calls it.
+``p**e`` forms its e products one by one in integers and makes the
+Fractions and the sort once at the end (binary powering was measured
 slower on dense bases); the power of a one-term ``p`` is one term.
 
 ``_sum_lines`` is the one emitter of polynomial source code: the RK4
@@ -333,10 +334,10 @@ class Poly:
         p = self._coerce(other)
         if p is None:
             return NotImplemented
-        if len(p.terms) == 1:  # a monomial multiple keeps the term order
-            return self.mul_term(*p.terms[0])
+        if len(p.terms) == 1:
+            return self._times(*p.terms[0])
         if len(self.terms) == 1:
-            return p.mul_term(*self.terms[0])
+            return p._times(*self.terms[0])
         a, da = _int_terms(self.terms)
         b, db = _int_terms(p.terms)
         return _from_int_terms(self.nvars, _int_product(a, b), da * db)
@@ -349,6 +350,11 @@ class Poly:
         if not c:
             return Poly.zero(self.nvars)
         _check_expt(expt, self.nvars)
+        return self._times(expt, c)
+
+    def _times(self, expt: tuple[int, ...], c: Fraction) -> "Poly":
+        """Multiply by the term c * x^expt, unchecked: a nonzero Fraction c
+        and ``nvars`` nonnegative int exponents, as in a canonical term."""
         one = c == 1  # a bare monomial leaves the coefficients as they are
         # multiplying by a monomial keeps the term order
         return Poly._canonical(

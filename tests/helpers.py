@@ -73,6 +73,11 @@ def gl3() -> FoliationSpec:
 LINEAR_EXAMPLES = {"sl2": sl2, "gl2": gl2, "cstar": cstar}
 
 
+def geometric(var: str, count: int) -> str:
+    """The text ``(1 + var^1 + ... + var^(count-1))``."""
+    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
+
+
 # -- randomized inputs -------------------------------------------------------
 
 

@@ -19,8 +19,8 @@ from foliations import __version__, cli
 from foliations.cli import _COMMANDS as _TABLE
 from foliations.cli import (
     _COMMON,
+    _MAX_DECIMAL_EXPONENT,
     _MAX_DRAWS,
-    _MAX_EXPONENT,
     _MAX_POINTS,
     _TYPES,
     FoliationFile,
@@ -37,7 +37,7 @@ from foliations.modalg import _dims, _generator_rows, _syzygy_rows, syzygy_basis
 from foliations.vfparse import FoliationSpec, Poly, VectorField
 
 import cli_cases
-from helpers import gl2, make_spec, nonintegrable, random_field, rank_oracle, run_python, so3
+from helpers import geometric, gl2, make_spec, nonintegrable, random_field, rank_oracle, run_python, so3
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -561,7 +561,7 @@ def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error)
 def _bounded_fraction(text):
     # Fraction writes 10**exponent out in full, so it must not see one over the bound
     m = re.search(r"[eE][+-]?([0-9_]+)\s*$", text)
-    if m is not None and int(m[1].replace("_", "")) > _MAX_EXPONENT:
+    if m is not None and int(m[1].replace("_", "")) > _MAX_DECIMAL_EXPONENT:
         pytest.fail(f"Fraction read {text!r}")
     return Fraction(text)
 
@@ -583,7 +583,7 @@ def test_decimal_exponents_are_bounded_before_fraction_reads_them(files, capsys,
     monkeypatch.setattr(cli, "Fraction", _bounded_fraction)
     argv = [args[0], files[args[1]], *args[2:]]
     error = failure(capsys, argv, 2, "_UsageError")["error"]
-    assert error == f"rational {text!r} has an exponent beyond {_MAX_EXPONENT}"
+    assert error == f"rational {text!r} has an exponent beyond {_MAX_DECIMAL_EXPONENT}"
 
 
 def test_exponents_up_to_the_bound_are_read(files, capsys, monkeypatch):
@@ -1181,16 +1181,12 @@ def test_powers_join_the_running_product_count(files, capsys):
     assert diags["column"] == field.rindex("^") + 1
 
 
-def _geometric(var, count):
-    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
-
-
 @pytest.mark.parametrize(
     "generator, point",
     [
         ("x^1000*y^1000*z^1000*dx", "1,1,1"),
         # one component of 16 * 15 * 15 = 3,600 terms; at x = -1 its x-sum is 0
-        ("*".join([_geometric("x", 16), _geometric("y", 15), _geometric("z", 15)]) + "*dx", "1/2,1/2,1/2"),
+        ("*".join([geometric("x", 16), geometric("y", 15), geometric("z", 15)]) + "*dx", "1/2,1/2,1/2"),
     ],
     ids=["degree-3000", "3600-terms"],
 )

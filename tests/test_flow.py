@@ -30,10 +30,10 @@ from foliations.flow import (
     _residual,
 )
 from foliations.holonomy import matrix_exp
-from foliations.modalg import tangent_dim
+from foliations.modalg import as_point, fiber_dim, tangent_dim
 from foliations.vfparse import _MAX_CHAIN, _sum_lines
 
-from helpers import cstar, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
+from helpers import cstar, geometric, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
 
 # the module itself: ``foliations.flow`` as an attribute is the function
 flow_module = sys.modules["foliations.flow"]
@@ -301,6 +301,68 @@ def test_non_finite_point_coordinate_is_refused(bad):
             call()
 
 
+def _error(call):
+    """The (type, message) of the error ``call()`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # any error: its type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        (3, 0),
+        (Fraction(1, 3), 0),
+        (0.25, 0),
+        (-0.0, 0),
+        (np.float64(0.5), -0.0),
+        ("1/2", 0),
+        ("abc", 0),
+        ("nan", 0),
+        ("inf", 0),
+        (10**400, 0),
+        (math.nan, 0),
+        (math.inf, 0),
+        (1, 2, 3),
+        (10**400, 0, 0),
+    ],
+    ids=["int", "fraction", "float", "minus-zero", "numpy", "string", "junk", "nan-string",
+         "inf-string", "huge", "nan", "inf", "arity", "huge-arity"],
+)
+def test_every_point_reader_reads_as_as_point(point):
+    # the exact side reads a point as as_point does; the float side keeps a
+    # float coordinate as given, takes any other from its exact value, and
+    # also refuses one beyond the float range
+    spec = make_spec(("x", "y"), ("dx", "x*dy"))
+    readers = {  # each gives the float point it read
+        "flow": lambda: flow(spec, FlowWord(spec), point),
+        "flow_jet": lambda: flow_jet(spec, FlowWord(spec), point)[0],
+        "leaf_sample": lambda: leaf_sample(spec, point, 0, rng_seed=1)[0],
+        "chart_at": lambda: chart_at(spec, point).base_point,
+    }
+    error = _error(lambda: as_point(point, 2))
+    if error is None:
+        exact = as_point(point, 2)
+        assert fiber_dim(spec, point) == fiber_dim(spec, exact)
+        try:
+            floats = tuple(c if isinstance(c, float) else float(q) for c, q in zip(point, exact))
+        except OverflowError:
+            error = PreconditionError, "point coordinate is beyond the float range"
+    else:
+        assert _error(lambda: fiber_dim(spec, point)) == error
+    if error is not None:
+        readers["flow_box"] = lambda: flow_box(spec, 1, point)
+        assert {name: _error(read) for name, read in readers.items()} == dict.fromkeys(readers, error)
+        return
+    for name, read in readers.items():
+        got = read()
+        assert [type(v) for v in got] == [float, float], name
+        assert [v.hex() for v in got] == [v.hex() for v in floats], name
+    assert flow_box(spec, 1, point) == flow_box(spec, 1, tuple(map(float, floats)))
+
+
 def test_chart_parameter_beyond_the_float_range_blows_up_in_the_first_step():
     # an infinity, as a word coefficient of that size is in flow
     spec = sl2()
@@ -479,13 +541,9 @@ def test_kernels_bit_identical_to_interpreted_rk4(name, seed):
                 assert _bits([x, xv]) == _bits([want, want_v])  # the sign of a zero too
 
 
-def _geometric(var, count):
-    return "(" + " + ".join(["1"] + [f"{var}^{e}" for e in range(1, count)]) + ")"
-
-
 def _long_chain_spec():
     # a 601-factor term and a 450-term component: both cut into temporaries
-    return make_spec(("x", "y"), (f"x^300*y^300*dx + {_geometric('x', 30)}*{_geometric('y', 15)}*dy",))
+    return make_spec(("x", "y"), (f"x^300*y^300*dx + {geometric('x', 30)}*{geometric('y', 15)}*dy",))
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_SPECS) + ["long-chain"])
@@ -631,11 +689,6 @@ def test_float_and_exact_coefficients_bind_the_same_terms(name):
         assert hexes[0] == hexes[1]  # the same floats, bit for bit
 
 
-def _clear_kernel_caches():
-    for cache in (_kernel, _combined_terms):
-        cache.cache_clear()
-
-
 def _count_kernel_calls(monkeypatch):
     # the segment list of every kernel call
     calls = []
@@ -655,7 +708,7 @@ def _count_kernel_calls(monkeypatch):
 
 
 def test_leaf_sample_compiles_one_kernel():
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     leaf_sample(sl2(), (1.0, 0.5), 600, rng_seed=5)
     assert _kernel.cache_info().misses == 1
 
@@ -668,7 +721,7 @@ def test_leaf_sample_is_one_kernel_call(monkeypatch):
 
 def test_chart_rank_compiles_one_kernel_per_generator():
     spec = sl2()
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     chart = chart_at(spec, (1, 0))
     chart_rank_check(chart, (1, 0), random_rational_points(XorShift64Star(3), 2, 4))
     assert _kernel.cache_info().misses == spec.k
@@ -686,9 +739,8 @@ def test_flow_jet_compiles_one_variation_kernel_per_support():
     # a point that moves: the still kernel stops at the first segment, and
     # the full system runs the word; each is compiled once
     spec, word = _so3_word()
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     flow_jet(spec, word, (0.2, -0.1, 0.4))
-    assert _combined_terms.cache_info().misses == 3
     assert _kernel.cache_info().misses == 2
     support = _combined_terms(spec, *word.steps[0].coeffs)[0]
     _kernel(support, True, True), _kernel(support, True)
@@ -697,7 +749,7 @@ def test_flow_jet_compiles_one_variation_kernel_per_support():
 
 def test_stationary_jet_compiles_no_full_variation_kernel():
     spec, word = _so3_word()
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     flow_jet(spec, word, (0, 0, 0))
     assert _kernel.cache_info().misses == 1
     support = _combined_terms(spec, *word.steps[0].coeffs)[0]
@@ -709,18 +761,18 @@ def test_stationary_jet_compiles_no_full_variation_kernel():
 
 def test_flow_does_not_depend_on_earlier_chart_targets():
     # a float coefficient and the Fraction equal to it compare and hash
-    # equal but fold differently, so the runner cache keeps them apart
+    # equal but fold differently, so no cache may serve one for the other
     spec = make_spec(("x", "y"), ("x*dx + y^2*dy", "1/3*x*dx + 1/7*x*y*dy"))
     y = (0.4460241624749317, 0.9896391258994854)
     word = FlowWord(spec, [(y, 1.0)])
     chart = chart_at(spec, (0.5, 0.5))
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     fresh_flow = flow(spec, word, (0.5, 0.5))
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     fresh_target = chart.target(y)
     assert (fresh_flow[0], fresh_target[0]) == (1.0862774748151356, 1.0862774748151354)
     assert flow(spec, word, (0.5, 0.5)) == fresh_flow
-    _clear_kernel_caches()
+    _kernel.cache_clear()
     assert flow(spec, word, (0.5, 0.5)) == fresh_flow
     assert chart.target(y) == fresh_target
 

@@ -19,3 +19,27 @@ def test_the_package_holds_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_a_number_becomes_a_float_only_in_flow_float():
+    # one conversion, so that a rational beyond the float range is a signed
+    # infinity, or a refused point, wherever it meets a float
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "flow.py" and isinstance(fn, ast.FunctionDef) and fn.name == "_float"
+            for node in ast.walk(fn)
+        }
+        assert inside or path.name != "flow.py"
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+            and id(node) not in inside
+        ]
+    assert found == []

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from foliations import vfparse
 from foliations.errors import ArityError, BudgetError, ParseError, UnknownVariableError
 from foliations.vfparse import (
     _MAX_EXPONENT,
@@ -277,6 +278,7 @@ def test_power_of_one_term_is_one_term(monkeypatch):
 
     monkeypatch.setattr("foliations.vfparse._int_product", no_products)
     monkeypatch.setattr(Poly, "mul_term", no_products)
+    monkeypatch.setattr(Poly, "_times", no_products)
     assert (y**1000).terms == (((0, 1000), Fraction(1)),)
     assert (Poly.term(2, (1, 2), Fraction(-2, 3)) ** 3).terms == (((3, 6), Fraction(-8, 27)),)
     monkeypatch.undo()
@@ -340,6 +342,25 @@ def test_parsing_builds_no_validated_poly_per_variable(monkeypatch):
         assert field == VectorField((Poly.variable(0, nvars),) + (Poly.zero(nvars),) * (nvars - 1))
         counts.append(calls[0])
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_parsing_checks_no_exponent_of_a_product(monkeypatch):
+    # a product by a one-term factor trusts the factor's canonical term:
+    # parsing x0*dx0 checked two exponent vectors of all n entries (through
+    # mul_term) before that
+    check = vfparse._check_expt
+    for nvars in (10, 100, 1000):
+        calls = []
+
+        def counted(*args, calls=calls):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(vfparse, "_check_expt", counted)
+        field = P("x0*dx0", tuple(f"x{i}" for i in range(nvars)))
+        monkeypatch.undo()
+        assert field.components[0] == Poly.variable(0, nvars)
+        assert len(calls) == 0
 
 
 @pytest.mark.parametrize(
