@@ -70,6 +70,7 @@ from .holonomy import (
     germ_equal_at_fixed_point,
 )
 from .modalg import (
+    _bounded_exponent,
     _dims,
     as_point,
     contains,
@@ -111,36 +112,34 @@ def load_foliation_file(path) -> FoliationFile:
     in_generators = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
-        if in_generators:
-            if line[0] not in " \t":
-                raise ParseError(
-                    "generator lines must be indented", line=lineno, column=1
-                )
-            if var_names is None:
-                raise ParseError("'vars:' must come before 'generators:'", line=lineno)
-            try:
-                generators.append(parse_vector_field(line, var_names))
-            except _Located as e:
-                e.line = lineno
-                raise
-            continue
         stripped = line.strip()
-        if stripped.startswith("vars:"):
-            if var_names is not None:
-                raise ParseError("'vars:' is declared twice", line=lineno)
-            var_names = tuple(stripped[len("vars:") :].split())
-            if not var_names:
-                raise ParseError("'vars:' declares no variables", line=lineno)
-        elif stripped.startswith("name:"):
-            name = stripped[len("name:") :].strip()
-        elif stripped.startswith("description:"):
-            description = stripped[len("description:") :].strip()
-        elif stripped == "generators:":
-            in_generators = True
-        else:
-            raise ParseError(f"unrecognized line {stripped!r}", line=lineno, column=1)
+        if not stripped:
+            continue
+        try:  # every error of the line carries its number
+            if in_generators:
+                if line[0] not in " \t":
+                    raise ParseError("generator lines must be indented", column=1)
+                if var_names is None:
+                    raise ParseError("'vars:' must come before 'generators:'")
+                generators.append(parse_vector_field(line, var_names))
+            elif stripped.startswith("vars:"):
+                if var_names is not None:
+                    raise ParseError("'vars:' is declared twice")
+                var_names = tuple(stripped[len("vars:") :].split())
+                if not var_names:
+                    raise ParseError("'vars:' declares no variables")
+                FoliationSpec(var_names)  # distinct, valid names
+            elif stripped.startswith("name:"):
+                name = stripped[len("name:") :].strip()
+            elif stripped.startswith("description:"):
+                description = stripped[len("description:") :].strip()
+            elif stripped == "generators:":
+                in_generators = True
+            else:
+                raise ParseError(f"unrecognized line {stripped!r}", column=1)
+        except _Located as e:
+            e.line = lineno
+            raise
     if var_names is None:
         raise ParseError("file declares no 'vars:' line")
     spec = FoliationSpec(var_names, generators)
@@ -175,19 +174,11 @@ class _UsageError(Exception):
     pass
 
 
-# the largest decimal exponent a number may have: ``Fraction`` writes out
-# 10**exponent in full before anything else can bound the work
-_MAX_DECIMAL_EXPONENT = 10_000
-
-
 def _parse_rational(text: str) -> Fraction:
-    if "e" in text or "E" in text:
-        digits = text.lower().rpartition("e")[2].strip().lstrip("+-").replace("_", "").lstrip("0")
-        bound = _MAX_DECIMAL_EXPONENT
-        if digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
-            raise _UsageError(f"rational {text!r} has an exponent beyond {bound}")
     try:
-        return Fraction(text.strip())
+        return Fraction(_bounded_exponent(text).strip())
+    except PreconditionError as e:
+        raise _UsageError(str(e)) from None
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"cannot parse rational {text!r}")
 

@@ -35,11 +35,11 @@ chains into temporaries.  ``_combined_terms`` folds a coefficient tuple
 into the support and its float coefficients, by a plan made once per
 spec.  ``_drive`` is the one driver: every flow, jet, leaf walk and chart
 target runs a list of ``(coefficients, duration)`` pairs through it.  It
-folds each pair as it comes and runs consecutive pairs with the same
-support in one kernel call, so a leaf walk with no coefficient that
-folds to zero is one call; ``NumericOptions.max_steps`` caps the RK4
-steps of the whole list, a leaf walk included.  A point enters through
-``_float_point``, the float view of ``modalg.as_point``.
+folds each distinct coefficient tuple once and runs consecutive pairs
+with the same support in one kernel call, so a leaf walk with no
+coefficient that folds to zero is one call; ``NumericOptions.max_steps``
+caps the RK4 steps of the whole list, a leaf walk included.  A point
+enters through ``_float_point``, the float view of ``modalg.as_point``.
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -470,7 +470,10 @@ def _drive(
 ) -> list[tuple]:
     """Run ``state`` through the flows of the ``(coeffs, duration)`` pairs
     ``steps``, in order; returns ``state`` followed by the state after each
-    pair.  A blow-up time counts from the start of the first pair.
+    pair.  A blow-up time counts from the start of the first pair.  Each
+    distinct coefficient tuple is folded once: the tuples of a call are all
+    exact (words) or all floats (walks, chart targets), since
+    ``(Fraction(1, 2),) == (0.5,)`` but the two fold differently.
 
     Each pair is one segment: ``ceil(|duration|/h)`` steps, the full ones
     and a remainder step above 1e-15.  Consecutive pairs whose fields share
@@ -484,9 +487,12 @@ def _drive(
     h, cap = opts.step_size, opts.max_steps
     if sum(int(min(abs(t) / h, cap)) + 1 for _, t in steps if t) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
+    folds: dict = {}
     runs = []
     for coeffs, duration in steps:
-        support, values = _combined_terms(spec, *coeffs)
+        if coeffs not in folds:
+            folds[coeffs] = _combined_terms(spec, *coeffs)
+        support, values = folds[coeffs]
         n, rem = _split(duration, h)
         sign = 1.0 if duration > 0 else -1.0
         runs.append((support, (values, sign * h, n, sign * rem if rem > 1e-15 else None)))

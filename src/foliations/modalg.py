@@ -81,7 +81,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache
 from itertools import combinations
 from operator import add
 from typing import NamedTuple, Sequence
@@ -178,30 +178,34 @@ class SingularLocusReport(NamedTuple):
     minor_ideal: tuple[Poly, ...]
 
 
-def _cached(fn):
-    """``lru_cache`` of ``fn(spec, budget=DEFAULT_BUDGET)`` keyed on both
-    arguments however they are passed, so that ``fn(spec)`` and
-    ``fn(spec, DEFAULT_BUDGET)`` share one entry."""
-    cached = lru_cache(maxsize=128)(fn)
+# the largest decimal exponent a rational string may have: ``Fraction`` writes
+# out 10**exponent in full before anything else can bound the work
+_MAX_DECIMAL_EXPONENT = 10_000
 
-    @wraps(fn)
-    def call(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET):
-        return cached(spec, budget)
 
-    call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
-    return call
+def _bounded_exponent(text: str) -> str:
+    """``text``, once a decimal exponent in it is found to be at most
+    ``_MAX_DECIMAL_EXPONENT`` in either direction (else PreconditionError)."""
+    _, e, digits = text.lower().rpartition("e")
+    digits = digits.strip().lstrip("+-").replace("_", "").lstrip("0")
+    bound = _MAX_DECIMAL_EXPONENT
+    if e and digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
+        raise PreconditionError(f"rational {text!r} has an exponent beyond {bound}")
+    return text
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
     """A library point as exact rationals, the one reader of a point: each
     coordinate an int, a Fraction, a finite float or a rational string such
-    as ``"1/2"``.  Anything else raises PreconditionError, and a point of the
-    wrong length ArityError."""
+    as ``"1/2"``.  A string with a decimal exponent beyond
+    ``_MAX_DECIMAL_EXPONENT`` raises PreconditionError before it is read, and
+    so does anything else unreadable, ``"1/0"`` included; a point of the
+    wrong length raises ArityError."""
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise PreconditionError("point coordinate is not finite")
     try:
-        pt = tuple(Fraction(c) for c in coords)
-    except (ValueError, TypeError, OverflowError):
+        pt = tuple(Fraction(_bounded_exponent(c) if isinstance(c, str) else c) for c in coords)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise PreconditionError("point coordinate is not a rational number") from None
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
@@ -435,7 +439,6 @@ def _groebner(
 # ---------------------------------------------------------------------------
 
 
-@_cached
 def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> ModuleGB:
     """Groebner basis of the generated submodule of R^n.
 
@@ -492,7 +495,6 @@ def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Invol
     return InvolutivityReport(closed=not witnesses, witnesses=tuple(witnesses))
 
 
-@_cached
 def syzygy_basis(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> SyzygyBasis:
     """Generating set of the relation module {r : sum r_i X_i = 0}.
 

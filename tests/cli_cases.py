@@ -34,10 +34,15 @@ FILES = {
     # a fixed point at x = 10^11, outside the domain box
     "far.fol": "vars: x y\ngenerators:\n  (x - 100000000000)*dx + y*dy\n",
     "wide.fol": "vars: " + " ".join(f"x{i}" for i in range(20)) + "\ngenerators:\n  x0*dx0\n",
+    "repeated.fol": "vars: x x\ngenerators:\n  x*dx\n",
+    "invalid.fol": "vars: x 1y\ngenerators:\n  x*dx\n",
 }
 
 CASES = [
     ("check", ["check", "sl2.fol"], 0, None),
+    # a bad 'vars:' line is reported with its number
+    ("check-repeated-var", ["check", "repeated.fol"], 2, ("error", "variable names must be distinct (line 1)")),
+    ("check-invalid-var", ["check", "invalid.fol"], 2, ("error", "invalid variable name '1y' (line 1)")),
     ("dims", ["dims", "sl2.fol", "--point", "1/2,0", "--grid", "-1:1:1/3"], 0, ("dumps", None)),
     # values that start with '-'
     ("dims-negative", ["dims", "sl2.fol", "--point", "-1,0", "--grid", "-1:1:1/2"], 0, ("dumps", None)),

@@ -13,13 +13,17 @@ dicts, and uses no pair criteria.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from foliations.flow import XorShift64Star
+from foliations.modalg import _MAX_DECIMAL_EXPONENT
 from foliations.vfparse import FoliationSpec, Poly, VectorField, parse_vector_field
 
 _TESTS = Path(__file__).resolve().parent
@@ -33,6 +37,16 @@ def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def bounded_fraction(value) -> Fraction:
+    """``Fraction(value)``, failing the test if ``value`` is a text with a
+    decimal exponent over the bound: Fraction writes 10**exponent out in
+    full, so no reader may hand it one."""
+    m = re.search(r"[eE][+-]?([0-9_]+)\s*$", value) if isinstance(value, str) else None
+    if m is not None and int(m[1].replace("_", "")) > _MAX_DECIMAL_EXPONENT:
+        pytest.fail(f"Fraction read {value!r}")
+    return Fraction(value)
 
 
 def make_spec(var_names, exprs) -> FoliationSpec:

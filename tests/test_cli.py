@@ -19,7 +19,6 @@ from foliations import __version__, cli
 from foliations.cli import _COMMANDS as _TABLE
 from foliations.cli import (
     _COMMON,
-    _MAX_DECIMAL_EXPONENT,
     _MAX_DRAWS,
     _MAX_POINTS,
     _TYPES,
@@ -33,11 +32,21 @@ from foliations.cli import (
 )
 from foliations.errors import BudgetError, ParseError, UnknownVariableError
 from foliations.flow import XorShift64Star
-from foliations.modalg import _dims, _generator_rows, _syzygy_rows, syzygy_basis
+from foliations.modalg import _MAX_DECIMAL_EXPONENT, _dims, _generator_rows, _syzygy_rows, syzygy_basis
 from foliations.vfparse import FoliationSpec, Poly, VectorField
 
 import cli_cases
-from helpers import geometric, gl2, make_spec, nonintegrable, random_field, rank_oracle, run_python, so3
+from helpers import (
+    bounded_fraction,
+    geometric,
+    gl2,
+    make_spec,
+    nonintegrable,
+    random_field,
+    rank_oracle,
+    run_python,
+    so3,
+)
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -348,24 +357,36 @@ def test_dims_grid_compiles_each_evaluator_once(files, capsys, monkeypatch, grid
 # before the witness minor every point took two: 5,832, 6,750, 1,458, 5,000
 # and 8,192.  A point on the witness's zero set still takes two, and so does
 # every point up to the first where fiber = tangent; the witness's rows and
-# columns are the pivots of that point's elimination, so it eliminates nothing
+# columns are the pivots of that point's elimination, so it eliminates nothing.
+# A minor over the product cap (0 in the last case) gives no witness, and
+# every point is eliminated again, with the same rows
 GRID_ELIMINATIONS = [
-    ("sl2", "-27/2:13:1/2", 2916, 110, [0, 1]),
-    ("so3", "-7/3:7/3:1/3", 3375, 872, [0, 1]),
-    ("gl3", "-4/3:4/3:1/3", 729, 164, [0, 1, 2]),
-    ("gl2", "-25/2:12:1/2", 2500, 200, [0, 1]),
-    ("cstar", "-16:31/2:1/2", 4096, 4, [0, 1]),
+    ("sl2", "-27/2:13:1/2", 2916, 110, [0, 1], None),
+    ("so3", "-7/3:7/3:1/3", 3375, 872, [0, 1], None),
+    ("gl3", "-4/3:4/3:1/3", 729, 164, [0, 1, 2], None),
+    ("gl2", "-25/2:12:1/2", 2500, 200, [0, 1], None),
+    ("cstar", "-16:31/2:1/2", 4096, 4, [0, 1], None),
+    ("sl2", "-27/2:13:1/2", 2916, 5832, [0, 1], 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, grid, points, eliminations, pivots", GRID_ELIMINATIONS, ids=[case[0] for case in GRID_ELIMINATIONS]
+    "name, grid, points, eliminations, pivots, cap",
+    GRID_ELIMINATIONS,
+    ids=[case[0] if case[5] is None else f"{case[0]}-over-the-product-cap" for case in GRID_ELIMINATIONS],
 )
-def test_dims_grid_eliminations_are_pinned(files, capsys, monkeypatch, name, grid, points, eliminations, pivots):
+def test_dims_grid_eliminations_are_pinned(
+    files, capsys, monkeypatch, name, grid, points, eliminations, pivots, cap
+):
+    if cap is not None:
+        _, witnessed, _ = invoke(capsys, ["dims", files[name], "--grid", grid])
+        monkeypatch.setattr(sys.modules["foliations.modalg"], "_MAX_MINOR_PRODUCTS", cap)
     ranks, witnesses = _counted(monkeypatch, "_pivots"), _counted(monkeypatch, "_witness")
     code, rep, _ = invoke(capsys, ["dims", files[name], "--grid", grid])
     assert code == 0 and len(rep["results"]["grid"]) == points
     assert (len(ranks), len(witnesses)) == (eliminations, 1)
+    if cap is not None:
+        assert rep["results"]["grid"] == witnessed["results"]["grid"]
     # the witness minor's rows and columns, ascending
     [(_, rows, cols, _, _)] = witnesses
     assert (list(rows), list(cols)) == (pivots, pivots)
@@ -558,14 +579,6 @@ def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error)
     assert failure(capsys, ["dims", files["sl2"], *args], code, error_type)["error"] == error
 
 
-def _bounded_fraction(text):
-    # Fraction writes 10**exponent out in full, so it must not see one over the bound
-    m = re.search(r"[eE][+-]?([0-9_]+)\s*$", text)
-    if m is not None and int(m[1].replace("_", "")) > _MAX_DECIMAL_EXPONENT:
-        pytest.fail(f"Fraction read {text!r}")
-    return Fraction(text)
-
-
 @pytest.mark.parametrize(
     "args, text",
     [
@@ -580,14 +593,14 @@ def _bounded_fraction(text):
     ids=["point", "point-negative", "point-signed", "grid", "duration", "coefficient", "coeffs"],
 )
 def test_decimal_exponents_are_bounded_before_fraction_reads_them(files, capsys, monkeypatch, args, text):
-    monkeypatch.setattr(cli, "Fraction", _bounded_fraction)
+    monkeypatch.setattr(cli, "Fraction", bounded_fraction)
     argv = [args[0], files[args[1]], *args[2:]]
     error = failure(capsys, argv, 2, "_UsageError")["error"]
     assert error == f"rational {text!r} has an exponent beyond {_MAX_DECIMAL_EXPONENT}"
 
 
 def test_exponents_up_to_the_bound_are_read(files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "Fraction", _bounded_fraction)
+    monkeypatch.setattr(cli, "Fraction", bounded_fraction)
     assert run(["dims", files["sl2"], "--point", "1e0000000000000000000010,5E-3"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["point"] == "10000000000,1/200"
     # a coefficient that small still reads as the float 0.0
@@ -1217,6 +1230,19 @@ def test_grid_counts_too_long_to_print_are_never_formed(capsys, monkeypatch, tmp
     p = tmp_path / "wide.fol"
     p.write_text("vars: " + " ".join(f"x{i}" for i in range(nvars)) + "\ngenerators:\n  x0*dx0\n")
     diagnostics = _budget_report(capsys, ["dims", str(p), "--grid", grid])
+    assert diagnostics["error"] == f"--grid has more than {_MAX_POINTS} points"
+
+
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length to strings")
+def test_grid_count_too_long_to_print_is_refused_without_it(capsys, tmp_path):
+    # 10 points on each of 4,301 axes: (4 - 1) * 4,301 bits pass the
+    # bit-length refusal, and the count, 10^4301, is formed, but its 4,302
+    # digits are more than str() writes
+    nvars = _DIGITS + 1
+    assert (10 .bit_length() - 1) * nvars <= 4 * _DIGITS
+    p = tmp_path / "wide.fol"
+    p.write_text("vars: " + " ".join(f"x{i}" for i in range(nvars)) + "\ngenerators:\n  x0*dx0\n")
+    diagnostics = _budget_report(capsys, ["dims", str(p), "--grid", "0:9:1"])
     assert diagnostics["error"] == f"--grid has more than {_MAX_POINTS} points"
 
 

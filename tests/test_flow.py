@@ -30,10 +30,23 @@ from foliations.flow import (
     _residual,
 )
 from foliations.holonomy import matrix_exp
+from foliations import modalg
 from foliations.modalg import as_point, fiber_dim, tangent_dim
 from foliations.vfparse import _MAX_CHAIN, _sum_lines
 
-from helpers import cstar, geometric, gl2, gl3, make_spec, random_word, rk4_reference_step, sl2, so3, xk
+from helpers import (
+    bounded_fraction,
+    cstar,
+    geometric,
+    gl2,
+    gl3,
+    make_spec,
+    random_word,
+    rk4_reference_step,
+    sl2,
+    so3,
+    xk,
+)
 
 # the module itself: ``foliations.flow`` as an attribute is the function
 flow_module = sys.modules["foliations.flow"]
@@ -310,6 +323,13 @@ def _error(call):
     return None
 
 
+# what as_point says of a text it cannot read
+_REFUSED_TEXTS = {
+    "1/0": "point coordinate is not a rational number",
+    "1e4000000": "rational '1e4000000' has an exponent beyond 10000",
+}
+
+
 @pytest.mark.parametrize(
     "point",
     [
@@ -327,15 +347,21 @@ def _error(call):
         (math.inf, 0),
         (1, 2, 3),
         (10**400, 0, 0),
+        ("1/0", 0),
+        ("1e4000000", 0),
     ],
     ids=["int", "fraction", "float", "minus-zero", "numpy", "string", "junk", "nan-string",
-         "inf-string", "huge", "nan", "inf", "arity", "huge-arity"],
+         "inf-string", "huge", "nan", "inf", "arity", "huge-arity", "zero-denominator",
+         "huge-exponent"],
 )
-def test_every_point_reader_reads_as_as_point(point):
+def test_every_point_reader_reads_as_as_point(monkeypatch, point):
     # the exact side reads a point as as_point does; the float side keeps a
     # float coordinate as given, takes any other from its exact value, and
     # also refuses one beyond the float range
+    monkeypatch.setattr(modalg, "Fraction", bounded_fraction)
     spec = make_spec(("x", "y"), ("dx", "x*dy"))
+    if point[0] in _REFUSED_TEXTS:
+        assert _error(lambda: as_point(point, 2)) == (PreconditionError, _REFUSED_TEXTS[point[0]])
     readers = {  # each gives the float point it read
         "flow": lambda: flow(spec, FlowWord(spec), point),
         "flow_jet": lambda: flow_jet(spec, FlowWord(spec), point)[0],
@@ -391,6 +417,23 @@ def test_flow_box_rejects_point_off_transversal():
     spec = make_spec(("x", "y"), ("dx",))
     with pytest.raises(PreconditionError):
         flow_box(spec, 1, (1, 1), Transversal(point=(0.0, 0.0), directions=((0.0, 1.0),)))
+
+
+@pytest.mark.parametrize(
+    "directions, message",
+    [
+        ((), "transversal needs 1 direction vectors"),
+        (((0.0, 1.0), (1.0, 0.0)), "transversal needs 1 direction vectors"),
+        (((1.0,),), "transversal direction has wrong length"),
+        (((0.0, 1.0, 0.0),), "transversal direction has wrong length"),
+    ],
+    ids=["none", "two", "short", "long"],
+)
+def test_flow_box_rejects_transversal_of_wrong_arity(directions, message):
+    spec = make_spec(("x", "y"), ("dx",))
+    with pytest.raises(ArityError) as exc:
+        flow_box(spec, 1, (0, 0), Transversal(point=(0.0, 0.0), directions=directions))
+    assert str(exc.value) == message
 
 
 def test_flow_box_degenerate_transversal_not_invertible():
@@ -757,6 +800,26 @@ def test_stationary_jet_compiles_no_full_variation_kernel():
     assert _kernel.cache_info()[:2] == (1, 1)  # the still kernel was the one compiled
     _kernel(support, True)
     assert _kernel.cache_info().misses == 2
+
+
+def test_each_distinct_coefficient_tuple_is_folded_once_per_flow(monkeypatch):
+    # a word that cycles three tuples folds three times; every walk tuple is new
+    calls = []
+    fold = flow_module._combined_terms
+
+    def counted(spec, *coeffs):
+        calls.append(coeffs)
+        return fold(spec, *coeffs)
+
+    monkeypatch.setattr(flow_module, "_combined_terms", counted)
+    spec = so3()
+    rng = XorShift64Star(9)
+    tuples = [tuple(Fraction(rng.randint(1, 16), 16) for _ in range(3)) for _ in range(3)]
+    flow(spec, FlowWord(spec, [(tuples[i % 3], 0.01) for i in range(60)]), (0.2, -0.1, 0.4))
+    assert calls == tuples
+    calls.clear()
+    leaf_sample(sl2(), (1.0, 0.5), 50, rng_seed=5)
+    assert len(calls) == 50
 
 
 def test_flow_does_not_depend_on_earlier_chart_targets():

@@ -217,7 +217,7 @@ _PAIR_REDUCTIONS = {
 
 def _reductions(monkeypatch, compute) -> tuple[int, int]:
     """(total, to zero) of the reductions ``compute`` runs, tail reductions
-    of a finished basis aside; no cached basis is used."""
+    of a finished basis aside."""
     from foliations import modalg
 
     log = []
@@ -230,7 +230,6 @@ def _reductions(monkeypatch, compute) -> tuple[int, int]:
         return rem, quots
 
     monkeypatch.setattr(modalg, "_reduce", counted)
-    monkeypatch.setattr(modalg, "module_groebner", module_groebner.__wrapped__)
     compute()
     monkeypatch.undo()
     return len(log), sum(log)
@@ -240,8 +239,8 @@ def _reductions(monkeypatch, compute) -> tuple[int, int]:
 def test_s_pair_reductions_are_pinned(monkeypatch, shape):
     spec = _dense_spec(*shape)
     counts = (
-        _reductions(monkeypatch, lambda: module_groebner.__wrapped__(spec)),
-        _reductions(monkeypatch, lambda: syzygy_basis.__wrapped__(spec)),
+        _reductions(monkeypatch, lambda: module_groebner(spec)),
+        _reductions(monkeypatch, lambda: syzygy_basis(spec)),
     )
     assert counts == _PAIR_REDUCTIONS[shape]
 
@@ -585,23 +584,6 @@ def test_rank_exact():
     assert rank_exact([[one, 0], [0, one]]) == 2
     assert rank_exact([]) == 0
     assert rank_exact([[Fraction(0)]]) == 0
-
-
-def test_default_budget_shares_one_cache_entry():
-    # f(spec) and f(spec, DEFAULT_BUDGET) are one call: the pointwise and
-    # involutivity functions pass the budget on, a library caller may not
-    from foliations.modalg import DEFAULT_BUDGET, _syzygy_rows
-
-    for cache in (syzygy_basis, module_groebner, _syzygy_rows):
-        cache.cache_clear()
-    syzygy_basis(sl2())
-    fiber_dim(sl2(), (1, 0))
-    assert syzygy_basis.cache_info()[:2] == (1, 1)  # hits, misses
-    module_groebner(sl2())
-    is_involutive(sl2())
-    assert module_groebner.cache_info()[:2] == (1, 1)
-    assert module_groebner(sl2(), budget=DEFAULT_BUDGET) is module_groebner(sl2())
-    assert module_groebner.cache_info()[:2] == (3, 1)
 
 
 def test_as_point_returns_the_exact_tuple():

@@ -10,6 +10,7 @@ from foliations.errors import ArityError, BudgetError, ParseError, UnknownVariab
 from foliations.vfparse import (
     _MAX_EXPONENT,
     _MAX_POWER_PRODUCTS,
+    FoliationSpec,
     Poly,
     VectorField,
     differentiate,
@@ -94,6 +95,7 @@ def test_parse_errors_report_position():
         ("x*dx +", "trailing operator", 7),
         ("x + y", "term has no differential direction (expected '*d<var>')", 1),
         ("(x + dx)", "term mixes scalar and differential parts", 1),
+        ("dx/dx", "cannot divide by a differential", 3),
         ("x*dx )", "unexpected token ')'", 6),
         # a superscript digit is a digit but not a decimal one
         ("²*dx", "unexpected character '²'", 1),
@@ -112,6 +114,28 @@ def test_top_level_parse_error_messages_and_columns(text, message, column):
         P(text)
     assert (exc.value.message, exc.value.column) == (message, column)
     assert str(exc.value) == f"{message} (column {column})"
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: FoliationSpec(()), ArityError, "at least one variable is required"),
+        (lambda: FoliationSpec(("x", "x")), ParseError, "variable names must be distinct"),
+        (lambda: FoliationSpec(("x", "1y")), ParseError, "invalid variable name '1y'"),
+        (lambda: FoliationSpec(XY, (P("dx").components,)), TypeError, "generators must be VectorField instances"),
+        (lambda: FoliationSpec(XY, (VectorField((Poly.zero(1),)),)), ArityError, "generator has 1 components, expected 2"),
+        (lambda: VectorField(()), ArityError, "a vector field needs at least one component"),
+        (lambda: VectorField((Poly.zero(1), 0)), TypeError, "components must be Poly instances"),
+        (lambda: VectorField((Poly.zero(1), Poly.zero(2))), ArityError, "all components must share the same number of variables"),
+        (lambda: VectorField((Poly.zero(2),)), ArityError, "1 components for 2 variables"),
+    ],
+    ids=["no-variables", "repeated-name", "invalid-name", "not-a-field", "field-arity", "no-components",
+         "not-a-poly", "mixed-nvars", "component-count"],
+)
+def test_constructors_refuse_bad_arguments(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_deep_parentheses_and_decimal_digits_parse():
