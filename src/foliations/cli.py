@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import chain, product
@@ -593,4 +594,20 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    """The ``fol`` script: exit with ``run()``'s code.
+
+    The process ends by ``os._exit`` once stdout and stderr are flushed, so
+    the interpreter does not clear every module and free every object first,
+    about 9 ms of a request that needs none of it: nothing is left open (the
+    ``.fol`` file is read inside ``with``), no thread runs, and no ``atexit``
+    hook is registered.  If a flush raises OSError (a full disk, a closed
+    pipe), ``sys.exit`` ends the process instead, and the interpreter reports
+    the failed flush and exits with 120 as any script's end would."""
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)

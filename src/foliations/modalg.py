@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -178,8 +179,8 @@ class SingularLocusReport(NamedTuple):
     minor_ideal: tuple[Poly, ...]
 
 
-# the largest decimal exponent a rational string may have: ``Fraction`` writes
-# out 10**exponent in full before anything else can bound the work
+# the largest decimal exponent a rational string or Decimal may have: ``Fraction``
+# writes out 10**exponent in full before anything else can bound the work
 _MAX_DECIMAL_EXPONENT = 10_000
 
 
@@ -196,15 +197,15 @@ def _bounded_exponent(text: str) -> str:
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
     """A library point as exact rationals, the one reader of a point: each
-    coordinate an int, a Fraction, a finite float or a rational string such
-    as ``"1/2"``.  A string with a decimal exponent beyond
-    ``_MAX_DECIMAL_EXPONENT`` raises PreconditionError before it is read, and
-    so does anything else unreadable, ``"1/0"`` included; a point of the
-    wrong length raises ArityError."""
+    coordinate an int, a Fraction, a finite float, a Decimal or a rational
+    string such as ``"1/2"``.  A string or Decimal with a decimal exponent
+    beyond ``_MAX_DECIMAL_EXPONENT`` raises PreconditionError before it is
+    read, and so does anything else unreadable, ``"1/0"`` included; a point
+    of the wrong length raises ArityError."""
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise PreconditionError("point coordinate is not finite")
     try:
-        pt = tuple(Fraction(_bounded_exponent(c) if isinstance(c, str) else c) for c in coords)
+        pt = tuple(Fraction(_bounded_exponent(str(c)) if isinstance(c, (str, Decimal)) else c) for c in coords)
     except (ValueError, TypeError, OverflowError, ZeroDivisionError):
         raise PreconditionError("point coordinate is not a rational number") from None
     if len(pt) != nvars:

@@ -47,6 +47,8 @@ CASES = [
     # values that start with '-'
     ("dims-negative", ["dims", "sl2.fol", "--point", "-1,0", "--grid", "-1:1:1/2"], 0, ("dumps", None)),
     ("dims-so3", ["dims", "so3.fol", "--grid", "-1:1:1/2"], 0, ("dumps", None)),
+    # 961 grid rows: a report past the 64 KiB a pipe holds, flushed before the script exits
+    ("dims-grid-large", ["dims", "sl2.fol", "--grid", "-1:1:1/15"], 0, ("dumps", None)),
     ("leaf", ["leaf", "sl2.fol", "--point", "1,0", "--steps", "50", "--seed", "3"], 0, ("dumps", None)),
     # 50,001 samples of 20 coordinates: under the point cap, over the draw cap
     (

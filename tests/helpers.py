@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -29,22 +30,29 @@ from foliations.vfparse import FoliationSpec, Poly, VectorField, parse_vector_fi
 _TESTS = Path(__file__).resolve().parent
 
 
-def run_python(code: str, *flags: str) -> subprocess.CompletedProcess:
+def run_python(code: str, *flags: str, **run_args) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter (with ``flags``, e.g. ``-O``) that
-    imports the package from ``src`` and these helpers; stdout is text."""
+    imports the package from ``src`` and these helpers.  Its stdout is
+    block-buffered, as a shell starts it on a pipe or file, whatever the
+    caller's PYTHONUNBUFFERED.  stdout and stderr are captured as text unless
+    ``run_args`` (keywords of ``subprocess.run``) say otherwise."""
     path = [str(_TESTS.parent / "src"), str(_TESTS), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run(
-        [sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
+    run_args = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **run_args}
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, timeout=120, **run_args)
 
 
 def bounded_fraction(value) -> Fraction:
-    """``Fraction(value)``, failing the test if ``value`` is a text with a
-    decimal exponent over the bound: Fraction writes 10**exponent out in
-    full, so no reader may hand it one."""
-    m = re.search(r"[eE][+-]?([0-9_]+)\s*$", value) if isinstance(value, str) else None
-    if m is not None and int(m[1].replace("_", "")) > _MAX_DECIMAL_EXPONENT:
+    """``Fraction(value)``, failing the test if ``value`` is a text or a
+    Decimal with a decimal exponent over the bound: Fraction writes
+    10**exponent out in full, so no reader may hand it one."""
+    if isinstance(value, Decimal):
+        exponent = value.as_tuple().exponent if value.is_finite() else 0
+    else:
+        m = re.search(r"[eE][+-]?([0-9_]+)\s*$", value) if isinstance(value, str) else None
+        exponent = 0 if m is None else int(m[1].replace("_", ""))
+    if abs(exponent) > _MAX_DECIMAL_EXPONENT:
         pytest.fail(f"Fraction read {value!r}")
     return Fraction(value)
 

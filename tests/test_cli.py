@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -1425,20 +1426,55 @@ def test_readme_command_table_names_each_subcommands_flags():
     assert list(documented.items()) == [(name, usage) for name, (_, usage) in _TABLE.items()]
 
 
+def _main(argv: list[str]) -> str:
+    """A script that runs cli.main() on ``argv``, as the installed ``fol`` does."""
+    return f"import sys\nsys.argv[1:] = {argv!r}\nfrom foliations.cli import main\nmain()\n"
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
+        (["check", "{sl2}"], 0),
         (["check", "{nonint}"], 1),
+        (["dims", "{sl2}", "--poi", "1,0"], 2),
         (["leaf", "{sl2}", "--point", "1,0", "--steps", "100001", "--seed", "1"], 3),
     ],
-    ids=["not-involutive", "over-the-point-cap"],
+    ids=["involutive", "not-involutive", "usage", "over-the-point-cap"],
 )
 def test_main_passes_the_exit_code_to_the_shell(files, args, code):
-    # the installed ``fol`` script calls main(), which exits with run's code
-    argv = [a.format(**files) for a in args]
-    proc = run_python(f"import sys\nsys.argv[1:] = {argv!r}\nfrom foliations.cli import main\nmain()\n")
+    # main() exits with run's code, once the block-buffered report is flushed
+    proc = run_python(_main([a.format(**files) for a in args]))
     assert (proc.returncode, proc.stderr) == (code, "")
     jsonschema.validate(json.loads(proc.stdout, parse_constant=_reject_constant), SCHEMA)
+
+
+def test_main_writes_a_report_larger_than_a_pipe_buffer_whole(files, capsys):
+    # past the 64 KiB a pipe holds, the report still arrives whole before the exit
+    argv = ["dims", files["sl2"], "--grid", "-1:1:1/15"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert len(out) > 64 * 1024
+    proc = run_python(_main(argv), text=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, b"")
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+def test_main_leaves_a_failed_flush_to_the_interpreter(files):
+    # the report cannot be written: the interpreter's own last flush reports
+    # it, once, and exits 120, as after sys.exit(run())
+    argv = ["check", files["sl2"]]
+    with open("/dev/full", "w") as full:
+        proc = run_python(_main(argv), stdout=full)
+        plain = run_python(f"import sys\nfrom foliations.cli import run\nsys.exit(run({argv!r}))\n", stdout=full)
+    assert (plain.returncode, plain.stderr.count("[Errno 28]")) == (120, 1)
+    assert (proc.returncode, proc.stderr) == (plain.returncode, plain.stderr)
+
+
+def test_main_runs_with_stderr_closed(files):
+    # with fd 2 closed at start, sys.stderr is None, and main skips it
+    proc = run_python(_main(["check", files["sl2"]]), preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["results"]["closed"] is True
 
 
 # -- the report writer ---------------------------------------------------------

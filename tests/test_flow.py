@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -324,9 +325,11 @@ def _error(call):
 
 
 # what as_point says of a text it cannot read
-_REFUSED_TEXTS = {
+_REFUSED_COORDINATES = {
     "1/0": "point coordinate is not a rational number",
     "1e4000000": "rational '1e4000000' has an exponent beyond 10000",
+    Decimal("1e4000000"): "rational '1E+4000000' has an exponent beyond 10000",
+    Decimal("-1e-4000000"): "rational '-1E-4000000' has an exponent beyond 10000",
 }
 
 
@@ -349,10 +352,13 @@ _REFUSED_TEXTS = {
         (10**400, 0, 0),
         ("1/0", 0),
         ("1e4000000", 0),
+        (Decimal("0.25"), 0),
+        (Decimal("1e4000000"), 0),
+        (Decimal("-1e-4000000"), 0),
     ],
     ids=["int", "fraction", "float", "minus-zero", "numpy", "string", "junk", "nan-string",
          "inf-string", "huge", "nan", "inf", "arity", "huge-arity", "zero-denominator",
-         "huge-exponent"],
+         "huge-exponent", "decimal", "huge-decimal-exponent", "tiny-decimal-exponent"],
 )
 def test_every_point_reader_reads_as_as_point(monkeypatch, point):
     # the exact side reads a point as as_point does; the float side keeps a
@@ -360,8 +366,8 @@ def test_every_point_reader_reads_as_as_point(monkeypatch, point):
     # also refuses one beyond the float range
     monkeypatch.setattr(modalg, "Fraction", bounded_fraction)
     spec = make_spec(("x", "y"), ("dx", "x*dy"))
-    if point[0] in _REFUSED_TEXTS:
-        assert _error(lambda: as_point(point, 2)) == (PreconditionError, _REFUSED_TEXTS[point[0]])
+    if point[0] in _REFUSED_COORDINATES:
+        assert _error(lambda: as_point(point, 2)) == (PreconditionError, _REFUSED_COORDINATES[point[0]])
     readers = {  # each gives the float point it read
         "flow": lambda: flow(spec, FlowWord(spec), point),
         "flow_jet": lambda: flow_jet(spec, FlowWord(spec), point)[0],

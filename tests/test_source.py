@@ -43,3 +43,29 @@ def test_a_number_becomes_a_float_only_in_flow_float():
             and id(node) not in inside
         ]
     assert found == []
+
+
+def test_only_cli_main_ends_the_process_with_os_exit():
+    # os._exit skips every caller's cleanup: only the ``fol`` script's own
+    # main() may end the process that way, and no library function can
+    found, in_main = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if path.name == "cli.py" and isinstance(fn, ast.FunctionDef) and fn.name == "main"
+            for node in ast.walk(fn)
+        }
+        assert inside or path.name != "cli.py"
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr == "_exit"
+                or isinstance(node, ast.Name) and node.id == "_exit"
+                or isinstance(node, ast.alias) and node.name == "_exit"
+            ):
+                if id(node) in inside:
+                    in_main += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert (found, in_main) == ([], 1)
