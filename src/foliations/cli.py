@@ -10,8 +10,15 @@ Every invocation writes a single JSON report to stdout.  Exit codes:
 * 3 - numerical failure (trajectory blow-up, budget exceeded, a result
       that is not finite, an answer with a number too long to print;
       reports never carry NaN or infinities)
+* 120 - the report cannot be written (``main``)
 
-Foliation files (``.fol``) are line-oriented UTF-8 text::
+Every error a request can report is reported before the first byte of
+output.  ``dims --grid`` rows are ranked, formatted and written as one
+stream, a chunk of rows at a time, so its memory does not depend on the
+size of the grid.
+
+Foliation files (``.fol``) are line-oriented UTF-8 text of at most
+``_MAX_FILE_BYTES`` (1 MiB)::
 
     # comment
     name: sl2
@@ -33,12 +40,13 @@ indent, sorted keys, ASCII only) and one trailing newline.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
@@ -99,11 +107,20 @@ class FoliationFile(NamedTuple):
     description: str | None = None
 
 
+# the longest ``.fol`` file read, in bytes; a longer one is a BudgetError,
+# raised after reading one byte more (the largest file the tests and corpora
+# write, the 4,301-variable wide.fol of a grid-count test, is 24,723 bytes)
+_MAX_FILE_BYTES = 1 << 20
+
+
 def load_foliation_file(path) -> FoliationFile:
-    """Parse a ``.fol`` file; errors carry 1-based line/column."""
+    """Parse a ``.fol`` file of at most ``_MAX_FILE_BYTES`` bytes; errors carry 1-based line/column."""
+    with open(path, "rb") as f:
+        data = f.read(_MAX_FILE_BYTES + 1)
+    if len(data) > _MAX_FILE_BYTES:
+        raise BudgetError(f"file is longer than {_MAX_FILE_BYTES} bytes")
     try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"file is not UTF-8 text (byte {e.start + 1})") from None
     var_names: tuple[str, ...] | None = None
@@ -310,13 +327,11 @@ def _cmd_dims(ns, spec):
         results.update(_dims_at(spec, ns.point))
     if ns.grid is not None:
         # every grid point is a tuple of scaled axis values over one D; its row
-        # stays a (label, fiber, tangent) tuple until _rows_json writes it
+        # is a (label, fiber, tangent) tuple, ranked when _emit asks for it
         d, xs, labels = _lattice(ns.grid, spec.nvars)
         n = spec.nvars
-        dims = _dims(spec, list(product(xs, repeat=n)), d)
-        results["grid"] = [
-            (",".join(label), f, t) for label, (f, t) in zip(product(labels, repeat=n), dims)
-        ]
+        dims = _dims(spec, product(xs, repeat=n), d)
+        results["grid"] = ((",".join(label), f, t) for label, (f, t) in zip(product(labels, repeat=n), dims))
     return 0, results, {}
 
 
@@ -523,14 +538,18 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
 _GRID_ROW = '\n      {\n        "fiber": %d,\n        "isotropy": %d,\n        "point": %s,\n        "tangent": %d\n      }'
 
 
+# grid rows and leaf points are formatted and written this many at a time
+_CHUNK_ROWS = 1024
+
+
 def _rows_json(key: str, rows: list) -> str:
-    """The items of ``results[key]``, the leaf points or the grid rows, as
-    ``json.dumps(indent=2, allow_nan=False)`` writes them in a report; a
+    """``rows``, items of ``results[key]`` (the leaf points or the grid rows),
+    joined by commas as ``json.dumps(indent=2)`` writes them in a report; a
     grid row's (label, fiber, tangent) becomes its object, isotropy included."""
+    if not rows:
+        return ""
     if key == "grid":
         return ",".join(_GRID_ROW % (f, f - t, encode_basestring_ascii(label), t) for label, f, t in rows)
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        raise ValueError("Out of range float values are not JSON compliant")
     row = "\n      [" + ",".join(["\n        %r"] * len(rows[0])) + "\n      ]"
     return ",".join(row % tuple(p) for p in rows)
 
@@ -541,11 +560,17 @@ def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) 
     or infinity in it raises ValueError, and nothing is printed.
 
     The pure-Python encoder that ``indent`` needs is slow on the two large
-    arrays, so json.dumps writes the report with the array left empty, and
-    its items are spliced in from one row template.  A JSON string escapes
-    every '"', so the unescaped text '"grid": []' can only be the results key
-    (and so for "points")."""
-    key = next((k for k in ("grid", "points") if results.get(k)), None)
+    arrays, and would hold the whole text.  So json.dumps writes the report
+    with the array left empty, and the text up to it is printed, then the
+    items ``_CHUNK_ROWS`` at a time from one row template, then the rest.
+    ``results["grid"]``, the dims rows, may be any iterable, read once as a
+    stream, so a report's memory does not grow with its rows.  The leaf
+    points (``results["points"]``, a list) are checked to be finite first.
+    A JSON string escapes every '"', so the unescaped text '"grid": []' can
+    only be the results key (and so for "points")."""
+    key = next((k for k in ("grid", "points") if k in results), None)
+    if key == "points" and not all(map(math.isfinite, chain.from_iterable(results[key]))):
+        raise ValueError("Out of range float values are not JSON compliant")
     report = {
         "command": command,
         "inputs": inputs,
@@ -555,9 +580,17 @@ def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) 
         **seed,
     }
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    write = sys.stdout.write
     if key:
-        text = text.replace(f'"{key}": []', f'"{key}": [{_rows_json(key, results[key])}\n    ]', 1)
-    sys.stdout.write(text + "\n")
+        rows = iter(results[key])
+        chunk = _rows_json(key, list(islice(rows, _CHUNK_ROWS)))
+        if chunk:  # else json.dumps wrote the empty array
+            head, text = text.split(f'"{key}": []', 1)
+            write(f'{head}"{key}": [{chunk}')
+            while chunk := _rows_json(key, list(islice(rows, _CHUNK_ROWS))):
+                write("," + chunk)
+            text = "\n    ]" + text
+    write(text + "\n")
 
 
 def _fail(command: str | None, argv: list[str], exc: Exception, code: int) -> int:
@@ -600,12 +633,23 @@ def main() -> None:
     the interpreter does not clear every module and free every object first,
     about 9 ms of a request that needs none of it: nothing is left open (the
     ``.fol`` file is read inside ``with``), no thread runs, and no ``atexit``
-    hook is registered.  If a flush raises OSError (a full disk, a closed
-    pipe), ``sys.exit`` ends the process instead, and the interpreter reports
-    the failed flush and exits with 120 as any script's end would."""
-    code = run()
+    hook is registered.  A report that cannot be written ends with exit 120
+    and one message: if the last flush raises OSError (a full disk, a reader
+    gone before a small report was flushed), ``sys.exit`` leaves it to the
+    interpreter, as at any script's end; if a write fails before that
+    (stdout closed at start, a reader gone in the middle of a grid), it is
+    ``fol: cannot write the report: <error>``."""
+    streams = (sys.stdout, sys.stderr)
     try:
-        for stream in (sys.stdout, sys.stderr):
+        if sys.stdout is None:  # fd 1 was closed at start
+            raise OSError(errno.EBADF, "stdout is closed")
+        code = run()
+    except OSError as e:
+        code, streams = 120, (sys.stderr,)
+        if sys.stderr is not None:
+            sys.stderr.write(f"fol: cannot write the report: {e}\n")
+    try:
+        for stream in streams:
             if stream is not None:
                 stream.flush()
     except OSError:

@@ -83,9 +83,9 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, islice
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArityError, BudgetError, PreconditionError
 from .vfparse import FoliationSpec, Poly, VectorField, _over_lcm, _sum_lines, grevlex_key, lie_bracket
@@ -643,10 +643,12 @@ def _witness(spec: FoliationSpec, rows: Sequence[int], cols: Sequence[int], xs: 
 
 
 def _dims(
-    spec: FoliationSpec, points: Sequence[Sequence[int]], d: int, budget: Budget = DEFAULT_BUDGET
-) -> list[tuple[int, int]]:
+    spec: FoliationSpec, points: Iterable[Sequence[int]], d: int, budget: Budget = DEFAULT_BUDGET
+) -> Iterator[tuple[int, int]]:
     """Fiber and tangent dimensions at each x = X/D, X in ``points``, for one
-    integer D > 0; checked to give nonnegative isotropy dimensions.
+    integer D > 0, checked to give nonnegative isotropy dimensions: an
+    iterator that ranks one point per step.  The evaluators are built by the
+    call, so a syzygy budget error is raised before any point is ranked.
 
     Points are ranked by elimination up to the first one where fiber equals
     tangent, r; from there on a point where the witness minor of size r is
@@ -656,25 +658,29 @@ def _dims(
     k = spec.k
     gens = _generator_rows(spec)
     syz = _syzygy_rows(spec, budget) if k else None
-    # a witness may still be built until the first point where fiber = tangent
-    pending = k > 0 and len(points) > 1
-    witness, r = None, 0
-    dims = []
-    for xs in points:
-        if witness is not None and witness(*xs, d)[0][0]:
-            dims.append((r, r))
-            continue
-        rows, cols = _pivots(gens(*xs, d))
-        t = len(rows)
-        f = k - len(_pivots(syz(*xs, d))[0]) if k else 0
-        if f < t:
-            raise AssertionError("internal error: fiber dimension below tangent dimension")
-        dims.append((f, t))
-        if pending and f == t:
-            pending = False
-            if t:
-                witness, r = _witness(spec, rows, cols, xs, d), t
-    return dims
+    points = iter(points)
+    head = list(islice(points, 2))  # a witness needs a second point to answer
+
+    def ranked():
+        # a witness may still be built until the first point where fiber = tangent
+        pending = k > 0 and len(head) > 1
+        witness, r = None, 0
+        for xs in chain(head, points):
+            if witness is not None and witness(*xs, d)[0][0]:
+                yield r, r
+                continue
+            rows, cols = _pivots(gens(*xs, d))
+            t = len(rows)
+            f = k - len(_pivots(syz(*xs, d))[0]) if k else 0
+            if f < t:
+                raise AssertionError("internal error: fiber dimension below tangent dimension")
+            if pending and f == t:
+                pending = False
+                if t:
+                    witness, r = _witness(spec, rows, cols, xs, d), t
+            yield f, t
+
+    return ranked()
 
 
 def tangent_dim(spec: FoliationSpec, point: Sequence) -> int:

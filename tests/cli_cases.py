@@ -36,6 +36,8 @@ FILES = {
     "wide.fol": "vars: " + " ".join(f"x{i}" for i in range(20)) + "\ngenerators:\n  x0*dx0\n",
     "repeated.fol": "vars: x x\ngenerators:\n  x*dx\n",
     "invalid.fol": "vars: x 1y\ngenerators:\n  x*dx\n",
+    # one byte over the file cap of 1 MiB: a valid spec after a long comment
+    "long.fol": "#" * ((1 << 20) - 27) + "\nvars: x\ngenerators:\n  x*dx\n",
 }
 
 CASES = [
@@ -43,6 +45,8 @@ CASES = [
     # a bad 'vars:' line is reported with its number
     ("check-repeated-var", ["check", "repeated.fol"], 2, ("error", "variable names must be distinct (line 1)")),
     ("check-invalid-var", ["check", "invalid.fol"], 2, ("error", "invalid variable name '1y' (line 1)")),
+    # refused after reading one byte past the cap, before any line is parsed
+    ("check-over-the-file-cap", ["check", "long.fol"], 3, ("error", "file is longer than 1048576 bytes")),
     ("dims", ["dims", "sl2.fol", "--point", "1/2,0", "--grid", "-1:1:1/3"], 0, ("dumps", None)),
     # values that start with '-'
     ("dims-negative", ["dims", "sl2.fol", "--point", "-1,0", "--grid", "-1:1:1/2"], 0, ("dumps", None)),

@@ -34,13 +34,14 @@ def run_python(code: str, *flags: str, **run_args) -> subprocess.CompletedProces
     """Run ``code`` in a fresh interpreter (with ``flags``, e.g. ``-O``) that
     imports the package from ``src`` and these helpers.  Its stdout is
     block-buffered, as a shell starts it on a pipe or file, whatever the
-    caller's PYTHONUNBUFFERED.  stdout and stderr are captured as text unless
-    ``run_args`` (keywords of ``subprocess.run``) say otherwise."""
+    caller's PYTHONUNBUFFERED.  stdout and stderr are captured as text, and the
+    run times out after 120 s, unless ``run_args`` (keywords of
+    ``subprocess.run``) say otherwise."""
     path = [str(_TESTS.parent / "src"), str(_TESTS), os.environ.get("PYTHONPATH", "")]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in path if p)
-    run_args = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **run_args}
-    return subprocess.run([sys.executable, *flags, "-c", code], env=env, timeout=120, **run_args)
+    run_args = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, "timeout": 120, **run_args}
+    return subprocess.run([sys.executable, *flags, "-c", code], env=env, **run_args)
 
 
 def bounded_fraction(value) -> Fraction:

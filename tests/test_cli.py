@@ -6,6 +6,7 @@ import math
 import os
 import re
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -198,6 +199,46 @@ def test_non_utf8_file_exit_2(capsys, tmp_path):
     bad = data.index(0xFF) + 1  # counted from 1
     assert rep["diagnostics"] == {
         "error": f"file is not UTF-8 text (byte {bad})", "error_type": "ParseError",
+    }
+
+
+def test_file_cap_is_exact(capsys, tmp_path, monkeypatch):
+    # a file of exactly _MAX_FILE_BYTES bytes is read whole; one byte more is
+    # a budget error that names the cap
+    monkeypatch.setattr(cli, "_MAX_FILE_BYTES", len(SL2.encode()))
+    p = tmp_path / "sl2.fol"
+    p.write_text(SL2)
+    assert load_foliation_file(p).name == "sl2"
+    p.write_text(SL2 + "\n")
+    error = failure(capsys, ["check", str(p)], 3, "BudgetError")["error"]
+    assert error == f"file is longer than {len(SL2.encode())} bytes"
+
+
+def test_file_line_ends_are_read_as_in_text_mode(tmp_path):
+    # the bytes are decoded by the loader: "\r\n" and "\r" end a line as "\n" does
+    specs = []
+    for end in ("\n", "\r\n", "\r"):
+        p = tmp_path / "ends.fol"
+        p.write_bytes(SL2.replace("\n", end).encode())
+        specs.append(load_foliation_file(p))
+    assert specs[0] == specs[1] == specs[2] and specs[0].spec.k == 3
+
+
+@pytest.mark.skipif(not Path("/dev/zero").exists(), reason="no /dev/zero")
+def test_main_reads_an_endless_file_only_up_to_the_cap():
+    # /dev/zero never ends: the loader stops one byte past the cap.  The child's
+    # address space is limited and it has a timeout, so that a loader without
+    # the cap fails fast instead of filling the host's memory
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    proc = run_python(_main(["check", "/dev/zero"]), preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    report = json.loads(proc.stdout)
+    assert report["diagnostics"] == {
+        "error": f"file is longer than {cli._MAX_FILE_BYTES} bytes", "error_type": "BudgetError",
     }
 
 
@@ -482,7 +523,7 @@ def test_dims_grid_witness_matches_pointwise_oracles(monkeypatch, name):
     bounds = tuple(map(Fraction, grid.split(":")))
     d, xs, labels = _lattice(bounds, n)
     built = _counted(monkeypatch, "_witness")
-    dims = _dims(spec, list(product(xs, repeat=n)), d)
+    dims = list(_dims(spec, product(xs, repeat=n), d))  # the stream, read once
     assert len(built) == witnesses
     rels = syzygy_basis(spec).relations if spec.k else ()
     for (f, t), label in zip(dims, product(labels, repeat=n)):
@@ -501,7 +542,7 @@ def test_witness_check_survives_python_O():
         "from helpers import sl2\n"
         "modalg._det = lambda mat, spent: Poly.zero(2)\n"
         "try:\n"
-        "    modalg._dims(sl2(), [(1, 0), (0, 1)], 1)\n"
+        "    list(modalg._dims(sl2(), [(1, 0), (0, 1)], 1))\n"
         "except AssertionError as e:\n"
         "    print(sys.flags.optimize, e)\n",
         "-O",
@@ -1477,6 +1518,74 @@ def test_main_runs_with_stderr_closed(files):
     assert json.loads(proc.stdout)["results"]["closed"] is True
 
 
+def test_main_with_stdout_closed_exits_120(files):
+    # with fd 1 closed at start, sys.stdout is None and no report can be written
+    proc = run_python(_main(["check", files["sl2"]]), preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (120, "fol: cannot write the report: [Errno 9] stdout is closed\n")
+
+
+def test_main_leaves_a_small_report_to_a_gone_reader_to_the_interpreter(files):
+    # the reader is gone before the start: the block-buffered report fails in
+    # the last flush, which the interpreter reports as for a full disk
+    argv = ["check", files["sl2"]]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = run_python(_main(argv), stdout=w)
+        plain = run_python(f"import sys\nfrom foliations.cli import run\nsys.exit(run({argv!r}))\n", stdout=w)
+    finally:
+        os.close(w)
+    assert (plain.returncode, plain.stderr.count("[Errno 32]")) == (120, 1)
+    assert (proc.returncode, proc.stderr) == (plain.returncode, plain.stderr)
+
+
+def test_main_ends_a_grid_whose_reader_leaves_midway_with_exit_120(files, capsys):
+    # 4,096 rows, past the 64 KiB a pipe holds: the reader takes the first bytes
+    # and leaves while later chunks of rows are still to be written
+    argv = ["dims", files["sl2"], "--grid", "-16:31/2:1/2"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert out.count(b'"point"') == 4096 and len(out) > 64 * 1024
+    r, w = os.pipe()
+    head = []
+
+    def read_and_leave():
+        head.append(os.read(r, 100))
+        os.close(r)
+
+    reader = threading.Thread(target=read_and_leave)
+    reader.start()
+    try:
+        proc = run_python(_main(argv), stdout=w)
+    finally:
+        os.close(w)
+        reader.join()
+    assert (proc.returncode, proc.stderr) == (120, "fol: cannot write the report: [Errno 32] Broken pipe\n")
+    assert head[0] and out.startswith(head[0])
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_grid_memory_does_not_grow_with_the_grid(files):
+    # the peak resident set (VmHWM) of a fresh interpreter after a grid of
+    # 97,336 points, a report of 10.7 MB, is within 3 MB of that after a grid
+    # of one point: the rows are ranked, formatted and written as a stream
+    script = (
+        "import contextlib, os\n"
+        "from foliations.cli import run\n"
+        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+        "    code = run({argv!r})\n"
+        "[peak] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(code, peak.split()[1])\n"
+    )
+    peaks = []
+    for grid in ("-22:23:1", "0:0:1"):
+        proc = run_python(script.format(argv=["dims", files["so3"], "--grid", grid]))
+        code, kb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        peaks.append(int(kb))
+    assert peaks[0] - peaks[1] <= 3 * 1024, peaks
+
+
 # -- the report writer ---------------------------------------------------------
 #
 # _emit splices the dims --grid rows and the leaf points into what json.dumps
@@ -1485,11 +1594,14 @@ def test_main_runs_with_stderr_closed(files):
 
 def _written_and_expected(monkeypatch, capsys, argv):
     """run(argv)'s exit code and stdout, and json.dumps of the last report it
-    emitted, its (label, fiber, tangent) grid rows expanded to the report's objects."""
+    emitted, its (label, fiber, tangent) grid rows expanded to the report's
+    objects; the stream of grid rows is read once, and _emit writes the list."""
     cli = sys.modules["foliations.cli"]
     emit, reports = cli._emit, []
 
     def record(command, inputs, results, diagnostics, **seed):
+        if "grid" in results:
+            results = {**results, "grid": list(results["grid"])}
         grid = [
             {"point": label, "fiber": f, "tangent": t, "isotropy": f - t}
             for label, f, t in results.get("grid", ())

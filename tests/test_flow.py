@@ -11,6 +11,8 @@ import pytest
 from foliations.errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from foliations.flow import (
     DEFAULT_OPTIONS,
+    ChartRankEntry,
+    ChartRankReport,
     FlowWord,
     NumericOptions,
     Transversal,
@@ -1039,3 +1041,20 @@ def test_a_still_jet_that_leaves_the_box_reports_the_same_time(monkeypatch):
     with pytest.raises(BlowUpError) as full:
         _full_system(monkeypatch, spec, steps, (0, 0))
     assert 0.5 < still.value.time == full.value.time < 1.5
+
+
+def test_flow_word_len_hash_and_repr_are_pinned():
+    steps = [((1, 0, Fraction(1, 2)), 0.25), ((0, -1, 0), -1.5)]
+    word = FlowWord(sl2(), steps)
+    assert len(word) == 2 and len(FlowWord(sl2())) == 0
+    # equal words hash equal: the hash is that of (spec, steps)
+    assert hash(word) == hash(FlowWord(sl2(), steps)) == hash((word.spec, word.steps))
+    assert repr(word) == "FlowWord[1,0,1/2@0.25; 0,-1,0@-1.5]"
+    assert repr(FlowWord(sl2())) == "FlowWord[]"
+
+
+def test_chart_rank_report_mismatches_are_the_entries_that_do_not_match():
+    regular = ChartRankEntry((Fraction(1), Fraction(0)), 2, 2)
+    origin = ChartRankEntry((Fraction(0), Fraction(0)), 1, 0)
+    assert ChartRankReport((regular, origin, regular), False).mismatches == (origin,)
+    assert ChartRankReport((regular,), True).mismatches == ()

@@ -760,3 +760,14 @@ def test_certificate_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 internal error: membership certificate failed verification\n"
+
+
+def test_module_gb_repr_and_membership_truth_are_pinned():
+    gb = module_groebner(sl2())
+    assert repr(gb) == (
+        "ModuleGB(source=FoliationSpec(vars=x y; x*dx - y*dy; y*dx; x*dy), "
+        "basis=((Poly<0>, Poly<x1^2>), (Poly<x0>, Poly<-x1>), (Poly<0>, Poly<x0>), (Poly<x1>, Poly<0>)))"
+    )
+    # a MembershipResult is true exactly when the field is a member
+    assert bool(contains(gb, parse_vector_field("x^2*dx", ("x", "y")))) is True
+    assert bool(contains(gb, parse_vector_field("dx", ("x", "y")))) is False

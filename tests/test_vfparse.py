@@ -482,3 +482,21 @@ def test_product_cap_counts_every_product(monkeypatch):
     with pytest.raises(BudgetError, match="6 term products") as exc:
         P(diff)
     assert exc.value.column == 9
+
+
+def test_reprs_are_pinned():
+    field = parse_vector_field("x^2*dx - 1/2*y*dy", XY)
+    assert repr(field.components[0]) == "Poly<x0^2>"
+    assert repr(field) == "VectorField<x0^2*dx0 - 1/2*x1*dx1>"
+    spec = FoliationSpec(XY, (parse_vector_field("x*dx - y*dy", XY), parse_vector_field("y*dx", XY)))
+    assert repr(spec) == "FoliationSpec(vars=x y; x*dx - y*dy; y*dx)"
+    assert repr(FoliationSpec(("x",))) == "FoliationSpec(vars=x; 0)"
+
+
+def test_vector_field_difference_and_negation():
+    x = parse_vector_field("x*dx + y*dy", XY)
+    y = parse_vector_field("y*dx - 2*dy", XY)
+    assert x - y == parse_vector_field("(x - y)*dx + (y + 2)*dy", XY)
+    assert -x == parse_vector_field("-x*dx - y*dy", XY)
+    assert x - x == VectorField.zero(2) and -(-x) == x
+    assert x.__sub__(x.components[0]) is NotImplemented
