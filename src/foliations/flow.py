@@ -533,18 +533,13 @@ def _word_steps(spec: FoliationSpec, word: FlowWord) -> tuple[FlowStep, ...]:
     return word.steps
 
 
-def _exact_or_float(x: Sequence, n: int) -> tuple:
-    """``x`` as ``as_point`` reads it, exact, unless one of its coordinates
-    is a float: then as its float view, ``_float_point``."""
+def _vanishes(vector: Sequence, x: Sequence) -> bool:
+    """Whether ``vector``, computed exactly at the point ``as_point`` reads
+    from ``x``, is zero: exactly, or, if a coordinate of ``x`` is a float,
+    below 1e-12 in absolute value in every component."""
     if any(isinstance(c, float) for c in x):
-        return _float_point(x, n)
-    return as_point(x, n)
-
-
-def _vanishes(vector: Sequence) -> bool:
-    """Whether a vector is zero: exactly for rational entries, below 1e-12
-    in absolute value for floats."""
-    return all(v == 0 if isinstance(v, (int, Fraction)) else abs(v) < 1e-12 for v in vector)
+        return all(abs(v) < 1e-12 for v in vector)
+    return not any(vector)
 
 
 def _float_point(x: Sequence, n: int) -> tuple[float, ...]:
@@ -740,15 +735,15 @@ def flow_box(
     """Jacobian at (t,v)=(0,x0) of h(t,v) = (time-t flow of the chosen
     generator started on the transversal), with an invertibility verdict.
 
-    ``gen_index`` is 1-based.  Column 0 differentiates in t and
-    approximates the generator value at x0; the remaining columns are the
-    transversal directions.
+    ``gen_index`` is 1-based; the generator must not vanish at the exact x0
+    (``_vanishes``).  Column 0 differentiates in t and approximates the
+    generator value at x0; the other columns are the transversal directions.
     """
     if not 1 <= gen_index <= spec.k:
         raise ArityError(f"generator index {gen_index} out of range 1..{spec.k}")
     n = spec.nvars
-    value = spec.generators[gen_index - 1](_exact_or_float(x0, n))
-    if _vanishes(value):
+    value = spec.generators[gen_index - 1](as_point(x0, n))
+    if _vanishes(value, x0):
         raise PreconditionError("the chosen generator vanishes at the base point")
     pt = _float_point(x0, n)
     if transversal is None:

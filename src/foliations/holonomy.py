@@ -35,7 +35,6 @@ from .flow import (
     FlowChart,
     FlowWord,
     NumericOptions,
-    _exact_or_float,
     _float,
     _jet,
     _residual,
@@ -43,6 +42,7 @@ from .flow import (
     _word_steps,
     flow_jet,
 )
+from .modalg import as_point
 from .vfparse import FoliationSpec
 
 if TYPE_CHECKING:
@@ -232,14 +232,13 @@ def carried_diffeo(chart: FlowChart, y0: Sequence) -> CarriedDiffeo:
 
 
 def _require_fixed_point(spec: FoliationSpec, word: FlowWord, x_fix: Sequence):
-    pt = _exact_or_float(x_fix, spec.nvars)
+    """NotFixedPointError unless each step's combined field, computed exactly
+    at the rational ``x_fix`` stores, vanishes there (``flow._vanishes``)."""
+    pt = as_point(x_fix, spec.nvars)
     values = [g(pt) for g in spec.generators]
     for step in word.steps:
-        combined = [  # a zero value adds 0 whatever its coefficient; a float one multiplies _float(c)
-            sum(_float(c) * x if isinstance(x, float) else c * x for c, x in zip(step.coeffs, col) if x)
-            for col in zip(*values)
-        ]
-        if not _vanishes(combined):
+        combined = [sum(map(mul, step.coeffs, col)) for col in zip(*values)]
+        if not _vanishes(combined, x_fix):
             raise NotFixedPointError("point is not a fixed point of every step's combined field")
 
 
@@ -251,11 +250,11 @@ def holonomy_jet(
 ) -> JetMatrix:
     """Linearization at a fixed point of the word's diffeomorphism.
 
-    The point must be fixed by every step's combined field: checked
-    exactly for rational coordinates, and for float coordinates up to
-    1e-12 in each component (``flow._vanishes``).  The result is the product of the step linearizations in
-    action order, obtained by integrating the first-variation system
-    along the stationary trajectory.
+    The point must be fixed by every step's combined field, computed
+    exactly at the rational ``x_fix`` stores (``_require_fixed_point``).
+    The result is the product of the step linearizations in action order,
+    obtained by integrating the first-variation system along the
+    stationary trajectory.
     """
     _require_fixed_point(spec, word, x_fix)
     _, rows = flow_jet(spec, word, x_fix, opts)
@@ -286,7 +285,7 @@ def germ_equal_at_fixed_point(
     """
     if not tol > 0:  # no gap is below a tolerance of 0, not even between equal jets
         raise PreconditionError(f"tolerance must be positive, got {tol}")
-    if any(c != 0 for c in _exact_or_float(x_fix, spec.nvars)):
+    if any(as_point(x_fix, spec.nvars)):
         raise PreconditionError("germ comparison is only offered at the origin")
     j1 = _jet_exact_rows(spec, w1)
     j2 = _jet_exact_rows(spec, w2)

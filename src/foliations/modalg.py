@@ -83,7 +83,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations, islice
+from itertools import combinations
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -260,11 +260,21 @@ def _flat(elem: Element, split: int) -> tuple:
     return out
 
 
+# the input terms that the reduction merges of one Groebner run, or of one
+# ``contains`` reduction, may take in all; one more is a BudgetError, raised
+# before its merge
+_MAX_MERGED_TERMS = 2_000_000
+
+
 def _reduce(
     elem: tuple, basis: list[tuple], split: int, counter: list[int], budget: Budget, skip: int = -1
 ):
     """Full normal form of the element ``elem`` modulo the monic elements
     ``basis`` but ``basis[skip]``; returns (rem, quotients).
+
+    ``counter`` holds the reduction steps and the merged input terms of the
+    run so far; a step past ``budget.max_reduction_steps``, or a merge past
+    ``_MAX_MERGED_TERMS`` terms, raises BudgetError.
 
     ``quotients`` is a list of Polys aligned with ``basis``, and
     elem = sum quotients[b] * basis[b] + rem.  Each step takes the lead of
@@ -294,6 +304,9 @@ def _reduce(
             work = work[1:]
         else:
             g = basis[reducer]
+            counter[1] += len(work) + len(g) - 2
+            if counter[1] > _MAX_MERGED_TERMS:
+                raise BudgetError(f"reduction merge budget of {_MAX_MERGED_TERMS} terms exceeded")
             fac_mon = tuple(a - b for a, b in zip(mon, g[0][1]))
             work = _merge(work[1:], _shift(g[1:], fac_mon, -coeff), split)
             quots[reducer].append((fac_mon, coeff))
@@ -332,7 +345,7 @@ def _groebner(
     k = len(gens)
     basis: list[tuple] = []
     reprs: list[Element] = []
-    counter = [0]
+    counter = [0, 0]  # reduction steps, merged terms
 
     def push(elem: tuple, rep: Element | None):
         inv = Fraction(1) / elem[0][2]
@@ -464,7 +477,8 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
 
     On membership the returned coefficients f satisfy sum f_i X_i = X
     exactly (verified symbolically before returning).  The reduction of
-    ``x`` counts against ``budget.max_reduction_steps``.
+    ``x`` counts against ``budget.max_reduction_steps`` and
+    ``_MAX_MERGED_TERMS``.
     """
     spec = gb.source
     if x.nvars != spec.nvars:
@@ -474,7 +488,7 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
             "the basis has no representation table (reprs): build it with module_groebner"
         )
     basis = [_flat(b, 0) for b in gb.basis]
-    rem, quots = _reduce(_flat(x.components, 0), basis, 0, [0], budget)
+    rem, quots = _reduce(_flat(x.components, 0), basis, 0, [0, 0], budget)
     if rem:
         return MembershipResult(member=False, certificate=None)
     zeros = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))
@@ -651,21 +665,21 @@ def _dims(
     call, so a syzygy budget error is raised before any point is ranked.
 
     Points are ranked by elimination up to the first one where fiber equals
-    tangent, r; from there on a point where the witness minor of size r is
-    nonzero gets (r, r) unranked (see the module docstring).  A single point,
-    k = 0, r = 0 or a minor over the product cap builds no witness.
+    tangent, r; its pivots build the witness minor of size r when a next
+    point arrives, which then gets (r, r) unranked where the minor is nonzero
+    (see the module docstring).  A single point, k = 0, r = 0 or a minor
+    over the product cap builds no witness.
     """
     k = spec.k
     gens = _generator_rows(spec)
     syz = _syzygy_rows(spec, budget) if k else None
-    points = iter(points)
-    head = list(islice(points, 2))  # a witness needs a second point to answer
 
     def ranked():
-        # a witness may still be built until the first point where fiber = tangent
-        pending = k > 0 and len(head) > 1
-        witness, r = None, 0
-        for xs in chain(head, points):
+        # first: the pivots and point of the first fiber = tangent, for the witness
+        pending, first, witness, r = k > 0, None, None, 0
+        for xs in points:
+            if first:
+                witness, first = _witness(spec, *first, d), None
             if witness is not None and witness(*xs, d)[0][0]:
                 yield r, r
                 continue
@@ -677,7 +691,7 @@ def _dims(
             if pending and f == t:
                 pending = False
                 if t:
-                    witness, r = _witness(spec, rows, cols, xs, d), t
+                    first, r = (rows, cols, xs), t
             yield f, t
 
     return ranked()

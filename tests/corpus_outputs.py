@@ -12,8 +12,9 @@ directory.  It prints one line per request:
     WORKLOAD SEED REQUEST-ID EXIT-CODE SHA256(STDOUT) SHA256(STDERR)
 
 Two trees write the same bytes on every request exactly when the outputs of
-their copies of this script diff to nothing.  ``tests/corpus_outputs_seed1.txt``
-is the output for ``--seeds 1``; CI diffs this script's output against it.
+their copies of this script diff to nothing.  ``tests/corpus_outputs_seeds1-3.txt``
+is the output for ``--seeds 1,2,3``, all 504 requests; CI diffs this script's
+output against it.
 """
 
 from __future__ import annotations

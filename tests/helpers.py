@@ -93,6 +93,14 @@ def gl3() -> FoliationSpec:
     return make_spec(xyz, tuple(f"{a}*d{b}" for a in xyz for b in xyz))
 
 
+def float_root() -> FoliationSpec:
+    """(x - r)^2*dx written out, r the rational that the float 1000006.9
+    stores: it vanishes exactly at (1000006.9, 0.0), where evaluating it in
+    floats gives -2^-13."""
+    r = Fraction(1000006.9)
+    return make_spec(("x", "y"), (f"(x^2 - 2*{r}*x + {r * r})*dx",))
+
+
 LINEAR_EXAMPLES = {"sl2": sl2, "gl2": gl2, "cstar": cstar}
 
 

@@ -1227,6 +1227,23 @@ def test_long_product_exit_3(files, capsys, tmp_path):
     assert (diags["line"], diags["column"]) == (3, 2 + 20 * 12)  # the 20th '*'
 
 
+def test_bracket_reduction_over_the_merge_cap_exit_3(tmp_path):
+    # the bracket of these two fields reduces in merges of thousands of terms
+    # each, far below the step budget: the merge cap ends the request, in a
+    # fresh process so that a run without the cap times out instead of hanging
+    p = tmp_path / "pow20.fol"
+    p.write_text("vars: x y z\ngenerators:\n  (x+y+z+1)^20*dx\n  (x+y+z+2)^20*dy\n")
+    code = f"import sys\nsys.argv = ['fol', 'check', {str(p)!r}]\nfrom foliations.cli import main\nmain()\n"
+    proc = run_python(code, timeout=60)
+    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
+    jsonschema.validate(rep, SCHEMA)
+    assert (proc.returncode, proc.stderr) == (3, "")
+    assert rep["diagnostics"] == {
+        "error": "reduction merge budget of 2000000 terms exceeded",
+        "error_type": "BudgetError",
+    }
+
+
 def test_powers_join_the_running_product_count(files, capsys):
     # (x+y)^350 may form 350 * 2 * 351 = 245,700 term products: one power
     # parses, and a second one passes the cap at its '^'

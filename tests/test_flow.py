@@ -40,6 +40,7 @@ from foliations.vfparse import _MAX_CHAIN, _sum_lines
 from helpers import (
     bounded_fraction,
     cstar,
+    float_root,
     geometric,
     gl2,
     gl3,
@@ -287,6 +288,14 @@ def test_flow_box_translation():
     across = Transversal(point=(1 / 3, 2 / 7), directions=((0.3, 0.7),))
     rep = flow_box(spec, 1, x0, across)
     assert [row[1] for row in rep.jacobian] == [0.3, 0.7]
+
+
+def test_flow_box_decides_vanishing_on_the_rational_a_float_point_stores():
+    spec = float_root()
+    with pytest.raises(PreconditionError, match="^the chosen generator vanishes at the base point$"):
+        flow_box(spec, 1, (1000006.9, 0.0))
+    # there the field is 1e-6, far above the float tolerance of 1e-12
+    assert len(flow_box(spec, 1, (1000006.9 + 1e-3, 0.0)).jacobian) == 2
 
 
 def test_flow_box_direction_beyond_the_float_range_is_an_infinity():

@@ -20,7 +20,7 @@ from foliations.holonomy import (
     matrix_exp,
 )
 
-from helpers import cstar, gl2, make_spec, random_word, sl2, xk
+from helpers import cstar, float_root, gl2, make_spec, random_word, sl2, xk
 
 E_STEP = ((0, 1, 0), 1.0)
 H_STEP = ((1, 0, 0), 1.0)
@@ -199,10 +199,20 @@ def test_holonomy_jet_rejects_non_fixed_point():
     assert jet.shape == (2, 2)
 
 
-def test_huge_coefficient_is_checked_in_floats_at_a_float_point():
+def test_fixed_point_is_decided_on_the_rational_a_float_point_stores():
+    spec = float_root()
+    word = FlowWord(spec, [((1,), 1.0)])
+    assert spec.generators[0]((1000006.9, 0.0)) == (-(2.0**-13), 0.0)
+    assert np.allclose(holonomy_jet(spec, word, (1000006.9, 0.0)), np.eye(2))
+    # there the field is 1e-6, far above the float tolerance of 1e-12
+    with pytest.raises(NotFixedPointError):
+        holonomy_jet(spec, word, (1000006.9 + 1e-3, 0.0))
+
+
+def test_huge_coefficient_is_checked_exactly_at_a_float_point():
     # 10**400 is past the float range: against a zero generator value it adds
     # nothing, and the flow leaves the box at once; against a nonzero one the
-    # step's field is infinite, so the point is not fixed
+    # step's field is 10**400 times that value, so the point is not fixed
     spec = sl2()
     word = FlowWord(spec, [((Fraction(10**400), 0, 0), 1.0)])
     with pytest.raises(BlowUpError) as info:

@@ -65,7 +65,7 @@ def span_equal(spec_vars, rels_a, rels_b, nvars):
         basis, _ = _groebner(list(base), nvars, 0, DEFAULT_BUDGET)
         flat = [_flat(b, 0) for b in basis]
         for r in others:
-            rem, _ = _reduce(_flat(r, 0), flat, 0, [0], DEFAULT_BUDGET)
+            rem, _ = _reduce(_flat(r, 0), flat, 0, [0, 0], DEFAULT_BUDGET)
             if rem:
                 return False
         return True
@@ -293,7 +293,7 @@ def test_reduce_builds_canonical_remainders_and_quotients():
         gb = module_groebner(FoliationSpec(("x", "y")[:nvars], gens))
         query = random_field(rng, nvars, 4)
         basis = [_flat(b, 0) for b in gb.basis]
-        rem, quots = _reduce(_flat(query.components, 0), basis, 0, [0], DEFAULT_BUDGET)
+        rem, quots = _reduce(_flat(query.components, 0), basis, 0, [0, 0], DEFAULT_BUDGET)
         # the remainder's terms, sorted and merged by the validating Poly
         polys = tuple(Poly(nvars, [(e, c) for p, e, c in rem if p == m]) for m in range(nvars))
         assert _flat(polys, 0) == rem
@@ -315,6 +315,29 @@ def test_is_involutive_passes_its_budget_to_the_brackets():
     with pytest.raises(BudgetError):
         contains(module_groebner(spec), lie_bracket(*spec.generators), budget)
     assert not is_involutive(spec).closed
+
+
+def test_reductions_count_the_terms_they_merge(monkeypatch):
+    # the merges that reduce the bracket of (x+y+1)^2*dx and (x+y+2)^2*dy take
+    # in 99 terms; the module basis needs no merge, and the contains call of
+    # is_involutive counts from 0 again
+    cap = "foliations.modalg._MAX_MERGED_TERMS"
+    spec = make_spec(("x", "y"), ("(x+y+1)^2*dx", "(x+y+2)^2*dy"))
+    gb = module_groebner(spec)
+    bracket = lie_bracket(*spec.generators)
+    monkeypatch.setattr(cap, 99)
+    assert not contains(gb, bracket).member
+    assert not is_involutive(spec).closed
+    monkeypatch.setattr(cap, 98)
+    with pytest.raises(BudgetError, match="^reduction merge budget of 98 terms exceeded$"):
+        contains(gb, bracket)
+    # the reductions of one syzygy run take in 16 terms in all
+    spec = make_spec(("x", "y"), ("x^2*dx + y*dy", "x*y*dx + y^2*dy", "(x+1)*dy"))
+    monkeypatch.setattr(cap, 16)
+    assert syzygy_basis(spec).relations
+    monkeypatch.setattr(cap, 15)
+    with pytest.raises(BudgetError, match="^reduction merge budget of 15 terms exceeded$"):
+        syzygy_basis(spec)
 
 
 # sha256 of the module basis and of what contains says on seeded queries:

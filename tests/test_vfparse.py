@@ -500,3 +500,17 @@ def test_vector_field_difference_and_negation():
     assert -x == parse_vector_field("-x*dx - y*dy", XY)
     assert x - x == VectorField.zero(2) and -(-x) == x
     assert x.__sub__(x.components[0]) is NotImplemented
+
+
+def test_rare_error_branches_and_edge_parses():
+    for make in (lambda: Poly(0), lambda: Poly.zero(0)):
+        with pytest.raises(ArityError, match="^nvars must be positive$"):
+            make()
+    x = Poly.variable(0, 2)
+    with pytest.raises(ValueError, match="^polynomial is not constant$"):
+        x.constant_value()
+    with pytest.raises(ArityError, match="^point has 1 coordinates, expected 2$"):
+        x((1,))
+    # a differential to the power 1 is itself; the zero polynomial's power is zero
+    assert P("dx^1") == P("dx")
+    assert P("(x-x)^2*dx") == VectorField.zero(2)
