@@ -49,7 +49,7 @@ from fractions import Fraction
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .errors import (
@@ -258,10 +258,14 @@ def _require_draws(flag: str, count: int, each: int) -> None:
         raise BudgetError(f"{flag} needs {count * each} random numbers, more than {_MAX_DRAWS}")
 
 
-def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
-    """The grid's axis scaled to one denominator: (D, X, labels), D the lcm
-    of the denominators of a and step, X[i] = D*(a + i*step) and labels[i]
-    = str(a + i*step), for the points a, a + step, ... up to b."""
+def _lattice(bounds, nvars: int) -> tuple[int, range, Callable[[int], str]]:
+    """The grid's axis scaled to one denominator: (D, X, label), D the lcm
+    of the denominators of a and step, X the range of D*(a + i*step) for the
+    points a, a + step, ... up to b, and label(x) = str(x/D).
+
+    Every label is known to print before this returns: at once when D and
+    the extreme values of X do, since no label has more digits, and else by
+    formatting each."""
     a, b, step = bounds
     per_axis = math.floor((b - a) / step) + 1
     # a count over 16**digits has more digits than str() writes: refuse it
@@ -271,8 +275,22 @@ def _lattice(bounds, nvars: int) -> tuple[int, list[int], list[str]]:
         raise BudgetError(f"--grid has more than {_MAX_POINTS} points")
     _require_points("--grid", pow(per_axis, nvars))
     (a_d, step_d), d = _over_lcm((a, step))
-    labels = [_fmt_point((a + i * step,), "--grid") for i in range(per_axis)]
-    return d, [a_d + i * step_d for i in range(per_axis)], labels
+    xs = range(a_d, a_d + per_axis * step_d, step_d)
+
+    def label(x: int) -> str:
+        return _fmt_point((Fraction(x, d),), "--grid")
+
+    if max(d, abs(xs[0]), abs(xs[-1])) >= 10**digits:
+        for x in xs:
+            label(x)
+    return d, xs, label
+
+
+def _grid(axis, nvars: int) -> Iterator[tuple]:
+    """The points of the ``nvars``-fold product of ``axis``, in order, as
+    tuples.  ``product`` holds its input as a tuple, which is small for more
+    than one variable (at most 316 values); one variable is read as a stream."""
+    return zip(axis) if nvars == 1 else product(axis, repeat=nvars)
 
 
 def _fmt_point(pt, flag: str = "--point") -> str:
@@ -328,10 +346,10 @@ def _cmd_dims(ns, spec):
     if ns.grid is not None:
         # every grid point is a tuple of scaled axis values over one D; its row
         # is a (label, fiber, tangent) tuple, ranked when _emit asks for it
-        d, xs, labels = _lattice(ns.grid, spec.nvars)
         n = spec.nvars
-        dims = _dims(spec, product(xs, repeat=n), d)
-        results["grid"] = ((",".join(label), f, t) for label, (f, t) in zip(product(labels, repeat=n), dims))
+        d, xs, label = _lattice(ns.grid, n)
+        dims = _dims(spec, _grid(xs, n), d)
+        results["grid"] = ((",".join(p), f, t) for p, (f, t) in zip(_grid(map(label, xs), n), dims))
     return 0, results, {}
 
 

@@ -55,12 +55,15 @@ class BlowUpError(FoliationError):
     """A trajectory left the configured domain box.
 
     ``time`` is the signed elapsed time (from the start of the word) at
-    which the escape was detected.
+    which the escape was detected, and ``segment`` the 1-based step of the
+    word (the walk step of a leaf walk) that left, or None.
     """
 
-    def __init__(self, message: str, time: float):
+    def __init__(self, message: str, time: float, segment: int | None = None):
         self.time = time
-        super().__init__(f"{message} (t = {time:.6g})")
+        self.segment = segment
+        where = "" if segment is None else f" in segment {segment}"
+        super().__init__(f"{message}{where} (t = {time:.6g})")
 
 
 class PreconditionError(FoliationError):

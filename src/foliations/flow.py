@@ -34,12 +34,16 @@ writes the integer row evaluators of ``modalg`` and cuts long operator
 chains into temporaries.  ``_combined_terms`` folds a coefficient tuple
 into the support and its float coefficients, by a plan made once per
 spec.  ``_drive`` is the one driver: every flow, jet, leaf walk and chart
-target runs a list of ``(coefficients, duration)`` pairs through it.  It
-folds each distinct coefficient tuple once and runs consecutive pairs
-with the same support in one kernel call, so a leaf walk with no
-coefficient that folds to zero is one call; ``NumericOptions.max_steps``
-caps the RK4 steps of the whole list, a leaf walk included.  A point
-enters through ``_float_point``, the float view of ``modalg.as_point``.
+target runs a sequence of ``(coefficients, duration)`` pairs through it.
+``NumericOptions.max_steps`` caps the RK4 steps of the whole sequence, a
+leaf walk included, before any is taken.  Then the pairs are folded and
+stepped ``_CHUNK_SEGMENTS`` at a time, consecutive pairs with the same
+support in one kernel call, so that only the states are kept: a leaf
+walk whose coefficients never fold to zero is one call per chunk.  A
+walk draws all its steps first, into one buffer of 8-byte doubles, and
+``_Walk`` builds the pairs of a chunk from it.  A blow-up names the pair
+(the walk step) that left the box.  A point enters through
+``_float_point``, the float view of ``modalg.as_point``.
 
 Derivatives along a generator X_i (chart-rank's columns, the flow box's
 first column) are one central difference, ``_flow_derivative``: the
@@ -465,59 +469,72 @@ def _split(duration: float, h: float) -> tuple[int, float]:
     return n, total - n * h
 
 
+# the most ``(coefficients, duration)`` pairs ``_drive`` folds and steps at
+# a time, so that its memory beyond the states does not grow with the pairs
+_CHUNK_SEGMENTS = 64
+
+
 def _drive(
     spec: FoliationSpec, steps, state: tuple, opts: NumericOptions, variation: bool = False
 ) -> list[tuple]:
     """Run ``state`` through the flows of the ``(coeffs, duration)`` pairs
-    ``steps``, in order; returns ``state`` followed by the state after each
-    pair.  A blow-up time counts from the start of the first pair.  Each
-    distinct coefficient tuple is folded once: the tuples of a call are all
-    exact (words) or all floats (walks, chart targets), since
-    ``(Fraction(1, 2),) == (0.5,)`` but the two fold differently.
+    ``steps``, a sequence (a word's steps, or a walk's ``_Walk``), in order;
+    returns ``state`` followed by the state after each pair.  Each pair is
+    one segment: ``ceil(|duration|/h)`` steps, the full ones and a remainder
+    step above 1e-15.  ``opts.max_steps`` caps the RK4 steps of all the
+    pairs together (the remainder step counted always); a flow over the cap
+    raises BudgetError before its first step.  Each quotient is clamped at
+    the cap, which changes no verdict, so that an infinite one converts to
+    an integer.
 
-    Each pair is one segment: ``ceil(|duration|/h)`` steps, the full ones
-    and a remainder step above 1e-15.  Consecutive pairs whose fields share
-    a monomial support run in one kernel call; with ``variation`` that is
-    a call of the still kernel, and from the first segment whose point
-    moves, one of the full system's.  ``opts.max_steps`` caps the
-    RK4 steps of all the pairs together (the remainder step counted
-    always); a flow over the cap raises BudgetError before its first step.
-    Each quotient is clamped at the cap, which changes no verdict, so that
-    an infinite one converts to an integer."""
+    Then the pairs are folded and run ``_CHUNK_SEGMENTS`` at a time, and
+    only the states are kept.  Consecutive pairs of a chunk whose fields
+    share a monomial support run in one kernel call; with ``variation``
+    that is a call of the still kernel, and from the first segment whose
+    point moves, one of the full system's.  Each segment is stepped alone,
+    so where a chunk ends changes no float.  Each distinct coefficient
+    tuple of a chunk is folded once: the tuples of a call are all exact
+    (words) or all floats (walks, chart targets), since
+    ``(Fraction(1, 2),) == (0.5,)`` but the two fold differently.  A pair that leaves the domain box raises
+    BlowUpError naming it (``segment``, 1-based) and the time from the
+    start of the first pair."""
     h, cap = opts.step_size, opts.max_steps
-    if sum(int(min(abs(t) / h, cap)) + 1 for _, t in steps if t) > cap:
+    durations = steps.durations if isinstance(steps, _Walk) else [t for _, t in steps]
+    if sum(int(min(abs(t) / h, cap)) + 1 for t in durations if t) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
-    folds: dict = {}
-    runs = []
-    for coeffs, duration in steps:
-        if coeffs not in folds:
-            folds[coeffs] = _combined_terms(spec, *coeffs)
-        support, values = folds[coeffs]
-        n, rem = _split(duration, h)
-        sign = 1.0 if duration > 0 else -1.0
-        runs.append((support, (values, sign * h, n, sign * rem if rem > 1e-15 else None)))
     states = [state]
-    for support, group in groupby(runs, itemgetter(0)):
-        segments = [seg for _, seg in group]
-        run = _kernel(support, True, True) if variation else _kernel(support, False)
-        done, stop = run(states[-1], segments, opts.domain_bound)
-        states += done
-        if stop is not None and stop[1] is None:  # the point moves in segment stop[0]
-            done, stop = _kernel(support, True)(states[-1], segments[stop[0]:], opts.domain_bound)
+    for lo in range(0, len(steps), _CHUNK_SEGMENTS):
+        chunk = steps[lo : lo + _CHUNK_SEGMENTS]
+        folds: dict = {}
+        runs = []
+        for coeffs, duration in chunk:
+            if coeffs not in folds:
+                folds[coeffs] = _combined_terms(spec, *coeffs)
+            support, values = folds[coeffs]
+            n, rem = _split(duration, h)
+            sign = 1.0 if duration > 0 else -1.0
+            runs.append((support, (values, sign * h, n, sign * rem if rem > 1e-15 else None)))
+        for support, group in groupby(runs, itemgetter(0)):
+            segments = [seg for _, seg in group]
+            run = _kernel(support, True, True) if variation else _kernel(support, False)
+            done, stop = run(states[-1], segments, opts.domain_bound)
             states += done
-        if stop is not None:  # pair len(states) - 1 left the box
-            time = _blowup_time(steps, len(states) - 1, stop[1], h)
-            raise BlowUpError("trajectory left the domain box", time=time)
+            if stop is not None and stop[1] is None:  # the point moves in segment stop[0]
+                done, stop = _kernel(support, True)(states[-1], segments[stop[0]:], opts.domain_bound)
+                states += done
+            if stop is not None:  # pair len(states) - 1 left the box
+                index = len(states) - 1
+                time = _blowup_time(durations[:index], durations[index], stop[1], h)
+                raise BlowUpError("trajectory left the domain box", time=time, segment=index + 1)
     return states
 
 
-def _blowup_time(steps, index: int, i: int, h: float) -> float:
-    """When step ``i`` of pair ``index`` left the box, summed step by step
-    from the start of the first pair."""
+def _blowup_time(before, duration: float, i: int, h: float) -> float:
+    """When step ``i`` of the pair of ``duration`` left the box, summed step
+    by step from the start of the pairs whose durations are ``before``."""
     t0 = 0.0
-    for _, duration in steps[:index]:
-        t0 += duration
-    duration = steps[index][1]
+    for earlier in before:
+        t0 += earlier
     n, rem = _split(duration, h)
     t = 0.0
     for _ in range(min(i + 1, n)):
@@ -581,6 +598,42 @@ def _jet(
     return state[:n], tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
 
 
+def _walk_draws(rng: XorShift64Star, n_steps: int, k: int) -> memoryview:
+    """The draws of ``n_steps`` walk steps, in one buffer of doubles: per
+    step, k coefficients ``rng.symmetric()`` and then a duration
+    ``0.1 * rng.uniform()``."""
+    w = k + 1
+    draws = memoryview(bytearray(8 * n_steps * w)).cast("d")
+    for i in range(n_steps * w):
+        draws[i] = 0.1 * rng.uniform() if i % w == k else rng.symmetric()
+    return draws
+
+
+class _Walk:
+    """A leaf walk's ``(coefficients, duration)`` pairs, built from its draws
+    when sliced: pair i is the tuple of ``draws[w*i : w*i + k]`` and the
+    float ``draws[w*i + k]``, with w = k + 1.  ``durations`` views the
+    durations alone, without building the pairs."""
+
+    __slots__ = ("draws", "k")
+
+    def __init__(self, draws: memoryview, k: int):
+        self.draws, self.k = draws, k
+
+    def __len__(self) -> int:
+        return len(self.draws) // (self.k + 1)
+
+    def __getitem__(self, part: slice) -> list[tuple]:
+        k, w = self.k, self.k + 1
+        start, stop, _ = part.indices(len(self))
+        flat = self.draws[start * w : stop * w].tolist()
+        return [(tuple(flat[i : i + k]), flat[i + k]) for i in range(0, len(flat), w)]
+
+    @property
+    def durations(self) -> memoryview:
+        return self.draws[self.k :: self.k + 1]
+
+
 def leaf_sample(
     spec: FoliationSpec,
     x0: Sequence,
@@ -592,19 +645,17 @@ def leaf_sample(
 
     Per step the combination coefficients are uniform on [-1,1]^k and the
     duration uniform on [0, 0.1]; all randomness comes from the seeded
-    xorshift64* generator, so output is reproducible.  The walk is driven
-    as one word: ``opts.max_steps`` caps its RK4 steps as a whole, and a
-    blow-up time counts from its start.
+    xorshift64* generator, so output is reproducible.  Every step is drawn
+    before the first is taken, 8 bytes a draw (``_walk_draws``), and the
+    walk is driven as one word: ``opts.max_steps`` caps its RK4 steps as a
+    whole, and a blow-up names its walk step and counts the time from the
+    start.
     """
     if n_steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {n_steps}")
     rng = XorShift64Star(rng_seed)
     x = _float_point(x0, spec.nvars)
-    steps = [
-        (tuple(rng.symmetric() for _ in range(spec.k)), 0.1 * rng.uniform())
-        for _ in range(n_steps)
-    ]
-    return _drive(spec, steps, x, opts)
+    return _drive(spec, _Walk(_walk_draws(rng, n_steps, spec.k), spec.k), x, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -499,11 +499,37 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
     return MembershipResult(member=True, certificate=cert)
 
 
+# the most term products the Lie brackets of one ``is_involutive`` call may
+# form in all; one more is a BudgetError, raised before the bracket that
+# would form it.  The tests and benchmark corpora form at most 110; the
+# bracket of (x+y+z+1)^e*dx and (x+y+z+2)^e*dy forms 331,240 at e = 12,
+# whose reduction the merge cap ends, and 5,454,680 at e = 20
+_MAX_BRACKET_PRODUCTS = 1_000_000
+
+
+def _bracket_products(x: VectorField, y: VectorField) -> int:
+    """The term products ``lie_bracket(x, y)`` forms: X(Y^i) multiplies each
+    X_j by the terms of Y^i that have x_j in them, and Y(X^i) the same."""
+    return sum(
+        len(c.terms) * sum(1 for e, _ in comp.terms if e[j])
+        for u, v in ((x, y), (y, x))
+        for comp in v.components
+        for j, c in enumerate(u.components)
+    )
+
+
 def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> InvolutivityReport:
-    """Check closure under Lie brackets; failing pairs come with the bracket."""
+    """Check closure under Lie brackets; failing pairs come with the bracket.
+
+    The brackets may form ``_MAX_BRACKET_PRODUCTS`` term products in all;
+    a bracket past that raises BudgetError before it is formed."""
     gb = module_groebner(spec, budget)
     witnesses = []
+    spent = 0
     for a, b in combinations(range(spec.k), 2):
+        spent += _bracket_products(spec.generators[a], spec.generators[b])
+        if spent > _MAX_BRACKET_PRODUCTS:
+            raise BudgetError(f"Lie brackets need more than {_MAX_BRACKET_PRODUCTS} term products")
         br = lie_bracket(spec.generators[a], spec.generators[b])
         if not contains(gb, br, budget).member:
             witnesses.append(BracketWitness(i=a + 1, j=b + 1, bracket=br))

@@ -81,7 +81,7 @@ CASES = [
         "flow-blowup",
         ["flow", "xk2.fol", "--point", "2", "--word", "1@1"],
         3,
-        ("error", "trajectory left the domain box (t = 0.501)"),
+        ("error", "trajectory left the domain box in segment 1 (t = 0.501)"),
     ),
     ("jet", ["jet", "so3.fol", "--point", "0,0,0", "--word", "1/2,1/4,-1/8@0.3; -1/3,1/5,1/7@0.25"], 0, None),
     # a fixed point outside the box leaves it in the first step
@@ -89,7 +89,7 @@ CASES = [
         "jet-outside-the-box",
         ["jet", "far.fol", "--point", "100000000000,0", "--word", "1@1"],
         3,
-        ("error", "trajectory left the domain box (t = 0.001)"),
+        ("error", "trajectory left the domain box in segment 1 (t = 0.001)"),
     ),
 ]
 

@@ -521,7 +521,8 @@ def test_dims_grid_witness_matches_pointwise_oracles(monkeypatch, name):
     spec = make()
     n = spec.nvars
     bounds = tuple(map(Fraction, grid.split(":")))
-    d, xs, labels = _lattice(bounds, n)
+    d, xs, label = _lattice(bounds, n)
+    labels = list(map(label, xs))
     built = _counted(monkeypatch, "_witness")
     dims = list(_dims(spec, product(xs, repeat=n), d))  # the stream, read once
     assert len(built) == witnesses
@@ -587,11 +588,12 @@ def test_grid_point_cap_is_exact():
     with pytest.raises(BudgetError, match=f"{317**2} points"):
         _lattice((Fraction(0), Fraction(316), Fraction(1)), 2)
     # the axis holds exactly the points a, a + step, ... up to b, over D = 4
-    d, xs, labels = _lattice((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
-    assert (d, xs, labels) == (4, [-2, -1, 0, 1], ["-1/2", "-1/4", "0", "1/4"])
+    d, xs, label = _lattice((Fraction(-1, 2), Fraction(1, 3), Fraction(1, 4)), 1)
+    assert (d, list(xs), list(map(label, xs))) == (4, [-2, -1, 0, 1], ["-1/2", "-1/4", "0", "1/4"])
     # D is the lcm of the denominators of a and step, not of each point's own
-    d, xs, labels = _lattice((Fraction(-7, 3), Fraction(2), Fraction(1, 2)), 1)
-    assert d == 6 and xs == [-14 + 3 * i for i in range(9)]
+    d, xs, label = _lattice((Fraction(-7, 3), Fraction(2), Fraction(1, 2)), 1)
+    labels = list(map(label, xs))
+    assert d == 6 and list(xs) == [-14 + 3 * i for i in range(9)]
     assert [Fraction(x, d) for x in xs] == [Fraction(label) for label in labels]
     assert labels[1] == "-11/6" and labels[-1] == "5/3"
 
@@ -978,7 +980,7 @@ def test_leaf_blowup_time_counts_from_the_start_of_the_walk(files, capsys):
     args = ["leaf", files["folk2"], "--point", "50", "--steps", "200", "--seed", "1"]
     code, rep, _ = invoke(capsys, args)
     assert code == 3
-    assert rep["diagnostics"]["error"] == "trajectory left the domain box (t = 1.49753)"
+    assert rep["diagnostics"]["error"] == "trajectory left the domain box in segment 30 (t = 1.49753)"
 
 
 _SO3_WORD = "; ".join(["1/2,1/4,-1/8@0.3", "-1/3,1/5,1/7@0.25", "1/6,-1/2,1/3@0.4"] * 3)
@@ -1018,16 +1020,17 @@ NUMERIC_DIGESTS = [
         "0e4f9035377fc5fc85e6524d5b4b24679fc6c8642155b4d58d42c731fdd1c78e",
     ),
     # x' = x^2 from 2 leaves the box near t = 1/2: in a full step (t = 0.501),
-    # and with h = 0.3 in the remainder step (t = 0.7)
+    # and with h = 0.3 in the remainder step (t = 0.7); both digests were
+    # recorded again when the error began to name the segment, 1 in both
     (
         ["flow", "folk2.fol", "--word", "1@1", "--point", "2"],
         3,
-        "75619eceee6ff2d30550716fa818af8a280d80356199a6af20e25bf5a81aec4a",
+        "af8d8e3a4e0e3ecd0f1e0677c14d0efe2185c77b557560d07c54e99c046b23e3",
     ),
     (
         ["flow", "folk2.fol", "--h", "0.3", "--word", "1@0.7", "--point", "2"],
         3,
-        "cff95785728419a1ecc09f055e5bf57aae8765917e85e4e975c0a5ea305225fa",
+        "2d4935fe015759f48f8cb7977f3c9d6e982612b0a34bc03c9b8feb39fe9a1f20",
     ),
 ]
 
@@ -1228,20 +1231,24 @@ def test_long_product_exit_3(files, capsys, tmp_path):
 
 
 def test_bracket_reduction_over_the_merge_cap_exit_3(tmp_path):
-    # the bracket of these two fields reduces in merges of thousands of terms
-    # each, far below the step budget: the merge cap ends the request, in a
-    # fresh process so that a run without the cap times out instead of hanging
-    p = tmp_path / "pow20.fol"
-    p.write_text("vars: x y z\ngenerators:\n  (x+y+z+1)^20*dx\n  (x+y+z+2)^20*dy\n")
-    code = f"import sys\nsys.argv = ['fol', 'check', {str(p)!r}]\nfrom foliations.cli import main\nmain()\n"
-    proc = run_python(code, timeout=60)
-    rep = json.loads(proc.stdout, parse_constant=_reject_constant)
-    jsonschema.validate(rep, SCHEMA)
-    assert (proc.returncode, proc.stderr) == (3, "")
-    assert rep["diagnostics"] == {
-        "error": "reduction merge budget of 2000000 terms exceeded",
-        "error_type": "BudgetError",
-    }
+    # at e = 12 the bracket of these two fields (331,240 term products)
+    # reduces in merges of thousands of terms each, far below the step
+    # budget: the merge cap ends the request.  At e = 20 the bracket alone
+    # would form 5,454,680 term products, and is refused before it is
+    # formed.  Each runs in a fresh process, so that a run without the caps
+    # times out instead of hanging
+    for e, error in (
+        (12, "reduction merge budget of 2000000 terms exceeded"),
+        (20, "Lie brackets need more than 1000000 term products"),
+    ):
+        p = tmp_path / f"pow{e}.fol"
+        p.write_text(f"vars: x y z\ngenerators:\n  (x+y+z+1)^{e}*dx\n  (x+y+z+2)^{e}*dy\n")
+        code = f"import sys\nsys.argv = ['fol', 'check', {str(p)!r}]\nfrom foliations.cli import main\nmain()\n"
+        proc = run_python(code, timeout=60)
+        rep = json.loads(proc.stdout, parse_constant=_reject_constant)
+        jsonschema.validate(rep, SCHEMA)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        assert rep["diagnostics"] == {"error": error, "error_type": "BudgetError"}
 
 
 def test_powers_join_the_running_product_count(files, capsys):
@@ -1581,26 +1588,57 @@ def test_main_ends_a_grid_whose_reader_leaves_midway_with_exit_120(files, capsys
     assert head[0] and out.startswith(head[0])
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
-def test_grid_memory_does_not_grow_with_the_grid(files):
-    # the peak resident set (VmHWM) of a fresh interpreter after a grid of
-    # 97,336 points, a report of 10.7 MB, is within 3 MB of that after a grid
-    # of one point: the rows are ranked, formatted and written as a stream
-    script = (
-        "import contextlib, os\n"
-        "from foliations.cli import run\n"
-        "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
-        "    code = run({argv!r})\n"
-        "[peak] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
-        "print(code, peak.split()[1])\n"
-    )
+# runs cli.run(argv) in a fresh interpreter, stdout to /dev/null; prints the
+# exit code and the peak resident set (VmHWM) in KiB
+_PEAK = (
+    "import contextlib, os\n"
+    "from foliations.cli import run\n"
+    "with open(os.devnull, 'w') as out, contextlib.redirect_stdout(out):\n"
+    "    code = run({argv!r})\n"
+    "[peak] = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+    "print(code, peak.split()[1])\n"
+)
+
+
+def _peaks(argvs) -> list[int]:
     peaks = []
-    for grid in ("-22:23:1", "0:0:1"):
-        proc = run_python(script.format(argv=["dims", files["so3"], "--grid", grid]))
+    for argv in argvs:
+        proc = run_python(_PEAK.format(argv=argv))
         code, kb = proc.stdout.split()
         assert code == "0", proc.stderr
         peaks.append(int(kb))
-    assert peaks[0] - peaks[1] <= 3 * 1024, peaks
+    return peaks
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_grid_memory_does_not_grow_with_the_grid(files):
+    # the peak resident set of a grid of 97,336 points on so3 (a report of
+    # 10.7 MB), or of 100,000 points on one variable, is within 3 MB of that
+    # after a grid of one point: the rows are ranked, formatted and written
+    # as a stream, and one axis is not held as a list
+    for name, grid in (("so3", "-22:23:1"), ("folk2", "0:99999:1")):
+        peaks = _peaks([["dims", files[name], "--grid", g] for g in (grid, "0:0:1")])
+        assert peaks[0] - peaks[1] <= 3 * 1024, (name, peaks)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no /proc/self/status")
+def test_walk_memory_grows_only_by_its_points(files):
+    # 100,000 walk steps on so3 keep 100,001 points (about 14 MB as tuples of
+    # floats); the draws take 8 bytes each and the pairs are built and
+    # stepped a chunk at a time, so the peak stays within 30 MB of a 1-step walk
+    walk = ["leaf", files["so3"], "--point", "1/2,1/4,1", "--seed", "7", "--h", "0.1", "--steps"]
+    peaks = _peaks([walk + ["100000"], walk + ["1"]])
+    assert peaks[0] - peaks[1] <= 30 * 1024, peaks
+
+
+@pytest.mark.skipif(not _DIGITS, reason="the interpreter converts integers of any length to strings")
+def test_a_grid_label_too_long_to_print_is_refused_before_any_row(files, capsys):
+    # one variable, 10,001 points: the labels i*10^(D-4) print up to i = 9,999,
+    # and the last, 10^D, has one digit more than str() writes (D = 4,300)
+    grid = f"0:1e{_DIGITS}:1e{_DIGITS - 4}"
+    assert failure(capsys, ["dims", files["folk2"], "--grid", grid], 2, "_UsageError") == {
+        "error": "--grid has a number too long to print", "error_type": "_UsageError",
+    }
 
 
 # -- the report writer ---------------------------------------------------------

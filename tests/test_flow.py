@@ -27,10 +27,12 @@ from foliations.flow import (
     random_rational_points,
     word_compose,
     word_inverse,
+    _CHUNK_SEGMENTS,
     _combined_terms,
     _drive,
     _kernel,
     _residual,
+    _walk_draws,
 )
 from foliations.holonomy import matrix_exp
 from foliations import modalg
@@ -686,7 +688,8 @@ def test_segment_list_equals_segments_run_one_at_a_time(monkeypatch):
     assert [len(segments) for segments in calls] == [1, 4, 2]
     assert states == _one_at_a_time(spec, steps, x)
     blow = ((50, 0), 0.1)
-    for at in (1, 4):
+    steps = steps * 20  # 140 pairs: the blow-up in the first chunk, or in the second
+    for at in (1, 4, 100):
         head = _one_at_a_time(spec, steps[:at], x)
         with pytest.raises(BlowUpError) as alone:
             _drive(spec, [blow], head[-1], DEFAULT_OPTIONS)
@@ -695,8 +698,47 @@ def test_segment_list_equals_segments_run_one_at_a_time(monkeypatch):
         t0 = 0.0
         for _, duration in steps[:at]:
             t0 += duration
-        assert 0.0 < alone.value.time < 0.1
-        assert within.value.time == t0 + alone.value.time
+        assert 0.0 < alone.value.time < 0.1 and alone.value.segment == 1
+        assert (within.value.time, within.value.segment) == (t0 + alone.value.time, at + 1)
+        assert str(within.value) == f"trajectory left the domain box in segment {at + 1} (t = {within.value.time:.6g})"
+
+
+def _walk_pairs(seed, n_steps, k):
+    # the walk's pairs drawn one call at a time: k coefficients, then a duration
+    rng = XorShift64Star(seed)
+    return [(tuple(rng.symmetric() for _ in range(k)), 0.1 * rng.uniform()) for _ in range(n_steps)], rng
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 9])
+def test_walk_draws_are_the_generator_draws(k):
+    want, rng = _walk_pairs(7, 50, k)
+    batch = XorShift64Star(7)
+    draws = _walk_draws(batch, 50, k)
+    flat = [v for coeffs, t in want for v in coeffs + (t,)]
+    assert [v.hex() for v in draws.tolist()] == [v.hex() for v in flat]  # bit for bit
+    assert len(draws) == 50 * (k + 1) and draws.itemsize == 8
+    assert batch.next_u64() == rng.next_u64()  # the generator is left where the draws end
+
+
+def test_a_walk_of_many_chunks_equals_its_pairs_run_one_at_a_time(monkeypatch):
+    # 3 chunks and 5 pairs: each chunk is one kernel call, and the states are
+    # those of one _drive call per pair
+    spec = so3()
+    n_steps = 3 * _CHUNK_SEGMENTS + 5
+    pairs, _ = _walk_pairs(13, n_steps, spec.k)
+    x = (0.5, 0.25, 1.0)
+    calls = _count_kernel_calls(monkeypatch)
+    states = leaf_sample(spec, x, n_steps, rng_seed=13)
+    assert [len(segments) for segments in calls] == [_CHUNK_SEGMENTS] * 3 + [5]
+    monkeypatch.undo()
+    assert _bits(states) == _bits(_one_at_a_time(spec, pairs, x))
+
+
+def test_leaf_blowup_names_the_walk_step():
+    # x' = 50 c x^2 from 50: the walk leaves the box in step 30
+    with pytest.raises(BlowUpError) as exc:
+        leaf_sample(xk(2), (50,), 200, rng_seed=1)
+    assert (exc.value.segment, f"{exc.value.time:.6g}") == (30, "1.49753")
 
 
 def _combined_terms_per_term(spec, coeffs):
@@ -773,10 +815,12 @@ def test_leaf_sample_compiles_one_kernel():
     assert _kernel.cache_info().misses == 1
 
 
-def test_leaf_sample_is_one_kernel_call(monkeypatch):
+def test_leaf_sample_is_one_kernel_call_per_chunk(monkeypatch):
+    # every walk tuple of sl2 folds to one support: a call per chunk of pairs
+    assert _CHUNK_SEGMENTS == 64
     calls = _count_kernel_calls(monkeypatch)
     leaf_sample(sl2(), (1.0, 0.5), 600, rng_seed=5)
-    assert [len(segments) for segments in calls] == [600]
+    assert [len(segments) for segments in calls] == [64] * 9 + [24]
 
 
 def test_chart_rank_compiles_one_kernel_per_generator():
@@ -820,7 +864,8 @@ def test_stationary_jet_compiles_no_full_variation_kernel():
 
 
 def test_each_distinct_coefficient_tuple_is_folded_once_per_flow(monkeypatch):
-    # a word that cycles three tuples folds three times; every walk tuple is new
+    # a word of one chunk that cycles three tuples folds three times; every
+    # walk tuple is new
     calls = []
     fold = flow_module._combined_terms
 
@@ -1039,6 +1084,27 @@ def test_a_word_whose_later_segments_move_takes_the_full_system_from_there(monke
     assert kinds == [(True, True), (True, False)] * 3
     assert [state[0] == 1.0 for state in states[:4]] == [True, True, True, False]
     assert _bits(states) == _bits(_full_system(monkeypatch, spec, steps, (1,)))
+
+
+def test_a_jet_whose_point_moves_across_a_chunk_boundary(monkeypatch):
+    # (1, -1) fixes x = 1 and (1, 1) moves it, from the 61st pair on: the first
+    # chunk's still call stops there, and at the second chunk the still
+    # kernel checks the point again and hands over to the full system
+    spec = make_spec(("x",), ("x*dx", "dx"))
+    steps = [((1, -1), 0.01)] * 60 + [((1, 1), 0.01)] * 20
+    kinds = _kernel_kinds(monkeypatch)
+    calls = _count_kernel_calls(monkeypatch)
+    states = _jet_states(spec, steps, (1,))
+    monkeypatch.undo()
+    assert _CHUNK_SEGMENTS == 64
+    assert [len(segments) for segments in calls] == [64, 4, 16, 16]
+    assert kinds == [(True, True), (True, False)] * 2
+    assert [state[0] == 1.0 for state in states[59:63]] == [True, True, False, False]
+    assert _bits(states) == _bits(_full_system(monkeypatch, spec, steps, (1,)))
+    one_at_a_time = [states[0]]
+    for step in steps:
+        one_at_a_time.append(_drive(spec, [step], one_at_a_time[-1], DEFAULT_OPTIONS, True)[-1])
+    assert _bits(states) == _bits(one_at_a_time)
 
 
 def test_a_still_jet_that_leaves_the_box_reports_the_same_time(monkeypatch):

@@ -12,6 +12,7 @@ from foliations.flow import XorShift64Star, chart_at, chart_rank_check
 from foliations.modalg import (
     Budget,
     ModuleGB,
+    _bracket_products,
     _pivots,
     as_point,
     contains,
@@ -338,6 +339,39 @@ def test_reductions_count_the_terms_they_merge(monkeypatch):
     monkeypatch.setattr(cap, 15)
     with pytest.raises(BudgetError, match="^reduction merge budget of 15 terms exceeded$"):
         syzygy_basis(spec)
+
+
+def test_bracket_products_are_counted_before_they_are_formed(monkeypatch):
+    # _bracket_products is the number of term products lie_bracket forms,
+    # on seeded fields; the cap covers the brackets of one is_involutive
+    # call together, and a bracket past it is never formed
+    formed = []
+    mul = Poly.__mul__
+
+    def counting(self, other):
+        formed.append(len(self.terms) * len(other.terms))
+        return mul(self, other)
+
+    rng = XorShift64Star(4)
+    fields = [random_field(rng, 3, 3) for _ in range(3)]
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    counts = []
+    for x, y in ((fields[0], fields[1]), (fields[0], fields[2]), (fields[1], fields[2])):
+        formed.clear()
+        lie_bracket(x, y)
+        counts.append(_bracket_products(x, y))
+        assert sum(formed) == counts[-1] > 0
+    monkeypatch.undo()
+    spec = FoliationSpec(("x", "y", "z"), tuple(fields))
+    cap = "foliations.modalg._MAX_BRACKET_PRODUCTS"
+    monkeypatch.setattr(cap, sum(counts))
+    is_involutive(spec)
+    monkeypatch.setattr(cap, sum(counts) - 1)
+    brackets = []
+    monkeypatch.setattr("foliations.modalg.lie_bracket", lambda x, y: brackets.append(1) or lie_bracket(x, y))
+    with pytest.raises(BudgetError, match=f"^Lie brackets need more than {sum(counts) - 1} term products$"):
+        is_involutive(spec)
+    assert len(brackets) == 2  # the third bracket was refused before it was formed
 
 
 # sha256 of the module basis and of what contains says on seeded queries:
