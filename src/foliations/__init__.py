@@ -21,9 +21,11 @@ Results and options (``Budget``, ``ModuleGB``, ``NumericOptions``,
 ``FlowChart``, ``CarriedDiffeo``, ``FoliationFile`` and the reports) are
 ``typing.NamedTuple`` records: immutable, compared field by field, and
 changed with ``_replace``.  ``Poly``, ``VectorField``, ``FoliationSpec``
-and ``FlowWord`` are frozen by hand with ``__slots__`` instead: they
-validate their input, cache their hashes and define arithmetic or
-``len``, which a tuple base would clash with.
+and ``FlowWord`` derive instead from one private base, ``vfparse._Frozen``,
+with ``__slots__``: they validate their input, cache their hashes and
+define arithmetic or ``len``, which a tuple base would clash with.  The
+base refuses setting and deleting attributes, returns the object itself
+as its copy and pickles each value through its constructor.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ stepped ``_CHUNK_SEGMENTS`` at a time, consecutive pairs with the same
 support in one kernel call, so that only the states are kept: a leaf
 walk whose coefficients never fold to zero is one call per chunk.  A
 walk draws all its steps first, into one buffer of 8-byte doubles, and
-``_Walk`` builds the pairs of a chunk from it.  A blow-up names the pair
+stops drawing at the first step past ``max_steps``; ``_Walk`` builds the
+pairs of a chunk from the buffer.  A blow-up names the pair
 (the walk step) that left the box.  A point enters through
 ``_float_point``, the float view of ``modalg.as_point``.
 
@@ -74,7 +75,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
 from .modalg import as_point, tangent_dim
-from .vfparse import FoliationSpec, _sum_lines
+from .vfparse import FoliationSpec, _Frozen, _sum_lines
 
 __all__ = [
     "NumericOptions",
@@ -185,7 +186,7 @@ class FlowStep(NamedTuple):
     duration: float
 
 
-class FlowWord:
+class FlowWord(_Frozen):
     """A finite composition of generator-combination flows.
 
     Steps act in list order: the first step is applied first.  The empty
@@ -193,6 +194,7 @@ class FlowWord:
     """
 
     __slots__ = ("spec", "steps")
+    _init = ("spec", "steps")
 
     def __init__(self, spec: FoliationSpec, steps: Sequence = ()):
         norm = []
@@ -208,9 +210,6 @@ class FlowWord:
             norm.append(FlowStep(coeffs, duration))
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "steps", tuple(norm))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlowWord is immutable")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -469,6 +468,14 @@ def _split(duration: float, h: float) -> tuple[int, float]:
     return n, total - n * h
 
 
+def _rk4_steps(duration: float, h: float, cap: int) -> int:
+    """The RK4 steps ``max_steps`` counts for a pair of ``duration``: the
+    full steps and the remainder step, counted always; none for a zero
+    duration.  The quotient is clamped at ``cap``, which changes no verdict
+    against it, so that an infinite one converts to an integer."""
+    return int(min(abs(duration) / h, cap)) + 1 if duration else 0
+
+
 # the most ``(coefficients, duration)`` pairs ``_drive`` folds and steps at
 # a time, so that its memory beyond the states does not grow with the pairs
 _CHUNK_SEGMENTS = 64
@@ -482,10 +489,8 @@ def _drive(
     returns ``state`` followed by the state after each pair.  Each pair is
     one segment: ``ceil(|duration|/h)`` steps, the full ones and a remainder
     step above 1e-15.  ``opts.max_steps`` caps the RK4 steps of all the
-    pairs together (the remainder step counted always); a flow over the cap
-    raises BudgetError before its first step.  Each quotient is clamped at
-    the cap, which changes no verdict, so that an infinite one converts to
-    an integer.
+    pairs together, as ``_rk4_steps`` counts them; a flow over the cap
+    raises BudgetError before its first step.
 
     Then the pairs are folded and run ``_CHUNK_SEGMENTS`` at a time, and
     only the states are kept.  Consecutive pairs of a chunk whose fields
@@ -500,7 +505,7 @@ def _drive(
     start of the first pair."""
     h, cap = opts.step_size, opts.max_steps
     durations = steps.durations if isinstance(steps, _Walk) else [t for _, t in steps]
-    if sum(int(min(abs(t) / h, cap)) + 1 for t in durations if t) > cap:
+    if sum(_rk4_steps(t, h, cap) for t in durations) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
     states = [state]
     for lo in range(0, len(steps), _CHUNK_SEGMENTS):
@@ -598,15 +603,32 @@ def _jet(
     return state[:n], tuple(state[n + i * n : n + (i + 1) * n] for i in range(n))
 
 
-def _walk_draws(rng: XorShift64Star, n_steps: int, k: int) -> memoryview:
+def _walk_draws(rng: XorShift64Star, n_steps: int, k: int, opts: NumericOptions) -> memoryview:
     """The draws of ``n_steps`` walk steps, in one buffer of doubles: per
     step, k coefficients ``rng.symmetric()`` and then a duration
-    ``0.1 * rng.uniform()``."""
+    ``0.1 * rng.uniform()``.  The buffer grows by ``_CHUNK_SEGMENTS`` walk
+    steps at a time, as they are drawn.  Drawing stops at the first walk
+    step whose RK4 steps (``_rk4_steps``) take the walk past
+    ``opts.max_steps``, so that ``_drive`` refuses the draws made."""
+    h, cap = opts.step_size, opts.max_steps
     w = k + 1
-    draws = memoryview(bytearray(8 * n_steps * w)).cast("d")
-    for i in range(n_steps * w):
-        draws[i] = 0.1 * rng.uniform() if i % w == k else rng.symmetric()
-    return draws
+    block = bytes(8 * w * _CHUNK_SEGMENTS)
+    buf = bytearray()
+    draws = memoryview(buf).cast("d")
+    sym, uni = rng.symmetric, rng.uniform
+    total = 0
+    for s in range(0, n_steps * w, w):
+        if s == len(draws):
+            draws.release()  # a bytearray with a view on it cannot grow
+            buf += block
+            draws = memoryview(buf).cast("d")
+        for i in range(s, s + k):
+            draws[i] = sym()
+        draws[s + k] = t = 0.1 * uni()
+        total += _rk4_steps(t, h, cap)
+        if total > cap:
+            return draws[: s + w]
+    return draws[: n_steps * w]
 
 
 class _Walk:
@@ -649,13 +671,15 @@ def leaf_sample(
     before the first is taken, 8 bytes a draw (``_walk_draws``), and the
     walk is driven as one word: ``opts.max_steps`` caps its RK4 steps as a
     whole, and a blow-up names its walk step and counts the time from the
-    start.
+    start.  A walk over the cap is refused while it is drawn: drawing stops
+    at the first walk step past it, and BudgetError is raised before any
+    RK4 step.
     """
     if n_steps < 0:
         raise PreconditionError(f"step count must be non-negative, got {n_steps}")
     rng = XorShift64Star(rng_seed)
     x = _float_point(x0, spec.nvars)
-    return _drive(spec, _Walk(_walk_draws(rng, n_steps, spec.k), spec.k), x, opts)
+    return _drive(spec, _Walk(_walk_draws(rng, n_steps, spec.k, opts), spec.k), x, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -788,7 +812,10 @@ def flow_box(
 
     ``gen_index`` is 1-based; the generator must not vanish at the exact x0
     (``_vanishes``).  Column 0 differentiates in t and approximates the
-    generator value at x0; the other columns are the transversal directions.
+    generator value at x0; the other columns are the transversal directions,
+    whose entries must be finite floats: one that is NaN, infinite or a
+    rational beyond the float range raises PreconditionError, as a point
+    coordinate does.
     """
     if not 1 <= gen_index <= spec.k:
         raise ArityError(f"generator index {gen_index} out of range 1..{spec.k}")
@@ -801,14 +828,14 @@ def flow_box(
         transversal = _default_transversal(spec, pt, value)
     if len(transversal.directions) != n - 1:
         raise ArityError(f"transversal needs {n - 1} direction vectors")
+    # at t = 0 the flow is the identity, so d(h)/dv is the direction itself
+    dirs = [[_float(b) for b in d] for d in transversal.directions]
+    if any(len(d) != n for d in dirs):
+        raise ArityError("transversal direction has wrong length")
+    if not all(math.isfinite(b) for d in dirs for b in d):
+        raise PreconditionError("transversal direction has an entry that is not finite")
     _require_on_transversal(pt, transversal)
-
-    cols = [_flow_derivative(spec, gen_index - 1, pt, opts)]
-    for d in transversal.directions:
-        if len(d) != n:
-            raise ArityError("transversal direction has wrong length")
-        # at t = 0 the flow is the identity, so d(h)/dv is the direction itself
-        cols.append([_float(b) for b in d])
+    cols = [_flow_derivative(spec, gen_index - 1, pt, opts)] + dirs
     jac = tuple(tuple(cols[i][j] for i in range(n)) for j in range(n))
     invertible = numerical_rank(jac, opts.rank_rel_threshold) == n
     return FlowBoxReport(jacobian=jac, invertible=invertible)

@@ -179,7 +179,13 @@ def _linear_rows(spec: FoliationSpec) -> list[Rows]:
 
 
 def _jet_exact_rows(spec: FoliationSpec, word: FlowWord) -> Rows:
-    """Rows of the product over steps of exp(t * sum_i c_i A_i), in action order."""
+    """Rows of the product over steps of exp(t * sum_i c_i A_i), in action order.
+
+    The product stops at the first step that leaves a non-finite entry and
+    returns it: an infinity or NaN in column j of the product stays in
+    column j of every later product, so the full product would not be
+    finite either.
+    """
     steps = _word_steps(spec, word)
     mats = _linear_rows(spec)
     n = spec.nvars
@@ -187,7 +193,13 @@ def _jet_exact_rows(spec: FoliationSpec, word: FlowWord) -> Rows:
     for step in steps:
         m = _weighted_sum(step.coeffs, mats, n)
         acc = _matmul(_expm(_comb((step.duration, m))), acc)
+        if not _finite(acc):
+            break
     return acc
+
+
+def _finite(rows: Rows) -> bool:
+    return all(math.isfinite(v) for row in rows for v in row)
 
 
 def _array(rows) -> JetMatrix:
@@ -263,7 +275,8 @@ def holonomy_jet(
 
 def jet_exact_linear(spec: FoliationSpec, word: FlowWord) -> JetMatrix:
     """Jet at the origin for linear generators: product over steps of
-    exp(t * sum_i c_i A_i), exact in method (matrix exponentials).
+    exp(t * sum_i c_i A_i), exact in method (matrix exponentials).  A
+    product that is not finite is returned at its first non-finite step.
     """
     return _array(_jet_exact_rows(spec, word))
 
@@ -287,12 +300,12 @@ def germ_equal_at_fixed_point(
         raise PreconditionError(f"tolerance must be positive, got {tol}")
     if any(as_point(x_fix, spec.nvars)):
         raise PreconditionError("germ comparison is only offered at the origin")
-    j1 = _jet_exact_rows(spec, w1)
-    j2 = _jet_exact_rows(spec, w2)
-    for w, j in ((w1, j1), (w2, j2)):
-        if not all(math.isfinite(v) for row in j for v in row):
+    jets = []
+    for w in (w1, w2):  # w2's jet is not computed when w1's is not finite
+        jets.append(_jet_exact_rows(spec, w))
+        if not _finite(jets[-1]):
             raise BlowUpError("exact jet is not finite", sum(step.duration for step in w.steps))
-    gap = max((abs(a - b) for r1, r2 in zip(j1, j2) for a, b in zip(r1, r2)), default=0.0)
+    gap = max((abs(a - b) for r1, r2 in zip(*jets) for a, b in zip(r1, r2)), default=0.0)
     return gap < tol
 
 

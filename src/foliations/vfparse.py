@@ -16,7 +16,10 @@ Grammar (whitespace-insensitive)::
 
 Example: ``(x^2 - 1/2*y)*dx + 3*dy``.
 
-All values in this module are immutable; no floating point enters the
+All values in this module are immutable: ``Poly``, ``VectorField`` and
+``FoliationSpec`` (and ``flow.FlowWord``) derive from ``_Frozen``, which
+refuses setting and deleting attributes, copies a value as itself and
+pickles it through its constructor.  No floating point enters the
 symbolic layer.  Terms are kept in graded-reverse-lexicographic order so
 equal polynomials have identical representations (and identical hashes).
 The public ``Poly(nvars, terms)`` validates and sorts its input; the
@@ -202,7 +205,34 @@ def _sum_lines(name: str, terms, names: Sequence[str], zero: str) -> list[str]:
     return lines + _chain(name, parts or [zero], " + ")
 
 
-class Poly:
+class _Frozen:
+    """Base of the immutable value types: setting or deleting an attribute
+    raises AttributeError.  Constructors write their slots with
+    ``object.__setattr__``.
+
+    The values are deeply immutable, so a copy, shallow or deep, is the
+    object itself.  Unpickling calls the constructor with the slots named
+    by ``_init``, instead of restoring every slot: a cached hash can hash
+    strings, which hash differently in each process.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._init)
+
+
+class Poly(_Frozen):
     """A multivariate polynomial over Q in ``nvars`` variables.
 
     ``terms`` is a tuple of ``(exponent_tuple, Fraction)`` pairs with no
@@ -216,6 +246,7 @@ class Poly:
     """
 
     __slots__ = ("nvars", "terms", "_hash")
+    _init = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Iterable[tuple[tuple[int, ...], Fraction]] = ()):
         if nvars < 1:
@@ -242,9 +273,6 @@ class Poly:
         object.__setattr__(p, "nvars", nvars)
         object.__setattr__(p, "terms", terms)
         return p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -325,10 +353,7 @@ class Poly:
         return Poly._canonical(self.nvars, _add_terms(self.terms, _neg_terms(p.terms)))
 
     def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return Poly._canonical(self.nvars, _add_terms(p.terms, _neg_terms(self.terms)))
+        return (-self).__add__(other)
 
     def __mul__(self, other):
         p = self._coerce(other)
@@ -428,10 +453,11 @@ class Poly:
         return f"Poly<{format_poly(self, names)}>"
 
 
-class VectorField:
+class VectorField(_Frozen):
     """A polynomial vector field: component ``i`` multiplies d/dx_i."""
 
     __slots__ = ("components", "_hash")
+    _init = ("components",)
 
     def __init__(self, components: Sequence[Poly]):
         components = tuple(components)
@@ -447,9 +473,6 @@ class VectorField:
             raise ArityError(f"{len(components)} components for {n} variables")
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "_hash", hash(components))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
 
     @classmethod
     def zero(cls, nvars: int) -> "VectorField":
@@ -509,7 +532,7 @@ class VectorField:
         return f"VectorField<{format_vector_field(self, names)}>"
 
 
-class FoliationSpec:
+class FoliationSpec(_Frozen):
     """An ordered, finitely generated family of polynomial vector fields.
 
     The module generated by ``generators`` over the polynomial ring in
@@ -518,6 +541,7 @@ class FoliationSpec:
     """
 
     __slots__ = ("nvars", "var_names", "generators", "_hash")
+    _init = ("var_names", "generators")
 
     def __init__(self, var_names: Sequence[str], generators: Sequence[VectorField] = ()):
         var_names = tuple(var_names)
@@ -540,9 +564,6 @@ class FoliationSpec:
         object.__setattr__(self, "var_names", var_names)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_hash", hash((var_names, generators)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FoliationSpec is immutable")
 
     @property
     def k(self) -> int:

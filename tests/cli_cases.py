@@ -76,6 +76,13 @@ CASES = [
         2,
         ("error", "--tol must be finite, got inf"),
     ),
+    # exp(1e300 H) overflows in the first of 1,000 steps, where the product stops
+    (
+        "jet-exact-overflow-long",
+        ["jet-exact", "sl2.fol", "--word", "; ".join(["1,0,0@1e300"] * 1000)],
+        3,
+        ("error", "result is not finite"),
+    ),
     # through the RK4 kernels
     (
         "flow-blowup",

@@ -300,11 +300,21 @@ def test_flow_box_decides_vanishing_on_the_rational_a_float_point_stores():
     assert len(flow_box(spec, 1, (1000006.9 + 1e-3, 0.0)).jacobian) == 2
 
 
-def test_flow_box_direction_beyond_the_float_range_is_an_infinity():
-    spec = make_spec(("x", "y"), ("dx",))
-    huge = Transversal(point=(0.0, 0.0), directions=((0, Fraction(10**400)),))
-    assert [row[1] for row in flow_box(spec, 1, (0, 0), huge).jacobian] == [0.0, math.inf]
+@pytest.mark.parametrize(
+    "bad", [Fraction(10**400), math.nan, math.inf, -math.inf], ids=["beyond-the-float-range", "nan", "inf", "-inf"]
+)
+def test_flow_box_refuses_a_direction_that_is_not_finite(bad, monkeypatch):
+    # before, the direction became a column with its NaN or infinity, and the
+    # rank was taken around it: invertible=False with a NaN in the jacobian
+    spec = sl2()
+    calls = []
+    monkeypatch.setattr(flow_module, "_drive", lambda *a, **kw: calls.append(a))
+    for directions in (((bad, 0.0),), ((0.0, bad),)):
+        with pytest.raises(PreconditionError, match="^transversal direction has an entry that is not finite$"):
+            flow_box(spec, 2, (1, 1), Transversal((1.0, 1.0), directions))
+    assert calls == []  # refused before any flow
     # the transversal's point is a point: beyond the float range it is refused
+    spec = make_spec(("x", "y"), ("dx",))
     far = Transversal(point=(Fraction(10**400), 0), directions=((0, 1),))
     with pytest.raises(PreconditionError, match="beyond the float range"):
         flow_box(spec, 1, (0, 0), far)
@@ -713,11 +723,32 @@ def _walk_pairs(seed, n_steps, k):
 def test_walk_draws_are_the_generator_draws(k):
     want, rng = _walk_pairs(7, 50, k)
     batch = XorShift64Star(7)
-    draws = _walk_draws(batch, 50, k)
+    draws = _walk_draws(batch, 50, k, DEFAULT_OPTIONS)
     flat = [v for coeffs, t in want for v in coeffs + (t,)]
     assert [v.hex() for v in draws.tolist()] == [v.hex() for v in flat]  # bit for bit
     assert len(draws) == 50 * (k + 1) and draws.itemsize == 8
     assert batch.next_u64() == rng.next_u64()  # the generator is left where the draws end
+
+
+def test_a_refused_walk_stops_drawing_at_the_first_step_past_the_cap(monkeypatch):
+    # a 10^6-step walk needs about 51 RK4 steps a walk step, so it passes the
+    # default cap of 10^6 near walk step 20,000; before, every one of its
+    # 4 * 10^6 draws was made first
+    spec = sl2()
+    total, past = 0, None
+    for i, (_, t) in enumerate(_walk_pairs(1, 25_000, spec.k)[0]):
+        total += int(t / DEFAULT_OPTIONS.step_size) + 1
+        if total > DEFAULT_OPTIONS.max_steps:
+            past = i + 1
+            break
+    assert 19_000 < past < 21_000
+    draws = []
+    next_u64 = XorShift64Star.next_u64
+    monkeypatch.setattr(XorShift64Star, "next_u64", lambda rng: draws.append(1) or next_u64(rng))
+    monkeypatch.setattr(flow_module, "_kernel", None)  # no RK4 step is taken
+    with pytest.raises(BudgetError, match=r"^flow would need more than 1000000 steps$"):
+        leaf_sample(spec, (1, 1), 10**6, 1)
+    assert len(draws) == past * (spec.k + 1)
 
 
 def test_a_walk_of_many_chunks_equals_its_pairs_run_one_at_a_time(monkeypatch):

@@ -8,8 +8,10 @@ import pytest
 
 from foliations.errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
 from foliations.flow import FlowWord, XorShift64Star, chart_at, word_compose, word_inverse
+from foliations import holonomy
 from foliations.holonomy import (
     _expm,
+    _matmul,
     _solve,
     carried_diffeo,
     check_pushforward_linear,
@@ -232,6 +234,48 @@ def test_jet_exact_examples():
     assert np.abs(roundtrip - np.eye(2)).max() < 1e-12
     with pytest.raises(NotLinearError):
         jet_exact_linear(xk(2), FlowWord(xk(2), [((1,), 0.5)]))
+
+
+def test_an_exact_jet_stops_at_its_first_step_that_is_not_finite(monkeypatch):
+    # exp(1e300 H) overflows in the first of 1,000 steps; before, all 1,000
+    # exponentials were formed and multiplied
+    spec = sl2()
+    word = FlowWord(spec, [((1, 0, 0), 1e300)] * 1000)
+    calls = []
+    monkeypatch.setattr(holonomy, "_expm", lambda a: calls.append(a) or _expm(a))
+    assert not np.isfinite(jet_exact_linear(spec, word)).all()
+    assert len(calls) == 1
+    # germ-eq checks the first word's jet before it computes the second's
+    with pytest.raises(BlowUpError, match="^exact jet is not finite") as exc:
+        germ_equal_at_fixed_point(spec, word, FlowWord(spec, [E_STEP]), (0, 0))
+    assert len(calls) == 2
+    assert exc.value.time == sum([1e300] * 1000)
+
+
+def test_an_exact_jet_is_finite_exactly_when_its_full_product_is():
+    # an infinity or NaN in a column of the product stays in that column of
+    # every later product, so stopping at the first changes no verdict
+    spec = gl2()
+    mats = holonomy._linear_rows(spec)
+    rng = XorShift64Star(620)
+    scales = (1.0, 400.0, 1e300)
+    verdicts = set()
+    for _ in range(60):
+        steps = []
+        for _ in range(rng.randint(1, 5)):
+            coeffs = tuple(rng.randint(-2, 2) for _ in range(spec.k))
+            steps.append((coeffs, rng.symmetric() * scales[rng.randint(0, 2)]))
+        full = [[1.0, 0.0], [0.0, 1.0]]
+        for coeffs, t in steps:
+            m = holonomy._weighted_sum(coeffs, mats, 2)
+            full = _matmul(_expm([[t * v for v in row] for row in m]), full)
+        jet = jet_exact_linear(spec, FlowWord(spec, steps))
+        finite = bool(np.isfinite(full).all())
+        assert bool(np.isfinite(jet).all()) == finite
+        if finite:
+            assert jet.tolist() == full
+        verdicts.add(finite)
+    assert verdicts == {True, False}
 
 
 def test_jet_oracle_agreement_random_words():

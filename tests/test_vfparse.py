@@ -1,5 +1,7 @@
-"""Parser, printer, derivative and Lie-bracket tests."""
+"""Parser, printer, derivative and Lie-bracket tests, and the value types' protocols."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import comb
 
@@ -18,9 +20,10 @@ from foliations.vfparse import (
     lie_bracket,
     parse_vector_field,
 )
-from foliations.flow import XorShift64Star
+from foliations.flow import FlowWord, XorShift64Star, chart_at
+from foliations.modalg import module_groebner, syzygy_basis
 
-from helpers import power_oracle, product_oracle, random_field, random_poly
+from helpers import power_oracle, product_oracle, random_field, random_poly, run_python
 
 XY = ("x", "y")
 
@@ -514,3 +517,87 @@ def test_rare_error_branches_and_edge_parses():
     # a differential to the power 1 is itself; the zero polynomial's power is zero
     assert P("dx^1") == P("dx")
     assert P("(x-x)^2*dx") == VectorField.zero(2)
+
+
+def _values():
+    """One of each immutable value type, by name."""
+    x = parse_vector_field("x^2*dx - 1/2*y*dy", XY)
+    spec = FoliationSpec(XY, (x, parse_vector_field("y*dx", XY)))
+    return {
+        "Poly": x.components[0],
+        "VectorField": x,
+        "FoliationSpec": spec,
+        "FlowWord": FlowWord(spec, [((1, Fraction(1, 3)), 0.5), ((0, 1), -0.25)]),
+    }
+
+
+@pytest.mark.parametrize("name", ["Poly", "VectorField", "FoliationSpec", "FlowWord"])
+def test_value_types_refuse_set_and_del(name):
+    # before, del of a slot succeeded and left, say, a Poly whose p + p raised
+    value = _values()[name]
+    hash(value)  # a Poly caches its hash on first use
+    for slot in type(value).__slots__ + ("other",):
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            setattr(value, slot, None)
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            delattr(value, slot)
+    assert value == _values()[name] and hash(value) == hash(_values()[name])
+    assert not hasattr(value, "__dict__")
+
+
+def test_value_type_protocols_decline_other_types_and_check_arity():
+    values = _values()
+    p, x = values["Poly"], values["VectorField"]
+    for method in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+        assert getattr(p, method)("1") is NotImplemented
+    for value in values.values():
+        assert value.__eq__("1") is NotImplemented and value != "1"
+    assert x.__add__(p) is NotImplemented
+    with pytest.raises(TypeError):
+        p + 1.5
+    # an int or Fraction is a constant polynomial
+    assert Poly.constant(3, 2) == 3 and p != 3 and 3 - p == -(p - 3) == Poly.constant(3, 2) - p
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        p**-1
+    q = Poly.variable(0, 3)
+    with pytest.raises(ArityError, match="^polynomials have different numbers of variables$"):
+        p + q
+    with pytest.raises(ArityError, match="^vector fields have different numbers of variables$"):
+        x + parse_vector_field("dz", ("x", "y", "z"))
+    with pytest.raises(ArityError, match="^function and field have different numbers of variables$"):
+        x.apply_to(q)
+    assert x.scale(Fraction(-2, 3)) == parse_vector_field("-2/3*x^2*dx + 1/3*y*dy", XY)
+
+
+def test_value_types_copy_as_themselves_and_pickle_through_their_constructors():
+    # before, copy.copy, copy.deepcopy and every unpickling raised "Poly is immutable"
+    values = _values()
+    spec = values["FoliationSpec"]
+    records = {
+        "ModuleGB": module_groebner(spec),
+        "SyzygyBasis": syzygy_basis(spec),
+        "FlowChart": chart_at(spec, (1, Fraction(1, 2))),
+    }
+    for name, value in {**values, **records}.items():
+        if name in values:
+            assert copy.copy(value) is value and copy.deepcopy(value) is value
+        assert copy.deepcopy(value) == value
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(value, protocol))
+            assert type(back) is type(value) and back == value and hash(back) == hash(value), name
+    assert not hasattr(pickle.loads(pickle.dumps(values["Poly"])), "_hash")  # rebuilt, not restored
+
+
+def test_a_pickled_spec_hashes_like_one_built_in_another_process(monkeypatch):
+    # a spec's cached hash hashes its variable names, which hash differently
+    # in each process: unpickling rebuilds it instead of restoring the hash
+    monkeypatch.setenv("PYTHONHASHSEED", "1")
+    made = run_python("import pickle, sys; from helpers import sl2; sys.stdout.write(pickle.dumps(sl2()).hex())")
+    assert made.returncode == 0, made.stderr
+    monkeypatch.setenv("PYTHONHASHSEED", "2")
+    check = (
+        f"import pickle; from helpers import sl2; spec = pickle.loads(bytes.fromhex({made.stdout!r}))\n"
+        "print(spec == sl2(), hash(spec) == hash(sl2()), spec in {sl2()})"
+    )
+    loaded = run_python(check)
+    assert (loaded.returncode, loaded.stdout) == (0, "True True True\n"), loaded.stderr
