@@ -22,10 +22,11 @@ Results and options (``Budget``, ``ModuleGB``, ``NumericOptions``,
 ``typing.NamedTuple`` records: immutable, compared field by field, and
 changed with ``_replace``.  ``Poly``, ``VectorField``, ``FoliationSpec``
 and ``FlowWord`` derive instead from one private base, ``vfparse._Frozen``,
-with ``__slots__``: they validate their input, cache their hashes and
-define arithmetic or ``len``, which a tuple base would clash with.  The
-base refuses setting and deleting attributes, returns the object itself
-as its copy and pickles each value through its constructor.
+with ``__slots__``: they validate their input and define arithmetic or
+``len``, which a tuple base would clash with.  A value is its ``_init``
+slots, the arguments of its constructor: it is compared, hashed and
+pickled by them, and hashed on first use.  The base refuses setting and
+deleting attributes and returns the object itself as its copy.
 """
 
 from __future__ import annotations

@@ -68,9 +68,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
@@ -214,14 +214,6 @@ class FlowWord(_Frozen):
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __eq__(self, other):
-        if not isinstance(other, FlowWord):
-            return NotImplemented
-        return self.spec == other.spec and self.steps == other.steps
-
-    def __hash__(self):
-        return hash((self.spec, self.steps))
-
     def __repr__(self):
         body = "; ".join(
             ",".join(str(c) for c in s.coeffs) + f"@{s.duration:g}" for s in self.steps
@@ -259,6 +251,13 @@ def _float(q) -> float:
         return float(q)
     except OverflowError:
         return math.inf if q > 0 else -math.inf
+
+
+def _sum_left(values) -> float:
+    """``values`` added left to right from 0, as ``sum`` adds floats before
+    Python 3.12, which compensates their rounding: so that every Python
+    writes the same bits."""
+    return reduce(add, values, 0)
 
 
 @lru_cache(maxsize=64)
@@ -490,7 +489,8 @@ def _drive(
     one segment: ``ceil(|duration|/h)`` steps, the full ones and a remainder
     step above 1e-15.  ``opts.max_steps`` caps the RK4 steps of all the
     pairs together, as ``_rk4_steps`` counts them; a flow over the cap
-    raises BudgetError before its first step.
+    raises BudgetError before its first step.  A walk's ``_Walk`` was
+    counted while it was drawn, and is not counted again.
 
     Then the pairs are folded and run ``_CHUNK_SEGMENTS`` at a time, and
     only the states are kept.  Consecutive pairs of a chunk whose fields
@@ -504,8 +504,8 @@ def _drive(
     BlowUpError naming it (``segment``, 1-based) and the time from the
     start of the first pair."""
     h, cap = opts.step_size, opts.max_steps
-    durations = steps.durations if isinstance(steps, _Walk) else [t for _, t in steps]
-    if sum(_rk4_steps(t, h, cap) for t in durations) > cap:
+    walk = isinstance(steps, _Walk)
+    if not walk and sum(_rk4_steps(t, h, cap) for _, t in steps) > cap:
         raise BudgetError(f"flow would need more than {cap} steps")
     states = [state]
     for lo in range(0, len(steps), _CHUNK_SEGMENTS):
@@ -529,6 +529,7 @@ def _drive(
                 states += done
             if stop is not None:  # pair len(states) - 1 left the box
                 index = len(states) - 1
+                durations = steps.durations if walk else [t for _, t in steps]
                 time = _blowup_time(durations[:index], durations[index], stop[1], h)
                 raise BlowUpError("trajectory left the domain box", time=time, segment=index + 1)
     return states
@@ -537,9 +538,7 @@ def _drive(
 def _blowup_time(before, duration: float, i: int, h: float) -> float:
     """When step ``i`` of the pair of ``duration`` left the box, summed step
     by step from the start of the pairs whose durations are ``before``."""
-    t0 = 0.0
-    for earlier in before:
-        t0 += earlier
+    t0 = _sum_left(before)
     n, rem = _split(duration, h)
     t = 0.0
     for _ in range(min(i + 1, n)):
@@ -609,7 +608,8 @@ def _walk_draws(rng: XorShift64Star, n_steps: int, k: int, opts: NumericOptions)
     ``0.1 * rng.uniform()``.  The buffer grows by ``_CHUNK_SEGMENTS`` walk
     steps at a time, as they are drawn.  Drawing stops at the first walk
     step whose RK4 steps (``_rk4_steps``) take the walk past
-    ``opts.max_steps``, so that ``_drive`` refuses the draws made."""
+    ``opts.max_steps``, and raises BudgetError, as ``_drive`` does for a
+    word over the cap."""
     h, cap = opts.step_size, opts.max_steps
     w = k + 1
     block = bytes(8 * w * _CHUNK_SEGMENTS)
@@ -627,7 +627,7 @@ def _walk_draws(rng: XorShift64Star, n_steps: int, k: int, opts: NumericOptions)
         draws[s + k] = t = 0.1 * uni()
         total += _rk4_steps(t, h, cap)
         if total > cap:
-            return draws[: s + w]
+            raise BudgetError(f"flow would need more than {cap} steps")
     return draws[: n_steps * w]
 
 
@@ -869,7 +869,7 @@ def _residual(vectors: Sequence[Sequence[float]], b: Sequence[float]) -> list[fl
 def _orthogonalise(w: list[float], basis: list[list[float]]) -> list[float]:
     for _ in range(2):
         for q in basis:
-            d = sum(x * y for x, y in zip(q, w))
+            d = _sum_left(x * y for x, y in zip(q, w))
             w = [x - d * y for x, y in zip(w, q)]
     return w
 

@@ -38,6 +38,7 @@ from .flow import (
     _float,
     _jet,
     _residual,
+    _sum_left,
     _vanishes,
     _word_steps,
     flow_jet,
@@ -93,7 +94,7 @@ def _nan(n: int) -> Rows:
 
 def _matmul(a: Rows, b: Rows) -> Rows:
     cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return [[_sum_left(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _comb(*terms) -> Rows:
@@ -122,7 +123,7 @@ def _solve(a: Rows, b: Rows) -> Rows:
     for i in reversed(range(n)):
         row = rows[i]
         x[i] = [
-            (row[n + j] - sum(row[k] * x[k][j] for k in range(i + 1, n))) / row[i]
+            (row[n + j] - _sum_left(row[k] * x[k][j] for k in range(i + 1, n))) / row[i]
             for j in range(len(b[i]))
         ]
     return x
@@ -135,7 +136,7 @@ def _expm(a: Rows) -> Rows:
     NaN entries, as does a singular Pade denominator.
     """
     n = len(a)
-    norm = max((sum(abs(row[j]) for row in a) for j in range(n)), default=0.0)
+    norm = max((_sum_left(abs(row[j]) for row in a) for j in range(n)), default=0.0)
     if not norm < math.inf:
         return _nan(n)
     s = math.ceil(math.log2(norm / _PADE13_THETA)) if norm > _PADE13_THETA else 0
@@ -304,7 +305,7 @@ def germ_equal_at_fixed_point(
     for w in (w1, w2):  # w2's jet is not computed when w1's is not finite
         jets.append(_jet_exact_rows(spec, w))
         if not _finite(jets[-1]):
-            raise BlowUpError("exact jet is not finite", sum(step.duration for step in w.steps))
+            raise BlowUpError("exact jet is not finite", _sum_left(step.duration for step in w.steps))
     gap = max((abs(a - b) for r1, r2 in zip(*jets) for a, b in zip(r1, r2)), default=0.0)
     return gap < tol
 

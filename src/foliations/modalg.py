@@ -465,11 +465,11 @@ def module_groebner(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Mod
 
 
 def _combination(spec: FoliationSpec, coeffs: Sequence[Poly]) -> VectorField:
-    """sum_i coeffs[i] * X_i, exactly."""
-    out = VectorField.zero(spec.nvars)
-    for f, gen in zip(coeffs, spec.generators):
-        out = out + gen.scale(f)
-    return out
+    """sum_i coeffs[i] * X_i, exactly: per component, over the nonzero
+    coeffs[i] only, and one VectorField at the end."""
+    terms = [(f, gen.components) for f, gen in zip(coeffs, spec.generators) if not f.is_zero]
+    zero = Poly.zero(spec.nvars)
+    return VectorField(tuple(sum((f * c[j] for f, c in terms), zero) for j in range(spec.nvars)))
 
 
 def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:

@@ -17,16 +17,17 @@ Grammar (whitespace-insensitive)::
 Example: ``(x^2 - 1/2*y)*dx + 3*dy``.
 
 All values in this module are immutable: ``Poly``, ``VectorField`` and
-``FoliationSpec`` (and ``flow.FlowWord``) derive from ``_Frozen``, which
-refuses setting and deleting attributes, copies a value as itself and
-pickles it through its constructor.  No floating point enters the
+``FoliationSpec`` (and ``flow.FlowWord``) derive from ``_Frozen``.  A
+value is its ``_init`` slots: it is compared, hashed and pickled by them,
+and hashed on first use.  The base refuses setting and deleting
+attributes and copies a value as itself.  No floating point enters the
 symbolic layer.  Terms are kept in graded-reverse-lexicographic order so
 equal polynomials have identical representations (and identical hashes).
 The public ``Poly(nvars, terms)`` validates and sorts its input; the
 arithmetic builds results that are canonical by construction (sums as one
 merge of two sorted term tuples, monomial multiples and derivatives in the
 order they already have) and wraps them through a trusted internal
-constructor.  A Poly computes its hash on first use.
+constructor.
 
 Coefficients are exact rationals at the API; the inner loops of
 multiplication run on integers.  A product of two polynomials of two or
@@ -206,22 +207,40 @@ def _sum_lines(name: str, terms, names: Sequence[str], zero: str) -> list[str]:
 
 
 class _Frozen:
-    """Base of the immutable value types: setting or deleting an attribute
-    raises AttributeError.  Constructors write their slots with
-    ``object.__setattr__``.
+    """Base of the immutable value types.  A value is its ``_init`` slots,
+    the arguments its constructor is called with: it is compared, hashed
+    and pickled by them, and hashed on first use, into ``_hash``.  Equality
+    holds only between values of one type.
 
-    The values are deeply immutable, so a copy, shallow or deep, is the
-    object itself.  Unpickling calls the constructor with the slots named
-    by ``_init``, instead of restoring every slot: a cached hash can hash
-    strings, which hash differently in each process.
+    Setting or deleting an attribute raises AttributeError; constructors
+    write their slots with ``object.__setattr__``.  The values are deeply
+    immutable, so a copy, shallow or deep, is the object itself.
+    Unpickling calls the constructor with the ``_init`` slots instead of
+    restoring every slot: a cached hash can hash strings, which hash
+    differently in each process.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._init)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._args() == other._args()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._args()))
+            return self._hash
 
     def __deepcopy__(self, memo=None):
         return self
@@ -229,7 +248,7 @@ class _Frozen:
     __copy__ = __deepcopy__
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._init)
+        return type(self), self._args()
 
 
 class Poly(_Frozen):
@@ -241,11 +260,11 @@ class Poly(_Frozen):
     The public constructor validates: it checks arity and exponents, merges
     duplicate monomials, drops zeros and sorts.  Arithmetic on Polys builds
     its result through the trusted :meth:`_canonical`, which stores an
-    already canonical ``terms`` tuple as given.  The hash is computed on the
-    first ``hash()`` call.
+    already canonical ``terms`` tuple as given.  An int or Fraction equals
+    the constant polynomial of its value.
     """
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms")
     _init = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Iterable[tuple[tuple[int, ...], Fraction]] = ()):
@@ -436,17 +455,9 @@ class Poly(_Frozen):
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other, self.nvars)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return super().__eq__(other)
 
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.nvars, self.terms))
-            object.__setattr__(self, "_hash", h)
-            return h
+    __hash__ = _Frozen.__hash__  # a class that defines __eq__ alone is unhashable
 
     def __repr__(self):
         names = tuple(f"x{i}" for i in range(self.nvars))
@@ -456,7 +467,7 @@ class Poly(_Frozen):
 class VectorField(_Frozen):
     """A polynomial vector field: component ``i`` multiplies d/dx_i."""
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("components",)
     _init = ("components",)
 
     def __init__(self, components: Sequence[Poly]):
@@ -472,7 +483,6 @@ class VectorField(_Frozen):
         if len(components) != n:
             raise ArityError(f"{len(components)} components for {n} variables")
         object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_hash", hash(components))
 
     @classmethod
     def zero(cls, nvars: int) -> "VectorField":
@@ -519,14 +529,6 @@ class VectorField(_Frozen):
     def __call__(self, point: Sequence) -> tuple:
         return tuple(p(point) for p in self.components)
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         names = tuple(f"x{i}" for i in range(self.nvars))
         return f"VectorField<{format_vector_field(self, names)}>"
@@ -540,7 +542,7 @@ class FoliationSpec(_Frozen):
     generator list is legal and denotes the zero module.
     """
 
-    __slots__ = ("nvars", "var_names", "generators", "_hash")
+    __slots__ = ("nvars", "var_names", "generators")
     _init = ("var_names", "generators")
 
     def __init__(self, var_names: Sequence[str], generators: Sequence[VectorField] = ()):
@@ -563,20 +565,11 @@ class FoliationSpec(_Frozen):
         object.__setattr__(self, "nvars", len(var_names))
         object.__setattr__(self, "var_names", var_names)
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "_hash", hash((var_names, generators)))
 
     @property
     def k(self) -> int:
         """Number of generators."""
         return len(self.generators)
-
-    def __eq__(self, other):
-        if not isinstance(other, FoliationSpec):
-            return NotImplemented
-        return self.var_names == other.var_names and self.generators == other.generators
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         gens = "; ".join(format_vector_field(g, self.var_names) for g in self.generators)

@@ -1,6 +1,8 @@
 """CLI integration: file loading, subcommands, exit codes, JSON shape."""
 
+import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -1586,6 +1588,51 @@ def test_main_ends_a_grid_whose_reader_leaves_midway_with_exit_120(files, capsys
         reader.join()
     assert (proc.returncode, proc.stderr) == (120, "fol: cannot write the report: [Errno 32] Broken pipe\n")
     assert head[0] and out.startswith(head[0])
+
+
+class _FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` (``method``) raises OSError ``code``."""
+
+    def __init__(self, method, code):
+        super().__init__()
+        self.method, self.code = method, code
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(self.code, os.strerror(self.code))
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(self.code, os.strerror(self.code))
+
+
+@pytest.mark.parametrize("stdout", ["captured", None, "write", "flush"])
+def test_main_in_process(files, capsys, monkeypatch, stdout):
+    # the fresh-interpreter tests above, in this process: os._exit raises
+    # SystemExit, so that main's every line runs under the tests' collector
+    exits = []
+
+    def exit_(code):
+        exits.append(code)
+        raise SystemExit(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["fol", "check", files["sl2"]])
+    if stdout != "captured":
+        failing = None if stdout is None else _FailingStdout(stdout, errno.EPIPE if stdout == "write" else errno.ENOSPC)
+        monkeypatch.setattr(sys, "stdout", failing)
+    with pytest.raises(SystemExit) as end:
+        cli.main()
+    out, err = capsys.readouterr()
+    if stdout == "captured":  # the report, then os._exit with run's code
+        assert (exits, err, json.loads(out)["results"]["closed"]) == ([0], "", True)
+    elif stdout == "flush":  # the last flush fails: sys.exit leaves it to the interpreter
+        assert (exits, end.value.code, err) == ([], 0, "")
+        assert json.loads(failing.getvalue())["results"]["closed"] is True
+    else:
+        error = "[Errno 9] stdout is closed" if stdout is None else "[Errno 32] Broken pipe"
+        assert (exits, err) == ([120], f"fol: cannot write the report: {error}\n")
 
 
 # runs cli.run(argv) in a fresh interpreter, stdout to /dev/null; prints the

@@ -751,6 +751,16 @@ def test_a_refused_walk_stops_drawing_at_the_first_step_past_the_cap(monkeypatch
     assert len(draws) == past * (spec.k + 1)
 
 
+def test_an_accepted_walk_counts_its_rk4_steps_once(monkeypatch):
+    # the walk's steps are counted while they are drawn; before, _drive
+    # counted them a second time over the durations
+    counted = []
+    rk4_steps = flow_module._rk4_steps
+    monkeypatch.setattr(flow_module, "_rk4_steps", lambda *a: counted.append(1) or rk4_steps(*a))
+    points = leaf_sample(sl2(), (1, 1), 150, 1)
+    assert (len(points), len(counted)) == (151, 150)
+
+
 def test_a_walk_of_many_chunks_equals_its_pairs_run_one_at_a_time(monkeypatch):
     # 3 chunks and 5 pairs: each chunk is one kernel call, and the states are
     # those of one _drive call per pair

@@ -90,6 +90,15 @@ def test_matrix_exp_rows_raise_nothing():
     assert _solve([[0.0, 2.0], [4.0, 0.0]], [[2.0], [8.0]]) == [[2.0], [1.0]]
 
 
+def test_float_sums_add_left_to_right_on_every_python():
+    # Python 3.12's sum compensates float rounding and makes 1.0 of this row;
+    # the exact jets of gl3 words differed in their last digits on 3.12 and 3.13
+    row, ones = [1e16, 1.0, -1e16], [[1.0], [1.0], [1.0]]
+    assert _matmul([row], ones) == [[0.0]]
+    assert _solve([[1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                  [[0.0], [1e16], [1.0], [-1e16]]) == [[0.0], [1e16], [1.0], [-1e16]]
+
+
 def test_matrix_exp_entry_beyond_the_float_range_gives_nan():
     # an infinity, so NaN entries: no exception, and no numpy warning (warnings fail tests)
     assert np.isnan(matrix_exp([[10**400, 0], [0, 1]])).all()

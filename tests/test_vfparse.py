@@ -535,14 +535,44 @@ def _values():
 def test_value_types_refuse_set_and_del(name):
     # before, del of a slot succeeded and left, say, a Poly whose p + p raised
     value = _values()[name]
-    hash(value)  # a Poly caches its hash on first use
-    for slot in type(value).__slots__ + ("other",):
+    hash(value)  # a value caches its hash on first use, in the base's _hash slot
+    for slot in [s for cls in type(value).__mro__ for s in getattr(cls, "__slots__", ())] + ["other"]:
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             setattr(value, slot, None)
         with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
             delattr(value, slot)
     assert value == _values()[name] and hash(value) == hash(_values()[name])
     assert not hasattr(value, "__dict__")
+
+
+def test_values_are_hashed_on_first_use():
+    # before, a VectorField and a FoliationSpec were hashed in __init__, and a
+    # FlowWord was hashed again on every call, with no _hash kept
+    for name, value in _values().items():
+        assert not hasattr(value, "_hash"), name
+        h = hash(value)
+        assert value._hash == h == hash(value), name
+
+
+@pytest.mark.parametrize("name", ["Poly", "VectorField", "FoliationSpec", "FlowWord"])
+def test_value_equality_and_hash_follow_init(name):
+    values = _values()
+    value = values[name]
+    args = tuple(getattr(value, slot) for slot in type(value)._init)
+    assert hash(value) == hash(args)
+    rebuilt = type(value)(*args)
+    assert rebuilt == value and rebuilt is not value and not rebuilt != value
+    changed = {
+        "Poly": lambda p: p + 1,
+        "VectorField": lambda x: -x,
+        "FoliationSpec": lambda s: FoliationSpec(("u", "v"), s.generators),
+        "FlowWord": lambda w: FlowWord(w.spec, w.steps[:1]),
+    }[name](value)
+    assert changed != value and value != changed
+    for other in values.values():
+        if other is not value:
+            assert value.__eq__(other) is NotImplemented and value != other
+    assert Poly.constant(3, 1) == 3 and 3 == Poly.constant(3, 1) and Poly.constant(3, 1) != 2
 
 
 def test_value_type_protocols_decline_other_types_and_check_arity():
