@@ -35,19 +35,19 @@ count reach its value in ``_LEAST`` (else exit 2).  ``--jobs N`` has no effect.
 Randomized subcommands (``leaf``, ``chart-rank``) require ``--seed``.  Output
 is byte-identical for identical invocations and seeds, and so is its layout:
 exactly what ``json.dumps(report, indent=2, sort_keys=True)`` writes (2-space
-indent, sorted keys, ASCII only) and one trailing newline.
+indent, sorted keys, ASCII only) and one trailing newline.  The report is
+written by ``_dumps`` and ``_quote``, this module's own writer of that layout
+and of JSON strings, so that ``fol`` does not import ``json``.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import math
 import os
 import sys
 from fractions import Fraction
 from itertools import chain, islice, product
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -552,7 +552,61 @@ def _read_argv(argv: list[str]) -> SimpleNamespace:
     return ns
 
 
-# one dims --grid row, as json.dumps(indent=2) writes it in a report
+# str.translate's table of the ASCII characters a JSON string escapes: the
+# control characters and DEL as \u00XX, five of them by their short escape,
+# and '"' and '\'
+_ESCAPES = {c: f"\\u{c:04x}" for c in (*range(32), 127)} | {
+    ord(c): "\\" + e for c, e in zip('"\\\b\f\n\r\t', '"\\bfnrt')
+}
+
+
+def _wide(c: str) -> str:
+    """The escape of the non-ASCII character ``c``: ``\\uXXXX``, a surrogate pair above U+FFFF."""
+    n = ord(c)
+    if n > 0xFFFF:
+        n -= 0x10000
+        return "\\u%04x\\u%04x" % (0xD800 | n >> 10, 0xDC00 | n & 0x3FF)
+    return "\\u%04x" % n
+
+
+def _quote(s: str) -> str:
+    """``s`` as a JSON string, ASCII only, as ``json.dumps`` writes it."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:  # nothing to escape
+        return f'"{s}"'
+    s = s.translate(_ESCAPES)
+    if not s.isascii():
+        s = "".join(c if c < "\x80" else _wide(c) for c in s)
+    return f'"{s}"'
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` writes it; ``indent``, a newline and the spaces of
+    ``value``'s depth, starts each line after the first.  A NaN or infinity
+    raises ValueError, and a value JSON has no form for TypeError."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("Out of range float values are not JSON compliant")
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{_quote(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + ",".join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [inner + _dumps(v, inner) for v in value]
+        return "[" + ",".join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+# one dims --grid row, as _dumps writes it in a report
 _GRID_ROW = '\n      {\n        "fiber": %d,\n        "isotropy": %d,\n        "point": %s,\n        "tangent": %d\n      }'
 
 
@@ -562,12 +616,12 @@ _CHUNK_ROWS = 1024
 
 def _rows_json(key: str, rows: list) -> str:
     """``rows``, items of ``results[key]`` (the leaf points or the grid rows),
-    joined by commas as ``json.dumps(indent=2)`` writes them in a report; a
-    grid row's (label, fiber, tangent) becomes its object, isotropy included."""
+    joined by commas as ``_dumps`` writes them in a report; a grid row's
+    (label, fiber, tangent) becomes its object, isotropy included."""
     if not rows:
         return ""
     if key == "grid":
-        return ",".join(_GRID_ROW % (f, f - t, encode_basestring_ascii(label), t) for label, f, t in rows)
+        return ",".join(_GRID_ROW % (f, f - t, _quote(label), t) for label, f, t in rows)
     row = "\n      [" + ",".join(["\n        %r"] * len(rows[0])) + "\n      ]"
     return ",".join(row % tuple(p) for p in rows)
 
@@ -577,10 +631,9 @@ def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) 
     writes it (2-space indent, sorted keys, ASCII only), and a newline; a NaN
     or infinity in it raises ValueError, and nothing is printed.
 
-    The pure-Python encoder that ``indent`` needs is slow on the two large
-    arrays, and would hold the whole text.  So json.dumps writes the report
-    with the array left empty, and the text up to it is printed, then the
-    items ``_CHUNK_ROWS`` at a time from one row template, then the rest.
+    ``_dumps`` writes the report with the array of grid rows or leaf points
+    left empty, and the text up to it is printed, then the items
+    ``_CHUNK_ROWS`` at a time from one row template, then the rest.
     ``results["grid"]``, the dims rows, may be any iterable, read once as a
     stream, so a report's memory does not grow with its rows.  The leaf
     points (``results["points"]``, a list) are checked to be finite first.
@@ -597,12 +650,12 @@ def _emit(command: str, inputs: dict, results: dict, diagnostics: dict, **seed) 
         "version": __version__,
         **seed,
     }
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    text = _dumps(report)
     write = sys.stdout.write
     if key:
         rows = iter(results[key])
         chunk = _rows_json(key, list(islice(rows, _CHUNK_ROWS)))
-        if chunk:  # else json.dumps wrote the empty array
+        if chunk:  # else _dumps wrote the empty array
             head, text = text.split(f'"{key}": []', 1)
             write(f'{head}"{key}": [{chunk}')
             while chunk := _rows_json(key, list(islice(rows, _CHUNK_ROWS))):

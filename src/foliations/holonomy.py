@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, NotFixedPointError, NotLinearError, PreconditionError
 from .flow import (
@@ -46,9 +46,9 @@ from .flow import (
 from .modalg import as_point
 from .vfparse import FoliationSpec
 
-if TYPE_CHECKING:
-    # A first jet is an n x n float matrix; plain ndarray, row-major.
-    from numpy import ndarray as JetMatrix
+# A first jet is an n x n float matrix; plain ndarray, row-major.  The alias
+# is the type's name, so that importing this module imports no numpy.
+JetMatrix = "numpy.ndarray"
 
 __all__ = [
     "CarriedDiffeo",

@@ -15,6 +15,8 @@ lower position.  ``split = 0`` is term-over-position (``module_groebner``,
 ``contains``), ``split = n`` the elimination block of ``syzygy_basis``.
 The lead is the first term, and a monomial factor keeps the order, so a
 reduction step and an S-pair are each one ``_merge`` of term tuples.
+The pending S-pairs are one list, sorted by degree of lcm and then by index
+whenever an element arrives, and taken lowest first.
 S-pairs are pruned by two of the Gebauer-Moeller criteria
 (Gebauer & Moeller 1988): when an element h arrives, B drops each pending
 pair (i, l) of h's position whose lcm the lead of h divides, unless
@@ -78,7 +80,6 @@ of polynomial and smooth fiber data is not claimed in general.
 
 from __future__ import annotations
 
-import heapq
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -358,7 +359,9 @@ def _groebner(
         if elem:
             push(elem, _unit_row(nvars, k, idx) if track else None)
 
-    # pending S-pairs (degree of lcm, i, j, lcm), i < j, popped lowest first
+    # pending S-pairs (degree of lcm, i, j, lcm), i < j, sorted descending
+    # once per add_pairs and popped from the end, so lowest first; no two are
+    # equal (j is new at each add_pairs), so this is the order a heap pops
     pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
 
     def lcm_of(i: int, j: int) -> tuple[int, ...]:
@@ -368,7 +371,7 @@ def _groebner(
         pos, mon, _ = basis[j][0]
         # B: drop a pending pair (i, l) of this position whose lcm the new
         # lead divides, unless lcm(i, j) or lcm(l, j) equals that lcm
-        kept = [
+        pairs[:] = [
             pair
             for pair in pairs
             if basis[pair[1]][0][0] != pos
@@ -376,9 +379,6 @@ def _groebner(
             or pair[3] == lcm_of(pair[1], j)
             or pair[3] == lcm_of(pair[2], j)
         ]
-        if len(kept) < len(pairs):
-            pairs[:] = kept
-            heapq.heapify(pairs)
         # F: of the new pairs with equal lcms, only the first
         seen = set()
         for i in range(j):
@@ -386,14 +386,15 @@ def _groebner(
                 lcm = lcm_of(i, j)
                 if lcm not in seen:
                     seen.add(lcm)
-                    heapq.heappush(pairs, (sum(lcm), i, j, lcm))
+                    pairs.append((sum(lcm), i, j, lcm))
+        pairs.sort(reverse=True)
 
     for j in range(len(basis)):
         add_pairs(j)
 
     one = Fraction(1)
     while pairs:
-        deg, i, j, lcm = heapq.heappop(pairs)
+        deg, i, j, lcm = pairs.pop()
         if deg > budget.max_pair_degree:
             raise BudgetError(
                 f"S-pair degree {deg} exceeds cap {budget.max_pair_degree}"

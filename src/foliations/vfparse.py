@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Sequence
 
 from .errors import ArityError, BudgetError, ParseError, UnknownVariableError
@@ -227,19 +227,23 @@ class _Frozen:
 
     __delattr__ = __setattr__
 
-    def _args(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._init)
+    def __init_subclass__(cls, **kwargs):
+        # _args(value), one per class: the tuple of the value's _init slots
+        # (attrgetter of one name gives the slot itself, not a 1-tuple)
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._init)
+        cls._args = staticmethod(get if len(cls._init) > 1 else lambda value: (get(value),))
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._args() == other._args()
+        return self._args(self) == self._args(other)
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash(self._args()))
+            object.__setattr__(self, "_hash", hash(self._args(self)))
             return self._hash
 
     def __deepcopy__(self, memo=None):
@@ -248,7 +252,7 @@ class _Frozen:
     __copy__ = __deepcopy__
 
     def __reduce__(self):
-        return type(self), self._args()
+        return type(self), self._args(self)
 
 
 class Poly(_Frozen):

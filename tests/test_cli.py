@@ -12,6 +12,7 @@ import threading
 import warnings
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,9 @@ from foliations.cli import (
     _TYPES,
     FoliationFile,
     _dims_at,
+    _dumps,
     _lattice,
+    _quote,
     load_foliation,
     load_foliation_file,
     run,
@@ -1783,6 +1786,55 @@ def test_report_writer_escapes_argv(files, capsys, monkeypatch, tmp_path, stem, 
     code, out, expected = _written_and_expected(monkeypatch, capsys, [args[0], str(path), *args[1:]])
     assert code == (2 if args[-1] == '"grid": []' else 0)
     assert out == expected and out.isascii()
+
+
+def test_report_writer_escapes_a_missing_non_ascii_file(capsys, monkeypatch, tmp_path):
+    # one error report; its argv holds a character above U+FFFF, so a surrogate
+    # pair, and a lone surrogate, as a surrogateescape argv decodes a byte
+    path = str(tmp_path / "\u03c8\u00e9 \U0001f600\udcff.fol")
+    code, out, expected = _written_and_expected(monkeypatch, capsys, ["check", path])
+    assert code == 2 and out == expected and "\\ud83d\\ude00" in out and "\\udcff" in out
+
+
+# json's own encoder is the oracle of _quote and _dumps
+_CODE_POINTS = [*range(0x3000), *range(0xD800, 0xE000), 0x10000, 0x1F600, 0x10FFFF]
+
+
+def test_quote_matches_json():
+    for c in map(chr, _CODE_POINTS):
+        assert _quote(c) == encode_basestring_ascii(c), hex(ord(c))
+    text = "".join(map(chr, _CODE_POINTS))
+    assert _quote(text) == encode_basestring_ascii(text)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), "", 0, -0.0, 5e-324, 1e300, -2.5, 10**400, -(10**40), True, False, None,
+        {"b": [1, (2.5, {}), [], 1e-7], "a": {"z": {"y": ()}, "": [None, True, False]}, "\u00e9\n": "\U0001f600"},
+        [[[]], [{}], ({"k": -0.0, "j": 5e-324, "i": [10**30, -(10**30)]},), (True, 1, 1.0)],
+    ],
+)
+def test_dumps_matches_json(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_non_finite_floats(bad):
+    value = {"a": [1, {"b": (2.0, bad)}]}
+    with pytest.raises(ValueError):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant$"):
+        _dumps(value)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), {1}, b"x", object()], ids=["Fraction", "set", "bytes", "object"])
+def test_dumps_refuses_what_json_has_no_form_for(bad):
+    value = {"a": [1, {"b": bad}]}
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError, match=f"^Object of type {type(bad).__name__} is not JSON serializable$"):
+        _dumps(value)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])

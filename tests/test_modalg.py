@@ -7,6 +7,7 @@ from math import lcm
 
 import pytest
 
+from foliations import modalg
 from foliations.errors import ArityError, BudgetError, PreconditionError
 from foliations.flow import XorShift64Star, chart_at, chart_rank_check
 from foliations.modalg import (
@@ -817,6 +818,36 @@ def test_certificate_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 internal error: membership certificate failed verification\n"
+
+
+# each re-verification raise, fired in process by a planted wrong answer, so
+# that the line collector of tests/line_coverage.py sees it run
+
+
+def test_certificate_check_fires():
+    spec = sl2()
+    gb = module_groebner(spec)
+    zero = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))
+    bad = ModuleGB(gb.source, gb.basis, (zero,) * len(gb.reprs))
+    with pytest.raises(AssertionError, match="^internal error: membership certificate failed verification$"):
+        contains(bad, spec.generators[0])
+
+
+def test_relation_check_fires(monkeypatch):
+    # one basis element with zero value components: its relation block,
+    # (1, 0, 0), says the first generator is zero, which it is not
+    spec = sl2()
+    n, k = spec.nvars, spec.k
+    wrong = (*(Poly.zero(n) for _ in range(n)), Poly.constant(1, n), *(Poly.zero(n) for _ in range(k - 1)))
+    monkeypatch.setattr(modalg, "_groebner", lambda *args: ([wrong], ()))
+    with pytest.raises(AssertionError, match="^internal error: relation does not annihilate the generators$"):
+        syzygy_basis(spec)
+
+
+def test_witness_check_fires(monkeypatch):
+    monkeypatch.setattr(modalg, "_det", lambda mat, spent: Poly.zero(2))
+    with pytest.raises(AssertionError, match="^internal error: the witness minor vanishes at its own point$"):
+        list(modalg._dims(sl2(), [(1, 0), (0, 1)], 1))
 
 
 def test_module_gb_repr_and_membership_truth_are_pinned():

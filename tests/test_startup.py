@@ -1,6 +1,6 @@
 """``fol`` never loads numpy: no subcommand imports it.  Importing the
 package loads neither ``dataclasses`` nor ``inspect`` either, and importing
-the CLI loads no ``pathlib``.
+the CLI loads no ``pathlib``; nor do requests load ``json`` or ``heapq``.
 
 pytest itself has numpy loaded, so every check runs in a fresh interpreter.
 """
@@ -44,12 +44,19 @@ def test_import_leaves_numpy_unloaded(module):
 
 def test_cli_import_leaves_pathlib_unloaded(sl2_file):
     # under -S no site hook preloads pathlib (and through it fnmatch, ntpath, urllib, ...);
-    # nor does a request load argparse and the gettext it imports: fol reads its own argv
-    names = ("pathlib", "argparse", "gettext")
-    script = _RUN.format(prelude="", argvs=[["check", sl2_file]]) + f"print(*[m in sys.modules for m in {names!r}])\n"
+    # nor does a request load argparse and the gettext it imports: fol reads its own argv.
+    # No report loads json, written whole (check) or with grid rows or leaf points
+    # streamed (dims --grid, leaf), and no Groebner run loads heapq
+    names = ("pathlib", "argparse", "gettext", "json", "heapq")
+    argvs = [
+        ["check", sl2_file],
+        ["dims", sl2_file, "--grid", "-1:1:1"],
+        ["leaf", sl2_file, "--point", "1,0", "--steps", "5", "--seed", "3"],
+    ]
+    script = _RUN.format(prelude="", argvs=argvs) + f"print(*[m in sys.modules for m in {names!r}])\n"
     proc = run_python(script, "-S")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0 False\nFalse False False\n"
+    assert proc.stdout == "0 0 0 False\nFalse False False False False\n"
 
 
 _NUMERIC = [
