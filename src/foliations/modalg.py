@@ -6,15 +6,36 @@ basis; relations among the generators (syzygies) come from a second
 Groebner run in rank n+k under a block order that eliminates the value
 components.
 
-Inside the engine (``_groebner``, ``_reduce``, ``contains``) an element of
-a free module is one tuple of ``(position, exponents, coefficient)``
-terms in descending module order; outside it, a tuple of Polys, one per
-position.  One integer ``split`` sets the order: a term in a position
-below ``split`` comes first, then the bigger monomial in grevlex, then the
-lower position.  ``split = 0`` is term-over-position (``module_groebner``,
-``contains``), ``split = n`` the elimination block of ``syzygy_basis``.
-The lead is the first term, and a monomial factor keeps the order, so a
+Inside the engine (``_groebner`` and ``contains``, on the ``_Basis`` of a
+run) an element of a free module is one tuple of ``(key, int)`` terms in
+descending key order; outside it, a tuple of Polys, one per position.  One
+integer ``split`` sets the order: a term in a position below ``split``
+comes first, then the bigger monomial in grevlex, then the lower position.
+``split = 0`` is term-over-position (``module_groebner``, ``contains``),
+``split = n`` the elimination block of ``syzygy_basis``.  A key packs that
+order into one int, as the packed exponent vectors of Monagan & Pearce
+(CASC 2007): from the most significant field down, the block bit
+``pos < split``, the degree, the partial sums deg - e[n-1],
+deg - e[n-1] - e[n-2], .., e[0], and ``npos - 1 - pos``, each field
+``_W`` = 64 bits wide.  Each field is linear in the exponents, so a
+monomial multiple is one addition per term and a merge compares two ints.
+A degree wider than a field is refused (BudgetError) when a run reads its
+input and at every shift, so no field ever carries into the next.
+Exponents are decoded only from a lead, for the divisibility test.  The
+lead is the first term, and a monomial factor keeps the order, so a
 reduction step and an S-pair are each one ``_merge`` of term tuples.
+
+The coefficients are integers, fraction-free: each element of a run is
+primitive (coprime coefficients) with a positive lead.  An S-pair and a
+reduction step multiply their two sides by the other side's lead over the
+gcd of the two leads, so that the leads cancel; the content is removed
+once per result, and Fractions are formed once, when the monic basis, its
+``reprs`` and the certificates are returned.  By induction each element is
+a positive multiple of the one a run on monic rational elements holds at
+the same point.  Reducer choice, pair creation and the pair criteria
+depend only on leads, and ``reprs`` are scaled with their elements, so both
+runs take the same steps and return the same basis, reprs and
+certificates.
 The pending S-pairs are one list, sorted by degree of lcm and then by index
 whenever an element arrives, and taken lowest first.
 S-pairs are pruned by two of the Gebauer-Moeller criteria
@@ -85,11 +106,11 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ArityError, BudgetError, PreconditionError
-from .vfparse import FoliationSpec, Poly, VectorField, _over_lcm, _sum_lines, grevlex_key, lie_bracket
+from .vfparse import FoliationSpec, Poly, VectorField, _int_terms, _over_lcm, _sum_lines, lie_bracket
 
 __all__ = [
     "Budget",
@@ -219,46 +240,44 @@ def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 
 
+# the bits of each field of an order key (see the module docstring); a
+# degree wider than a field is a BudgetError, never a misordered term
+_W = 64
+_MASK = (1 << _W) - 1
+
+
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _merge(a: tuple, b: tuple, split: int) -> tuple:
-    """The sum of two elements, by one merge in the module order of
-    ``split``; terms that cancel are dropped."""
+def _fits(degree: int) -> None:
+    """Refuse a degree wider than a key field (BudgetError)."""
+    if degree > _MASK:
+        raise BudgetError(f"degree {degree} does not fit the {_W}-bit field of an order key")
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The sum of two elements, by one merge of their descending keys;
+    terms that cancel are dropped."""
     out = []
     append = out.append
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
-        (pa, ea, ca), (pb, eb, cb) = a[i], b[j]
-        if ea == eb and pa == pb:
-            c = ca + cb
-            if c:
-                append((pa, ea, c))
+        ta, tb = a[i], b[j]
+        if ta[0] > tb[0]:
+            append(ta)
             i += 1
+        elif ta[0] < tb[0]:
+            append(tb)
             j += 1
-        # the order: the block below split, grevlex, the lower position
-        elif (pa < split, sum(ea), eb[::-1], pb) > (pb < split, sum(eb), ea[::-1], pa):
-            append(a[i])
-            i += 1
         else:
-            append(b[j])
+            c = ta[1] + tb[1]
+            if c:
+                append((ta[0], c))
+            i += 1
             j += 1
     return tuple(out) + a[i:] + b[j:]
-
-
-def _shift(terms: tuple, mon: tuple[int, ...], coeff: Fraction) -> tuple:
-    """``terms`` times coeff*x^mon."""
-    return tuple((p, tuple(map(add, e, mon)), c * coeff) for p, e, c in terms)
-
-
-def _flat(elem: Element, split: int) -> tuple:
-    """The element of a tuple of Polys, in the module order of ``split``."""
-    out: tuple = ()
-    for pos, p in enumerate(elem):
-        out = _merge(out, tuple((pos, e, c) for e, c in p.terms), split)
-    return out
 
 
 # the input terms that the reduction merges of one Groebner run, or of one
@@ -267,51 +286,143 @@ def _flat(elem: Element, split: int) -> tuple:
 _MAX_MERGED_TERMS = 2_000_000
 
 
-def _reduce(
-    elem: tuple, basis: list[tuple], split: int, counter: list[int], budget: Budget, skip: int = -1
-):
-    """Full normal form of the element ``elem`` modulo the monic elements
-    ``basis`` but ``basis[skip]``; returns (rem, quotients).
-
-    ``counter`` holds the reduction steps and the merged input terms of the
-    run so far; a step past ``budget.max_reduction_steps``, or a merge past
-    ``_MAX_MERGED_TERMS`` terms, raises BudgetError.
-
-    ``quotients`` is a list of Polys aligned with ``basis``, and
-    elem = sum quotients[b] * basis[b] + rem.  Each step takes the lead of
-    ``work``: with no reducer it moves to ``rem``; else the two leads cancel,
-    and the reducer's tail times the quotient term is subtracted from the
-    rest in one merge.  So the leads of ``work`` strictly decrease: the
-    terms of ``rem`` arrive in module order, and those of each quotient in
-    grevlex order, since a reducer always acts at the position of its lead.
+class _Basis:
+    """The elements of one engine run on ``npos`` positions of polynomials
+    in ``nvars`` variables, keyed in the module order of ``split`` (see the
+    module docstring).  ``elems[b]`` is ``(terms, position, exponents,
+    top)``: a primitive integer element with a positive lead, as
+    descending ``(key, int)`` terms, its lead's position and exponents,
+    and the highest degree of its terms.
     """
-    work = elem
-    rem = []
-    quots: list[list] = [[] for _ in basis]
-    while work:
-        pos, mon, coeff = work[0]
-        reducer = -1
-        for bi, g in enumerate(basis):
-            if bi != skip and g[0][0] == pos and _divides(g[0][1], mon):
-                reducer = bi
-                break
-        counter[0] += 1
-        if counter[0] > budget.max_reduction_steps:
-            raise BudgetError(
-                f"reduction step budget of {budget.max_reduction_steps} exceeded"
-            )
-        if reducer < 0:
-            rem.append(work[0])
-            work = work[1:]
+
+    def __init__(self, nvars: int, npos: int, split: int, budget: Budget):
+        self.nvars, self.npos, self.split, self.budget = nvars, npos, split, budget
+        # field j holds e[0] + .. + e[j] from bit _W*(j + 1), so e[m] counts in fields m..n-1
+        self.shifts = [_W * (j + 1) for j in range(nvars)]
+        self.weights = [sum(1 << s for s in self.shifts[m:]) for m in range(nvars)]
+        self.block = 1 << _W * (nvars + 1)
+        self.elems: list[tuple[tuple, int, tuple[int, ...], int]] = []
+
+    def mon(self, expt: Sequence[int]) -> int:
+        """The key of the monomial x^expt: the shift that multiplies by it."""
+        return sum(map(mul, expt, self.weights))
+
+    def exponents(self, key: int) -> tuple[int, ...]:
+        s = [key >> at & _MASK for at in self.shifts]
+        return (s[0], *map(sub, s[1:], s))
+
+    def flat(self, elem: Element) -> tuple[tuple, int]:
+        """(terms, d): d times the tuple of Polys ``elem`` as descending
+        integer terms, d the lcm of its denominators; a degree wider than a
+        key field raises BudgetError."""
+        _fits(max((p.degree() for p in elem), default=-1))
+        ints, d = _over_lcm([c for p in elem for _, c in p.terms])
+        last = self.npos - 1
+        keys = (
+            (self.block if pos < self.split else 0) + self.mon(e) + last - pos
+            for pos, p in enumerate(elem)
+            for e, _ in p.terms
+        )
+        return tuple(sorted(zip(keys, ints), reverse=True)), d
+
+    def put(self, terms: tuple, at: int | None = None) -> int:
+        """Store the primitive part of the nonzero ``terms``, its lead made
+        positive, as a new element or as element ``at``; returns the signed
+        content it was divided by."""
+        c = math.gcd(*(v for _, v in terms))
+        if terms[0][1] < 0:
+            c = -c
+        if c != 1:
+            terms = tuple((k, v // c) for k, v in terms)
+        lead, deg = terms[0][0], self.shifts[-1]
+        elem = (terms, self.npos - 1 - (lead & _MASK), self.exponents(lead), max(k >> deg & _MASK for k, _ in terms))
+        if at is None:
+            self.elems.append(elem)
         else:
-            g = basis[reducer]
+            self.elems[at] = elem
+        return c
+
+    def shift(self, b: int, u: int, f: int) -> tuple:
+        """The tail of element b times f*x^u, for the key u of a monomial."""
+        terms, _, _, top = self.elems[b]
+        _fits(top + (u >> self.shifts[-1]))
+        return tuple((k + u, c * f) for k, c in terms[1:])
+
+    def reduce(self, elem: tuple, counter: list[int], skip: int = -1):
+        """Full normal form of the terms ``elem`` modulo every element but
+        element ``skip``: (rem, scale, quots), with scale > 0 and
+        scale*elem = sum_b quots[b]*elems[b] + rem, quots[b] a list of
+        (monomial key, int) in descending order.
+
+        ``counter`` holds the reduction steps and the merged input terms of
+        the run so far; a step past ``budget.max_reduction_steps``, or a
+        merge past ``_MAX_MERGED_TERMS`` terms, raises BudgetError.
+
+        Each step takes the lead a*x^m of ``work``: with no reducer it moves
+        to ``rem``; else, for the reducer's lead c*x^l and h = gcd(a, c), work
+        becomes (c/h)*work - (a/h)*x^(m-l)*reducer, one merge in which the
+        leads cancel.  So the leads of ``work`` strictly decrease, and each
+        element is a positive multiple of the work the monic reduction
+        would hold.  The factors c/h are not applied to the remainder and
+        quotient terms already found at each step, but once at the end.
+        """
+        elems, budget, last = self.elems, self.budget, self.npos - 1
+        work = elem
+        # (b, key, coefficient): a term of quots[b], of rem for b = -1, or
+        # for b = None the factor ``key`` of everything before it
+        out: list = []
+        while work:
+            key, a = work[0]
+            pos, mon = last - (key & _MASK), self.exponents(key)
+            reducer = -1
+            for b, (_, gpos, gmon, _) in enumerate(elems):
+                if b != skip and gpos == pos and _divides(gmon, mon):
+                    reducer = b
+                    break
+            counter[0] += 1
+            if counter[0] > budget.max_reduction_steps:
+                raise BudgetError(
+                    f"reduction step budget of {budget.max_reduction_steps} exceeded"
+                )
+            if reducer < 0:
+                out.append((-1, key, a))
+                work = work[1:]
+                continue
+            g = elems[reducer][0]
             counter[1] += len(work) + len(g) - 2
             if counter[1] > _MAX_MERGED_TERMS:
                 raise BudgetError(f"reduction merge budget of {_MAX_MERGED_TERMS} terms exceeded")
-            fac_mon = tuple(a - b for a, b in zip(mon, g[0][1]))
-            work = _merge(work[1:], _shift(g[1:], fac_mon, -coeff), split)
-            quots[reducer].append((fac_mon, coeff))
-    return tuple(rem), [Poly._canonical(len(g[0][1]), tuple(q)) for g, q in zip(basis, quots)]
+            c = g[0][1]
+            h = math.gcd(a, c)
+            rest = work[1:]
+            if c != h:
+                out.append((None, c // h, 0))
+                rest = tuple((k, v * (c // h)) for k, v in rest)
+            u = key - g[0][0]
+            work = _merge(rest, self.shift(reducer, u, -(a // h)))
+            out.append((reducer, u, a // h))
+        rem: list = []
+        quots: list[list] = [[] for _ in elems]
+        scale = 1
+        for b, k, v in reversed(out):
+            if b is None:
+                scale *= k
+            else:
+                (rem if b < 0 else quots[b]).append((k, v * scale))
+        rem.reverse()
+        for q in quots:
+            q.reverse()
+        return tuple(rem), scale, quots
+
+    def poly(self, terms: Iterable[tuple[int, int]], den: int) -> Poly:
+        """The Poly of the descending ``(key, int)`` terms of one position,
+        or of monomial keys, over ``den``; zeros dropped."""
+        return Poly._canonical(self.nvars, tuple((self.exponents(u), Fraction(q, den)) for u, q in terms if q))
+
+    def polys(self, terms: tuple) -> Element:
+        """The element ``terms`` over its lead coefficient, as a tuple of Polys."""
+        last = self.npos - 1
+        return tuple(self.poly([t for t in terms if last - (t[0] & _MASK) == pos], terms[0][1]) for pos in range(self.npos))
 
 
 def _minus_quotients(rep: Element, quots: list[Poly], reprs: Sequence[Element]) -> Element:
@@ -322,9 +433,13 @@ def _minus_quotients(rep: Element, quots: list[Poly], reprs: Sequence[Element]) 
     return rep
 
 
-def _unit_row(nvars: int, length: int, index: int) -> Element:
+def _scaled(rep: Element, f: Fraction) -> Element:
+    return rep if f == 1 else tuple(p * f for p in rep)
+
+
+def _unit_row(nvars: int, length: int, index: int, value=1) -> Element:
     return tuple(
-        Poly.constant(1, nvars) if i == index else Poly.zero(nvars) for i in range(length)
+        Poly.constant(value, nvars) if i == index else Poly.zero(nvars) for i in range(length)
     )
 
 
@@ -335,29 +450,30 @@ def _groebner(
     budget: Budget,
     track: bool = False,
 ):
-    """Buchberger in the module order of ``split``, with optional tracking
-    of combinations of the inputs.
+    """Buchberger in the module order of ``split``, fraction-free, with
+    optional tracking of combinations of the inputs.
 
-    ``gens`` and the returned basis are tuples of Polys; the run holds term
-    tuples (see the module docstring).  Returns (basis, reprs);
-    ``reprs[j]`` (rank len(gens)) expresses basis[j] in the inputs when
-    ``track`` is set, else ().
+    ``gens`` and the returned basis are tuples of Polys; the run holds the
+    primitive integer elements of a ``_Basis``.  Returns (basis, reprs):
+    the basis monic and sorted by descending lead, and ``reprs[j]`` (rank
+    len(gens)) expressing basis[j] in the inputs when ``track`` is set,
+    else ().  Each element of the run is a positive multiple of the one
+    the monic run holds at the same point, and ``reprs`` are scaled with
+    their elements, so both runs take the same steps in the same order
+    and return the same basis and reprs.
     """
     k = len(gens)
-    basis: list[tuple] = []
-    reprs: list[Element] = []
+    run = _Basis(nvars, len(gens[0]) if gens else 0, split, budget)
+    elems = run.elems
+    reprs: list[Element] = []  # reprs[b] expresses elems[b] in the inputs
     counter = [0, 0]  # reduction steps, merged terms
 
-    def push(elem: tuple, rep: Element | None):
-        inv = Fraction(1) / elem[0][2]
-        basis.append(tuple((p, e, c * inv) for p, e, c in elem))
-        if track:
-            reprs.append(tuple(p * inv for p in rep))
-
     for idx, g in enumerate(gens):
-        elem = _flat(g, split)
-        if elem:
-            push(elem, _unit_row(nvars, k, idx) if track else None)
+        terms, d = run.flat(g)
+        if terms:
+            c = run.put(terms)
+            if track:
+                reprs.append(_unit_row(nvars, k, idx, Fraction(d, c)))
 
     # pending S-pairs (degree of lcm, i, j, lcm), i < j, sorted descending
     # once per add_pairs and popped from the end, so lowest first; no two are
@@ -365,16 +481,16 @@ def _groebner(
     pairs: list[tuple[int, int, int, tuple[int, ...]]] = []
 
     def lcm_of(i: int, j: int) -> tuple[int, ...]:
-        return tuple(map(max, basis[i][0][1], basis[j][0][1]))
+        return tuple(map(max, elems[i][2], elems[j][2]))
 
     def add_pairs(j: int):
-        pos, mon, _ = basis[j][0]
+        _, pos, mon, _ = elems[j]
         # B: drop a pending pair (i, l) of this position whose lcm the new
         # lead divides, unless lcm(i, j) or lcm(l, j) equals that lcm
         pairs[:] = [
             pair
             for pair in pairs
-            if basis[pair[1]][0][0] != pos
+            if elems[pair[1]][1] != pos
             or not _divides(mon, pair[3])
             or pair[3] == lcm_of(pair[1], j)
             or pair[3] == lcm_of(pair[2], j)
@@ -382,71 +498,67 @@ def _groebner(
         # F: of the new pairs with equal lcms, only the first
         seen = set()
         for i in range(j):
-            if basis[i][0][0] == pos:
+            if elems[i][1] == pos:
                 lcm = lcm_of(i, j)
                 if lcm not in seen:
                     seen.add(lcm)
                     pairs.append((sum(lcm), i, j, lcm))
         pairs.sort(reverse=True)
 
-    for j in range(len(basis)):
+    for j in range(len(elems)):
         add_pairs(j)
 
-    one = Fraction(1)
     while pairs:
         deg, i, j, lcm = pairs.pop()
         if deg > budget.max_pair_degree:
             raise BudgetError(
                 f"S-pair degree {deg} exceeds cap {budget.max_pair_degree}"
             )
-        ui = tuple(a - b for a, b in zip(lcm, basis[i][0][1]))
-        uj = tuple(a - b for a, b in zip(lcm, basis[j][0][1]))
-        # ui*basis[i] - uj*basis[j], whose monic leads cancel
-        s = _merge(_shift(basis[i][1:], ui, one), _shift(basis[j][1:], uj, -one), split)
-        rem, quots = _reduce(s, basis, split, counter, budget)
+        ui = tuple(map(sub, lcm, elems[i][2]))
+        uj = tuple(map(sub, lcm, elems[j][2]))
+        # fi*x^ui*elems[i] - fj*x^uj*elems[j], whose leads cancel
+        ai, aj = elems[i][0][0][1], elems[j][0][0][1]
+        h = math.gcd(ai, aj)
+        fi, fj = aj // h, ai // h
+        s = _merge(run.shift(i, run.mon(ui), fi), run.shift(j, run.mon(uj), -fj))
+        rem, scale, quots = run.reduce(s, counter)
         if not rem:
             continue
-        rep = None
+        c = run.put(rem)
         if track:
-            rep = tuple(p.mul_term(ui, one) - q.mul_term(uj, one) for p, q in zip(reprs[i], reprs[j]))
-            rep = _minus_quotients(rep, quots, reprs)
-        push(rem, rep)
-        add_pairs(len(basis) - 1)
+            f = Fraction(scale, c)
+            rep = tuple(p._times(ui, f * fi) - q._times(uj, f * fj) for p, q in zip(reprs[i], reprs[j]))
+            reprs.append(_minus_quotients(rep, [run.poly(q, c) for q in quots], reprs))
+        add_pairs(len(elems) - 1)
 
     # minimalize: drop elements whose lead is divisible by another's lead
     # (strict divisibility cannot cycle; among equal leads the first stays)
     def _redundant(i: int) -> bool:
-        pos, mon, _ = basis[i][0]
-        for j, g in enumerate(basis):
-            if j != i and g[0][0] == pos and _divides(g[0][1], mon):
-                if g[0][1] != mon or j < i:
+        _, pos, mon, _ = elems[i]
+        for j, (_, gpos, gmon, _) in enumerate(elems):
+            if j != i and gpos == pos and _divides(gmon, mon):
+                if gmon != mon or j < i:
                     return True
         return False
 
-    kept = [i for i in range(len(basis)) if not _redundant(i)]
-    basis = [basis[i] for i in kept]
+    kept = [i for i in range(len(elems)) if not _redundant(i)]
+    run.elems = elems = [elems[i] for i in kept]
     if track:
         reprs = [reprs[i] for i in kept]
 
     # tail-reduce each element against the others (leads stay fixed)
-    for i in range(len(basis)):
-        basis[i], quots = _reduce(basis[i], basis, split, counter, budget, skip=i)
+    for i in range(len(elems)):
+        rem, scale, quots = run.reduce(elems[i][0], counter, skip=i)
+        c = run.put(rem, i)
         if track:
-            reprs[i] = _minus_quotients(reprs[i], quots, reprs)
+            reprs[i] = _minus_quotients(_scaled(reprs[i], Fraction(scale, c)), [run.poly(q, c) for q in quots], reprs)
 
-    # by descending lead, each element as a tuple of Polys
-    def lead_key(i: int) -> tuple:
-        pos, mon, _ = basis[i][0]
-        return (pos < split, grevlex_key(mon), -pos)
-
-    def polys(elem: tuple) -> Element:
-        return tuple(
-            Poly._canonical(nvars, tuple((e, c) for p, e, c in elem if p == pos))
-            for pos in range(len(gens[0]))
-        )
-
-    order = sorted(range(len(basis)), key=lead_key, reverse=True)
-    return tuple(polys(basis[i]) for i in order), (tuple(reprs[i] for i in order) if track else ())
+    # by descending lead, each element monic and as a tuple of Polys
+    order = sorted(range(len(elems)), key=lambda i: elems[i][0][0][0], reverse=True)
+    basis = tuple(run.polys(elems[i][0]) for i in order)
+    if not track:
+        return basis, ()
+    return basis, tuple(_scaled(reprs[i], Fraction(1, elems[i][0][0][1])) for i in order)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +585,43 @@ def _combination(spec: FoliationSpec, coeffs: Sequence[Poly]) -> VectorField:
     return VectorField(tuple(sum((f * c[j] for f, c in terms), zero) for j in range(spec.nvars)))
 
 
+def _keyed(gb: ModuleGB, budget: Budget) -> _Basis:
+    """The monic basis of ``gb`` as the elements of a run: each element is
+    its lead coefficient times the basis element."""
+    run = _Basis(gb.source.nvars, gb.source.nvars, 0, budget)
+    for b in gb.basis:
+        run.put(run.flat(b)[0])
+    return run
+
+
+def _member(gb: ModuleGB, run: _Basis, x: VectorField) -> MembershipResult:
+    """``contains`` on the basis of ``gb`` keyed as ``run``."""
+    spec = gb.source
+    terms, d = run.flat(x.components)
+    rem, scale, quots = run.reduce(terms, [0, 0])
+    if rem:
+        return MembershipResult(member=False, certificate=None)
+    # scale*d*x = sum_b quots[b]*elems[b], and elems[b] = lead_b*gb.basis[b]:
+    # entry i of the certificate is sum_b quots[b]*lead_b*reprs[b][i] over
+    # scale*d, summed in integers over the lcm of the reprs' denominators
+    cert = []
+    for i in range(spec.k):
+        parts = [(_int_terms(rep[i].terms), qb, g[0][1]) for qb, (g, *_), rep in zip(quots, run.elems, gb.reprs) if qb]
+        den = math.lcm(*(dr for (_, dr), _, _ in parts))
+        acc: dict[int, int] = {}
+        for (ints, dr), qb, lead in parts:
+            for e, c in ints:
+                m, f = run.mon(e), c * lead * (den // dr)
+                for u, q in qb:
+                    acc[u + m] = acc.get(u + m, 0) + q * f
+        cert.append(run.poly(sorted(acc.items(), reverse=True), den * scale * d))
+    cert = tuple(cert)
+    # paranoia: a certificate must re-verify exactly
+    if _combination(spec, cert) != x:
+        raise AssertionError("internal error: membership certificate failed verification")
+    return MembershipResult(member=True, certificate=cert)
+
+
 def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> MembershipResult:
     """Decide membership of ``x`` in the module; certificates are re-checked.
 
@@ -481,23 +630,13 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
     ``x`` counts against ``budget.max_reduction_steps`` and
     ``_MAX_MERGED_TERMS``.
     """
-    spec = gb.source
-    if x.nvars != spec.nvars:
+    if x.nvars != gb.source.nvars:
         raise ArityError("vector field arity does not match the spec")
     if len(gb.reprs) != len(gb.basis):
         raise PreconditionError(
             "the basis has no representation table (reprs): build it with module_groebner"
         )
-    basis = [_flat(b, 0) for b in gb.basis]
-    rem, quots = _reduce(_flat(x.components, 0), basis, 0, [0, 0], budget)
-    if rem:
-        return MembershipResult(member=False, certificate=None)
-    zeros = tuple(Poly.zero(spec.nvars) for _ in range(spec.k))
-    cert = tuple(-p for p in _minus_quotients(zeros, quots, gb.reprs))
-    # paranoia: a certificate must re-verify exactly
-    if _combination(spec, cert) != x:
-        raise AssertionError("internal error: membership certificate failed verification")
-    return MembershipResult(member=True, certificate=cert)
+    return _member(gb, _keyed(gb, budget), x)
 
 
 # the most term products the Lie brackets of one ``is_involutive`` call may
@@ -525,6 +664,7 @@ def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Invol
     The brackets may form ``_MAX_BRACKET_PRODUCTS`` term products in all;
     a bracket past that raises BudgetError before it is formed."""
     gb = module_groebner(spec, budget)
+    run = _keyed(gb, budget)  # once, for every bracket
     witnesses = []
     spent = 0
     for a, b in combinations(range(spec.k), 2):
@@ -532,7 +672,7 @@ def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> Invol
         if spent > _MAX_BRACKET_PRODUCTS:
             raise BudgetError(f"Lie brackets need more than {_MAX_BRACKET_PRODUCTS} term products")
         br = lie_bracket(spec.generators[a], spec.generators[b])
-        if not contains(gb, br, budget).member:
+        if not _member(gb, run, br).member:
             witnesses.append(BracketWitness(i=a + 1, j=b + 1, bracket=br))
     return InvolutivityReport(closed=not witnesses, witnesses=tuple(witnesses))
 

@@ -36,9 +36,12 @@ denominators, multiplies and adds ints in one dict, and makes one Fraction
 per result term before one grevlex sort.  A product with a one-term
 operand (a constant, a monomial) is ``_times``, unchecked, which keeps
 the term order; ``mul_term`` checks its term and then calls it.
-``p**e`` forms its e products one by one in integers and makes the
-Fractions and the sort once at the end (binary powering was measured
-slower on dense bases); the power of a one-term ``p`` is one term.
+``p**e`` forms its e products one by one in integers (``_int_power``,
+which the parser shares) and makes the Fractions and the sort once at the
+end (binary powering was measured slower on dense bases); the power of a
+one-term ``p`` is one term.  The parser's values are integer term dicts
+over one common denominator, and each component of a parsed field becomes
+a Poly once, at the end.
 
 ``_sum_lines`` is the one emitter of polynomial source code: the RK4
 kernels in ``flow`` and the integer row evaluators in ``modalg`` both
@@ -152,6 +155,30 @@ def _int_product(a: Iterable, b: list) -> dict:
             key = tuple(map(add, ea, eb))
             acc[key] = get(key, 0) + ca * cb
     return acc
+
+
+def _int_power(terms: list, exponent: int) -> dict:
+    """Integer coefficients of the power ``exponent`` >= 1 of the integer
+    term list ``terms``, by exponent tuple, any zeros kept: its products one
+    by one, or one term for a power of at most one term.
+
+    The products run on packed monomials: x^e is the int sum of e[m] shifted
+    by m fields of ``width`` bits, wide enough for any exponent of the power,
+    so that multiplying two monomials adds their ints."""
+    if len(terms) <= 1:
+        return {tuple(x * exponent for x in e): c**exponent for e, c in terms}
+    width = (exponent * max(map(max, (e for e, _ in terms)))).bit_length()
+    base = [(sum(x << width * m for m, x in enumerate(e)), c) for e, c in terms]
+    acc = dict(base)
+    for _ in range(exponent - 1):
+        out: dict[int, int] = {}
+        get = out.get
+        for ka, ca in acc.items():
+            for kb, cb in base:
+                out[ka + kb] = get(ka + kb, 0) + ca * cb
+        acc = out
+    mask, n = (1 << width) - 1, len(terms[0][0])
+    return {tuple(k >> width * m & mask for m in range(n)): c for k, c in acc.items()}
 
 
 def _from_int_terms(nvars: int, acc: dict, d: int) -> "Poly":
@@ -415,17 +442,8 @@ class Poly(_Frozen):
             raise ValueError("exponent must be a nonnegative integer")
         if exponent == 0:
             return Poly.constant(1, self.nvars)
-        if len(self.terms) <= 1:  # zero, or one term: one term
-            return Poly._canonical(
-                self.nvars,
-                tuple((tuple(e * exponent for e in ex), c**exponent) for ex, c in self.terms),
-            )
-        # the exponent's products one by one, in integers
         base, d = _int_terms(self.terms)
-        acc = dict(base)
-        for _ in range(exponent - 1):
-            acc = _int_product(acc.items(), base)
-        return _from_int_terms(self.nvars, acc, d**exponent)
+        return _from_int_terms(self.nvars, _int_power(base, exponent), d**exponent)
 
     def differentiate(self, var_index: int) -> "Poly":
         """Exact formal partial derivative with respect to variable ``var_index``."""
@@ -642,47 +660,80 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
         ) from None
 
 
-# caps on a parsed power p^e, checked before it is expanded: ``Poly.__pow__``
+# caps on a parsed power p^e, checked before it is expanded: ``_int_power``
 # multiplies by p e times, so its work grows with e, with the terms of p and
 # with the terms of the powers in between.  _MAX_POWER_PRODUCTS caps the
 # term-by-term products of all the powers and ``*`` of one parse together,
-# counted as they come, a power by its bound.  A power repeated in one parse
-# is expanded once and counted at every occurrence.  Each cap exits 3 as a
-# budget error.
+# counted as they come, a power by its bound, and a product by the nonzero
+# terms of its two sides.  A power repeated in one parse (equal integer
+# terms, whatever the denominator) is expanded once, in the parser's memo,
+# and counted at every occurrence.  Each cap exits 3 as a budget error.
 _MAX_EXPONENT = 1_000
 _MAX_POWER_PRODUCTS = 250_000
 
 
-def _power_products(p: Poly, exponent: int) -> int:
-    """Upper bound on the term-by-term products ``p**exponent`` forms.
+def _power_products(terms: dict, exponent: int) -> int:
+    """Upper bound on the term-by-term products the power ``exponent`` of
+    the polynomial of the integer ``terms`` forms.
 
     No power p^i with i <= exponent has more terms than the multisets of
     ``exponent`` terms of p, nor more than the monomials of degree at most
     ``exponent * deg p`` in the variables p uses.
     """
-    t = len(p.terms)
+    t = len(terms)
     if not t:
         return 0
-    used = sum(any(e) for e in zip(*(expt for expt, _ in p.terms)))
-    most = min(comb(t + exponent - 1, exponent), comb(used + exponent * p.degree(), used))
+    used = sum(any(e) for e in zip(*terms))
+    most = min(comb(t + exponent - 1, exponent), comb(used + exponent * max(map(sum, terms)), used))
     return exponent * t * most
 
 
+def _scaled_terms(terms: dict, f: int) -> dict:
+    return terms if f == 1 else {e: c * f for e, c in terms.items()}
+
+
+def _sum_terms(a: dict, b: dict) -> dict:
+    """The nonzero terms of the sum of two integer term dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _product_terms(a: dict, b: dict) -> dict:
+    """The nonzero terms of the product of two integer term dicts; by one
+    term, a scale or shift that keeps every term."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) != 1:
+        return {e: c for e, c in _int_product(a.items(), list(b.items())).items() if c}
+    [(mon, f)] = b.items()
+    if any(mon):
+        return {tuple(map(add, e, mon)): c * f for e, c in a.items()}
+    return _scaled_terms(a, f)
+
+
 class _Val:
-    """Intermediate parse value: a scalar polynomial plus differential parts.
+    """Intermediate parse value: (p + sum_i d[i]*dx_i) / den, for integer
+    term dicts p and d[i] ({exponents: nonzero int}) and an int den > 0.
 
     ``d`` maps a variable index i to the polynomial coefficient of dx_i.
     """
 
-    __slots__ = ("p", "d")
+    __slots__ = ("p", "d", "den")
 
-    def __init__(self, p: Poly, d: dict[int, Poly] | None = None):
+    def __init__(self, p: dict, d: dict[int, dict] | None = None, den: int = 1):
         self.p = p
         self.d = d or {}
+        self.den = den
 
     def size(self) -> int:
         """Terms of the scalar and the differential parts together."""
-        return len(self.p.terms) + sum(len(q.terms) for q in self.d.values())
+        return len(self.p) + sum(map(len, self.d.values()))
 
 
 class _Parser:
@@ -692,9 +743,9 @@ class _Parser:
         self.nvars = len(var_names)
         self.var_index = {name: i for i, name in enumerate(var_names)}
         self.products = 0  # term-by-term products of every power and '*' so far
-        self.powers: dict[tuple[Poly, int], Poly] = {}  # each distinct power, expanded once
+        self.powers: dict[tuple[frozenset, int], dict] = {}  # each distinct power, expanded once
         self.depth = 0  # parentheses open at the current token
-        self.zero = Poly.zero(self.nvars)  # Polys are immutable: one zero serves the parse
+        self.origin = (0,) * self.nvars  # the exponents of a constant
 
     def peek(self):
         return self.tokens[self.pos]
@@ -715,13 +766,15 @@ class _Parser:
     # value algebra -------------------------------------------------------
 
     def _neg(self, v: _Val) -> _Val:
-        return _Val(-v.p, {i: -q for i, q in v.d.items()})
+        return _Val(_scaled_terms(v.p, -1), {i: _scaled_terms(q, -1) for i, q in v.d.items()}, v.den)
 
     def _add(self, a: _Val, b: _Val) -> _Val:
-        d = dict(a.d)
+        den = lcm(a.den, b.den)
+        fa, fb = den // a.den, den // b.den
+        d = {i: _scaled_terms(q, fa) for i, q in a.d.items()}
         for i, q in b.d.items():
-            d[i] = d[i] + q if i in d else q
-        return _Val(a.p + b.p, d)
+            d[i] = _sum_terms(d[i], _scaled_terms(q, fb)) if i in d else _scaled_terms(q, fb)
+        return _Val(_sum_terms(_scaled_terms(a.p, fa), _scaled_terms(b.p, fb)), d, den)
 
     def _mul(self, a: _Val, b: _Val, op_col: int) -> _Val:
         if a.d and b.d:
@@ -735,18 +788,20 @@ class _Parser:
         if b.d:
             a, b = b, a
         # now b is purely scalar
-        return _Val(a.p * b.p, {i: q * b.p for i, q in a.d.items()})
+        d = {i: _product_terms(q, b.p) for i, q in a.d.items()}
+        return _Val(_product_terms(a.p, b.p), d, a.den * b.den)
 
     def _div(self, a: _Val, b: _Val, op_col: int) -> _Val:
         if b.d:
             raise ParseError("cannot divide by a differential", column=op_col)
-        if not b.p.is_constant:
+        if any(map(any, b.p)):
             raise ParseError("division only by nonzero rational constants", column=op_col)
-        c = b.p.constant_value()
+        c = b.p.get(self.origin, 0)
         if not c:
             raise ParseError("division by zero", column=op_col)
-        inv = Fraction(1) / c
-        return _Val(a.p * inv, {i: q * inv for i, q in a.d.items()})
+        # (a / a.den) / (c / b.den), with a positive denominator
+        f = b.den if c > 0 else -b.den
+        return _Val(_scaled_terms(a.p, f), {i: _scaled_terms(q, f) for i, q in a.d.items()}, a.den * abs(c))
 
     def _pow(self, a: _Val, exponent: int, op_col: int) -> _Val:
         if a.d:
@@ -760,15 +815,17 @@ class _Parser:
         if self.products > _MAX_POWER_PRODUCTS:
             before = f", {self.products} in all" if self.products > products else ""
             raise BudgetError(
-                f"power ^{exponent} of a {len(a.p.terms)}-term polynomial needs up to "
+                f"power ^{exponent} of a {len(a.p)}-term polynomial needs up to "
                 f"{products} term products{before}, more than {_MAX_POWER_PRODUCTS}",
                 column=op_col,
             )
+        if exponent == 0:
+            return _Val({self.origin: 1})
         # charged above at every occurrence, so the budget does not depend on the memo
-        key = (a.p, exponent)
+        key = (frozenset(a.p.items()), exponent)
         if key not in self.powers:
-            self.powers[key] = a.p**exponent
-        return _Val(self.powers[key])
+            self.powers[key] = {e: c for e, c in _int_power(list(a.p.items()), exponent).items() if c}
+        return _Val(self.powers[key], None, a.den**exponent)
 
     # grammar -------------------------------------------------------------
 
@@ -776,13 +833,14 @@ class _Parser:
         tok = self.take()
         kind, text, pos = tok
         if kind == "int":
-            return _Val(Poly.constant(_int_literal(tok), self.nvars))
+            c = _int_literal(tok)
+            return _Val({self.origin: c} if c else {})
         if kind == "name":
             if text in self.var_index:
-                return _Val(Poly.variable(self.var_index[text], self.nvars))
+                i = self.var_index[text]
+                return _Val({self.origin[:i] + (1,) + self.origin[i + 1 :]: 1})
             if len(text) > 1 and text[0] == "d" and text[1:] in self.var_index:
-                i = self.var_index[text[1:]]
-                return _Val(self.zero, {i: Poly.constant(1, self.nvars)})
+                return _Val({}, {self.var_index[text[1:]]: {self.origin: 1}})
             raise UnknownVariableError(text, column=pos + 1)
         if kind == "(":
             self.depth += 1
@@ -831,7 +889,7 @@ class _Parser:
                 raise ParseError(
                     "term has no differential direction (expected '*d<var>')", column=pos + 1
                 )
-            if top and not term.p.is_zero:
+            if top and term.p:
                 raise ParseError("term mixes scalar and differential parts", column=pos + 1)
             if sign < 0:
                 term = self._neg(term)
@@ -854,7 +912,8 @@ def parse_vector_field(text: str, var_names: Sequence[str]) -> VectorField:
     kind, tok, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {tok!r}", column=pos + 1)
-    return VectorField(tuple(val.d.get(i, parser.zero) for i in range(parser.nvars)))
+    n = parser.nvars
+    return VectorField(tuple(_from_int_terms(n, val.d.get(i, {}), val.den) for i in range(n)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ directory.  It prints one line per request:
 
 Two trees write the same bytes on every request exactly when the outputs of
 their copies of this script diff to nothing.  ``tests/corpus_outputs_seeds1-3.txt``
-is the output for ``--seeds 1,2,3``, all 504 requests; CI diffs this script's
-output against it.
+is the output for ``--seeds 1,2,3``, all 504 requests, and
+``tests/corpus_outputs_seeds100-101.txt`` the output for ``--seeds 100,101``
+(336 requests, the first two seeds of the benchmark's pairs); CI diffs this
+script's output against each.
 """
 
 from __future__ import annotations

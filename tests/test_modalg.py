@@ -3,6 +3,7 @@
 import hashlib
 import tracemalloc
 from fractions import Fraction
+from functools import cmp_to_key
 from math import lcm
 
 import pytest
@@ -33,6 +34,7 @@ from foliations.vfparse import (
     VectorField,
     _over_lcm,
     format_poly,
+    grevlex_key,
     lie_bracket,
     parse_vector_field,
 )
@@ -57,20 +59,23 @@ from helpers import (
 )
 
 
-def span_equal(spec_vars, rels_a, rels_b, nvars):
-    """Mutual membership of two relation families in each other's module."""
-    from foliations.modalg import _flat, _groebner, _reduce, DEFAULT_BUDGET
+def span_equal(rels_a, rels_b, nvars):
+    """Mutual membership of two relation families (tuples of Polys in
+    ``nvars`` variables) in each other's module, by module_groebner and
+    contains.  A relation of k entries becomes a field of m = max(nvars, k)
+    components in m variables, padded with zeros: Q[x, z] is free over Q[x],
+    so membership does not change."""
+    k = len((rels_a + rels_b)[0])
+    m = max(nvars, k)
+    names = tuple(f"v{i}" for i in range(m))
+
+    def lift(rel):
+        comps = [Poly(m, [(e + (0,) * (m - nvars), c) for e, c in p.terms]) for p in rel]
+        return VectorField(comps + [Poly.zero(m)] * (m - k))
 
     def contains_all(base, others):
-        if not base:
-            return all(all(p.is_zero for p in r) for r in others)
-        basis, _ = _groebner(list(base), nvars, 0, DEFAULT_BUDGET)
-        flat = [_flat(b, 0) for b in basis]
-        for r in others:
-            rem, _ = _reduce(_flat(r, 0), flat, 0, [0, 0], DEFAULT_BUDGET)
-            if rem:
-                return False
-        return True
+        gb = module_groebner(FoliationSpec(names, tuple(lift(r) for r in base)))
+        return all(contains(gb, lift(r)).member for r in others)
 
     return contains_all(rels_a, rels_b) and contains_all(rels_b, rels_a)
 
@@ -110,18 +115,82 @@ def test_groebner_autoreduced_and_deterministic():
     gb1 = module_groebner(spec)
     gb2 = module_groebner(make_spec(("x", "y"), ("x*dx - y*dy", "y*dx", "x*dy")))
     assert gb1.basis == gb2.basis
-    # autoreduced: no leading term of one element divides any term of another
-    from foliations.modalg import _divides, _flat
-
-    leads = [_flat(b, 0)[0] for b in gb1.basis]
+    # autoreduced: no leading term of one element divides any term of
+    # another; a lead is the (position, exponents) of the largest term under
+    # term over position (grevlex, then the lower position)
+    leads = [
+        max(((pos, p.terms[0][0]) for pos, p in enumerate(b) if p.terms), key=lambda t: (grevlex_key(t[1]), -t[0]))
+        for b in gb1.basis
+    ]
     for i, elem in enumerate(gb1.basis):
-        for j, lj in enumerate(leads):
+        for j, (lpos, lexp) in enumerate(leads):
             if i == j:
                 continue
-            for p_pos, p in enumerate(elem):
-                for expt, _ in p.terms:
-                    if p_pos == lj[0]:
-                        assert not _divides(lj[1], expt)
+            for expt, _ in elem[lpos].terms:
+                assert not all(a <= b for a, b in zip(lexp, expt))
+
+
+def _module_order(split: int):
+    """Sort key of a term (position, exponents) by the engine's order, as a
+    comparison written out: the block below ``split`` first, then the higher
+    degree, then the smaller reversed exponents, then the lower position."""
+
+    def cmp(a, b):
+        (pa, ea), (pb, eb) = a, b
+        if a == b:
+            return 0
+        return 1 if (pa < split, sum(ea), eb[::-1], pb) > (pb < split, sum(eb), ea[::-1], pa) else -1
+
+    return cmp_to_key(cmp)
+
+
+@pytest.mark.parametrize("nvars, npos", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
+def test_keys_sort_terms_in_the_module_order(nvars, npos):
+    from foliations.modalg import DEFAULT_BUDGET, _Basis
+
+    rng = XorShift64Star(10 * nvars + npos)
+    wide = 1 << 62  # exponents near the top of a field, whose degree still fits
+    terms = {
+        (rng.randint(0, npos - 1), tuple(rng.randint(0, 4) + wide * rng.randint(0, 1) for _ in range(nvars)))
+        for _ in range(300)
+    }
+    for split in (0, nvars):
+        run = _Basis(nvars, npos, split, DEFAULT_BUDGET)
+
+        def key(pos, expt):
+            elem = tuple(Poly.term(nvars, expt, 1) if p == pos else Poly.zero(nvars) for p in range(npos))
+            return run.flat(elem)[0][0][0]
+
+        keys = {t: key(*t) for t in terms}
+        assert sorted(terms, key=keys.get, reverse=True) == sorted(terms, key=_module_order(split), reverse=True)
+        for (pos, expt), k in keys.items():
+            assert run.exponents(k) == expt
+            # a monomial multiple is one addition
+            u = tuple(rng.randint(0, 3) for _ in range(nvars))
+            assert k + run.mon(u) == key(pos, tuple(a + b for a, b in zip(expt, u)))
+
+
+def test_a_degree_wider_than_a_key_field_is_refused():
+    big = 1 << 64
+    message = f"^degree {big} does not fit the 64-bit field of an order key$"
+    zero = Poly.zero(2)
+    wide = VectorField((Poly.term(2, (big - 5, 5), 1), zero))
+    spec = FoliationSpec(("x", "y"), (wide,))
+    for compute in (
+        lambda: module_groebner(spec),
+        lambda: syzygy_basis(spec),
+        lambda: contains(module_groebner(xk(1)), VectorField((Poly.term(1, (big,), 1),))),
+    ):
+        with pytest.raises(BudgetError, match=message):
+            compute()
+    # the widest degree that fits is ordered as any other
+    top = VectorField((Poly.term(2, (big - 1, 0), 1) + Poly.term(2, (0, big - 1), 1), zero))
+    assert module_groebner(FoliationSpec(("x", "y"), (top,))).basis == (top.components,)
+    # an S-pair that would shift a term past it is refused
+    half = 1 << 63
+    pair = FoliationSpec(("x", "y"), tuple(VectorField((Poly.term(2, e, 1), zero)) for e in ((half, 0), (0, half))))
+    with pytest.raises(BudgetError, match=message):
+        module_groebner(pair, Budget(max_pair_degree=big))
 
 
 def test_budget_error_is_raised():
@@ -220,18 +289,16 @@ _PAIR_REDUCTIONS = {
 def _reductions(monkeypatch, compute) -> tuple[int, int]:
     """(total, to zero) of the reductions ``compute`` runs, tail reductions
     of a finished basis aside."""
-    from foliations import modalg
-
     log = []
-    reduce = modalg._reduce
+    reduce = modalg._Basis.reduce
 
-    def counted(elem, basis, split, counter, budget, skip=-1):
-        rem, quots = reduce(elem, basis, split, counter, budget, skip)
+    def counted(run, elem, counter, skip=-1):
+        rem, scale, quots = reduce(run, elem, counter, skip)
         if skip < 0:
             log.append(not rem)
-        return rem, quots
+        return rem, scale, quots
 
-    monkeypatch.setattr(modalg, "_reduce", counted)
+    monkeypatch.setattr(modalg._Basis, "reduce", counted)
     compute()
     monkeypatch.undo()
     return len(log), sum(log)
@@ -286,7 +353,7 @@ def test_contains_zero_field_and_zero_module():
 
 
 def test_reduce_builds_canonical_remainders_and_quotients():
-    from foliations.modalg import DEFAULT_BUDGET, _flat, _reduce
+    from foliations.modalg import DEFAULT_BUDGET, _Basis
 
     rng = XorShift64Star(4_242)
     for _ in range(30):
@@ -294,16 +361,22 @@ def test_reduce_builds_canonical_remainders_and_quotients():
         gens = tuple(random_field(rng, nvars, 3) for _ in range(rng.randint(1, 3)))
         gb = module_groebner(FoliationSpec(("x", "y")[:nvars], gens))
         query = random_field(rng, nvars, 4)
-        basis = [_flat(b, 0) for b in gb.basis]
-        rem, quots = _reduce(_flat(query.components, 0), basis, 0, [0, 0], DEFAULT_BUDGET)
-        # the remainder's terms, sorted and merged by the validating Poly
-        polys = tuple(Poly(nvars, [(e, c) for p, e, c in rem if p == m]) for m in range(nvars))
-        assert _flat(polys, 0) == rem
-        for p in quots:
-            assert p.terms == Poly(nvars, p.terms).terms
-        total = VectorField(polys)
-        for q, b in zip(quots, gb.basis):
-            total = total + VectorField(b).scale(q)
+        run = _Basis(nvars, nvars, 0, DEFAULT_BUDGET)
+        for b in gb.basis:
+            run.put(run.flat(b)[0])
+        terms, d = run.flat(query.components)
+        rem, scale, quots = run.reduce(terms, [0, 0])
+        # the remainder's keys strictly descend, and none of its terms is zero
+        assert [k for k, _ in rem] == sorted({k for k, _ in rem}, reverse=True)
+        assert all(c for _, c in rem)
+        # scale*d*query = sum_b quots[b]*elems[b] + rem, each element its
+        # lead coefficient times the monic basis element
+        den = scale * d
+        total = VectorField(run.polys(rem)).scale(Fraction(rem[0][1], den)) if rem else VectorField.zero(nvars)
+        for q, b, (g, *_) in zip([run.poly(qb, den) for qb in quots], gb.basis, run.elems, strict=True):
+            assert q.terms == Poly(nvars, q.terms).terms
+            assert run.polys(g) == b
+            total = total + VectorField(b).scale(q * g[0][1])
         assert total == query
 
 
@@ -498,7 +571,7 @@ def test_syzygy_sl2_matches_hand_computation():
             combo = combo + g.scale(f)
         assert combo.is_zero
     # and the computed family generates the same module as the hand relation
-    assert span_equal(spec.var_names, list(syz.relations), [hand], 2)
+    assert span_equal(list(syz.relations), [hand], 2)
 
 
 def test_syzygy_trivial_cases():
@@ -515,7 +588,7 @@ def test_syzygy_gl2():
     x, y = Poly.variable(0, 2), Poly.variable(1, 2)
     zero = Poly.zero(2)
     hand = [(y, zero, -x, zero), (zero, x, zero, -y)]
-    assert span_equal(spec.var_names, list(syz.relations), hand, 2)
+    assert span_equal(list(syz.relations), hand, 2)
 
 
 def test_syzygy_determinism():

@@ -445,15 +445,16 @@ def test_power_caps():
 
 def test_each_distinct_power_is_expanded_once(monkeypatch):
     # a member text of the benchmark corpus holds one (x + y + 1)^13 per
-    # generator; one parse expands each distinct (base, exponent) once
+    # generator; one parse expands each distinct (base, exponent) once, by
+    # the integer power routine that Poly.__pow__ shares
     expanded = []
-    power = Poly.__pow__
+    power = vfparse._int_power
 
-    def counted(p, e):
+    def counted(terms, e):
         expanded.append(e)
-        return power(p, e)
+        return power(terms, e)
 
-    monkeypatch.setattr(Poly, "__pow__", counted)
+    monkeypatch.setattr(vfparse, "_int_power", counted)
     base = "(x + y + 1)^13"
     text = " + ".join(f"{base}*({c}/4)*x*dx" for c in (1, -3, 5, 7)) + " + (y+x+1)^13*dy + (x+1)^13*dy"
     field = P(text)
@@ -512,11 +513,15 @@ def test_rare_error_branches_and_edge_parses():
     x = Poly.variable(0, 2)
     with pytest.raises(ValueError, match="^polynomial is not constant$"):
         x.constant_value()
+    assert Poly.zero(2).constant_value() == 0
+    assert Poly.constant(Fraction(-3, 4), 2).constant_value() == Fraction(-3, 4)
     with pytest.raises(ArityError, match="^point has 1 coordinates, expected 2$"):
         x((1,))
     # a differential to the power 1 is itself; the zero polynomial's power is zero
     assert P("dx^1") == P("dx")
     assert P("(x-x)^2*dx") == VectorField.zero(2)
+    # a power 0 is the constant 1, of the zero polynomial too, and forms no product
+    assert P("(x/3 + y)^0*dx + (x-x)^0*dy") == P("dx + dy")
 
 
 def _values():
