@@ -58,6 +58,7 @@ from .errors import (
     BudgetError,
     ParseError,
     PreconditionError,
+    _charge,
     _Located,
 )
 from .flow import (
@@ -107,9 +108,9 @@ class FoliationFile(NamedTuple):
     description: str | None = None
 
 
-# the longest ``.fol`` file read, in bytes; a longer one is a BudgetError,
-# raised after reading one byte more (the largest file the tests and corpora
-# write, the 4,301-variable wide.fol of a grid-count test, is 24,723 bytes)
+# the longest ``.fol`` file read, in bytes; a longer one is refused after
+# reading one byte more (the largest file the tests and corpora write, the
+# 4,301-variable wide.fol of a grid-count test, is 24,723 bytes)
 _MAX_FILE_BYTES = 1 << 20
 
 
@@ -117,8 +118,7 @@ def load_foliation_file(path) -> FoliationFile:
     """Parse a ``.fol`` file of at most ``_MAX_FILE_BYTES`` bytes; errors carry 1-based line/column."""
     with open(path, "rb") as f:
         data = f.read(_MAX_FILE_BYTES + 1)
-    if len(data) > _MAX_FILE_BYTES:
-        raise BudgetError(f"file is longer than {_MAX_FILE_BYTES} bytes")
+    _charge(len(data), _MAX_FILE_BYTES, "file is longer than {limit} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as e:
@@ -233,29 +233,27 @@ def _parse_grid(text: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 # the most points a request may visit: ``dims --grid`` points, ``leaf
-# --steps`` and ``chart-rank --samples``; more exit 3, before any is built
+# --steps`` and ``chart-rank --samples``
 _MAX_POINTS = 100_000
 
 
 def _require_points(flag: str, count: int) -> None:
-    if count > _MAX_POINTS:
-        try:
-            raise BudgetError(f"{flag} has {count} points, more than {_MAX_POINTS}")
-        except ValueError:  # a count too long to print
-            raise BudgetError(f"{flag} has more than {_MAX_POINTS} points") from None
+    try:
+        _charge(count, _MAX_POINTS, flag + " has {count} points, more than {limit}")
+    except ValueError:  # a count too long to print
+        raise BudgetError(f"{flag} has more than {_MAX_POINTS} points") from None
 
 
 # the most random numbers a request may draw: ``leaf --steps`` draws k + 1
-# per step and ``chart-rank --samples`` nvars per sample; more exit 3, before
-# any is drawn (a million took 1.2 s as walk steps and 2.8 s as sample
-# points, Python 3.11 on a shared 2-CPU x86-64 host)
+# per step and ``chart-rank --samples`` nvars per sample (a million took
+# 1.2 s as walk steps and 2.8 s as sample points, Python 3.11 on a shared
+# 2-CPU x86-64 host)
 _MAX_DRAWS = 1_000_000
 
 
 def _require_draws(flag: str, count: int, each: int) -> None:
     _require_points(flag, count)
-    if count * each > _MAX_DRAWS:
-        raise BudgetError(f"{flag} needs {count * each} random numbers, more than {_MAX_DRAWS}")
+    _charge(count * each, _MAX_DRAWS, flag + " needs {count} random numbers, more than {limit}")
 
 
 def _lattice(bounds, nvars: int) -> tuple[int, range, Callable[[int], str]]:

@@ -51,6 +51,17 @@ class BudgetError(_Located):
     does."""
 
 
+def _charge(count: int, limit: int, message: str, **where) -> int:
+    """``count``, the work of one scope so far with the next piece added, if
+    it is at most ``limit``; else BudgetError, ``message`` formatted with
+    ``count`` and ``limit``, at the place ``where`` (line, column).  Every
+    cap charges here before the work it counts, so work past a limit is
+    never begun."""
+    if count > limit:
+        raise BudgetError(message.format(count=count, limit=limit), **where)
+    return count
+
+
 class BlowUpError(FoliationError):
     """A trajectory left the configured domain box.
 

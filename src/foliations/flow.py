@@ -73,7 +73,7 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
-from .errors import ArityError, BlowUpError, BudgetError, PreconditionError
+from .errors import ArityError, BlowUpError, PreconditionError, _charge
 from .modalg import as_point, tangent_dim
 from .vfparse import FoliationSpec, _Frozen, _sum_lines
 
@@ -505,8 +505,8 @@ def _drive(
     start of the first pair."""
     h, cap = opts.step_size, opts.max_steps
     walk = isinstance(steps, _Walk)
-    if not walk and sum(_rk4_steps(t, h, cap) for _, t in steps) > cap:
-        raise BudgetError(f"flow would need more than {cap} steps")
+    if not walk:
+        _charge(sum(_rk4_steps(t, h, cap) for _, t in steps), cap, "flow would need more than {limit} steps")
     states = [state]
     for lo in range(0, len(steps), _CHUNK_SEGMENTS):
         chunk = steps[lo : lo + _CHUNK_SEGMENTS]
@@ -625,9 +625,7 @@ def _walk_draws(rng: XorShift64Star, n_steps: int, k: int, opts: NumericOptions)
         for i in range(s, s + k):
             draws[i] = sym()
         draws[s + k] = t = 0.1 * uni()
-        total += _rk4_steps(t, h, cap)
-        if total > cap:
-            raise BudgetError(f"flow would need more than {cap} steps")
+        total = _charge(total + _rk4_steps(t, h, cap), cap, "flow would need more than {limit} steps")
     return draws[: n_steps * w]
 
 

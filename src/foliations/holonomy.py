@@ -46,10 +46,6 @@ from .flow import (
 from .modalg import as_point
 from .vfparse import FoliationSpec
 
-# A first jet is an n x n float matrix; plain ndarray, row-major.  The alias
-# is the type's name, so that importing this module imports no numpy.
-JetMatrix = "numpy.ndarray"
-
 __all__ = [
     "CarriedDiffeo",
     "PushforwardReport",
@@ -203,21 +199,21 @@ def _finite(rows: Rows) -> bool:
     return all(math.isfinite(v) for row in rows for v in row)
 
 
-def _array(rows) -> JetMatrix:
+def _array(rows):
     """``rows`` as a float ndarray; numpy loads on the first call."""
     import numpy as np
 
     return np.array(rows, dtype=float)
 
 
-def matrix_exp(a: Sequence) -> JetMatrix:
-    """exp(A) by scaling-and-squaring with the order-13 Pade approximant."""
+def matrix_exp(a: Sequence):
+    """exp(A) as an ndarray, by scaling-and-squaring with the order-13 Pade approximant."""
     rows = [[_float(v) for v in row] for row in a]
     return _array(_expm(rows)).reshape(len(rows), len(rows))
 
 
-def linear_generator_matrices(spec: FoliationSpec) -> list[JetMatrix]:
-    """Matrices A_i with X_i(x) = A_i x; raises NotLinearError otherwise."""
+def linear_generator_matrices(spec: FoliationSpec) -> list:
+    """Matrices A_i with X_i(x) = A_i x, as ndarrays; raises NotLinearError otherwise."""
     return [_array(a) for a in _linear_rows(spec)]
 
 
@@ -231,8 +227,8 @@ class CarriedDiffeo(NamedTuple):
         """Time-1 flow of sum_i y0_i X_i from x."""
         return self.chart.target(self.y0, x)
 
-    def jacobian(self, x: Sequence) -> JetMatrix:
-        """Derivative at x, from the first-variation integration."""
+    def jacobian(self, x: Sequence):
+        """Derivative at x, from the first-variation integration, as an ndarray."""
         _, rows = _jet(self.chart.spec, [(self.y0, 1.0)], x, self.chart.opts)
         return _array(rows)
 
@@ -260,8 +256,8 @@ def holonomy_jet(
     word: FlowWord,
     x_fix: Sequence,
     opts: NumericOptions = DEFAULT_OPTIONS,
-) -> JetMatrix:
-    """Linearization at a fixed point of the word's diffeomorphism.
+):
+    """Linearization at a fixed point of the word's diffeomorphism, an ndarray.
 
     The point must be fixed by every step's combined field, computed
     exactly at the rational ``x_fix`` stores (``_require_fixed_point``).
@@ -274,9 +270,9 @@ def holonomy_jet(
     return _array(rows)
 
 
-def jet_exact_linear(spec: FoliationSpec, word: FlowWord) -> JetMatrix:
-    """Jet at the origin for linear generators: product over steps of
-    exp(t * sum_i c_i A_i), exact in method (matrix exponentials).  A
+def jet_exact_linear(spec: FoliationSpec, word: FlowWord):
+    """Jet at the origin for linear generators, as an ndarray: product over
+    steps of exp(t * sum_i c_i A_i), exact in method (matrix exponentials).  A
     product that is not finite is returned at its first non-finite step.
     """
     return _array(_jet_exact_rows(spec, word))

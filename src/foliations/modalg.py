@@ -109,7 +109,7 @@ from itertools import combinations
 from operator import mul, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import ArityError, BudgetError, PreconditionError
+from .errors import ArityError, BudgetError, PreconditionError, _charge
 from .vfparse import FoliationSpec, Poly, VectorField, _int_terms, _over_lcm, _sum_lines, lie_bracket
 
 __all__ = [
@@ -244,16 +244,11 @@ def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
 # degree wider than a field is a BudgetError, never a misordered term
 _W = 64
 _MASK = (1 << _W) - 1
+_WIDE = f"degree {{count}} does not fit the {_W}-bit field of an order key"
 
 
 def _divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return all(x <= y for x, y in zip(a, b))
-
-
-def _fits(degree: int) -> None:
-    """Refuse a degree wider than a key field (BudgetError)."""
-    if degree > _MASK:
-        raise BudgetError(f"degree {degree} does not fit the {_W}-bit field of an order key")
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -281,8 +276,7 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 # the input terms that the reduction merges of one Groebner run, or of one
-# ``contains`` reduction, may take in all; one more is a BudgetError, raised
-# before its merge
+# ``contains`` reduction, may take in all
 _MAX_MERGED_TERMS = 2_000_000
 
 
@@ -292,11 +286,14 @@ class _Basis:
     module docstring).  ``elems[b]`` is ``(terms, position, exponents,
     top)``: a primitive integer element with a positive lead, as
     descending ``(key, int)`` terms, its lead's position and exponents,
-    and the highest degree of its terms.
+    and the highest degree of its terms.  ``steps`` and ``merged`` count the
+    reduction steps and merged input terms of the run so far, against
+    ``budget.max_reduction_steps`` and ``_MAX_MERGED_TERMS``.
     """
 
     def __init__(self, nvars: int, npos: int, split: int, budget: Budget):
         self.nvars, self.npos, self.split, self.budget = nvars, npos, split, budget
+        self.steps = self.merged = 0
         # field j holds e[0] + .. + e[j] from bit _W*(j + 1), so e[m] counts in fields m..n-1
         self.shifts = [_W * (j + 1) for j in range(nvars)]
         self.weights = [sum(1 << s for s in self.shifts[m:]) for m in range(nvars)]
@@ -315,7 +312,7 @@ class _Basis:
         """(terms, d): d times the tuple of Polys ``elem`` as descending
         integer terms, d the lcm of its denominators; a degree wider than a
         key field raises BudgetError."""
-        _fits(max((p.degree() for p in elem), default=-1))
+        _charge(max((p.degree() for p in elem), default=-1), _MASK, _WIDE)
         ints, d = _over_lcm([c for p in elem for _, c in p.terms])
         last = self.npos - 1
         keys = (
@@ -345,18 +342,15 @@ class _Basis:
     def shift(self, b: int, u: int, f: int) -> tuple:
         """The tail of element b times f*x^u, for the key u of a monomial."""
         terms, _, _, top = self.elems[b]
-        _fits(top + (u >> self.shifts[-1]))
+        _charge(top + (u >> self.shifts[-1]), _MASK, _WIDE)
         return tuple((k + u, c * f) for k, c in terms[1:])
 
-    def reduce(self, elem: tuple, counter: list[int], skip: int = -1):
+    def reduce(self, elem: tuple, skip: int = -1):
         """Full normal form of the terms ``elem`` modulo every element but
         element ``skip``: (rem, scale, quots), with scale > 0 and
         scale*elem = sum_b quots[b]*elems[b] + rem, quots[b] a list of
-        (monomial key, int) in descending order.
-
-        ``counter`` holds the reduction steps and the merged input terms of
-        the run so far; a step past ``budget.max_reduction_steps``, or a
-        merge past ``_MAX_MERGED_TERMS`` terms, raises BudgetError.
+        (monomial key, int) in descending order.  Each step and each merge
+        is charged to ``steps`` and ``merged``.
 
         Each step takes the lead a*x^m of ``work``: with no reducer it moves
         to ``rem``; else, for the reducer's lead c*x^l and h = gcd(a, c), work
@@ -366,7 +360,7 @@ class _Basis:
         would hold.  The factors c/h are not applied to the remainder and
         quotient terms already found at each step, but once at the end.
         """
-        elems, budget, last = self.elems, self.budget, self.npos - 1
+        elems, most, last = self.elems, self.budget.max_reduction_steps, self.npos - 1
         work = elem
         # (b, key, coefficient): a term of quots[b], of rem for b = -1, or
         # for b = None the factor ``key`` of everything before it
@@ -379,19 +373,17 @@ class _Basis:
                 if b != skip and gpos == pos and _divides(gmon, mon):
                     reducer = b
                     break
-            counter[0] += 1
-            if counter[0] > budget.max_reduction_steps:
-                raise BudgetError(
-                    f"reduction step budget of {budget.max_reduction_steps} exceeded"
-                )
+            self.steps = _charge(self.steps + 1, most, "reduction step budget of {limit} exceeded")
             if reducer < 0:
                 out.append((-1, key, a))
                 work = work[1:]
                 continue
             g = elems[reducer][0]
-            counter[1] += len(work) + len(g) - 2
-            if counter[1] > _MAX_MERGED_TERMS:
-                raise BudgetError(f"reduction merge budget of {_MAX_MERGED_TERMS} terms exceeded")
+            self.merged = _charge(
+                self.merged + len(work) + len(g) - 2,
+                _MAX_MERGED_TERMS,
+                "reduction merge budget of {limit} terms exceeded",
+            )
             c = g[0][1]
             h = math.gcd(a, c)
             rest = work[1:]
@@ -466,7 +458,6 @@ def _groebner(
     run = _Basis(nvars, len(gens[0]) if gens else 0, split, budget)
     elems = run.elems
     reprs: list[Element] = []  # reprs[b] expresses elems[b] in the inputs
-    counter = [0, 0]  # reduction steps, merged terms
 
     for idx, g in enumerate(gens):
         terms, d = run.flat(g)
@@ -510,10 +501,7 @@ def _groebner(
 
     while pairs:
         deg, i, j, lcm = pairs.pop()
-        if deg > budget.max_pair_degree:
-            raise BudgetError(
-                f"S-pair degree {deg} exceeds cap {budget.max_pair_degree}"
-            )
+        _charge(deg, budget.max_pair_degree, "S-pair degree {count} exceeds cap {limit}")
         ui = tuple(map(sub, lcm, elems[i][2]))
         uj = tuple(map(sub, lcm, elems[j][2]))
         # fi*x^ui*elems[i] - fj*x^uj*elems[j], whose leads cancel
@@ -521,7 +509,7 @@ def _groebner(
         h = math.gcd(ai, aj)
         fi, fj = aj // h, ai // h
         s = _merge(run.shift(i, run.mon(ui), fi), run.shift(j, run.mon(uj), -fj))
-        rem, scale, quots = run.reduce(s, counter)
+        rem, scale, quots = run.reduce(s)
         if not rem:
             continue
         c = run.put(rem)
@@ -548,7 +536,7 @@ def _groebner(
 
     # tail-reduce each element against the others (leads stay fixed)
     for i in range(len(elems)):
-        rem, scale, quots = run.reduce(elems[i][0], counter, skip=i)
+        rem, scale, quots = run.reduce(elems[i][0], skip=i)
         c = run.put(rem, i)
         if track:
             reprs[i] = _minus_quotients(_scaled(reprs[i], Fraction(scale, c)), [run.poly(q, c) for q in quots], reprs)
@@ -595,10 +583,12 @@ def _keyed(gb: ModuleGB, budget: Budget) -> _Basis:
 
 
 def _member(gb: ModuleGB, run: _Basis, x: VectorField) -> MembershipResult:
-    """``contains`` on the basis of ``gb`` keyed as ``run``."""
+    """``contains`` on the basis of ``gb`` keyed as ``run``, its reduction
+    counted from 0."""
     spec = gb.source
     terms, d = run.flat(x.components)
-    rem, scale, quots = run.reduce(terms, [0, 0])
+    run.steps = run.merged = 0
+    rem, scale, quots = run.reduce(terms)
     if rem:
         return MembershipResult(member=False, certificate=None)
     # scale*d*x = sum_b quots[b]*elems[b], and elems[b] = lead_b*gb.basis[b]:
@@ -640,8 +630,7 @@ def contains(gb: ModuleGB, x: VectorField, budget: Budget = DEFAULT_BUDGET) -> M
 
 
 # the most term products the Lie brackets of one ``is_involutive`` call may
-# form in all; one more is a BudgetError, raised before the bracket that
-# would form it.  The tests and benchmark corpora form at most 110; the
+# form in all.  The tests and benchmark corpora form at most 110; the
 # bracket of (x+y+z+1)^e*dx and (x+y+z+2)^e*dy forms 331,240 at e = 12,
 # whose reduction the merge cap ends, and 5,454,680 at e = 20
 _MAX_BRACKET_PRODUCTS = 1_000_000
@@ -661,16 +650,14 @@ def _bracket_products(x: VectorField, y: VectorField) -> int:
 def is_involutive(spec: FoliationSpec, budget: Budget = DEFAULT_BUDGET) -> InvolutivityReport:
     """Check closure under Lie brackets; failing pairs come with the bracket.
 
-    The brackets may form ``_MAX_BRACKET_PRODUCTS`` term products in all;
-    a bracket past that raises BudgetError before it is formed."""
+    The brackets may form ``_MAX_BRACKET_PRODUCTS`` term products in all."""
     gb = module_groebner(spec, budget)
     run = _keyed(gb, budget)  # once, for every bracket
     witnesses = []
     spent = 0
     for a, b in combinations(range(spec.k), 2):
-        spent += _bracket_products(spec.generators[a], spec.generators[b])
-        if spent > _MAX_BRACKET_PRODUCTS:
-            raise BudgetError(f"Lie brackets need more than {_MAX_BRACKET_PRODUCTS} term products")
+        cost = _bracket_products(spec.generators[a], spec.generators[b])
+        spent = _charge(spent + cost, _MAX_BRACKET_PRODUCTS, "Lie brackets need more than {limit} term products")
         br = lie_bracket(spec.generators[a], spec.generators[b])
         if not _member(gb, run, br).member:
             witnesses.append(BracketWitness(i=a + 1, j=b + 1, bracket=br))
@@ -884,18 +871,17 @@ def isotropy_dim(spec: FoliationSpec, point: Sequence, budget: Budget = DEFAULT_
 
 
 # the most term products the cofactor expansions of ``singular_locus`` may
-# form, and so may a witness minor of ``_dims``; one more is a BudgetError,
-# raised before that product is formed
+# form, and so may a witness minor of ``_dims``
 _MAX_MINOR_PRODUCTS = 250_000
 # the most minors ``singular_locus`` may visit, zero or not (a zero minor
-# forms no product); one more is a BudgetError, raised before it is expanded
+# forms no product)
 _MAX_MINORS = 100_000
 
 
 def _det(mat: list[list[Poly]], spent: list[int]) -> Poly:
     """Determinant of a square matrix of polynomials, by cofactors along its
-    first row.  ``spent[0]`` counts the term products formed, and one more
-    than ``_MAX_MINOR_PRODUCTS`` is a BudgetError, raised before it is formed."""
+    first row.  ``spent[0]`` counts the term products formed, against
+    ``_MAX_MINOR_PRODUCTS``."""
     if len(mat) == 1:
         return mat[0][0]
     out = Poly.zero(nvars=mat[0][0].nvars)
@@ -903,9 +889,8 @@ def _det(mat: list[list[Poly]], spent: list[int]) -> Poly:
         if entry.is_zero:
             continue
         minor = _det([row[:j] + row[j + 1 :] for row in mat[1:]], spent)
-        spent[0] += len(entry.terms) * len(minor.terms)
-        if spent[0] > _MAX_MINOR_PRODUCTS:
-            raise BudgetError(f"minors need more than {_MAX_MINOR_PRODUCTS} term products")
+        cost = len(entry.terms) * len(minor.terms)
+        spent[0] = _charge(spent[0] + cost, _MAX_MINOR_PRODUCTS, "minors need more than {limit} term products")
         term = entry * minor
         out = out + term if j % 2 == 0 else out - term
     return out
@@ -937,10 +922,8 @@ def singular_locus(spec: FoliationSpec) -> SingularLocusReport:
         minors = []
         for rows in combinations(range(k), size):
             for cols in combinations(range(n), size):
-                if done >= _MAX_MINORS:
-                    raise BudgetError(
-                        f"the minor ideal needs more than {_MAX_MINORS} minors ({done} minors done)"
-                    )
+                # refused at the first minor past the cap, so the cap's many are done
+                _charge(done + 1, _MAX_MINORS, "the minor ideal needs more than {limit} minors ({limit} minors done)")
                 try:
                     d = _det([[matrix[r][c] for c in cols] for r in rows], spent)
                 except BudgetError as e:

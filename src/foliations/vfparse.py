@@ -59,7 +59,7 @@ from math import comb, lcm
 from operator import add, attrgetter
 from typing import Iterable, Sequence
 
-from .errors import ArityError, BudgetError, ParseError, UnknownVariableError
+from .errors import ArityError, BudgetError, ParseError, UnknownVariableError, _charge
 
 __all__ = [
     "Poly",
@@ -667,7 +667,7 @@ def _int_literal(tok: tuple[str, str, int]) -> int:
 # counted as they come, a power by its bound, and a product by the nonzero
 # terms of its two sides.  A power repeated in one parse (equal integer
 # terms, whatever the denominator) is expanded once, in the parser's memo,
-# and counted at every occurrence.  Each cap exits 3 as a budget error.
+# and counted at every occurrence.
 _MAX_EXPONENT = 1_000
 _MAX_POWER_PRODUCTS = 250_000
 
@@ -779,12 +779,12 @@ class _Parser:
     def _mul(self, a: _Val, b: _Val, op_col: int) -> _Val:
         if a.d and b.d:
             raise ParseError("product of two differentials is not a vector field", column=op_col)
-        self.products += a.size() * b.size()
-        if self.products > _MAX_POWER_PRODUCTS:
-            raise BudgetError(
-                f"products need {self.products} term products, more than {_MAX_POWER_PRODUCTS}",
-                column=op_col,
-            )
+        self.products = _charge(
+            self.products + a.size() * b.size(),
+            _MAX_POWER_PRODUCTS,
+            "products need {count} term products, more than {limit}",
+            column=op_col,
+        )
         if b.d:
             a, b = b, a
         # now b is purely scalar
@@ -808,17 +808,15 @@ class _Parser:
             if exponent == 1:
                 return a
             raise ParseError("cannot raise a differential to a power", column=op_col)
-        if exponent > _MAX_EXPONENT:
-            raise BudgetError(f"exponent {exponent} exceeds the cap {_MAX_EXPONENT}", column=op_col)
+        _charge(exponent, _MAX_EXPONENT, "exponent {count} exceeds the cap {limit}", column=op_col)
         products = _power_products(a.p, exponent)
-        self.products += products
-        if self.products > _MAX_POWER_PRODUCTS:
-            before = f", {self.products} in all" if self.products > products else ""
-            raise BudgetError(
-                f"power ^{exponent} of a {len(a.p)}-term polynomial needs up to "
-                f"{products} term products{before}, more than {_MAX_POWER_PRODUCTS}",
-                column=op_col,
-            )
+        self.products = _charge(
+            self.products + products,
+            _MAX_POWER_PRODUCTS,
+            f"power ^{exponent} of a {len(a.p)}-term polynomial needs up to {products} term products"
+            + (", {count} in all" if self.products else "") + ", more than {limit}",
+            column=op_col,
+        )
         if exponent == 0:
             return _Val({self.origin: 1})
         # charged above at every occurrence, so the budget does not depend on the memo

@@ -292,8 +292,8 @@ def _reductions(monkeypatch, compute) -> tuple[int, int]:
     log = []
     reduce = modalg._Basis.reduce
 
-    def counted(run, elem, counter, skip=-1):
-        rem, scale, quots = reduce(run, elem, counter, skip)
+    def counted(run, elem, skip=-1):
+        rem, scale, quots = reduce(run, elem, skip)
         if skip < 0:
             log.append(not rem)
         return rem, scale, quots
@@ -365,7 +365,7 @@ def test_reduce_builds_canonical_remainders_and_quotients():
         for b in gb.basis:
             run.put(run.flat(b)[0])
         terms, d = run.flat(query.components)
-        rem, scale, quots = run.reduce(terms, [0, 0])
+        rem, scale, quots = run.reduce(terms)
         # the remainder's keys strictly descend, and none of its terms is zero
         assert [k for k, _ in rem] == sorted({k for k, _ in rem}, reverse=True)
         assert all(c for _, c in rem)
@@ -413,6 +413,31 @@ def test_reductions_count_the_terms_they_merge(monkeypatch):
     monkeypatch.setattr(cap, 15)
     with pytest.raises(BudgetError, match="^reduction merge budget of 15 terms exceeded$"):
         syzygy_basis(spec)
+
+
+def test_each_bracket_reduction_counts_from_0(monkeypatch):
+    # the module basis takes 18 reduction steps and merges 25 terms; the
+    # three brackets take 6, 15 and 21 steps and merge 15, 125 and 152
+    # terms, so a cap at the largest bracket passes only if no count
+    # carries over from one bracket to the next
+    spec = make_spec(("x", "y"), ("(x+y+1)^2*dx", "(x+y+2)^2*dx", "(x+1)^3*dy"))
+    module_groebner(spec, Budget(max_reduction_steps=18))
+    with pytest.raises(BudgetError, match="^reduction step budget of 17 exceeded$"):
+        module_groebner(spec, Budget(max_reduction_steps=17))
+    assert not is_involutive(spec, Budget(max_reduction_steps=21)).closed
+    with pytest.raises(BudgetError, match="^reduction step budget of 20 exceeded$"):
+        is_involutive(spec, Budget(max_reduction_steps=20))
+    cap = "foliations.modalg._MAX_MERGED_TERMS"
+    monkeypatch.setattr(cap, 25)
+    module_groebner(spec)
+    monkeypatch.setattr(cap, 24)
+    with pytest.raises(BudgetError, match="^reduction merge budget of 24 terms exceeded$"):
+        module_groebner(spec)
+    monkeypatch.setattr(cap, 152)
+    assert not is_involutive(spec).closed
+    monkeypatch.setattr(cap, 151)
+    with pytest.raises(BudgetError, match="^reduction merge budget of 151 terms exceeded$"):
+        is_involutive(spec)
 
 
 def test_bracket_products_are_counted_before_they_are_formed(monkeypatch):

@@ -1,6 +1,9 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
+import inspect
+import typing
 from pathlib import Path
 
 import foliations
@@ -69,3 +72,49 @@ def test_only_cli_main_ends_the_process_with_os_exit():
                 else:
                     found.append(f"{path.name}:{node.lineno}")
     assert (found, in_main) == ([], 1)
+
+
+def test_every_budget_is_charged_in_errors_charge():
+    # one rule for every cap: a count past its limit raises from
+    # errors._charge; the four other raises refuse what is not a count
+    # past a limit: format_poly a number too long to print,
+    # _require_points a count too long to print, _lattice a count before
+    # it is formed, and singular_locus adds "(N minors done)" to a charge
+    places = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions come first, so the innermost one wins
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", None) == "BudgetError" or getattr(exc, "attr", None) == "BudgetError":
+                    places.append(f"{path.stem}.{owner.get(id(node))}")
+    assert sorted(places) == [
+        "cli._lattice",
+        "cli._require_points",
+        "errors._charge",
+        "modalg.singular_locus",
+        "vfparse.format_poly",
+    ]
+
+
+def test_every_public_annotation_resolves():
+    # typing.get_type_hints evaluates each annotation in its module: one
+    # naming a type the module never imports (numpy's, say) is a NameError
+    checked = []
+    for layer in ("vfparse", "modalg", "flow", "holonomy", "cli"):
+        module = importlib.import_module(f"foliations.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if not callable(obj):
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            methods = [getattr(m, "fget", getattr(m, "__func__", m)) for m in members]
+            for f in [obj, *filter(inspect.isfunction, methods)]:
+                typing.get_type_hints(f)
+                checked.append(f.__qualname__)
+    jets = {"matrix_exp", "linear_generator_matrices", "holonomy_jet", "jet_exact_linear", "CarriedDiffeo.jacobian"}
+    assert jets <= set(checked)
