@@ -80,8 +80,8 @@ from .holonomy import (
     germ_equal_at_fixed_point,
 )
 from .modalg import (
-    _bounded_exponent,
     _dims,
+    _rational,
     as_point,
     contains,
     is_involutive,
@@ -194,11 +194,9 @@ class _UsageError(Exception):
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(_bounded_exponent(text).strip())
+        return _rational(text, f"cannot parse rational {text!r}")
     except PreconditionError as e:
         raise _UsageError(str(e)) from None
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"cannot parse rational {text!r}")
 
 
 def _parse_point(text: str) -> tuple[Fraction, ...]:

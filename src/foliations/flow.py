@@ -74,7 +74,7 @@ from operator import add, itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import ArityError, BlowUpError, PreconditionError, _charge
-from .modalg import as_point, tangent_dim
+from .modalg import _rational, as_point, tangent_dim
 from .vfparse import FoliationSpec, _Frozen, _sum_lines
 
 __all__ = [
@@ -190,7 +190,7 @@ class FlowWord(_Frozen):
     """A finite composition of generator-combination flows.
 
     Steps act in list order: the first step is applied first.  The empty
-    word is the identity.
+    word is the identity.  Coefficients are read by ``modalg._rational``.
     """
 
     __slots__ = ("spec", "steps")
@@ -199,7 +199,7 @@ class FlowWord(_Frozen):
     def __init__(self, spec: FoliationSpec, steps: Sequence = ()):
         norm = []
         for coeffs, duration in steps:
-            coeffs = tuple(Fraction(c) for c in coeffs)
+            coeffs = tuple(_rational(c, "step coefficient is not a rational number") for c in coeffs)
             if len(coeffs) != spec.k:
                 raise ArityError(
                     f"step has {len(coeffs)} coefficients, expected {spec.k}"
@@ -603,30 +603,24 @@ def _jet(
 
 
 def _walk_draws(rng: XorShift64Star, n_steps: int, k: int, opts: NumericOptions) -> memoryview:
-    """The draws of ``n_steps`` walk steps, in one buffer of doubles: per
+    """The draws of ``n_steps`` walk steps, in one array of doubles: per
     step, k coefficients ``rng.symmetric()`` and then a duration
-    ``0.1 * rng.uniform()``.  The buffer grows by ``_CHUNK_SEGMENTS`` walk
-    steps at a time, as they are drawn.  Drawing stops at the first walk
-    step whose RK4 steps (``_rk4_steps``) take the walk past
+    ``0.1 * rng.uniform()``, appended as they are drawn.  Drawing stops at
+    the first walk step whose RK4 steps (``_rk4_steps``) take the walk past
     ``opts.max_steps``, and raises BudgetError, as ``_drive`` does for a
     word over the cap."""
+    from array import array  # only a walk needs it
+
     h, cap = opts.step_size, opts.max_steps
-    w = k + 1
-    block = bytes(8 * w * _CHUNK_SEGMENTS)
-    buf = bytearray()
-    draws = memoryview(buf).cast("d")
-    sym, uni = rng.symmetric, rng.uniform
+    draws = array("d")
+    append, sym, uni = draws.append, rng.symmetric, rng.uniform
     total = 0
-    for s in range(0, n_steps * w, w):
-        if s == len(draws):
-            draws.release()  # a bytearray with a view on it cannot grow
-            buf += block
-            draws = memoryview(buf).cast("d")
-        for i in range(s, s + k):
-            draws[i] = sym()
-        draws[s + k] = t = 0.1 * uni()
+    for _ in range(n_steps):
+        for _ in range(k):
+            append(sym())
+        append(t := 0.1 * uni())
         total = _charge(total + _rk4_steps(t, h, cap), cap, "flow would need more than {limit} steps")
-    return draws[: n_steps * w]
+    return memoryview(draws)
 
 
 class _Walk:

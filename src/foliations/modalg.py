@@ -206,30 +206,33 @@ class SingularLocusReport(NamedTuple):
 _MAX_DECIMAL_EXPONENT = 10_000
 
 
-def _bounded_exponent(text: str) -> str:
-    """``text``, once a decimal exponent in it is found to be at most
-    ``_MAX_DECIMAL_EXPONENT`` in either direction (else PreconditionError)."""
-    _, e, digits = text.lower().rpartition("e")
-    digits = digits.strip().lstrip("+-").replace("_", "").lstrip("0")
-    bound = _MAX_DECIMAL_EXPONENT
-    if e and digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
-        raise PreconditionError(f"rational {text!r} has an exponent beyond {bound}")
-    return text
+def _rational(value, unreadable: str) -> Fraction:
+    """``value`` as an exact rational, the one reader of a number from
+    outside: an int, a Fraction, a float, a Decimal or a rational string
+    such as ``"1/2"``.  A string or Decimal with a decimal exponent beyond
+    ``_MAX_DECIMAL_EXPONENT`` in either direction raises PreconditionError
+    before it is read, and anything ``Fraction`` cannot read, ``"1/0"``
+    included, raises PreconditionError(``unreadable``)."""
+    if isinstance(value, (str, Decimal)):
+        value = str(value)
+        _, e, digits = value.lower().rpartition("e")
+        digits = digits.strip().lstrip("+-").replace("_", "").lstrip("0")
+        bound = _MAX_DECIMAL_EXPONENT
+        if e and digits.isdecimal() and (len(digits) > len(str(bound)) or int(digits) > bound):
+            raise PreconditionError(f"rational {value!r} has an exponent beyond {bound}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
+        raise PreconditionError(unreadable) from None
 
 
 def as_point(coords: Sequence, nvars: int) -> tuple[Fraction, ...]:
     """A library point as exact rationals, the one reader of a point: each
-    coordinate an int, a Fraction, a finite float, a Decimal or a rational
-    string such as ``"1/2"``.  A string or Decimal with a decimal exponent
-    beyond ``_MAX_DECIMAL_EXPONENT`` raises PreconditionError before it is
-    read, and so does anything else unreadable, ``"1/0"`` included; a point
-    of the wrong length raises ArityError."""
+    coordinate a finite float or anything else ``_rational`` reads; a
+    point of the wrong length raises ArityError."""
     if any(isinstance(c, float) and not math.isfinite(c) for c in coords):
         raise PreconditionError("point coordinate is not finite")
-    try:
-        pt = tuple(Fraction(_bounded_exponent(str(c)) if isinstance(c, (str, Decimal)) else c) for c in coords)
-    except (ValueError, TypeError, OverflowError, ZeroDivisionError):
-        raise PreconditionError("point coordinate is not a rational number") from None
+    pt = tuple(_rational(c, "point coordinate is not a rational number") for c in coords)
     if len(pt) != nvars:
         raise ArityError(f"point has {len(pt)} coordinates, expected {nvars}")
     return pt
@@ -600,7 +603,7 @@ def _member(gb: ModuleGB, run: _Basis, x: VectorField) -> MembershipResult:
         den = math.lcm(*(dr for (_, dr), _, _ in parts))
         acc: dict[int, int] = {}
         for (ints, dr), qb, lead in parts:
-            for e, c in ints:
+            for e, c in ints.items():
                 m, f = run.mon(e), c * lead * (den // dr)
                 for u, q in qb:
                     acc[u + m] = acc.get(u + m, 0) + q * f
@@ -736,9 +739,10 @@ def rank_exact(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a matrix of exact rationals (no thresholds).
 
     Each row is scaled to integers by the lcm of its denominators, then
-    ranked by fraction-free elimination.
+    ranked by fraction-free elimination.  Entries are read by ``_rational``.
     """
-    return len(_pivots([_over_lcm([Fraction(v) for v in row])[0] for row in rows])[0])
+    rows = [_over_lcm([_rational(v, "matrix entry is not a rational number") for v in row])[0] for row in rows]
+    return len(_pivots(rows)[0])
 
 
 def _compile_rows(rows: Sequence[Element], nvars: int):

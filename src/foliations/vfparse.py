@@ -30,18 +30,17 @@ order they already have) and wraps them through a trusted internal
 constructor.
 
 Coefficients are exact rationals at the API; the inner loops of
-multiplication run on integers.  A product of two polynomials of two or
-more terms scales each to integer numerators over the lcm of its
-denominators, multiplies and adds ints in one dict, and makes one Fraction
-per result term before one grevlex sort.  A product with a one-term
-operand (a constant, a monomial) is ``_times``, unchecked, which keeps
-the term order; ``mul_term`` checks its term and then calls it.
-``p**e`` forms its e products one by one in integers (``_int_power``,
-which the parser shares) and makes the Fractions and the sort once at the
-end (binary powering was measured slower on dense bases); the power of a
-one-term ``p`` is one term.  The parser's values are integer term dicts
-over one common denominator, and each component of a parsed field becomes
-a Poly once, at the end.
+multiplication run on integer term dicts ``{exponents: nonzero int}``:
+``_product_terms`` is their one product and ``_int_power`` (e products one
+by one; binary powering was measured slower on dense bases) their one
+power, for ``Poly`` and the parser alike.  Each drops the zero terms it
+forms, so nothing downstream filters again.  ``Poly`` scales a factor of
+two or more terms to integers over the lcm of its denominators and makes
+one Fraction per result term before one grevlex sort; a one-term operand
+(a constant, a monomial) is ``_times``, unchecked, which keeps the term
+order, and ``mul_term`` checks its term and then calls it.  The parser's
+values are integer term dicts over one common denominator, and each
+component of a parsed field becomes a Poly once, at the end.
 
 ``_sum_lines`` is the one emitter of polynomial source code: the RK4
 kernels in ``flow`` and the integer row evaluators in ``modalg`` both
@@ -139,36 +138,48 @@ def _over_lcm(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _int_terms(terms: tuple) -> tuple[list, int]:
-    """(integer terms, D): ``terms`` times D, the lcm of their denominators."""
+def _int_terms(terms: tuple) -> tuple[dict, int]:
+    """(integer term dict, D): ``terms`` times D, the lcm of their denominators."""
     ints, d = _over_lcm([c for _, c in terms])
-    return [(e, c) for (e, _), c in zip(terms, ints)], d
+    return {e: c for (e, _), c in zip(terms, ints)}, d
 
 
-def _int_product(a: Iterable, b: list) -> dict:
-    """Integer coefficients of the product of two integer term lists, by
-    exponent tuple, unsorted and with any zeros kept."""
+def _scaled_terms(terms: dict, f: int) -> dict:
+    return terms if f == 1 else {e: c * f for e, c in terms.items()}
+
+
+def _product_terms(a: dict, b: dict) -> dict:
+    """The nonzero terms of the product of two integer term dicts; by one
+    term, a scale or shift that keeps every term."""
+    if len(a) == 1:
+        a, b = b, a
+    if len(b) == 1:
+        [(mon, f)] = b.items()
+        if any(mon):
+            return {tuple(map(add, e, mon)): c * f for e, c in a.items()}
+        return _scaled_terms(a, f)
     acc: dict[tuple[int, ...], int] = {}
     get = acc.get
-    for ea, ca in a:
+    b = list(b.items())
+    for ea, ca in a.items():
         for eb, cb in b:
             key = tuple(map(add, ea, eb))
             acc[key] = get(key, 0) + ca * cb
-    return acc
+    return {e: c for e, c in acc.items() if c}
 
 
-def _int_power(terms: list, exponent: int) -> dict:
-    """Integer coefficients of the power ``exponent`` >= 1 of the integer
-    term list ``terms``, by exponent tuple, any zeros kept: its products one
-    by one, or one term for a power of at most one term.
+def _int_power(terms: dict, exponent: int) -> dict:
+    """The nonzero terms of the power ``exponent`` >= 1 of the integer term
+    dict ``terms``: its products one by one, or one term for a power of at
+    most one term.
 
     The products run on packed monomials: x^e is the int sum of e[m] shifted
     by m fields of ``width`` bits, wide enough for any exponent of the power,
     so that multiplying two monomials adds their ints."""
     if len(terms) <= 1:
-        return {tuple(x * exponent for x in e): c**exponent for e, c in terms}
-    width = (exponent * max(map(max, (e for e, _ in terms)))).bit_length()
-    base = [(sum(x << width * m for m, x in enumerate(e)), c) for e, c in terms]
+        return {tuple(x * exponent for x in e): c**exponent for e, c in terms.items()}
+    width = (exponent * max(map(max, terms))).bit_length()
+    base = [(sum(x << width * m for m, x in enumerate(e)), c) for e, c in terms.items()]
     acc = dict(base)
     for _ in range(exponent - 1):
         out: dict[int, int] = {}
@@ -177,15 +188,15 @@ def _int_power(terms: list, exponent: int) -> dict:
             for kb, cb in base:
                 out[ka + kb] = get(ka + kb, 0) + ca * cb
         acc = out
-    mask, n = (1 << width) - 1, len(terms[0][0])
-    return {tuple(k >> width * m & mask for m in range(n)): c for k, c in acc.items()}
+    mask, n = (1 << width) - 1, len(next(iter(terms)))
+    return {tuple(k >> width * m & mask for m in range(n)): c for k, c in acc.items() if c}
 
 
 def _from_int_terms(nvars: int, acc: dict, d: int) -> "Poly":
-    """The Poly of the integer coefficients ``acc`` over the denominator ``d``:
-    one Fraction per nonzero term, one sort."""
+    """The Poly of the nonzero integer terms ``acc`` over the denominator
+    ``d``: one Fraction per term, one sort."""
     terms = sorted(
-        ((e, Fraction(c, d)) for e, c in acc.items() if c),
+        ((e, Fraction(c, d)) for e, c in acc.items()),
         key=lambda t: grevlex_key(t[0]),
         reverse=True,
     )
@@ -415,7 +426,7 @@ class Poly(_Frozen):
             return p._times(*self.terms[0])
         a, da = _int_terms(self.terms)
         b, db = _int_terms(p.terms)
-        return _from_int_terms(self.nvars, _int_product(a, b), da * db)
+        return _from_int_terms(self.nvars, _product_terms(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -688,10 +699,6 @@ def _power_products(terms: dict, exponent: int) -> int:
     return exponent * t * most
 
 
-def _scaled_terms(terms: dict, f: int) -> dict:
-    return terms if f == 1 else {e: c * f for e, c in terms.items()}
-
-
 def _sum_terms(a: dict, b: dict) -> dict:
     """The nonzero terms of the sum of two integer term dicts."""
     out = dict(a)
@@ -702,19 +709,6 @@ def _sum_terms(a: dict, b: dict) -> dict:
         else:
             del out[e]
     return out
-
-
-def _product_terms(a: dict, b: dict) -> dict:
-    """The nonzero terms of the product of two integer term dicts; by one
-    term, a scale or shift that keeps every term."""
-    if len(a) == 1:
-        a, b = b, a
-    if len(b) != 1:
-        return {e: c for e, c in _int_product(a.items(), list(b.items())).items() if c}
-    [(mon, f)] = b.items()
-    if any(mon):
-        return {tuple(map(add, e, mon)): c * f for e, c in a.items()}
-    return _scaled_terms(a, f)
 
 
 class _Val:
@@ -822,7 +816,7 @@ class _Parser:
         # charged above at every occurrence, so the budget does not depend on the memo
         key = (frozenset(a.p.items()), exponent)
         if key not in self.powers:
-            self.powers[key] = {e: c for e, c in _int_power(list(a.p.items()), exponent).items() if c}
+            self.powers[key] = _int_power(a.p, exponent)
         return _Val(self.powers[key], None, a.den**exponent)
 
     # grammar -------------------------------------------------------------

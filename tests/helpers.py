@@ -44,9 +44,9 @@ def run_python(code: str, *flags: str, **run_args) -> subprocess.CompletedProces
     return subprocess.run([sys.executable, *flags, "-c", code], env=env, **run_args)
 
 
-def bounded_fraction(value) -> Fraction:
-    """``Fraction(value)``, failing the test if ``value`` is a text or a
-    Decimal with a decimal exponent over the bound: Fraction writes
+def bounded_fraction(value, *rest) -> Fraction:
+    """``Fraction(value, *rest)``, failing the test if ``value`` is a text or
+    a Decimal with a decimal exponent over the bound: Fraction writes
     10**exponent out in full, so no reader may hand it one."""
     if isinstance(value, Decimal):
         exponent = value.as_tuple().exponent if value.is_finite() else 0
@@ -55,7 +55,7 @@ def bounded_fraction(value) -> Fraction:
         exponent = 0 if m is None else int(m[1].replace("_", ""))
     if abs(exponent) > _MAX_DECIMAL_EXPONENT:
         pytest.fail(f"Fraction read {value!r}")
-    return Fraction(value)
+    return Fraction(value, *rest)
 
 
 def make_spec(var_names, exprs) -> FoliationSpec:

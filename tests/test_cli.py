@@ -642,14 +642,14 @@ def test_overlong_dims_numbers_end_in_a_report(files, capsys, args, code, error)
     ids=["point", "point-negative", "point-signed", "grid", "duration", "coefficient", "coeffs"],
 )
 def test_decimal_exponents_are_bounded_before_fraction_reads_them(files, capsys, monkeypatch, args, text):
-    monkeypatch.setattr(cli, "Fraction", bounded_fraction)
+    monkeypatch.setattr(sys.modules["foliations.modalg"], "Fraction", bounded_fraction)
     argv = [args[0], files[args[1]], *args[2:]]
     error = failure(capsys, argv, 2, "_UsageError")["error"]
     assert error == f"rational {text!r} has an exponent beyond {_MAX_DECIMAL_EXPONENT}"
 
 
 def test_exponents_up_to_the_bound_are_read(files, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "Fraction", bounded_fraction)
+    monkeypatch.setattr(sys.modules["foliations.modalg"], "Fraction", bounded_fraction)
     assert run(["dims", files["sl2"], "--point", "1e0000000000000000000010,5E-3"]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["point"] == "10000000000,1/200"
     # a coefficient that small still reads as the float 0.0

@@ -36,7 +36,7 @@ from foliations.flow import (
 )
 from foliations.holonomy import matrix_exp
 from foliations import modalg
-from foliations.modalg import as_point, fiber_dim, tangent_dim
+from foliations.modalg import as_point, fiber_dim, rank_exact, tangent_dim
 from foliations.vfparse import _MAX_CHAIN, _sum_lines
 
 from helpers import (
@@ -347,9 +347,13 @@ def _error(call):
     return None
 
 
-# what as_point says of a text it cannot read
+# what as_point says of a coordinate it cannot read
 _REFUSED_COORDINATES = {
     "1/0": "point coordinate is not a rational number",
+    "abc": "point coordinate is not a rational number",
+    "nan": "point coordinate is not a rational number",
+    math.nan: "point coordinate is not finite",
+    math.inf: "point coordinate is not finite",
     "1e4000000": "rational '1e4000000' has an exponent beyond 10000",
     Decimal("1e4000000"): "rational '1E+4000000' has an exponent beyond 10000",
     Decimal("-1e-4000000"): "rational '-1E-4000000' has an exponent beyond 10000",
@@ -416,6 +420,25 @@ def test_every_point_reader_reads_as_as_point(monkeypatch, point):
         assert [type(v) for v in got] == [float, float], name
         assert [v.hex() for v in got] == [v.hex() for v in floats], name
     assert flow_box(spec, 1, point) == flow_box(spec, 1, tuple(map(float, floats)))
+
+
+@pytest.mark.parametrize("value", list(_REFUSED_COORDINATES))
+def test_word_coefficients_and_matrix_entries_are_refused_as_coordinates_are(monkeypatch, value):
+    # modalg._rational reads all three: a decimal exponent beyond the bound
+    # is refused with one message, before Fraction reads it, and anything
+    # else unreadable with the reader's own
+    monkeypatch.setattr(modalg, "Fraction", bounded_fraction)
+    said = _REFUSED_COORDINATES[value]
+    bounded = said.startswith("rational ")
+    spec = sl2()
+    assert _error(lambda: FlowWord(spec, [((value, 0, 0), 1.0)])) == (
+        PreconditionError,
+        said if bounded else "step coefficient is not a rational number",
+    )
+    assert _error(lambda: rank_exact([[1, 0], [Fraction(1, 2), value]])) == (
+        PreconditionError,
+        said if bounded else "matrix entry is not a rational number",
+    )
 
 
 def test_chart_parameter_beyond_the_float_range_blows_up_in_the_first_step():

@@ -48,6 +48,41 @@ def test_a_number_becomes_a_float_only_in_flow_float():
     assert found == []
 
 
+def test_a_number_from_outside_becomes_a_fraction_only_in_modalg_rational():
+    # one reader, which bounds a decimal exponent before Fraction writes
+    # 10**exponent out; vfparse._as_fraction reads only the int or Fraction
+    # coefficients of a Poly, and Fraction(n) of an int literal or int(..)
+    # reads nothing from outside
+    readers = {"modalg.py": "_rational", "vfparse.py": "_as_fraction"}
+    found, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and readers.get(path.name) == fn.name
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "Fraction"
+                and len(node.args) + len(node.keywords) == 1
+            ):
+                continue
+            [arg] = node.args + [k.value for k in node.keywords]
+            if isinstance(arg, ast.Constant) and type(arg.value) is int:
+                continue
+            if isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name) and arg.func.id == "int":
+                continue
+            if id(node) in inside:
+                seen.add(path.name)
+            else:
+                found.append(f"{path.name}:{node.lineno}")
+    assert (found, seen) == ([], set(readers))
+
+
 def test_only_cli_main_ends_the_process_with_os_exit():
     # os._exit skips every caller's cleanup: only the ``fol`` script's own
     # main() may end the process that way, and no library function can

@@ -303,7 +303,7 @@ def test_power_of_one_term_is_one_term(monkeypatch):
     def no_products(*args):
         raise AssertionError("a one-term power formed a product")
 
-    monkeypatch.setattr("foliations.vfparse._int_product", no_products)
+    monkeypatch.setattr("foliations.vfparse._product_terms", no_products)
     monkeypatch.setattr(Poly, "mul_term", no_products)
     monkeypatch.setattr(Poly, "_times", no_products)
     assert (y**1000).terms == (((0, 1000), Fraction(1)),)
